@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import HorizonError
 from .integrate import EPS_POS_RTOL, Trajectory
-from .laws import AsymptoticPrediction, ControlLaw, Saturated
+from .laws import AsymptoticPrediction, ControlLaw
 from .model import ModelParams
 
 __all__ = [
@@ -125,26 +125,16 @@ def monitor_positivity(traj: Trajectory,
         details={c.name: c for c in subs})
 
 
-def _gain_sum(law: ControlLaw) -> float:
-    if isinstance(law, Saturated):
-        return _gain_sum(law.inner)
-    total = 0.0
-    for attr in ("g", "g1", "g_prime", "value"):
-        v = getattr(law, attr, None)
-        if v is not None:
-            total += abs(v)
-    return total
-
-
 def identity_tolerance(params: ModelParams, law: ControlLaw, dt: float) -> float:
     """Per-sample tolerance 1e-3 * N * rate_scale * dt^2 for the identity suite.
 
-    rate_scale is (3*(mu+omega+sigma+gamma+beta+sum|gains|))^3, a cubed
+    rate_scale is (3*(mu+omega+sigma+gamma+beta+sum|gains|))^3 (a
+    saturated law counts its inner law's gains), a cubed
     characteristic rate sized to dominate central-difference truncation
     on correct trajectories.
     """
     r = (params.mu + params.omega + params.sigma + params.gamma + params.beta
-         + _gain_sum(law))
+         + sum(abs(v) for v in law.gains.values()))
     return 1e-3 * params.N * (3.0 * r) ** 3 * dt * dt
 
 

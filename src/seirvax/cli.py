@@ -41,15 +41,7 @@ from .exceptions import (
     VaccinationChannelError,
 )
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .laws import (
-    ConstrainedImmuneFeedback,
-    ControlLaw,
-    ImmuneFeedback,
-    Linearizing,
-    law_name,
-    predicted_limits,
-    validate_gains,
-)
+from .laws import ImmuneFeedback, law_name, predicted_limits, validate_gains
 from .model import ModelParams
 from .normal_form import integrate_zero_dynamics
 from .scenario import Scenario, load_scenario
@@ -97,19 +89,6 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
-def _integral_gains(law: ControlLaw, params: ModelParams) -> tuple[float, float]:
-    """(g, g1) of the immune-feedback family, for the integral-limit check."""
-    if isinstance(law, ImmuneFeedback):
-        return law.g, law.g1
-    if isinstance(law, ConstrainedImmuneFeedback):
-        return law.g, params.mu + params.omega + law.g
-    if isinstance(law, Linearizing):
-        return law.g_prime - (params.mu + params.omega), law.g1
-    raise ScenarioError(
-        "integral_limit check needs an immune-feedback family law "
-        f"(got {law_name(law)})")
-
-
 def run_checks(traj: Trajectory, scenario: Scenario) -> VerificationReport:
     """Run the scenario's requested checks against a trajectory."""
     params = scenario.params
@@ -134,9 +113,13 @@ def run_checks(traj: Trajectory, scenario: Scenario) -> VerificationReport:
                 tail_fraction=opts.get("tail_fraction", 0.1),
                 rel_tol=opts.get("rel_tol", 1e-3)))
         elif name == "integral_limit":
-            g, g1 = _integral_gains(scenario.law, params)
+            law = scenario.law.canonical(params)
+            if law.name != ImmuneFeedback.name:
+                raise ScenarioError(
+                    "integral_limit check needs an immune-feedback family law "
+                    f"(got {law_name(scenario.law)})")
             checks.append(check_integral_limit(
-                traj, params, g, g1, rel_tol=opts.get("rel_tol", 0.01)))
+                traj, params, law.g, law.g1, rel_tol=opts.get("rel_tol", 0.01)))
     return VerificationReport(checks=tuple(checks))
 
 

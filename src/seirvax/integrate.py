@@ -8,27 +8,31 @@ keeps runs exactly reproducible. An embedded Dormand-Prince 5(4) pair is
 available for adaptive stepping.
 
 Every sample records the applied V and the auxiliary control
-u = omega*R - sigma*E - mu*N*V, computed with the same arithmetic as
-`model.coupling_control` so recomputation reproduces stored values
-bitwise.
+u = omega*R - sigma*E - mu*N*V, computed by `model.coupling_control` so
+recomputation reproduces stored values bitwise.
+
+`rk4` is the one fixed-step stepper: `integrate` runs it on the x-space
+field and `normal_form` on the normal-form and zero-dynamics fields.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import GainConstraintError, NonFiniteStateError
-from .laws import ControlLaw, compile_law, law_name, required_gain_failures
-from .model import ModelParams, SeirState
+from .laws import ControlLaw, LawFn, compile_law, law_name, required_gain_failures
+from .model import Field, ModelParams, SeirState, coupling_control, seir_field
 
 __all__ = [
     "IntegratorConfig",
     "PositivityEvent",
     "Trajectory",
     "integrate",
+    "rk4",
     "positivity_events",
     "EPS_POS_RTOL",
 ]
@@ -59,16 +63,30 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        for name in ("t0", "t_end", "dt", "rel_tol", "abs_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.dt > 0.0):
             raise ValueError("dt must be > 0")
         if not (self.t_end > self.t0):
             raise ValueError("t_end must be > t0")
-        if self.sampling_stride < 1:
-            raise ValueError("sampling_stride must be >= 1")
+        if not (isinstance(self.sampling_stride, numbers.Integral)
+                and self.sampling_stride >= 1):
+            raise ValueError("sampling_stride must be an integer >= 1")
         if self.positivity_policy not in ("report", "project"):
             raise ValueError("positivity_policy must be 'report' or 'project'")
         if self.adaptive and not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("adaptive mode needs rel_tol > 0 and abs_tol > 0")
+        span = self.t_end - self.t0
+        if not self.adaptive and abs(self.n_steps * self.dt - span) > 1e-9 * span:
+            raise ValueError(
+                f"dt = {self.dt!r} does not divide t_end - t0 = {span!r}: "
+                f"{self.n_steps} steps end at t = {self.t0 + self.n_steps * self.dt!r}")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of fixed steps: (t_end - t0)/dt rounded, at least one."""
+        return max(1, int(round((self.t_end - self.t0) / self.dt)))
 
 
 @dataclass(frozen=True)
@@ -143,117 +161,106 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
             f"law {law_name(law)} fails required gain constraints: "
             + ", ".join(failures))
     law_fn = compile_law(law, params)
-
-    if config.adaptive:
-        columns, projected, count = _run_dopri45(state0, params, law_fn, config)
-    else:
-        columns, projected, count = _run_rk4(state0, params, law_fn, config)
-
-    t, S, E, I, R, V, u = (np.asarray(c, dtype=np.float64) for c in columns)
-    return Trajectory(t=t, S=S, E=E, I=I, R=R, V=V, u=u,
-                      params=params, law=law, law_label=law_name(law),
-                      config=config, projected=tuple(projected),
-                      projected_count=count)
-
-
-def _run_rk4(state0, params, law_fn, config):
-    """Fixed-step classic RK4 with V held across stages."""
-    mu, om, si, ga, N = (params.mu, params.omega, params.sigma,
-                         params.gamma, params.N)
-    bp = params.beta_prime
-    muN = mu * N
-    h = config.dt
-    t0 = config.t0
-    n = max(1, int(round((config.t_end - t0) / h)))
-    stride = config.sampling_stride
+    rhs = seir_field(params)
     project = config.positivity_policy == "project"
 
-    S, E, I, R = state0.S, state0.E, state0.I, state0.R
-    isfinite = math.isfinite
+    if config.adaptive:
+        samples = _run_dopri45(rhs, law_fn, state0.as_tuple(), params, config,
+                               project)
+    else:
+        samples = rk4(rhs, law_fn, state0.as_tuple(), config, project)
 
-    ts: list[float] = []
-    Ss: list[float] = []
-    Es: list[float] = []
-    Is: list[float] = []
-    Rs: list[float] = []
-    Vs: list[float] = []
-    us: list[float] = []
-    projected: list[PositivityEvent] = []
-    n_projected = 0
+    t, S, E, I, R, V = samples.columns()
+    u = coupling_control(SeirState(S, E, I, R), params, V)
+    return Trajectory(t=t, S=S, E=E, I=I, R=R, V=V, u=u,
+                      params=params, law=law, law_label=law_name(law),
+                      config=config, projected=tuple(samples.projected),
+                      projected_count=samples.n_projected)
 
-    def record(t: float, V: float) -> None:
-        if not isfinite(S + E + I + R) or not isfinite(V):
-            raise NonFiniteStateError(
-                f"non-finite state at t = {t} (sample index {len(ts)})",
-                t=t, sample_index=len(ts))
-        ts.append(t)
-        Ss.append(S)
-        Es.append(E)
-        Is.append(I)
-        Rs.append(R)
-        Vs.append(V)
-        us.append(om * R - si * E - muN * V)
 
-    V = law_fn(S, E, I, R, t0)
-    record(t0, V)
+class Samples:
+    """Sample buffer of a stepper: rows (t, y0, y1, y2, y3, V).
 
+    `record` refuses a non-finite state or V; `project` clamps negative
+    components to zero and logs each one (the log is capped, the count
+    is not).
+    """
+
+    def __init__(self) -> None:
+        self.flat: list[float] = []
+        self.projected: list[PositivityEvent] = []
+        self.n_projected = 0
+
+    def record(self, t: float, y0: float, y1: float, y2: float, y3: float,
+               V: float) -> None:
+        if not (math.isfinite(y0 + y1 + y2 + y3) and math.isfinite(V)):
+            raise self.non_finite(t)
+        self.flat.extend((t, y0, y1, y2, y3, V))
+
+    def non_finite(self, t: float) -> NonFiniteStateError:
+        """The error for a non-finite state at t, at the next sample index."""
+        index = len(self.flat) // 6
+        return NonFiniteStateError(
+            f"non-finite state at t = {t} (sample index {index})",
+            t=t, sample_index=index)
+
+    def project(self, t: float, y: tuple) -> tuple:
+        for name, value in zip("SEIR", y):
+            if value < 0.0:
+                self.n_projected += 1
+                if len(self.projected) < _PROJECTION_LOG_CAP:
+                    self.projected.append(PositivityEvent(t, name, value))
+        return tuple(max(v, 0.0) for v in y)
+
+    def columns(self) -> np.ndarray:
+        """(6, n) array: the t, y0..y3 and V columns, each contiguous."""
+        return np.array(self.flat, dtype=np.float64).reshape(-1, 6).T.copy()
+
+
+def rk4(rhs: Field, control: LawFn, y0: tuple, config: IntegratorConfig,
+        project: bool = False) -> Samples:
+    """Classic fixed-step RK4 of a 4-component field on the config's grid.
+
+    control(y0, y1, y2, y3, t) gives V at the state at the start of each
+    step; V is held across the step's four stages (zero-order hold) and
+    passed to rhs(y0, y1, y2, y3, V). Samples are recorded at t0, every
+    `sampling_stride` steps and at the last step. With `project`, negative
+    components are clamped to zero after each step.
+    """
+    h = config.dt
+    half = 0.5 * h
+    sixth = h / 6.0
+    t0 = config.t0
+    n = config.n_steps
+    stride = config.sampling_stride
+    samples = Samples()
+    record, clamp = samples.record, samples.project
+
+    a, b, c, d = y0
+    V = control(a, b, c, d, t0)
+    record(t0, a, b, c, d, V)
     for k in range(n):
-        t = t0 + k * h
-        V = law_fn(S, E, I, R, t)
-        vax = muN * V
-        inflow = muN - vax
+        k1a, k1b, k1c, k1d = rhs(a, b, c, d, V)
+        k2a, k2b, k2c, k2d = rhs(a + half * k1a, b + half * k1b,
+                                 c + half * k1c, d + half * k1d, V)
+        k3a, k3b, k3c, k3d = rhs(a + half * k2a, b + half * k2b,
+                                 c + half * k2c, d + half * k2d, V)
+        k4a, k4b, k4c, k4d = rhs(a + h * k3a, b + h * k3b,
+                                 c + h * k3c, d + h * k3d, V)
+        a = a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+        b = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+        c = c + sixth * (k1c + 2.0 * (k2c + k3c) + k4c)
+        d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
 
-        s, e, i, r = S, E, I, R
-        w = om * r; f = bp * (s * i); rec = ga * i; inc = si * e
-        k1S = w - mu * s - f + inflow
-        k1E = f - mu * e - inc
-        k1I = inc - mu * i - rec
-        k1R = rec + vax - mu * r - w
-
-        s = S + 0.5 * h * k1S; e = E + 0.5 * h * k1E
-        i = I + 0.5 * h * k1I; r = R + 0.5 * h * k1R
-        w = om * r; f = bp * (s * i); rec = ga * i; inc = si * e
-        k2S = w - mu * s - f + inflow
-        k2E = f - mu * e - inc
-        k2I = inc - mu * i - rec
-        k2R = rec + vax - mu * r - w
-
-        s = S + 0.5 * h * k2S; e = E + 0.5 * h * k2E
-        i = I + 0.5 * h * k2I; r = R + 0.5 * h * k2R
-        w = om * r; f = bp * (s * i); rec = ga * i; inc = si * e
-        k3S = w - mu * s - f + inflow
-        k3E = f - mu * e - inc
-        k3I = inc - mu * i - rec
-        k3R = rec + vax - mu * r - w
-
-        s = S + h * k3S; e = E + h * k3E; i = I + h * k3I; r = R + h * k3R
-        w = om * r; f = bp * (s * i); rec = ga * i; inc = si * e
-        k4S = w - mu * s - f + inflow
-        k4E = f - mu * e - inc
-        k4I = inc - mu * i - rec
-        k4R = rec + vax - mu * r - w
-
-        sixth = h / 6.0
-        S = S + sixth * (k1S + 2.0 * (k2S + k3S) + k4S)
-        E = E + sixth * (k1E + 2.0 * (k2E + k3E) + k4E)
-        I = I + sixth * (k1I + 2.0 * (k2I + k3I) + k4I)
-        R = R + sixth * (k1R + 2.0 * (k2R + k3R) + k4R)
-
-        t_next = t0 + (k + 1) * h
-        if project:
-            if S < 0.0 or E < 0.0 or I < 0.0 or R < 0.0:
-                for name, val in (("S", S), ("E", E), ("I", I), ("R", R)):
-                    if val < 0.0:
-                        n_projected += 1
-                        if len(projected) < _PROJECTION_LOG_CAP:
-                            projected.append(PositivityEvent(t_next, name, val))
-                S = max(S, 0.0); E = max(E, 0.0)
-                I = max(I, 0.0); R = max(R, 0.0)
-
+        t = t0 + (k + 1) * h
+        if project and (a < 0.0 or b < 0.0 or c < 0.0 or d < 0.0):
+            a, b, c, d = clamp(t, (a, b, c, d))
+        # The law is a pure function of (state, t): V at the end of this
+        # step is both the recorded value and the next step's held value.
+        V = control(a, b, c, d, t)
         if (k + 1) % stride == 0 or k + 1 == n:
-            record(t_next, law_fn(S, E, I, R, t_next))
-
-    return (ts, Ss, Es, Is, Rs, Vs, us), projected, n_projected
+            record(t, a, b, c, d, V)
+    return samples
 
 
 # Dormand-Prince 5(4) tableau.
@@ -276,42 +283,23 @@ _DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-def _run_dopri45(state0, params, law_fn, config):
+def _run_dopri45(rhs: Field, law_fn: LawFn, y: tuple, params: ModelParams,
+                 config: IntegratorConfig, project: bool) -> Samples:
     """Embedded Dormand-Prince 5(4) with V held per attempted step."""
-    mu, om, si, ga, N = (params.mu, params.omega, params.sigma,
-                         params.gamma, params.N)
-    bp = params.beta_prime
-    muN = mu * N
+    muN = params.mu * params.N
     rtol, atol = config.rel_tol, config.abs_tol
     t0, t_end = config.t0, config.t_end
     stride = config.sampling_stride
-    project = config.positivity_policy == "project"
+    samples = Samples()
 
-    def f(y: tuple, inflow: float, vax: float) -> tuple:
-        s, e, i, r = y
-        w = om * r; fl = bp * (s * i); rec = ga * i; inc = si * e
-        return (w - mu * s - fl + inflow,
-                fl - mu * e - inc,
-                inc - mu * i - rec,
-                rec + vax - mu * r - w)
-
-    y = state0.as_tuple()
     t = t0
     h = min(config.dt, t_end - t0)
-
-    ts = [t0]; cols = [[c] for c in y]
-    V0 = law_fn(*y, t0)
-    Vs = [V0]
-    us = [om * y[3] - si * y[1] - muN * V0]
-    projected: list[PositivityEvent] = []
-    n_projected = 0
+    samples.record(t0, *y, law_fn(*y, t0))
     accepted = 0
 
     while t < t_end:
         h = min(h, t_end - t)
         V = law_fn(*y, t)
-        vax = muN * V
-        inflow = muN - vax
 
         while True:
             ks = []
@@ -319,7 +307,7 @@ def _run_dopri45(state0, params, law_fn, config):
                 yj = y if j == 0 else tuple(
                     y[c] + h * sum(_DP_A[j][m] * ks[m][c] for m in range(j))
                     for c in range(4))
-                ks.append(f(yj, inflow, vax))
+                ks.append(rhs(*yj, V))
             y5 = tuple(y[c] + h * sum(_DP_B[m] * ks[m][c] for m in range(7))
                        for c in range(4))
             err = list(h * sum(_DP_E[m] * ks[m][c] for m in range(7))
@@ -334,9 +322,7 @@ def _run_dopri45(state0, params, law_fn, config):
                 (err[c] / (atol + rtol * max(abs(y[c]), abs(y5[c])))) ** 2
                 for c in range(4)) / 4.0)
             if not math.isfinite(norm):
-                raise NonFiniteStateError(
-                    f"non-finite state at t = {t + h} (sample index {len(ts)})",
-                    t=t + h, sample_index=len(ts))
+                raise samples.non_finite(t + h)
             if norm <= 1.0:
                 break
             h *= min(1.0, max(0.2, 0.9 * norm ** -0.2))
@@ -346,28 +332,13 @@ def _run_dopri45(state0, params, law_fn, config):
         t = t_end if t + h >= t_end else t + h
         y = y5
         if project and min(y) < 0.0:
-            names = ("S", "E", "I", "R")
-            for c in range(4):
-                if y[c] < 0.0:
-                    n_projected += 1
-                    if len(projected) < _PROJECTION_LOG_CAP:
-                        projected.append(PositivityEvent(t, names[c], y[c]))
-            y = tuple(max(v, 0.0) for v in y)
+            y = samples.project(t, y)
         accepted += 1
         if accepted % stride == 0 or t >= t_end:
-            if not math.isfinite(sum(y)):
-                raise NonFiniteStateError(
-                    f"non-finite state at t = {t} (sample index {len(ts)})",
-                    t=t, sample_index=len(ts))
-            V_rec = law_fn(*y, t)
-            ts.append(t)
-            for c in range(4):
-                cols[c].append(y[c])
-            Vs.append(V_rec)
-            us.append(om * y[3] - si * y[1] - muN * V_rec)
+            samples.record(t, *y, law_fn(*y, t))
         h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
 
-    return (ts, cols[0], cols[1], cols[2], cols[3], Vs, us), projected, n_projected
+    return samples
 
 
 def positivity_events(traj: Trajectory) -> list[PositivityEvent]:

@@ -14,6 +14,11 @@ Feedback laws (V as a function of the current state):
   OutputZeroing               V = -gamma*I / (mu*N), holds R identically at 0
   Saturated(inner, lo, hi)     inner law clipped to [lo, hi]
 
+Each law is one class: its scenario name, gains, gain constraints,
+binding and prediction live on it (see `ControlLaw`), and the functions
+below only dispatch to those methods. To add a law, write one class and
+list it in `SCENARIO_LAWS`.
+
 `compile_law` binds a law to parameters once and returns the closure used
 everywhere (direct evaluation and the integrator), so a law evaluates
 bitwise-identically wherever it is used.
@@ -23,9 +28,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 from .exceptions import GainConstraintError, PredictionError, VaccinationChannelError
 from .model import ModelParams, SeirState
@@ -41,6 +46,7 @@ __all__ = [
     "OutputZeroing",
     "Saturated",
     "ControlLaw",
+    "SCENARIO_LAWS",
     "GainCheck",
     "AsymptoticPrediction",
     "InfectiousBound",
@@ -57,210 +63,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZeroVax:
-    """No vaccination."""
-
-
-@dataclass(frozen=True)
-class ConstantVax:
-    """Constant vaccination fraction (no sign restriction)."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class SusceptibleLinear:
-    """Control u = -g*S realized through the vaccination channel."""
-
-    g: float
-
-
-@dataclass(frozen=True)
-class SusceptiblePlusExposed:
-    """Control u = -g*(S+E) realized through the vaccination channel."""
-
-    g: float
-
-
-@dataclass(frozen=True)
-class ImmuneFeedback:
-    """Control u = -g*R + g1*N; drives R toward g1*N/(mu+omega+g)."""
-
-    g: float
-    g1: float
-
-
-@dataclass(frozen=True)
-class ConstrainedImmuneFeedback:
-    """Immune feedback with negative g, g1 tied to mu+omega+g.
-
-    Intended for the constrained-gain regime where V stays in [0, 1];
-    the printed gain gate is checked at bind time and the exact
-    per-sample margin is available via `constrained_gain_margin`.
-    """
-
-    g: float
-
-
-@dataclass(frozen=True)
-class Linearizing:
-    """Linearizing synthesis for output y = R: closed loop dR/dt = -g_prime*R + g1*N."""
-
-    g_prime: float
-    g1: float
-
-
-@dataclass(frozen=True)
-class OutputZeroing:
-    """Input V = -gamma*I/(mu*N) that keeps R identically at zero from R(0) = 0.
-
-    The output equation at R = 0 reads dR/dt = gamma*I + mu*N*V, so the
-    zeroing input is negative whenever I > 0.
-    """
-
-
-@dataclass(frozen=True)
-class Saturated:
-    """Any law clipped to [lo, hi]."""
-
-    inner: "ControlLaw"
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.lo <= self.hi):
-            raise ValueError("Saturated requires lo <= hi")
-
-
-ControlLaw = Union[
-    ZeroVax,
-    ConstantVax,
-    SusceptibleLinear,
-    SusceptiblePlusExposed,
-    ImmuneFeedback,
-    ConstrainedImmuneFeedback,
-    Linearizing,
-    OutputZeroing,
-    Saturated,
-]
-
 # V(S, E, I, R, t) closure produced by compile_law.
 LawFn = Callable[[float, float, float, float, float], float]
-
-
-def law_name(law: ControlLaw) -> str:
-    """Short stable identifier, used in trajectory metadata and scenarios."""
-    if isinstance(law, ZeroVax):
-        return "zero"
-    if isinstance(law, ConstantVax):
-        return "constant"
-    if isinstance(law, SusceptibleLinear):
-        return "susceptible_linear"
-    if isinstance(law, SusceptiblePlusExposed):
-        return "susceptible_plus_exposed"
-    if isinstance(law, ImmuneFeedback):
-        return "immune_feedback"
-    if isinstance(law, ConstrainedImmuneFeedback):
-        return "constrained_immune_feedback"
-    if isinstance(law, Linearizing):
-        return "linearizing"
-    if isinstance(law, OutputZeroing):
-        return "output_zeroing"
-    if isinstance(law, Saturated):
-        return f"saturated({law_name(law.inner)})"
-    raise TypeError(f"not a control law: {law!r}")
-
-
-def _require_channel(params: ModelParams) -> float:
-    muN = params.mu * params.N
-    if muN == 0.0:
-        raise VaccinationChannelError("vaccination channel gain zero")
-    return muN
-
-
-@lru_cache(maxsize=256)
-def compile_law(law: ControlLaw, params: ModelParams) -> LawFn:
-    """Bind a law to parameters, returning the V(S, E, I, R, t) closure.
-
-    Bind-time constraint violations raise GainConstraintError (or
-    VaccinationChannelError when mu*N = 0 and the law needs the channel).
-    """
-    if isinstance(law, ZeroVax):
-        return lambda S, E, I, R, t: 0.0
-
-    if isinstance(law, ConstantVax):
-        v = float(law.value)
-        return lambda S, E, I, R, t: v
-
-    if isinstance(law, SusceptibleLinear):
-        muN = _require_channel(params)
-        if not law.g >= 0.0:
-            raise GainConstraintError("susceptible_linear requires g >= 0")
-        g, om, bp = law.g, params.omega, params.beta_prime
-        return lambda S, E, I, R, t: (om * R + (g - bp * I) * S + muN) / muN
-
-    if isinstance(law, SusceptiblePlusExposed):
-        muN = _require_channel(params)
-        if not law.g >= 0.0:
-            raise GainConstraintError("susceptible_plus_exposed requires g >= 0")
-        g, om, si = law.g, params.omega, params.sigma
-        return lambda S, E, I, R, t: (g * S + (g - si) * E + om * R) / muN
-
-    if isinstance(law, ImmuneFeedback):
-        muN = _require_channel(params)
-        if not law.g > -(params.mu + params.omega):
-            raise GainConstraintError("immune_feedback requires g > -(mu+omega)")
-        g, g1, ga, N = law.g, law.g1, params.gamma, params.N
-        return lambda S, E, I, R, t: (g1 * N - g * R - ga * I) / muN
-
-    if isinstance(law, ConstrainedImmuneFeedback):
-        for name, holds, required in validate_gains(law, params):
-            if required and not holds:
-                raise GainConstraintError(
-                    f"constrained_immune_feedback gate fails: {name}")
-        g1 = params.mu + params.omega + law.g
-        return compile_law(ImmuneFeedback(g=law.g, g1=g1), params)
-
-    if isinstance(law, Linearizing):
-        if not law.g_prime > 0.0:
-            raise GainConstraintError("linearizing requires g_prime > 0")
-        if not law.g1 >= 0.0:
-            raise GainConstraintError("linearizing requires g1 >= 0")
-        g = law.g_prime - (params.mu + params.omega)
-        return compile_law(ImmuneFeedback(g=g, g1=law.g1), params)
-
-    if isinstance(law, OutputZeroing):
-        muN = _require_channel(params)
-        ga = params.gamma
-        return lambda S, E, I, R, t: -ga * I / muN
-
-    if isinstance(law, Saturated):
-        inner = compile_law(law.inner, params)
-        lo, hi = law.lo, law.hi
-
-        def clipped(S: float, E: float, I: float, R: float, t: float) -> float:
-            v = inner(S, E, I, R, t)
-            if v < lo:
-                return lo
-            if v > hi:
-                return hi
-            return v
-
-        return clipped
-
-    raise TypeError(f"not a control law: {law!r}")
-
-
-def evaluate(law: ControlLaw, state: SeirState, params: ModelParams,
-             t: float = 0.0) -> float:
-    """Evaluate the law's vaccination fraction at a state.
-
-    States are taken as given: no clamping of negative inputs happens
-    here, so garbage in is surfaced rather than hidden.
-    """
-    fn = compile_law(law, params)
-    return fn(state.S, state.E, state.I, state.R, t)
 
 
 class GainCheck(NamedTuple):
@@ -271,68 +75,6 @@ class GainCheck(NamedTuple):
     name: str
     holds: bool
     required: bool
-
-
-def validate_gains(law: ControlLaw, params: ModelParams) -> list[GainCheck]:
-    """Evaluate every named constraint attached to the law."""
-    mu, om, ga, si = params.mu, params.omega, params.gamma, params.sigma
-
-    if isinstance(law, (ZeroVax, ConstantVax, OutputZeroing)):
-        return []
-
-    if isinstance(law, SusceptibleLinear):
-        g = law.g
-        return [
-            GainCheck("g >= 0", g >= 0.0, True),
-            GainCheck("gamma != sigma", ga != si, False),
-            GainCheck("g != sigma", g != si, False),
-            GainCheck("g != gamma", g != ga, False),
-        ]
-
-    if isinstance(law, SusceptiblePlusExposed):
-        g = law.g
-        return [
-            GainCheck("g >= 0", g >= 0.0, True),
-            GainCheck("g < mu", g < mu, False),
-        ]
-
-    if isinstance(law, ImmuneFeedback):
-        g, g1 = law.g, law.g1
-        return [
-            GainCheck("g > -(mu+omega)", g > -(mu + om), True),
-            GainCheck("nonneg sufficient: g1 >= gamma", g1 >= ga, False),
-            GainCheck("nonneg sufficient: g >= 0 and gamma == mu+omega",
-                      g >= 0.0 and ga == mu + om, False),
-        ]
-
-    if isinstance(law, ConstrainedImmuneFeedback):
-        g = law.g
-        return [
-            GainCheck("g < 0", g < 0.0, True),
-            GainCheck("g > -(mu+omega)", g > -(mu + om), True),
-            GainCheck("mu >= |g| - omega + max(gamma, |g|)",
-                      mu >= abs(g) - om + max(ga, abs(g)), True),
-            GainCheck("g1 == mu+omega+g", True, True),
-            GainCheck("|g| >= omega", abs(g) >= om, False),
-        ]
-
-    if isinstance(law, Linearizing):
-        return [
-            GainCheck("g_prime > 0", law.g_prime > 0.0, True),
-            GainCheck("g1 >= 0", law.g1 >= 0.0, True),
-        ]
-
-    if isinstance(law, Saturated):
-        checks = validate_gains(law.inner, params)
-        checks.append(GainCheck("lo <= hi", law.lo <= law.hi, True))
-        return checks
-
-    raise TypeError(f"not a control law: {law!r}")
-
-
-def required_gain_failures(law: ControlLaw, params: ModelParams) -> list[str]:
-    """Names of failed required clauses (empty means the law binds)."""
-    return [c.name for c in validate_gains(law, params) if c.required and not c.holds]
 
 
 @dataclass(frozen=True)
@@ -361,6 +103,349 @@ def _refuse(clause: str) -> PredictionError:
     return PredictionError(f"prediction refused, failing clause: {clause}")
 
 
+def _require_channel(params: ModelParams) -> float:
+    muN = params.mu * params.N
+    if muN == 0.0:
+        raise VaccinationChannelError("vaccination channel gain zero")
+    return muN
+
+
+class ControlLaw:
+    """Base of the catalogue: a law is a frozen dataclass whose fields are
+    its gains.
+
+    A law owns its scenario `name`, its named gain constraints
+    (`gain_checks`), its binding to parameters (`compile`, which refuses
+    a failed required constraint and then calls `_bind`) and its
+    closed-form limits (`predict`). `canonical` reduces a law to the one
+    the synthesis produces: the immune-feedback family reduces to
+    `ImmuneFeedback`, every other law to itself.
+    """
+
+    name: ClassVar[str]
+
+    @property
+    def label(self) -> str:
+        """Stable identifier used in trajectory metadata."""
+        return self.name
+
+    @property
+    def gains(self) -> dict[str, float]:
+        """The gains by field name: the law's scenario gain keys."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def canonical(self, params: ModelParams) -> ControlLaw:
+        return self
+
+    def gain_checks(self, params: ModelParams) -> list[GainCheck]:
+        return []
+
+    def compile(self, params: ModelParams) -> LawFn:
+        for check in self.gain_checks(params):
+            if check.required and not check.holds:
+                raise GainConstraintError(f"{self.label} requires {check.name}")
+        return self._bind(params)
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        raise NotImplementedError
+
+    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+        raise _refuse("no closed-form asymptotics for this law")
+
+
+@dataclass(frozen=True)
+class ZeroVax(ControlLaw):
+    """No vaccination."""
+
+    name: ClassVar[str] = "zero"
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        return lambda S, E, I, R, t: 0.0
+
+
+@dataclass(frozen=True)
+class ConstantVax(ControlLaw):
+    """Constant vaccination fraction (no sign restriction)."""
+
+    name: ClassVar[str] = "constant"
+    value: float
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        v = float(self.value)
+        return lambda S, E, I, R, t: v
+
+
+@dataclass(frozen=True)
+class SusceptibleLinear(ControlLaw):
+    """Control u = -g*S realized through the vaccination channel."""
+
+    name: ClassVar[str] = "susceptible_linear"
+    g: float
+
+    def gain_checks(self, params: ModelParams) -> list[GainCheck]:
+        g, ga, si = self.g, params.gamma, params.sigma
+        return [
+            GainCheck("g >= 0", g >= 0.0, True),
+            GainCheck("gamma != sigma", ga != si, False),
+            GainCheck("g != sigma", g != si, False),
+            GainCheck("g != gamma", g != ga, False),
+        ]
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        muN = _require_channel(params)
+        g, om, bp = self.g, params.omega, params.beta_prime
+        return lambda S, E, I, R, t: (om * R + (g - bp * I) * S + muN) / muN
+
+    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+        if not self.g >= 0.0:
+            raise _refuse("g >= 0")
+        mu, N = params.mu, params.N
+        return AsymptoticPrediction(
+            s_inf=0.0, e_inf=0.0, i_inf=0.0, r_inf=N,
+            v_inf=1.0 + params.omega / mu, decay_rate=mu + self.g)
+
+
+@dataclass(frozen=True)
+class SusceptiblePlusExposed(ControlLaw):
+    """Control u = -g*(S+E) realized through the vaccination channel."""
+
+    name: ClassVar[str] = "susceptible_plus_exposed"
+    g: float
+
+    def gain_checks(self, params: ModelParams) -> list[GainCheck]:
+        return [
+            GainCheck("g >= 0", self.g >= 0.0, True),
+            GainCheck("g < mu", self.g < params.mu, False),
+        ]
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        muN = _require_channel(params)
+        g, om, si = self.g, params.omega, params.sigma
+        return lambda S, E, I, R, t: (g * S + (g - si) * E + om * R) / muN
+
+    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+        g, mu, N = self.g, params.mu, params.N
+        if not g >= 0.0:
+            raise _refuse("g >= 0")
+        kwargs = dict(
+            s_plus_e_inf=mu * N / (mu + g),
+            i_plus_r_inf=g * N / (mu + g),
+            decay_rate=mu + g,
+        )
+        if g == 0.0:
+            kwargs.update(s_inf=N, e_inf=0.0, i_inf=0.0, r_inf=0.0, v_inf=0.0)
+        return AsymptoticPrediction(**kwargs)
+
+
+@dataclass(frozen=True)
+class ImmuneFeedback(ControlLaw):
+    """Control u = -g*R + g1*N; drives R toward g1*N/(mu+omega+g)."""
+
+    name: ClassVar[str] = "immune_feedback"
+    g: float
+    g1: float
+
+    def gain_checks(self, params: ModelParams) -> list[GainCheck]:
+        mu, om, ga = params.mu, params.omega, params.gamma
+        g, g1 = self.g, self.g1
+        return [
+            GainCheck("g > -(mu+omega)", g > -(mu + om), True),
+            GainCheck("nonneg sufficient: g1 >= gamma", g1 >= ga, False),
+            GainCheck("nonneg sufficient: g >= 0 and gamma == mu+omega",
+                      g >= 0.0 and ga == mu + om, False),
+        ]
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        muN = _require_channel(params)
+        g, g1, ga, N = self.g, self.g1, params.gamma, params.N
+        return lambda S, E, I, R, t: (g1 * N - g * R - ga * I) / muN
+
+    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+        mu, om, N = params.mu, params.omega, params.N
+        g, g1 = self.g, self.g1
+        lam = mu + om + g
+        if not g > -(mu + om):
+            raise _refuse("g > -(mu+omega)")
+        if not 0.0 <= g1 <= lam:
+            raise _refuse("0 <= g1 <= mu+omega+g (limits within [0, N])")
+        kwargs = dict(
+            r_inf=g1 * N / lam,
+            s_plus_e_plus_i_inf=(lam - g1) * N / lam,
+            integral_limit=g1 * (om + g) / (mu * lam) * N,
+            decay_rate=lam,
+        )
+        if g1 == lam:
+            kwargs.update(s_inf=0.0, e_inf=0.0, i_inf=0.0)
+        return AsymptoticPrediction(**kwargs)
+
+
+class _ImmuneFamily(ControlLaw):
+    """A law that binds and predicts as its canonical `ImmuneFeedback`."""
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        return compile_law(self.canonical(params), params)
+
+    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+        return self.canonical(params).predict(params)
+
+
+@dataclass(frozen=True)
+class ConstrainedImmuneFeedback(_ImmuneFamily):
+    """Immune feedback with negative g, g1 tied to mu+omega+g.
+
+    Intended for the constrained-gain regime where V stays in [0, 1];
+    the printed gain gate is checked at bind time and the exact
+    per-sample margin is available via `constrained_gain_margin`.
+    """
+
+    name: ClassVar[str] = "constrained_immune_feedback"
+    g: float
+
+    def canonical(self, params: ModelParams) -> ImmuneFeedback:
+        return ImmuneFeedback(g=self.g, g1=params.mu + params.omega + self.g)
+
+    def gain_checks(self, params: ModelParams) -> list[GainCheck]:
+        mu, om, ga, g = params.mu, params.omega, params.gamma, self.g
+        return [
+            GainCheck("g < 0", g < 0.0, True),
+            GainCheck("g > -(mu+omega)", g > -(mu + om), True),
+            GainCheck("mu >= |g| - omega + max(gamma, |g|)",
+                      mu >= abs(g) - om + max(ga, abs(g)), True),
+            GainCheck("g1 == mu+omega+g", True, True),
+            GainCheck("|g| >= omega", abs(g) >= om, False),
+        ]
+
+
+@dataclass(frozen=True)
+class Linearizing(_ImmuneFamily):
+    """Linearizing synthesis for output y = R: closed loop dR/dt = -g_prime*R + g1*N."""
+
+    name: ClassVar[str] = "linearizing"
+    g_prime: float
+    g1: float
+
+    def canonical(self, params: ModelParams) -> ImmuneFeedback:
+        return ImmuneFeedback(g=self.g_prime - (params.mu + params.omega),
+                              g1=self.g1)
+
+    def gain_checks(self, params: ModelParams) -> list[GainCheck]:
+        return [
+            GainCheck("g_prime > 0", self.g_prime > 0.0, True),
+            GainCheck("g1 >= 0", self.g1 >= 0.0, True),
+        ]
+
+    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+        if not self.g_prime > 0.0:
+            raise _refuse("g_prime > 0")
+        return super().predict(params)
+
+
+@dataclass(frozen=True)
+class OutputZeroing(ControlLaw):
+    """Input V = -gamma*I/(mu*N) that keeps R identically at zero from R(0) = 0.
+
+    The output equation at R = 0 reads dR/dt = gamma*I + mu*N*V, so the
+    zeroing input is negative whenever I > 0.
+    """
+
+    name: ClassVar[str] = "output_zeroing"
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        muN = _require_channel(params)
+        ga = params.gamma
+        return lambda S, E, I, R, t: -ga * I / muN
+
+
+@dataclass(frozen=True)
+class Saturated(ControlLaw):
+    """Any law clipped to [lo, hi]; its gains are the inner law's."""
+
+    name: ClassVar[str] = "saturated"
+    inner: ControlLaw
+    lo: float = 0.0
+    hi: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (self.lo <= self.hi):
+            raise ValueError("Saturated requires lo <= hi")
+
+    @property
+    def label(self) -> str:
+        return f"saturated({self.inner.label})"
+
+    @property
+    def gains(self) -> dict[str, float]:
+        return self.inner.gains
+
+    def gain_checks(self, params: ModelParams) -> list[GainCheck]:
+        return self.inner.gain_checks(params) + [
+            GainCheck("lo <= hi", self.lo <= self.hi, True)]
+
+    def _bind(self, params: ModelParams) -> LawFn:
+        inner = compile_law(self.inner, params)
+        lo, hi = self.lo, self.hi
+
+        def clipped(S: float, E: float, I: float, R: float, t: float) -> float:
+            v = inner(S, E, I, R, t)
+            if v < lo:
+                return lo
+            if v > hi:
+                return hi
+            return v
+
+        return clipped
+
+
+# Scenario law name -> class; Saturated is built from the clip keys instead.
+SCENARIO_LAWS = {cls.name: cls for cls in (
+    ZeroVax, ConstantVax, SusceptibleLinear, SusceptiblePlusExposed,
+    ImmuneFeedback, ConstrainedImmuneFeedback, Linearizing, OutputZeroing)}
+
+
+def _require_law(law: object) -> None:
+    if not isinstance(law, ControlLaw):
+        raise TypeError(f"not a control law: {law!r}")
+
+
+def law_name(law: ControlLaw) -> str:
+    """Short stable identifier, used in trajectory metadata and scenarios."""
+    _require_law(law)
+    return law.label
+
+
+@lru_cache(maxsize=256)
+def compile_law(law: ControlLaw, params: ModelParams) -> LawFn:
+    """Bind a law to parameters, returning the V(S, E, I, R, t) closure.
+
+    Bind-time constraint violations raise GainConstraintError (or
+    VaccinationChannelError when mu*N = 0 and the law needs the channel).
+    """
+    _require_law(law)
+    return law.compile(params)
+
+
+def evaluate(law: ControlLaw, state: SeirState, params: ModelParams,
+             t: float = 0.0) -> float:
+    """Evaluate the law's vaccination fraction at a state.
+
+    States are taken as given: no clamping of negative inputs happens
+    here, so garbage in is surfaced rather than hidden.
+    """
+    fn = compile_law(law, params)
+    return fn(state.S, state.E, state.I, state.R, t)
+
+
+def validate_gains(law: ControlLaw, params: ModelParams) -> list[GainCheck]:
+    """Evaluate every named constraint attached to the law."""
+    _require_law(law)
+    return law.gain_checks(params)
+
+
+def required_gain_failures(law: ControlLaw, params: ModelParams) -> list[str]:
+    """Names of failed required clauses (empty means the law binds)."""
+    return [c.name for c in validate_gains(law, params) if c.required and not c.holds]
+
+
 def _check_population_limits(pred: AsymptoticPrediction, N: float) -> None:
     pops = (pred.s_inf, pred.e_inf, pred.i_inf, pred.r_inf, pred.s_plus_e_inf,
             pred.i_plus_r_inf, pred.s_plus_e_plus_i_inf)
@@ -383,63 +468,12 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
     violate a condition the limit formulas rely on, and for laws with no
     closed-form asymptotics (zero/constant/saturated/output-zeroing).
     """
-    mu, om, N = params.mu, params.omega, params.N
-    if mu <= 0.0:
+    _require_law(law)
+    if params.mu <= 0.0:
         raise _refuse("mu > 0")
-
-    if isinstance(law, SusceptibleLinear):
-        if not law.g >= 0.0:
-            raise _refuse("g >= 0")
-        pred = AsymptoticPrediction(
-            s_inf=0.0, e_inf=0.0, i_inf=0.0, r_inf=N,
-            v_inf=1.0 + om / mu, decay_rate=mu + law.g)
-        _check_population_limits(pred, N)
-        return pred
-
-    if isinstance(law, SusceptiblePlusExposed):
-        g = law.g
-        if not g >= 0.0:
-            raise _refuse("g >= 0")
-        kwargs = dict(
-            s_plus_e_inf=mu * N / (mu + g),
-            i_plus_r_inf=g * N / (mu + g),
-            decay_rate=mu + g,
-        )
-        if g == 0.0:
-            kwargs.update(s_inf=N, e_inf=0.0, i_inf=0.0, r_inf=0.0, v_inf=0.0)
-        pred = AsymptoticPrediction(**kwargs)
-        _check_population_limits(pred, N)
-        return pred
-
-    if isinstance(law, ImmuneFeedback):
-        g, g1 = law.g, law.g1
-        lam = mu + om + g
-        if not g > -(mu + om):
-            raise _refuse("g > -(mu+omega)")
-        if not 0.0 <= g1 <= lam:
-            raise _refuse("0 <= g1 <= mu+omega+g (limits within [0, N])")
-        kwargs = dict(
-            r_inf=g1 * N / lam,
-            s_plus_e_plus_i_inf=(lam - g1) * N / lam,
-            integral_limit=g1 * (om + g) / (mu * lam) * N,
-            decay_rate=lam,
-        )
-        if g1 == lam:
-            kwargs.update(s_inf=0.0, e_inf=0.0, i_inf=0.0)
-        pred = AsymptoticPrediction(**kwargs)
-        _check_population_limits(pred, N)
-        return pred
-
-    if isinstance(law, ConstrainedImmuneFeedback):
-        return predicted_limits(ImmuneFeedback(law.g, mu + om + law.g), params)
-
-    if isinstance(law, Linearizing):
-        if not law.g_prime > 0.0:
-            raise _refuse("g_prime > 0")
-        return predicted_limits(
-            ImmuneFeedback(law.g_prime - (mu + om), law.g1), params)
-
-    raise _refuse("no closed-form asymptotics for this law")
+    pred = law.predict(params)
+    _check_population_limits(pred, params.N)
+    return pred
 
 
 def corollary1_upper_bound(state: SeirState, params: ModelParams,

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 from .exceptions import VaccinationChannelError
 
@@ -31,6 +33,7 @@ __all__ = [
     "StateDerivative",
     "AdmissibilityReport",
     "CONSERVATION_RTOL",
+    "seir_field",
     "derivative",
     "check_assumption1",
     "coupling_control",
@@ -38,6 +41,11 @@ __all__ = [
     "is_admissible",
     "is_conserved",
 ]
+
+# A 4-component rate tuple, and a vector field (y0, y1, y2, y3, V) -> rates
+# with the vaccination fraction V held by the caller.
+Rates = tuple[float, float, float, float]
+Field = Callable[[float, float, float, float, float], Rates]
 
 # Relative tolerance (of N) for tagging a state as conserved. RK4 drift
 # over desk-scale horizons stays well under this.
@@ -140,14 +148,38 @@ class AdmissibilityReport:
     e_dot0: float
 
 
+@lru_cache(maxsize=256)
+def seir_field(params: ModelParams) -> Field:
+    """The SEIR vector field bound to `params`: (S, E, I, R, V) -> rates.
+
+    This is the one x-space right-hand side; `derivative`, the RK4 stepper
+    and the adaptive pair all evaluate it. V carries no sign or range
+    restriction here: feedback laws may command V > 1 (range enforcement
+    belongs to the controllers and the verification layer). Shared
+    subexpressions are reused so that the coupling terms cancel exactly
+    and the four components sum to zero (up to roundoff in the mu-terms)
+    on states with S+E+I+R = N.
+    """
+    mu, om, si, ga = params.mu, params.omega, params.sigma, params.gamma
+    bp = params.beta_prime
+    muN = mu * params.N
+
+    def field(S: float, E: float, I: float, R: float, V: float) -> Rates:
+        infection = bp * (S * I)   # beta*S*I/N, appears in dS(-) and dE(+)
+        recovery = ga * I          # gamma*I,    appears in dI(-) and dR(+)
+        incubation = si * E        # sigma*E,    appears in dE(-) and dI(+)
+        waning = om * R            # omega*R,    appears in dR(-) and dS(+)
+        vax = muN * V              # mu*N*V,     appears in dS(-) and dR(+)
+        return (waning - mu * S - infection + (muN - vax),
+                infection - mu * E - incubation,
+                incubation - mu * I - recovery,
+                recovery + vax - mu * R - waning)
+
+    return field
+
+
 def derivative(state: SeirState, params: ModelParams, V: float) -> StateDerivative:
     """Right-hand side of the SEIR equations for vaccination fraction V.
-
-    V carries no sign or range restriction here: feedback laws may
-    command V > 1 (range enforcement belongs to the controllers and the
-    verification layer). Shared subexpressions are reused so that the
-    coupling terms cancel exactly and the four components sum to zero
-    (up to roundoff in the mu-terms) on states with S+E+I+R = N.
 
     Raises:
         ValueError: if any input component or V is not finite.
@@ -156,21 +188,7 @@ def derivative(state: SeirState, params: ModelParams, V: float) -> StateDerivati
     if not (math.isfinite(S) and math.isfinite(E) and math.isfinite(I)
             and math.isfinite(R) and math.isfinite(V)):
         raise ValueError("derivative: non-finite state or V")
-    mu, om, si, ga = params.mu, params.omega, params.sigma, params.gamma
-    bp = params.beta_prime
-    muN = mu * params.N
-
-    infection = bp * (S * I)   # beta*S*I/N, appears in dS(-) and dE(+)
-    recovery = ga * I          # gamma*I,    appears in dI(-) and dR(+)
-    incubation = si * E        # sigma*E,    appears in dE(-) and dI(+)
-    waning = om * R            # omega*R,    appears in dR(-) and dS(+)
-    vax = muN * V              # mu*N*V,     appears in dS(-) and dR(+)
-
-    dS = waning - mu * S - infection + muN - vax
-    dE = infection - mu * E - incubation
-    dI = incubation - mu * I - recovery
-    dR = recovery + vax - mu * R - waning
-    return StateDerivative(dS, dE, dI, dR)
+    return StateDerivative(*seir_field(params)(S, E, I, R, V))
 
 
 def check_assumption1(state0: SeirState, params: ModelParams) -> AdmissibilityReport:
@@ -219,7 +237,11 @@ def check_assumption1(state0: SeirState, params: ModelParams) -> AdmissibilityRe
 
 
 def coupling_control(state: SeirState, params: ModelParams, V: float) -> float:
-    """Auxiliary control u = omega*R - sigma*E - mu*N*V."""
+    """Auxiliary control u = omega*R - sigma*E - mu*N*V.
+
+    Elementwise on a state of numpy sample columns, which gives the same
+    bits per sample as the scalar expression.
+    """
     return params.omega * state.R - params.sigma * state.E - params.mu * params.N * V
 
 

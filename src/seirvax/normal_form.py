@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import NonFiniteStateError, VaccinationChannelError
-from .integrate import IntegratorConfig
+from .exceptions import VaccinationChannelError
+from .integrate import IntegratorConfig, rk4
 from .laws import ControlLaw, ImmuneFeedback, compile_law
-from .model import ModelParams, SeirState, StateDerivative, derivative
+from .model import (Field, ModelParams, Rates, SeirState, StateDerivative,
+                    derivative)
 
 __all__ = [
     "NormalState",
@@ -103,23 +104,6 @@ def transform_jacobian() -> np.ndarray:
     ])
 
 
-def _exact_det4(m: np.ndarray) -> float:
-    """Exact determinant of a small constant matrix by permutation expansion."""
-    total = 0.0
-    for perm in permutations(range(4)):
-        sign = 1
-        seen = list(perm)
-        for i in range(4):           # parity by counting inversions
-            for j in range(i + 1, 4):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        prod = 1.0
-        for i in range(4):
-            prod *= m[i, perm[i]]
-        total += sign * prod
-    return total
-
-
 def relative_degree(params: ModelParams,
                     probe: SeirState | None = None) -> TransformReport:
     """Measure the relative degree of the output y = R numerically.
@@ -132,7 +116,7 @@ def relative_degree(params: ModelParams,
         probe = SeirState(0.7 * params.N, 0.1 * params.N,
                           0.05 * params.N, 0.15 * params.N)
     coeff = derivative(probe, params, 1.0).dR - derivative(probe, params, 0.0).dR
-    det = _exact_det4(transform_jacobian())
+    det = float(np.linalg.det(transform_jacobian()))
     return TransformReport(
         jacobian_det=det,
         relative_degree=1,
@@ -141,19 +125,49 @@ def relative_degree(params: ModelParams,
     )
 
 
+@lru_cache(maxsize=256)
+def _normal_field(params: ModelParams) -> Field:
+    """The normal-form field (z1, z2, z3, z4, V) -> rates; V enters only dz1."""
+    mu, ga, si, bp = params.mu, params.gamma, params.sigma, params.beta_prime
+    muN = mu * params.N
+    # Rate constants folded once; (-a)*z rounds exactly like -(a)*z.
+    nmu, nmu_om, nmu_ga, mu_si = -mu, -(mu + params.omega), -(mu + ga), mu + si
+
+    def field(z1: float, z2: float, z3: float, z4: float, V: float) -> Rates:
+        f = bp * ((z2 - z1) * z4)
+        return (nmu_om * z1 + ga * z4 + muN * V,
+                nmu * z2 + ga * z4 - f + muN,
+                f - mu_si * z3,
+                nmu_ga * z4 + si * z3)
+
+    return field
+
+
+@lru_cache(maxsize=256)
+def _zero_field(params: ModelParams) -> Field:
+    """The zero dynamics (output held at z1 = 0) in the normal-form shape.
+
+    dz1 is 0 and V is ignored, so z1 stays exactly 0 and the shared
+    4-component stepper integrates (z2, z3, z4).
+    """
+    mu, ga, si, bp = params.mu, params.gamma, params.sigma, params.beta_prime
+    muN = mu * params.N
+    nmu, nmu_ga, mu_si = -mu, -(mu + ga), mu + si
+
+    def field(z1: float, z2: float, z3: float, z4: float, V: float) -> Rates:
+        f = bp * (z2 * z4)
+        return (0.0,
+                nmu * z2 + ga * z4 - f + muN,
+                f - mu_si * z3,
+                nmu_ga * z4 + si * z3)
+
+    return field
+
+
 def normal_derivative(z: NormalState, params: ModelParams,
                       V: float) -> tuple[float, float, float, float]:
     """Normal-form vector field (input appears only in dz1)."""
-    mu, om, si, ga = params.mu, params.omega, params.sigma, params.gamma
-    bp, N = params.beta_prime, params.N
-    muN = mu * N
-    z1, z2, z3, z4 = z.z1, z.z2, z.z3, z.z4
-    f = bp * ((z2 - z1) * z4)
-    dz1 = -(mu + om) * z1 + ga * z4 + muN * V
-    dz2 = -mu * z2 + ga * z4 - f + muN
-    dz3 = f - (mu + si) * z3
-    dz4 = -(mu + ga) * z4 + si * z3
-    return (dz1, dz2, dz3, dz4)
+    return _normal_field(params)(z.z1, z.z2, z.z3, z.z4, V)
 
 
 def zero_dynamics_derivative(z2: float, z3: float, z4: float,
@@ -163,13 +177,7 @@ def zero_dynamics_derivative(z2: float, z3: float, z4: float,
     The sum obeys d(z2+z3+z4)/dt = mu*(N - (z2+z3+z4)), so it is constant
     exactly on the sum = N manifold where the output-zeroed plant lives.
     """
-    mu, si, ga = params.mu, params.sigma, params.gamma
-    bp, N = params.beta_prime, params.N
-    f = bp * (z2 * z4)
-    dz2 = -mu * z2 + ga * z4 - f + mu * N
-    dz3 = f - (mu + si) * z3
-    dz4 = -(mu + ga) * z4 + si * z3
-    return (dz2, dz3, dz4)
+    return _zero_field(params)(0.0, z2, z3, z4, 0.0)[1:]
 
 
 def zeroing_input(z4: float, params: ModelParams) -> float:
@@ -243,64 +251,26 @@ def integrate_normal(z0: NormalState, params: ModelParams, law: ControlLaw,
                      config: IntegratorConfig) -> NormalTrajectory:
     """Fixed-step RK4 of the normal-form system under a law.
 
-    The law is state feedback in x-coordinates; it is evaluated at the
-    back-transformed state and held across each step, mirroring the
-    x-space integrator step for step.
+    The integration runs in z, independently of the x-space field, so it
+    cross-checks `integrate`. The law is state feedback in x-coordinates;
+    it is evaluated at the back-transformed state and held across each
+    step, mirroring the x-space integrator step for step.
     """
     if config.adaptive:
         raise ValueError("integrate_normal supports fixed-step mode only")
     law_fn = compile_law(law, params)
-    mu, om, si, ga = params.mu, params.omega, params.sigma, params.gamma
-    bp, N = params.beta_prime, params.N
-    muN = mu * N
-    h = config.dt
-    t0 = config.t0
-    n = max(1, int(round((config.t_end - t0) / h)))
-    stride = config.sampling_stride
 
-    z1, z2, z3, z4 = z0.as_tuple()
-    ts = []; c1 = []; c2 = []; c3 = []; c4 = []; Vs = []
+    def control(z1: float, z2: float, z3: float, z4: float, t: float) -> float:
+        return law_fn(z2 - z1, z3, z4, z1, t)
 
-    def rhs(a1, a2, a3, a4, vax):
-        f = bp * ((a2 - a1) * a4)
-        return (-(mu + om) * a1 + ga * a4 + vax,
-                -mu * a2 + ga * a4 - f + muN,
-                f - (mu + si) * a3,
-                -(mu + ga) * a4 + si * a3)
+    t, z1, z2, z3, z4, V = rk4(_normal_field(params), control, z0.as_tuple(),
+                               config).columns()
+    return NormalTrajectory(t=t, z1=z1, z2=z2, z3=z3, z4=z4, V=V,
+                            params=params, law=law, config=config)
 
-    def record(t, V):
-        if not math.isfinite(z1 + z2 + z3 + z4) or not math.isfinite(V):
-            raise NonFiniteStateError(
-                f"non-finite state at t = {t} (sample index {len(ts)})",
-                t=t, sample_index=len(ts))
-        ts.append(t); c1.append(z1); c2.append(z2); c3.append(z3); c4.append(z4)
-        Vs.append(V)
 
-    record(t0, law_fn(z2 - z1, z3, z4, z1, t0))
-    for k in range(n):
-        t = t0 + k * h
-        V = law_fn(z2 - z1, z3, z4, z1, t)
-        vax = muN * V
-        k1 = rhs(z1, z2, z3, z4, vax)
-        k2 = rhs(z1 + 0.5 * h * k1[0], z2 + 0.5 * h * k1[1],
-                 z3 + 0.5 * h * k1[2], z4 + 0.5 * h * k1[3], vax)
-        k3 = rhs(z1 + 0.5 * h * k2[0], z2 + 0.5 * h * k2[1],
-                 z3 + 0.5 * h * k2[2], z4 + 0.5 * h * k2[3], vax)
-        k4 = rhs(z1 + h * k3[0], z2 + h * k3[1],
-                 z3 + h * k3[2], z4 + h * k3[3], vax)
-        sixth = h / 6.0
-        z1 += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        z2 += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        z3 += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        z4 += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        if (k + 1) % stride == 0 or k + 1 == n:
-            t_next = t0 + (k + 1) * h
-            record(t_next, law_fn(z2 - z1, z3, z4, z1, t_next))
-
-    return NormalTrajectory(
-        t=np.asarray(ts), z1=np.asarray(c1), z2=np.asarray(c2),
-        z3=np.asarray(c3), z4=np.asarray(c4), V=np.asarray(Vs),
-        params=params, law=law, config=config)
+def _no_input(z1: float, z2: float, z3: float, z4: float, t: float) -> float:
+    return 0.0
 
 
 def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
@@ -308,45 +278,9 @@ def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
     """Fixed-step RK4 of the autonomous zero dynamics from (z2, z3, z4)."""
     if config.adaptive:
         raise ValueError("integrate_zero_dynamics supports fixed-step mode only")
-    mu, si, ga = params.mu, params.sigma, params.gamma
-    bp, N = params.beta_prime, params.N
-    muN = mu * N
-    h = config.dt
-    t0 = config.t0
-    n = max(1, int(round((config.t_end - t0) / h)))
-    stride = config.sampling_stride
-
-    z2, z3, z4 = z0
     if not all(math.isfinite(v) for v in z0):
         raise ValueError("initial zero-dynamics state must be finite")
-    ts = []; c2 = []; c3 = []; c4 = []
-
-    def rhs(a2, a3, a4):
-        f = bp * (a2 * a4)
-        return (-mu * a2 + ga * a4 - f + muN,
-                f - (mu + si) * a3,
-                -(mu + ga) * a4 + si * a3)
-
-    def record(t):
-        if not math.isfinite(z2 + z3 + z4):
-            raise NonFiniteStateError(
-                f"non-finite state at t = {t} (sample index {len(ts)})",
-                t=t, sample_index=len(ts))
-        ts.append(t); c2.append(z2); c3.append(z3); c4.append(z4)
-
-    record(t0)
-    for k in range(n):
-        k1 = rhs(z2, z3, z4)
-        k2 = rhs(z2 + 0.5 * h * k1[0], z3 + 0.5 * h * k1[1], z4 + 0.5 * h * k1[2])
-        k3 = rhs(z2 + 0.5 * h * k2[0], z3 + 0.5 * h * k2[1], z4 + 0.5 * h * k2[2])
-        k4 = rhs(z2 + h * k3[0], z3 + h * k3[1], z4 + h * k3[2])
-        sixth = h / 6.0
-        z2 += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        z3 += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        z4 += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        if (k + 1) % stride == 0 or k + 1 == n:
-            record(t0 + (k + 1) * h)
-
-    return ZeroDynTrajectory(
-        t=np.asarray(ts), z2=np.asarray(c2), z3=np.asarray(c3),
-        z4=np.asarray(c4), params=params, config=config)
+    t, _, z2, z3, z4, _ = rk4(_zero_field(params), _no_input, (0.0, *z0),
+                              config).columns()
+    return ZeroDynTrajectory(t=t, z2=z2, z3=z3, z4=z4, params=params,
+                             config=config)

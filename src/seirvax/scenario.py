@@ -39,46 +39,19 @@ sub-sections and [outputs]. Numbers are decimal doubles. Example:
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .exceptions import ScenarioError
 from .integrate import IntegratorConfig
-from .laws import (
-    ConstantVax,
-    ConstrainedImmuneFeedback,
-    ControlLaw,
-    ImmuneFeedback,
-    Linearizing,
-    OutputZeroing,
-    Saturated,
-    SusceptibleLinear,
-    SusceptiblePlusExposed,
-    ZeroVax,
-)
+from .laws import SCENARIO_LAWS, ControlLaw, Saturated
 from .model import ModelParams, SeirState
 
 __all__ = ["Scenario", "load_scenario", "build_law", "CHECK_NAMES"]
 
 CHECK_NAMES = ("conservation", "positivity", "identities", "asymptotics",
                "integral_limit")
-
-# law name -> (constructor, required gain keys, optional gain keys)
-_LAW_SPECS = {
-    "zero": (lambda kw: ZeroVax(), (), ()),
-    "constant": (lambda kw: ConstantVax(kw["value"]), ("value",), ()),
-    "susceptible_linear": (lambda kw: SusceptibleLinear(kw["g"]), ("g",), ()),
-    "susceptible_plus_exposed": (
-        lambda kw: SusceptiblePlusExposed(kw["g"]), ("g",), ()),
-    "immune_feedback": (
-        lambda kw: ImmuneFeedback(kw["g"], kw["g1"]), ("g", "g1"), ()),
-    "constrained_immune_feedback": (
-        lambda kw: ConstrainedImmuneFeedback(kw["g"]), ("g",), ()),
-    "linearizing": (
-        lambda kw: Linearizing(kw["g_prime"], kw["g1"]), ("g_prime", "g1"), ()),
-    "output_zeroing": (lambda kw: OutputZeroing(), (), ()),
-}
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -95,18 +68,22 @@ class Scenario:
 def build_law(name: str, gains: dict[str, float],
               clip_lo: float | None = None,
               clip_hi: float | None = None) -> ControlLaw:
-    """Construct a law from its scenario name and named gains."""
-    if name not in _LAW_SPECS:
+    """Construct a law from its scenario name and named gains.
+
+    The accepted gain keys are the law class's dataclass fields.
+    """
+    if name not in SCENARIO_LAWS:
         raise ScenarioError(
-            f"unknown law name {name!r}; known: {sorted(_LAW_SPECS)}")
-    ctor, required, _ = _LAW_SPECS[name]
+            f"unknown law name {name!r}; known: {sorted(SCENARIO_LAWS)}")
+    cls = SCENARIO_LAWS[name]
+    required = [f.name for f in fields(cls)]
     missing = [k for k in required if k not in gains]
     if missing:
         raise ScenarioError(f"law {name!r} needs gain(s): {', '.join(missing)}")
     extra = [k for k in gains if k not in required]
     if extra:
         raise ScenarioError(f"law {name!r} got unknown gain(s): {', '.join(extra)}")
-    law: ControlLaw = ctor(gains)
+    law: ControlLaw = cls(**gains)
     if clip_lo is not None or clip_hi is not None:
         lo = 0.0 if clip_lo is None else clip_lo
         hi = 1.0 if clip_hi is None else clip_hi
@@ -118,15 +95,18 @@ def build_law(name: str, gains: dict[str, float],
 
 
 def _getfloat(section: configparser.SectionProxy, key: str,
-              where: str) -> float:
+              where: str, finite: bool = False) -> float:
     if key not in section:
         raise ScenarioError(f"missing key {key!r} in [{where}]")
     raw = section[key]
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ScenarioError(
             f"key {key!r} in [{where}]: {raw!r} is not a number") from exc
+    if finite and not math.isfinite(value):
+        raise ScenarioError(f"key {key!r} in [{where}]: {raw!r} is not finite")
+    return value
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -160,12 +140,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"invalid [params]: {exc}") from exc
 
     sec = parser["initial"]
-    initial = SeirState(
-        S=_getfloat(sec, "s", "initial"),
-        E=_getfloat(sec, "e", "initial"),
-        I=_getfloat(sec, "i", "initial"),
-        R=_getfloat(sec, "r", "initial"),
-    )
+    initial = SeirState(*(_getfloat(sec, key, "initial", finite=True)
+                          for key in ("s", "e", "i", "r")))
     if abs(initial.total - params.N) > 1e-6 * params.N:
         raise ScenarioError(
             f"initial state sums to {initial.total}; must equal N = {params.N} "
@@ -195,8 +171,11 @@ def load_scenario(path: str | Path) -> Scenario:
     if "dt" in sec:
         kwargs["dt"] = _getfloat(sec, "dt", "integrator")
     if "sampling_stride" in sec:
-        kwargs["sampling_stride"] = int(_getfloat(sec, "sampling_stride",
-                                                  "integrator"))
+        stride = _getfloat(sec, "sampling_stride", "integrator", finite=True)
+        if not stride.is_integer():
+            raise ScenarioError("key 'sampling_stride' in [integrator]: "
+                                f"{sec['sampling_stride']!r} is not an integer")
+        kwargs["sampling_stride"] = int(stride)
     if "positivity_policy" in sec:
         kwargs["positivity_policy"] = sec["positivity_policy"].strip()
     if "adaptive" in sec:

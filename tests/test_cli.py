@@ -307,3 +307,55 @@ def test_scenario_policy_and_output_zeroing(tmp_path):
     from seirvax import OutputZeroing
     assert sc.law == OutputZeroing()
     assert sc.config.positivity_policy == "project"
+
+
+def _simulate_argv(tmp_path, *flags, **blocks):
+    return ["simulate", write_scenario(tmp_path / "s.ini", **blocks),
+            "--out-dir", str(tmp_path), *flags]
+
+
+def _zerodyn_argv(tmp_path, *flags):
+    return ["zerodyn", "--z2", "300", "--z3", "400", "--z4", "300",
+            "--out-dir", str(tmp_path), *flags]
+
+
+# name -> (argv builder, fragment the one-line message must contain)
+MALFORMED_INPUTS = {
+    "scenario t_end = inf": (lambda d: _simulate_argv(
+        d, integrator="[integrator]\nt_end = inf\ndt = 0.01\n"),
+        "t_end must be finite"),
+    "simulate --t-end inf": (lambda d: _simulate_argv(d, "--t-end", "inf"),
+                             "t_end must be finite"),
+    "simulate --dt nan": (lambda d: _simulate_argv(d, "--dt", "nan"),
+                          "dt must be finite"),
+    "zerodyn --t-end inf": (lambda d: _zerodyn_argv(d, "--t-end", "inf"),
+                            "t_end must be finite"),
+    "off-grid scenario dt": (lambda d: _simulate_argv(
+        d, integrator="[integrator]\nt_end = 1200\ndt = 5000\n"),
+        "does not divide"),
+    "off-grid zerodyn dt": (lambda d: _zerodyn_argv(d, "--dt", "300"),
+                            "does not divide"),
+    "fractional sampling_stride": (lambda d: _simulate_argv(
+        d, integrator=INTEGRATOR_BLOCK.replace("= 100", "= 2.7")),
+        "'2.7' is not an integer"),
+    "infinite sampling_stride": (lambda d: _simulate_argv(
+        d, integrator=INTEGRATOR_BLOCK.replace("= 100", "= inf")),
+        "'sampling_stride' in [integrator]: 'inf' is not finite"),
+    "nan initial S": (lambda d: _simulate_argv(
+        d, initial=INITIAL_BLOCK.replace("S = 700", "S = nan")),
+        "key 's' in [initial]: 'nan' is not finite"),
+    "infinite initial R": (lambda d: _simulate_argv(
+        d, initial=INITIAL_BLOCK.replace("R = 0", "R = -inf")),
+        "key 'r' in [initial]: '-inf' is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_one_with_one_line(case, tmp_path, capsys):
+    argv, fragment = MALFORMED_INPUTS[case]
+    code = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert fragment in err

@@ -58,6 +58,27 @@ class TestBasics:
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, positivity_policy="clamp")
 
+    @pytest.mark.parametrize("name", ["t0", "t_end", "dt", "rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            IntegratorConfig(**{"t_end": 10.0, name: value})
+
+    def test_config_rejects_off_grid_fixed_step(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            IntegratorConfig(t_end=1200.0, dt=5000.0)
+        with pytest.raises(ValueError, match="does not divide"):
+            IntegratorConfig(t_end=1.0, dt=0.3)
+        # In adaptive mode dt is only the first trial step.
+        IntegratorConfig(t_end=1200.0, dt=5000.0, adaptive=True)
+        assert IntegratorConfig(t_end=1200.0, dt=0.01).n_steps == 120_000
+        assert IntegratorConfig(t_end=1.5, t0=0.5, dt=0.25).n_steps == 4
+
+    @pytest.mark.parametrize("stride", [2.7, 2.0, 0, -1])
+    def test_config_rejects_non_integer_stride(self, stride):
+        with pytest.raises(ValueError, match="sampling_stride"):
+            IntegratorConfig(t_end=1.0, sampling_stride=stride)
+
     def test_non_finite_abort_carries_sample_index(self, p1, mixed_state):
         cfg = IntegratorConfig(t_end=1.0, dt=0.01)
         with pytest.raises(NonFiniteStateError) as err:

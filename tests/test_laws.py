@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from seirvax import (
     corollary1_upper_bound,
     evaluate,
     infectious_upper_bound,
+    ScenarioError,
     law_name,
     predicted_limits,
     susceptible_plus_exposed_alt,
@@ -31,6 +34,14 @@ from seirvax import (
 )
 
 from conftest import random_conserved_state
+from seirvax.laws import SCENARIO_LAWS, compile_law
+from seirvax.scenario import build_law
+
+# One instance of every scenario law.
+CATALOGUE = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
+             SusceptiblePlusExposed(0.005), ImmuneFeedback(0.01, 0.05),
+             ConstrainedImmuneFeedback(-0.05), Linearizing(0.1, 0.05),
+             OutputZeroing())
 
 
 class TestEvaluate:
@@ -277,3 +288,45 @@ def test_law_names():
     assert law_name(ZeroVax()) == "zero"
     assert law_name(Saturated(ImmuneFeedback(0.0, 0.03))) \
         == "saturated(immune_feedback)"
+
+
+class TestLawProtocol:
+    def test_catalogue_covers_scenario_laws(self):
+        assert sorted(law_name(law) for law in CATALOGUE) == sorted(SCENARIO_LAWS)
+
+    @pytest.mark.parametrize("law", CATALOGUE, ids=law_name)
+    def test_build_law_round_trip(self, law):
+        assert build_law(law_name(law), law.gains) == law
+
+    @pytest.mark.parametrize("law", CATALOGUE, ids=law_name)
+    def test_saturated_round_trip(self, law):
+        sat = Saturated(law, -0.5, 2.0)
+        assert law_name(sat) == f"saturated({law_name(law)})"
+        assert sat.gains == law.gains
+        assert build_law(law_name(law), sat.gains, sat.lo, sat.hi) == sat
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_LAWS))
+    def test_scenario_gain_keys_are_class_fields(self, name):
+        keys = [f.name for f in dataclasses.fields(SCENARIO_LAWS[name])]
+        gains = {key: 0.5 for key in keys}
+        assert list(build_law(name, gains).gains) == keys
+        with pytest.raises(ScenarioError, match="unknown gain"):
+            build_law(name, {**gains, "bogus": 1.0})
+        for key in keys:
+            with pytest.raises(ScenarioError, match="needs gain"):
+                build_law(name, {k: v for k, v in gains.items() if k != key})
+
+    def test_family_reduces_to_immune_feedback(self, p1):
+        mo = p1.mu + p1.omega
+        assert Linearizing(0.05, 0.04).canonical(p1) == ImmuneFeedback(0.05 - mo, 0.04)
+        assert (ConstrainedImmuneFeedback(-0.01).canonical(p1)
+                == ImmuneFeedback(-0.01, mo + -0.01))
+        for law in CATALOGUE[:5] + (OutputZeroing(), Saturated(ZeroVax())):
+            assert law.canonical(p1) is law
+
+    @pytest.mark.parametrize("call", [compile_law, validate_gains, predicted_limits])
+    def test_non_laws_raise_type_error(self, call, p1):
+        with pytest.raises(TypeError, match="not a control law"):
+            law_name("immune_feedback")
+        with pytest.raises(TypeError, match="not a control law"):
+            call("immune_feedback", p1)
