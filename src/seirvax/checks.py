@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -74,15 +74,15 @@ def monitor_conservation(traj: Trajectory) -> Check:
     return Check("conservation", worst <= tol, worst, tol, float(traj.t[k]))
 
 
-def monitor_positivity(traj: Trajectory,
-                       v_bounds: Union[tuple[float, float], str] = (0.0, 1.0),
+def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
+                       bounds: Optional[str] = None,
                        alpha: Optional[float] = None) -> Check:
     """Componentwise range checks plus the recorded-V range check.
 
     Sub-checks: (a) components >= -eps, (b) components <= N + eps with
-    eps = 1e-9*N, (c) V within [lo, hi]. Pass v_bounds="corollary1" to
-    check V against the state-dependent extended bound
-    1 + (alpha - beta*I/N)*S/(mu*N) (alpha defaults to beta).
+    eps = 1e-9*N, (c) V within [v_lo, v_hi]. Pass bounds="corollary1" to
+    check V against [0, 1 + (alpha - beta*I/N)*S/(mu*N)] instead, the
+    state-dependent extended bound (alpha defaults to beta).
     """
     p = traj.params
     N = p.N
@@ -99,16 +99,17 @@ def monitor_positivity(traj: Trajectory,
     upper = Check("components <= N", bool(high[k_high] <= N + eps),
                   max(0.0, float(high[k_high]) - N), eps, float(traj.t[k_high]))
 
-    if v_bounds == "corollary1":
+    if bounds == "corollary1":
         a = p.beta if alpha is None else alpha
         hi = 1.0 + (a - p.beta_prime * traj.I) * traj.S / (p.mu * N)
         lo = np.zeros_like(hi)
         bound_name = "V in corollary1 range"
+    elif bounds is None:
+        lo = np.full_like(traj.V, v_lo)
+        hi = np.full_like(traj.V, v_hi)
+        bound_name = f"V in [{v_lo:g}, {v_hi:g}]"
     else:
-        lo_v, hi_v = v_bounds
-        lo = np.full_like(traj.V, lo_v)
-        hi = np.full_like(traj.V, hi_v)
-        bound_name = f"V in [{lo_v:g}, {hi_v:g}]"
+        raise ValueError(f"unknown V bounds {bounds!r}; known: 'corollary1'")
     finite = np.abs(np.concatenate((lo, hi)))
     finite = finite[np.isfinite(finite)]
     slack = 1e-12 * max(1.0, float(finite.max()) if finite.size else 1.0)

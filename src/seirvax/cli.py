@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checks import (
+    Check,
     VerificationReport,
     check_asymptotics,
     check_identity_suite,
@@ -32,14 +33,7 @@ from .checks import (
     monitor_positivity,
 )
 from .equilibria import analyze, endemic_equilibrium
-from .exceptions import (
-    GainConstraintError,
-    HorizonError,
-    NonFiniteStateError,
-    PredictionError,
-    ScenarioError,
-    VaccinationChannelError,
-)
+from .exceptions import NonFiniteStateError, ScenarioError
 from .integrate import IntegratorConfig, Trajectory, integrate
 from .laws import ImmuneFeedback, law_name, predicted_limits, validate_gains
 from .model import ModelParams
@@ -54,13 +48,19 @@ _USAGE_ERROR = 1
 _CHECK_FAILURE = 2
 
 
-def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    """Write samples with shortest round-trip decimal formatting."""
+def _write_csv(path: str | Path, header: str,
+               cols: tuple[np.ndarray, ...]) -> None:
+    """Write columns under a header with shortest round-trip decimals."""
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        cols = (traj.t, traj.S, traj.E, traj.I, traj.R, traj.V, traj.u)
+        fh.write(header + "\n")
         for row in zip(*(c.tolist() for c in cols)):
             fh.write(",".join(repr(v) for v in row) + "\n")
+
+
+def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
+    """Write samples with shortest round-trip decimal formatting."""
+    _write_csv(path, CSV_HEADER,
+               (traj.t, traj.S, traj.E, traj.I, traj.R, traj.V, traj.u))
 
 
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -89,38 +89,33 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
+def _integral_limit(traj: Trajectory, scenario: Scenario, **opts) -> Check:
+    law = scenario.law.canonical(scenario.params)
+    if law.name != ImmuneFeedback.name:
+        raise ScenarioError(
+            "integral_limit check needs an immune-feedback family law "
+            f"(got {law_name(scenario.law)})")
+    return check_integral_limit(traj, scenario.params, law.g, law.g1, **opts)
+
+
+# Check name -> call(traj, scenario, **options). Only the options the
+# scenario sets are passed, so each default lives in the check function;
+# the check functions are looked up here at call time.
+_CHECK_CALLS = {
+    "conservation": lambda traj, sc: monitor_conservation(traj),
+    "positivity": lambda traj, sc, **opts: monitor_positivity(traj, **opts),
+    "identities": lambda traj, sc: check_identity_suite(traj, sc.params),
+    "asymptotics": lambda traj, sc, **opts: check_asymptotics(
+        traj, predicted_limits(sc.law, sc.params), **opts),
+    "integral_limit": _integral_limit,
+}
+
+
 def run_checks(traj: Trajectory, scenario: Scenario) -> VerificationReport:
     """Run the scenario's requested checks against a trajectory."""
-    params = scenario.params
-    checks = []
-    for name, opts in scenario.checks.items():
-        if name == "conservation":
-            checks.append(monitor_conservation(traj))
-        elif name == "positivity":
-            if opts.get("bounds") == "corollary1":
-                checks.append(monitor_positivity(
-                    traj, v_bounds="corollary1", alpha=opts.get("alpha")))
-            else:
-                lo = opts.get("v_lo", 0.0)
-                hi = opts.get("v_hi", 1.0)
-                checks.append(monitor_positivity(traj, v_bounds=(lo, hi)))
-        elif name == "identities":
-            checks.append(check_identity_suite(traj, params))
-        elif name == "asymptotics":
-            prediction = predicted_limits(scenario.law, params)
-            checks.append(check_asymptotics(
-                traj, prediction,
-                tail_fraction=opts.get("tail_fraction", 0.1),
-                rel_tol=opts.get("rel_tol", 1e-3)))
-        elif name == "integral_limit":
-            law = scenario.law.canonical(params)
-            if law.name != ImmuneFeedback.name:
-                raise ScenarioError(
-                    "integral_limit check needs an immune-feedback family law "
-                    f"(got {law_name(scenario.law)})")
-            checks.append(check_integral_limit(
-                traj, params, law.g, law.g1, rel_tol=opts.get("rel_tol", 0.01)))
-    return VerificationReport(checks=tuple(checks))
+    return VerificationReport(checks=tuple(
+        _CHECK_CALLS[name](traj, scenario, **opts)
+        for name, opts in scenario.checks.items()))
 
 
 def _report_text(scenario: Scenario, traj: Trajectory,
@@ -156,14 +151,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, **overrides)
         scenario = dataclasses.replace(scenario, config=config)
 
-    gain_checks = validate_gains(scenario.law, scenario.params)
-    failed_required = [c.name for c in gain_checks if c.required and not c.holds]
-    if failed_required:
-        print("error: law gains fail required constraint(s): "
-              + ", ".join(failed_required), file=sys.stderr)
-        return _USAGE_ERROR
     advisories = [f"gain condition not met: {c.name}"
-                  for c in gain_checks if not c.required and not c.holds]
+                  for c in validate_gains(scenario.law, scenario.params)
+                  if not c.required and not c.holds]
 
     traj = integrate(scenario.initial, scenario.params, scenario.law, config)
     report = run_checks(traj, scenario)
@@ -261,11 +251,8 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / args.csv
     total = traj.total
-    with open(csv_path, "w") as fh:
-        fh.write(ZERODYN_HEADER + "\n")
-        for row in zip(traj.t.tolist(), traj.z2.tolist(), traj.z3.tolist(),
-                       traj.z4.tolist(), total.tolist()):
-            fh.write(",".join(repr(v) for v in row) + "\n")
+    _write_csv(csv_path, ZERODYN_HEADER,
+               (traj.t, traj.z2, traj.z3, traj.z4, total))
 
     c0 = float(total[0])
     eps = 1e-9 * c0 if c0 > 0.0 else 1e-9
@@ -363,9 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, GainConstraintError, PredictionError, HorizonError,
-            VaccinationChannelError, NonFiniteStateError, ValueError,
-            OSError) as exc:
+    except (ValueError, NonFiniteStateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import GainConstraintError, NonFiniteStateError
-from .laws import ControlLaw, LawFn, compile_law, law_name, required_gain_failures
+from .exceptions import NonFiniteStateError
+from .laws import ControlLaw, LawFn, compile_law, law_name
 from .model import Field, ModelParams, SeirState, coupling_control, seir_field
 
 __all__ = [
@@ -149,17 +149,14 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
     """Integrate the plant closed under `law` over [t0, t_end].
 
     Raises:
-        ValueError: invalid initial state or configuration.
-        GainConstraintError: law gains violate a required constraint.
+        ValueError: invalid initial state or configuration, or adaptive
+            tolerances float64 cannot meet.
+        GainConstraintError: law gains violate a required constraint
+            (raised by the law's `compile`).
         NonFiniteStateError: a non-finite state appeared; carries the
             diagnostic sample index and time.
     """
     _check_initial(state0, params)
-    failures = required_gain_failures(law, params)
-    if failures:
-        raise GainConstraintError(
-            f"law {law_name(law)} fails required gain constraints: "
-            + ", ".join(failures))
     law_fn = compile_law(law, params)
     rhs = seir_field(params)
     project = config.positivity_policy == "project"
@@ -194,14 +191,16 @@ class Samples:
     def record(self, t: float, y0: float, y1: float, y2: float, y3: float,
                V: float) -> None:
         if not (math.isfinite(y0 + y1 + y2 + y3) and math.isfinite(V)):
-            raise self.non_finite(t)
+            raise self.non_finite(
+                t, "V" if math.isfinite(y0 + y1 + y2 + y3) else "state")
         self.flat.extend((t, y0, y1, y2, y3, V))
 
-    def non_finite(self, t: float) -> NonFiniteStateError:
-        """The error for a non-finite state at t, at the next sample index."""
+    def non_finite(self, t: float, what: str = "state") -> NonFiniteStateError:
+        """The error for a non-finite state (or V) at t, at the next
+        sample index."""
         index = len(self.flat) // 6
         return NonFiniteStateError(
-            f"non-finite state at t = {t} (sample index {index})",
+            f"non-finite {what} at t = {t} (sample index {index})",
             t=t, sample_index=index)
 
     def project(self, t: float, y: tuple) -> tuple:
@@ -318,16 +317,24 @@ def _run_dopri45(rhs: Field, law_fn: LawFn, y: tuple, params: ModelParams,
             hold_err = 0.5 * h * muN * abs(law_fn(*y5, t + h) - V)
             err[0] += math.copysign(hold_err, err[0]) if err[0] else hold_err
             err[3] += math.copysign(hold_err, err[3]) if err[3] else hold_err
-            norm = math.sqrt(sum(
-                (err[c] / (atol + rtol * max(abs(y[c]), abs(y5[c])))) ** 2
-                for c in range(4)) / 4.0)
-            if not math.isfinite(norm):
+            # A finite error too many tolerances wide to square counts as
+            # an infinite norm: the step is rejected, and a tolerance that
+            # float64 cannot meet ends in the step-size underflow below.
+            try:
+                norm = math.sqrt(sum(
+                    (err[c] / (atol + rtol * max(abs(y[c]), abs(y5[c])))) ** 2
+                    for c in range(4)) / 4.0)
+            except OverflowError:
+                norm = math.inf
+            if not math.isfinite(norm) and not math.isfinite(sum(y5) + sum(err)):
                 raise samples.non_finite(t + h)
             if norm <= 1.0:
                 break
             h *= min(1.0, max(0.2, 0.9 * norm ** -0.2))
             if h <= 1e-14 * max(1.0, abs(t)):
-                raise RuntimeError("adaptive step size underflow")
+                raise ValueError(
+                    f"adaptive step size underflow at t = {t!r}: rel_tol = "
+                    f"{rtol!r} and abs_tol = {atol!r} cannot be met in float64")
 
         t = t_end if t + h >= t_end else t + h
         y = y5

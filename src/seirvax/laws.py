@@ -54,7 +54,6 @@ __all__ = [
     "compile_law",
     "evaluate",
     "validate_gains",
-    "required_gain_failures",
     "predicted_limits",
     "corollary1_upper_bound",
     "infectious_upper_bound",
@@ -116,10 +115,10 @@ class ControlLaw:
 
     A law owns its scenario `name`, its named gain constraints
     (`gain_checks`), its binding to parameters (`compile`, which refuses
-    a failed required constraint and then calls `_bind`) and its
-    closed-form limits (`predict`). `canonical` reduces a law to the one
-    the synthesis produces: the immune-feedback family reduces to
-    `ImmuneFeedback`, every other law to itself.
+    to bind when required constraints fail, naming each, and otherwise
+    calls `_bind`) and its closed-form limits (`predict`). `canonical`
+    reduces a law to the one the synthesis produces: the immune-feedback
+    family reduces to `ImmuneFeedback`, every other law to itself.
     """
 
     name: ClassVar[str]
@@ -141,9 +140,12 @@ class ControlLaw:
         return []
 
     def compile(self, params: ModelParams) -> LawFn:
-        for check in self.gain_checks(params):
-            if check.required and not check.holds:
-                raise GainConstraintError(f"{self.label} requires {check.name}")
+        failed = [c.name for c in self.gain_checks(params)
+                  if c.required and not c.holds]
+        if failed:
+            raise GainConstraintError(
+                f"law {self.label} fails required gain constraint(s): "
+                + ", ".join(failed))
         return self._bind(params)
 
     def _bind(self, params: ModelParams) -> LawFn:
@@ -439,11 +441,6 @@ def validate_gains(law: ControlLaw, params: ModelParams) -> list[GainCheck]:
     """Evaluate every named constraint attached to the law."""
     _require_law(law)
     return law.gain_checks(params)
-
-
-def required_gain_failures(law: ControlLaw, params: ModelParams) -> list[str]:
-    """Names of failed required clauses (empty means the law binds)."""
-    return [c.name for c in validate_gains(law, params) if c.required and not c.holds]
 
 
 def _check_population_limits(pred: AsymptoticPrediction, N: float) -> None:

@@ -1,57 +1,53 @@
 """Scenario files: INI-style key/value sections describing one simulation.
 
-Format (see README for the full grammar): sections [params], [initial],
-[law], [integrator], plus optional [checks], [checks.<name>] option
-sub-sections and [outputs]. Numbers are decimal doubles. Example:
-
-    [params]
-    N = 1000
-    mu = 0.01
-    omega = 0.02
-    beta = 0.9
-    sigma = 0.2
-    gamma = 0.2
-
-    [initial]
-    S = 700
-    E = 100
-    I = 50
-    R = 150
-
-    [law]
-    name = immune_feedback
-    g = 0.0
-    g1 = 0.03
-
-    [integrator]
-    t_end = 500
-    dt = 0.01
-    sampling_stride = 10
-
-    [checks]
-    conservation = on
-    positivity = on
-
-    [outputs]
-    csv = trajectory.csv
+Sections [params], [initial], [law] and [integrator], plus optional
+[checks], [checks.<name>] option sub-sections and [outputs]; the README
+holds the full grammar and an example. The keys of [params], [initial]
+and [integrator] are the fields of ModelParams, SeirState and
+IntegratorConfig, each read by its field's type, and the options of each
+[checks.<name>] section are listed in CHECK_NAMES. Any other section,
+key or option is rejected. Numbers are decimal doubles.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .exceptions import ScenarioError
-from .integrate import IntegratorConfig
+from .integrate import IntegratorConfig, _check_initial
 from .laws import SCENARIO_LAWS, ControlLaw, Saturated
 from .model import ModelParams, SeirState
 
 __all__ = ["Scenario", "load_scenario", "build_law", "CHECK_NAMES"]
 
-CHECK_NAMES = ("conservation", "positivity", "identities", "asymptotics",
-               "integral_limit")
+# Check name -> {option: type} of its [checks.<name>] section. The options
+# are keyword arguments of the check function, which holds their defaults;
+# a tuple type lists the accepted strings.
+CHECK_NAMES = {
+    "conservation": {},
+    "positivity": {"v_lo": float, "v_hi": float, "bounds": ("corollary1",),
+                   "alpha": float},
+    "identities": {},
+    "asymptotics": {"tail_fraction": float, "rel_tol": float},
+    "integral_limit": {"rel_tol": float},
+}
+
+# Section -> (dataclass whose fields are its keys, whether values must be
+# finite). SeirState does not check its values, so the loader does.
+_TYPED_SECTIONS = {
+    "params": (ModelParams, False),
+    "initial": (SeirState, True),
+    "integrator": (IntegratorConfig, False),
+}
+_SECTIONS = ("params", "initial", "law", "integrator", "checks",
+             *(f"checks.{name}" for name in CHECK_NAMES), "outputs")
+_CLIP_KEYS = ("clip_lo", "clip_hi")
+_OUTPUT_KINDS = ("csv", "svg", "report")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -84,36 +80,78 @@ def build_law(name: str, gains: dict[str, float],
     if extra:
         raise ScenarioError(f"law {name!r} got unknown gain(s): {', '.join(extra)}")
     law: ControlLaw = cls(**gains)
-    if clip_lo is not None or clip_hi is not None:
-        lo = 0.0 if clip_lo is None else clip_lo
-        hi = 1.0 if clip_hi is None else clip_hi
+    clip = {k: v for k, v in (("lo", clip_lo), ("hi", clip_hi)) if v is not None}
+    if clip:
         try:
-            law = Saturated(law, lo, hi)
+            law = Saturated(law, **clip)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
     return law
 
 
-def _getfloat(section: configparser.SectionProxy, key: str,
-              where: str, finite: bool = False) -> float:
-    if key not in section:
-        raise ScenarioError(f"missing key {key!r} in [{where}]")
+def _value(section: configparser.SectionProxy, key: str, where: str,
+           kind: type | tuple = float, finite: bool = False):
+    """Read one value as float, int (finite and whole), bool, str or one
+    of a tuple of strings, naming the key on failure."""
     raw = section[key]
+    bad = f"key {key!r} in [{where}]: {raw!r}"
+    if kind is str:
+        return raw.strip()
+    if isinstance(kind, tuple):
+        if raw.strip() not in kind:
+            raise ScenarioError(f"{bad} is not one of: {', '.join(kind)}")
+        return raw.strip()
+    if kind is bool:
+        try:
+            return section.getboolean(key)
+        except ValueError as exc:
+            raise ScenarioError(f"{bad} is not a boolean (on/off)") from exc
     try:
         value = float(raw)
     except ValueError as exc:
-        raise ScenarioError(
-            f"key {key!r} in [{where}]: {raw!r} is not a number") from exc
-    if finite and not math.isfinite(value):
-        raise ScenarioError(f"key {key!r} in [{where}]: {raw!r} is not finite")
+        raise ScenarioError(f"{bad} is not a number") from exc
+    if (finite or kind is int) and not math.isfinite(value):
+        raise ScenarioError(f"{bad} is not finite")
+    if kind is int:
+        if not value.is_integer():
+            raise ScenarioError(f"{bad} is not an integer")
+        return int(value)
     return value
+
+
+def _reject_unknown(section: configparser.SectionProxy, known, where: str,
+                    what: str = "key") -> None:
+    for key in section:
+        if key not in known:
+            raise ScenarioError(f"unknown {what} {key!r} in [{where}]; "
+                                f"known: {', '.join(known) or 'none'}")
+
+
+def _typed_section(parser: configparser.ConfigParser, where: str):
+    """Build the section's dataclass from its keys (the lowercased fields)."""
+    cls, finite = _TYPED_SECTIONS[where]
+    sec = parser[where]
+    types = typing.get_type_hints(cls)
+    by_key = {f.name.lower(): f for f in fields(cls)}
+    _reject_unknown(sec, by_key, where)
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in sec:
+            kwargs[f.name] = _value(sec, key, where, types[f.name], finite)
+        elif f.default is MISSING:
+            raise ScenarioError(f"missing key {key!r} in [{where}]")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid [{where}]: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
     Raises ScenarioError with a diagnostic (configparser reports line
-    numbers for structural errors) on any parse or validation problem.
+    numbers for structural errors) on any parse or validation problem,
+    including an unknown section, key or check option.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     text = Path(path).read_text()
@@ -122,104 +160,51 @@ def load_scenario(path: str | Path) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
 
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ScenarioError(f"unknown section [{name}]; known: "
+                                + ", ".join(f"[{s}]" for s in _SECTIONS))
     for name in ("params", "initial", "law", "integrator"):
         if not parser.has_section(name):
             raise ScenarioError(f"missing section [{name}]")
 
-    sec = parser["params"]
+    params = _typed_section(parser, "params")
+    initial = _typed_section(parser, "initial")
     try:
-        params = ModelParams(
-            N=_getfloat(sec, "n", "params"),
-            mu=_getfloat(sec, "mu", "params"),
-            omega=_getfloat(sec, "omega", "params"),
-            beta=_getfloat(sec, "beta", "params"),
-            sigma=_getfloat(sec, "sigma", "params"),
-            gamma=_getfloat(sec, "gamma", "params"),
-        )
+        _check_initial(initial, params)
     except ValueError as exc:
-        raise ScenarioError(f"invalid [params]: {exc}") from exc
-
-    sec = parser["initial"]
-    initial = SeirState(*(_getfloat(sec, key, "initial", finite=True)
-                          for key in ("s", "e", "i", "r")))
-    if abs(initial.total - params.N) > 1e-6 * params.N:
-        raise ScenarioError(
-            f"initial state sums to {initial.total}; must equal N = {params.N} "
-            "within 1e-06 relative")
+        raise ScenarioError(f"invalid [initial]: {exc}") from exc
 
     sec = parser["law"]
     if "name" not in sec:
         raise ScenarioError("missing key 'name' in [law]")
-    name = sec["name"].strip()
-    gains = {}
-    clip_lo = clip_hi = None
-    for key in sec:
-        if key == "name":
-            continue
-        if key == "clip_lo":
-            clip_lo = _getfloat(sec, key, "law")
-        elif key == "clip_hi":
-            clip_hi = _getfloat(sec, key, "law")
-        else:
-            gains[key] = _getfloat(sec, key, "law")
-    law = build_law(name, gains, clip_lo, clip_hi)
+    clip = {key: _value(sec, key, "law") for key in _CLIP_KEYS if key in sec}
+    gains = {key: _value(sec, key, "law", finite=True) for key in sec
+             if key != "name" and key not in _CLIP_KEYS}
+    law = build_law(sec["name"].strip(), gains, clip.get("clip_lo"),
+                    clip.get("clip_hi"))
 
-    sec = parser["integrator"]
-    kwargs: dict = {"t_end": _getfloat(sec, "t_end", "integrator")}
-    if "t0" in sec:
-        kwargs["t0"] = _getfloat(sec, "t0", "integrator")
-    if "dt" in sec:
-        kwargs["dt"] = _getfloat(sec, "dt", "integrator")
-    if "sampling_stride" in sec:
-        stride = _getfloat(sec, "sampling_stride", "integrator", finite=True)
-        if not stride.is_integer():
-            raise ScenarioError("key 'sampling_stride' in [integrator]: "
-                                f"{sec['sampling_stride']!r} is not an integer")
-        kwargs["sampling_stride"] = int(stride)
-    if "positivity_policy" in sec:
-        kwargs["positivity_policy"] = sec["positivity_policy"].strip()
-    if "adaptive" in sec:
-        try:
-            kwargs["adaptive"] = sec.getboolean("adaptive")
-        except ValueError as exc:
-            raise ScenarioError(f"invalid 'adaptive' in [integrator]") from exc
-    if "rel_tol" in sec:
-        kwargs["rel_tol"] = _getfloat(sec, "rel_tol", "integrator")
-    if "abs_tol" in sec:
-        kwargs["abs_tol"] = _getfloat(sec, "abs_tol", "integrator")
-    try:
-        config = IntegratorConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"invalid [integrator]: {exc}") from exc
+    config = _typed_section(parser, "integrator")
 
     checks: dict[str, dict] = {}
     if parser.has_section("checks"):
-        for key in parser["checks"]:
-            if key not in CHECK_NAMES:
-                raise ScenarioError(
-                    f"unknown check {key!r}; known: {CHECK_NAMES}")
-            try:
-                enabled = parser["checks"].getboolean(key)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"check {key!r} must be a boolean (on/off)") from exc
-            if enabled:
-                checks[key] = {}
-    for key in list(checks):
-        sub = f"checks.{key}"
-        if parser.has_section(sub):
-            for opt in parser[sub]:
-                if opt == "bounds":
-                    checks[key][opt] = parser[sub][opt].strip()
-                else:
-                    checks[key][opt] = _getfloat(parser[sub], opt, sub)
+        sec = parser["checks"]
+        _reject_unknown(sec, CHECK_NAMES, "checks", "check")
+        checks = {key: {} for key in sec if _value(sec, key, "checks", bool)}
+    for name, options in CHECK_NAMES.items():
+        where = f"checks.{name}"
+        if parser.has_section(where):
+            sec = parser[where]
+            _reject_unknown(sec, options, where, "option")
+            opts = {key: _value(sec, key, where, options[key]) for key in sec}
+            if name in checks:
+                checks[name] = opts
 
     outputs: dict[str, str] = {}
     if parser.has_section("outputs"):
-        for key in parser["outputs"]:
-            if key not in ("csv", "svg", "report"):
-                raise ScenarioError(f"unknown output kind {key!r}")
-            outputs[key] = parser["outputs"][key].strip()
+        sec = parser["outputs"]
+        _reject_unknown(sec, _OUTPUT_KINDS, "outputs", "output kind")
+        outputs = {key: sec[key].strip() for key in sec}
 
     return Scenario(params=params, initial=initial, law=law, config=config,
                     checks=checks, outputs=outputs)

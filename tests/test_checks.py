@@ -65,13 +65,13 @@ class TestPositivity:
         cfg = IntegratorConfig(t_end=300.0, dt=1e-2, sampling_stride=10)
         tr = integrate(mixed_state, p1,
                        Saturated(ImmuneFeedback(0.0, 0.25), 0.0, 1.0), cfg)
-        chk = monitor_positivity(tr, v_bounds=(0.0, 1.0))
+        chk = monitor_positivity(tr, v_lo=0.0, v_hi=1.0)
         assert chk.passed
 
         p = ModelParams(N=1000.0, mu=0.5, omega=0.0, beta=0.9,
                         sigma=0.2, gamma=0.2)
         tr2 = integrate(mixed_state, p, ConstrainedImmuneFeedback(-0.1), cfg)
-        chk2 = monitor_positivity(tr2, v_bounds=(0.0, 1.0))
+        chk2 = monitor_positivity(tr2, v_lo=0.0, v_hi=1.0)
         assert chk2.passed
 
     def test_theorem2i_v_range_vs_corollary_bound(self, p1):
@@ -80,25 +80,27 @@ class TestPositivity:
         cfg = IntegratorConfig(t_end=20.0, dt=1e-2, sampling_stride=10)
         tr = integrate(SeirState(500.0, 100.0, 50.0, 350.0), p1,
                        SusceptibleLinear(0.1), cfg)
-        unit = monitor_positivity(tr, v_bounds=(0.0, 1.0))
+        unit = monitor_positivity(tr, v_lo=0.0, v_hi=1.0)
         assert not unit.passed
         assert not unit.details["V in [0, 1]"].passed
-        extended = monitor_positivity(tr, v_bounds="corollary1")
+        extended = monitor_positivity(tr, bounds="corollary1")
         assert extended.passed
+        with pytest.raises(ValueError, match="unknown V bounds"):
+            monitor_positivity(tr, bounds="corollary2")
 
     def test_lower_violation_with_unbounded_upper(self, p1, mixed_state):
         # An infinite upper bound must not mask lower-bound violations.
         from seirvax import ConstantVax
         tr = integrate(mixed_state, p1, ConstantVax(-0.5),
                        IntegratorConfig(t_end=1.0, dt=0.1))
-        chk = monitor_positivity(tr, v_bounds=(0.0, np.inf))
+        chk = monitor_positivity(tr, v_hi=np.inf)
         assert not chk.details["V in [0, inf]"].passed
 
     def test_negative_start_flagged_at_t0(self, p1, thm3_run):
         bad_E = thm3_run.E.copy()
         bad_E[0] = -1.0
         bad = dataclasses.replace(thm3_run, E=bad_E)
-        chk = monitor_positivity(bad, v_bounds=(0.0, np.inf))
+        chk = monitor_positivity(bad, v_hi=np.inf)
         assert not chk.passed
         sub = chk.details["components >= 0"]
         assert not sub.passed and sub.location_t == 0.0

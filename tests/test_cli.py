@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from seirvax import ImmuneFeedback, Saturated, ScenarioError
-from seirvax.cli import main, read_trajectory_csv, write_trajectory_csv
+from seirvax import ImmuneFeedback, Saturated, ScenarioError, integrate
+from seirvax.cli import (main, read_trajectory_csv, run_checks,
+                         write_trajectory_csv)
 from seirvax.scenario import build_law, load_scenario
 
 P1_BLOCK = """\
@@ -284,6 +285,44 @@ class TestZerodynCommand:
         assert code == 1
 
 
+# Every option of every check in the table; v_lo and v_hi are read but
+# give way to bounds = corollary1. Parameters in the constrained-gain
+# regime keep V in [0, 1] under the canonical immune-feedback law.
+ALL_CHECKS_SCENARIO = dict(
+    params=P1_BLOCK.replace("mu = 0.01", "mu = 0.5").replace(
+        "omega = 0.02", "omega = 0.0"),
+    law="[law]\nname = constrained_immune_feedback\ng = -0.1\n",
+    integrator="[integrator]\nt_end = 60\ndt = 0.01\n",
+    extra="[checks]\nconservation = on\npositivity = on\nidentities = on\n"
+          "asymptotics = on\nintegral_limit = on\n\n"
+          "[checks.positivity]\nv_lo = 0.0\nv_hi = 1.0\nbounds = corollary1\n"
+          "alpha = 0.9\n\n"
+          "[checks.asymptotics]\ntail_fraction = 0.2\nrel_tol = 2e-3\n\n"
+          "[checks.integral_limit]\nrel_tol = 0.02\n")
+
+
+def test_all_checks_with_every_option(tmp_path, capsys):
+    path = write_scenario(tmp_path / "s.ini", **ALL_CHECKS_SCENARIO)
+    sc = load_scenario(path)
+    assert sc.checks == {
+        "conservation": {}, "identities": {},
+        "positivity": {"v_lo": 0.0, "v_hi": 1.0, "bounds": "corollary1",
+                       "alpha": 0.9},
+        "asymptotics": {"tail_fraction": 0.2, "rel_tol": 2e-3},
+        "integral_limit": {"rel_tol": 0.02}}
+    report = run_checks(integrate(sc.initial, sc.params, sc.law, sc.config), sc)
+    by_name = {c.name: c for c in report.checks}
+    assert list(by_name) == ["conservation", "positivity", "identity_suite",
+                             "asymptotics", "integral_limit"]
+    assert "V in corollary1 range" in by_name["positivity"].details
+    assert by_name["asymptotics"].tolerance == 2e-3
+    limit = by_name["integral_limit"].details["limit"]
+    assert by_name["integral_limit"].tolerance == 0.02 * abs(limit)
+    assert report.all_passed
+    assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_adaptive_scenario_runs(tmp_path, capsys):
     path = write_scenario(
         tmp_path / "s.ini",
@@ -347,6 +386,41 @@ MALFORMED_INPUTS = {
     "infinite initial R": (lambda d: _simulate_argv(
         d, initial=INITIAL_BLOCK.replace("R = 0", "R = -inf")),
         "key 'r' in [initial]: '-inf' is not finite"),
+    "unknown key in [params]": (lambda d: _simulate_argv(
+        d, params=P1_BLOCK + "betta = 0.1\n"),
+        "unknown key 'betta' in [params]"),
+    "unknown key in [initial]": (lambda d: _simulate_argv(
+        d, initial=INITIAL_BLOCK + "V = 0\n"),
+        "unknown key 'v' in [initial]"),
+    "unknown key in [integrator]": (lambda d: _simulate_argv(
+        d, integrator=INTEGRATOR_BLOCK + "sampling_strid = 10\n"),
+        "unknown key 'sampling_strid' in [integrator]"),
+    "unknown section [output]": (lambda d: _simulate_argv(
+        d, extra="[output]\ncsv = t.csv\n"),
+        "unknown section [output]"),
+    "unknown section [checks.positivty]": (lambda d: _simulate_argv(
+        d, extra="[checks]\npositivity = on\n\n[checks.positivty]\n"
+                 "v_lo = 0\n"),
+        "unknown section [checks.positivty]"),
+    "unknown check option rel_tl": (lambda d: _simulate_argv(
+        d, extra="[checks]\nasymptotics = on\n\n[checks.asymptotics]\n"
+                 "rel_tl = 1e-12\n"),
+        "unknown option 'rel_tl' in [checks.asymptotics]"),
+    "bounds = banana": (lambda d: _simulate_argv(
+        d, extra="[checks]\npositivity = on\n\n[checks.positivity]\n"
+                 "bounds = banana\n"),
+        "key 'bounds' in [checks.positivity]: 'banana' is not one of: "
+        "corollary1"),
+    "nan gain g1": (lambda d: _simulate_argv(
+        d, law=LAW_BLOCK.replace("g1 = 0.03", "g1 = nan")),
+        "key 'g1' in [law]: 'nan' is not finite"),
+    "infinite constant value": (lambda d: _simulate_argv(
+        d, law="[law]\nname = constant\nvalue = inf\n"),
+        "key 'value' in [law]: 'inf' is not finite"),
+    "adaptive tolerance 1e-300": (lambda d: _simulate_argv(
+        d, integrator="[integrator]\nt_end = 50\ndt = 0.01\nadaptive = on\n"
+                      "rel_tol = 1e-300\nabs_tol = 1e-300\n"),
+        "rel_tol = 1e-300 and abs_tol = 1e-300 cannot be met"),
 }
 
 

@@ -85,6 +85,21 @@ class TestBasics:
             integrate(mixed_state, p1, ConstantVax(1e308), cfg)
         assert err.value.sample_index >= 1
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_non_finite_v_is_named(self, p1, mixed_state, adaptive):
+        cfg = IntegratorConfig(t_end=1.0, dt=0.01, adaptive=adaptive)
+        with pytest.raises(NonFiniteStateError, match="non-finite V at") as err:
+            integrate(mixed_state, p1, ConstantVax(math.nan), cfg)
+        assert (err.value.t, err.value.sample_index) == (0.0, 0)
+
+    def test_unattainable_adaptive_tolerance_blames_tolerance(self, p1,
+                                                              mixed_state):
+        cfg = IntegratorConfig(t_end=1.0, adaptive=True, rel_tol=1e-300,
+                               abs_tol=1e-300)
+        with pytest.raises(ValueError, match="rel_tol = 1e-300 and abs_tol "
+                           "= 1e-300 cannot be met"):
+            integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), cfg)
+
 
 class TestClosedForms:
     def test_theorem2i_susceptible_decay(self, p1):

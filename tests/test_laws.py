@@ -88,6 +88,12 @@ class TestEvaluate:
         with pytest.raises(GainConstraintError):
             evaluate(SusceptibleLinear(-0.1), SeirState(0, 0, 0, 1000), p1)
 
+    def test_gain_error_lists_every_failed_required_clause(self, p1):
+        with pytest.raises(GainConstraintError,
+                           match=r"linearizing fails required gain "
+                                 r"constraint\(s\): g_prime > 0, g1 >= 0$"):
+            compile_law(Linearizing(g_prime=-0.1, g1=-0.01), p1)
+
     def test_saturated_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             Saturated(ZeroVax(), 1.0, 0.0)
