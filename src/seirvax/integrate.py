@@ -5,7 +5,9 @@ vaccination fraction V is evaluated from the law at the state at the
 start of each step and held constant across the step's internal stages
 (zero-order hold): the laws are state feedback, and freezing V per step
 keeps runs exactly reproducible. An embedded Dormand-Prince 5(4) pair is
-available for adaptive stepping.
+available for adaptive stepping; like `rk4`, its inner loop is a
+straight-line scalar kernel over the four components, with the tableau
+unpacked into locals.
 
 Every sample records the applied V and the auxiliary control
 u = omega*R - sigma*E - mu*N*V, computed by `model.coupling_control` so
@@ -262,8 +264,9 @@ def rk4(rhs: Field, control: LawFn, y0: tuple, config: IntegratorConfig,
     return samples
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980): the stage rows of A,
+# whose last row is also the 5th-order weights (FSAL), and the error
+# weights b5 - b4. `_run_dopri45` unpacks these; nothing else reads them.
 _DP_A = (
     (),
     (1.0 / 5.0,),
@@ -275,58 +278,112 @@ _DP_A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
      11.0 / 84.0),
 )
-# 5th-order solution weights (row 7 of A, FSAL) and error weights b5 - b4.
-_DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-         11.0 / 84.0, 0.0)
 _DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
 def _run_dopri45(rhs: Field, law_fn: LawFn, y: tuple, params: ModelParams,
                  config: IntegratorConfig, project: bool) -> Samples:
-    """Embedded Dormand-Prince 5(4) with V held per attempted step."""
+    """Embedded Dormand-Prince 5(4) with V held per attempted step.
+
+    A straight-line kernel: every stage, the 5th-order update and the
+    error estimate are written out term by term, in the order of a
+    left-to-right sum over the tableau row that starts from 0.0. Terms
+    with a zero coefficient are left out: after the leading 0.0 the
+    running sum is never -0.0, so adding a signed zero cannot change it.
+    The first stage is evaluated once per accepted step, since a rejected
+    attempt changes neither y nor V.
+    """
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
     muN = params.mu * params.N
     rtol, atol = config.rel_tol, config.abs_tol
     t0, t_end = config.t0, config.t_end
     stride = config.sampling_stride
     samples = Samples()
+    copysign, isfinite, sqrt = math.copysign, math.isfinite, math.sqrt
 
     t = t0
     h = min(config.dt, t_end - t0)
-    samples.record(t0, *y, law_fn(*y, t0))
+    a, b, c, d = y
+    V = law_fn(a, b, c, d, t0)
+    samples.record(t0, a, b, c, d, V)
     accepted = 0
 
     while t < t_end:
         h = min(h, t_end - t)
-        V = law_fn(*y, t)
+        k1a, k1b, k1c, k1d = rhs(a, b, c, d, V)
 
         while True:
-            ks = []
-            for j in range(7):
-                yj = y if j == 0 else tuple(
-                    y[c] + h * sum(_DP_A[j][m] * ks[m][c] for m in range(j))
-                    for c in range(4))
-                ks.append(rhs(*yj, V))
-            y5 = tuple(y[c] + h * sum(_DP_B[m] * ks[m][c] for m in range(7))
-                       for c in range(4))
-            err = list(h * sum(_DP_E[m] * ks[m][c] for m in range(7))
-                       for c in range(4))
+            k2a, k2b, k2c, k2d = rhs(
+                a + h * (0.0 + a21 * k1a), b + h * (0.0 + a21 * k1b),
+                c + h * (0.0 + a21 * k1c), d + h * (0.0 + a21 * k1d), V)
+            k3a, k3b, k3c, k3d = rhs(
+                a + h * (0.0 + a31 * k1a + a32 * k2a),
+                b + h * (0.0 + a31 * k1b + a32 * k2b),
+                c + h * (0.0 + a31 * k1c + a32 * k2c),
+                d + h * (0.0 + a31 * k1d + a32 * k2d), V)
+            k4a, k4b, k4c, k4d = rhs(
+                a + h * (0.0 + a41 * k1a + a42 * k2a + a43 * k3a),
+                b + h * (0.0 + a41 * k1b + a42 * k2b + a43 * k3b),
+                c + h * (0.0 + a41 * k1c + a42 * k2c + a43 * k3c),
+                d + h * (0.0 + a41 * k1d + a42 * k2d + a43 * k3d), V)
+            k5a, k5b, k5c, k5d = rhs(
+                a + h * (0.0 + a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
+                b + h * (0.0 + a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
+                c + h * (0.0 + a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c),
+                d + h * (0.0 + a51 * k1d + a52 * k2d + a53 * k3d + a54 * k4d),
+                V)
+            k6a, k6b, k6c, k6d = rhs(
+                a + h * (0.0 + a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a
+                         + a65 * k5a),
+                b + h * (0.0 + a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b
+                         + a65 * k5b),
+                c + h * (0.0 + a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c
+                         + a65 * k5c),
+                d + h * (0.0 + a61 * k1d + a62 * k2d + a63 * k3d + a64 * k4d
+                         + a65 * k5d),
+                V)
+            # The 5th-order solution is also the 7th stage's argument.
+            ya = a + h * (0.0 + a71 * k1a + a73 * k3a + a74 * k4a + a75 * k5a
+                          + a76 * k6a)
+            yb = b + h * (0.0 + a71 * k1b + a73 * k3b + a74 * k4b + a75 * k5b
+                          + a76 * k6b)
+            yc = c + h * (0.0 + a71 * k1c + a73 * k3c + a74 * k4c + a75 * k5c
+                          + a76 * k6c)
+            yd = d + h * (0.0 + a71 * k1d + a73 * k3d + a74 * k4d + a75 * k5d
+                          + a76 * k6d)
+            k7a, k7b, k7c, k7d = rhs(ya, yb, yc, yd, V)
+            ea = h * (0.0 + e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a
+                      + e6 * k6a + e7 * k7a)
+            eb = h * (0.0 + e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b
+                      + e6 * k6b + e7 * k7b)
+            ec = h * (0.0 + e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c
+                      + e6 * k6c + e7 * k7c)
+            ed = h * (0.0 + e1 * k1d + e3 * k3d + e4 * k4d + e5 * k5d
+                      + e6 * k6d + e7 * k7d)
             # The hold of V across the step leaves an O(h) bias the
             # embedded pair cannot see; charge mu*N*|dV|*h/2 against the
             # S and R components so the controller resolves fast feedback.
-            hold_err = 0.5 * h * muN * abs(law_fn(*y5, t + h) - V)
-            err[0] += math.copysign(hold_err, err[0]) if err[0] else hold_err
-            err[3] += math.copysign(hold_err, err[3]) if err[3] else hold_err
+            V_end = law_fn(ya, yb, yc, yd, t + h)
+            hold_err = 0.5 * h * muN * abs(V_end - V)
+            ea += copysign(hold_err, ea) if ea else hold_err
+            ed += copysign(hold_err, ed) if ed else hold_err
             # A finite error too many tolerances wide to square counts as
             # an infinite norm: the step is rejected, and a tolerance that
             # float64 cannot meet ends in the step-size underflow below.
             try:
-                norm = math.sqrt(sum(
-                    (err[c] / (atol + rtol * max(abs(y[c]), abs(y5[c])))) ** 2
-                    for c in range(4)) / 4.0)
+                norm = sqrt((0.0
+                             + (ea / (atol + rtol * max(abs(a), abs(ya)))) ** 2
+                             + (eb / (atol + rtol * max(abs(b), abs(yb)))) ** 2
+                             + (ec / (atol + rtol * max(abs(c), abs(yc)))) ** 2
+                             + (ed / (atol + rtol * max(abs(d), abs(yd)))) ** 2)
+                            / 4.0)
             except OverflowError:
                 norm = math.inf
-            if not math.isfinite(norm) and not math.isfinite(sum(y5) + sum(err)):
+            if not isfinite(norm) and not isfinite(
+                    (0.0 + ya + yb + yc + yd) + (0.0 + ea + eb + ec + ed)):
                 raise samples.non_finite(t + h)
             if norm <= 1.0:
                 break
@@ -336,13 +393,20 @@ def _run_dopri45(rhs: Field, law_fn: LawFn, y: tuple, params: ModelParams,
                     f"adaptive step size underflow at t = {t!r}: rel_tol = "
                     f"{rtol!r} and abs_tol = {atol!r} cannot be met in float64")
 
-        t = t_end if t + h >= t_end else t + h
-        y = y5
-        if project and min(y) < 0.0:
-            y = samples.project(t, y)
+        # The law is a pure function of (state, t): V_end is both the
+        # recorded value and the next step's held value, unless the step
+        # is clamped to t_end or projected.
+        t += h
+        a, b, c, d, V = ya, yb, yc, yd, V_end
+        if t >= t_end:
+            t = t_end
+            V = law_fn(a, b, c, d, t)
+        if project and min(a, b, c, d) < 0.0:
+            a, b, c, d = samples.project(t, (a, b, c, d))
+            V = law_fn(a, b, c, d, t)
         accepted += 1
         if accepted % stride == 0 or t >= t_end:
-            samples.record(t, *y, law_fn(*y, t))
+            samples.record(t, a, b, c, d, V)
         h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
 
     return samples

@@ -119,6 +119,20 @@ def _value(section: configparser.SectionProxy, key: str, where: str,
     return value
 
 
+def _check_positivity_options(opts: dict) -> None:
+    """Reject [checks.positivity] options that cannot apply: v_lo and v_hi
+    bound V only without `bounds`, and alpha only with it."""
+    where = "[checks.positivity]"
+    if "bounds" in opts:
+        for key in ("v_lo", "v_hi"):
+            if key in opts:
+                raise ScenarioError(f"option {key!r} in {where} has no "
+                                    "effect with bounds = corollary1")
+    elif "alpha" in opts:
+        raise ScenarioError(f"option 'alpha' in {where} has no effect "
+                            "without bounds = corollary1")
+
+
 def _reject_unknown(section: configparser.SectionProxy, known, where: str,
                     what: str = "key") -> None:
     for key in section:
@@ -197,6 +211,8 @@ def load_scenario(path: str | Path) -> Scenario:
             sec = parser[where]
             _reject_unknown(sec, options, where, "option")
             opts = {key: _value(sec, key, where, options[key]) for key in sec}
+            if name == "positivity":
+                _check_positivity_options(opts)
             if name in checks:
                 checks[name] = opts
 

@@ -285,9 +285,10 @@ class TestZerodynCommand:
         assert code == 1
 
 
-# Every option of every check in the table; v_lo and v_hi are read but
-# give way to bounds = corollary1. Parameters in the constrained-gain
-# regime keep V in [0, 1] under the canonical immune-feedback law.
+# Every option of every check in the table, except v_lo and v_hi, which
+# cannot go with bounds = corollary1; the test runs them in a second
+# scenario. Parameters in the constrained-gain regime keep V in [0, 1]
+# under the canonical immune-feedback law.
 ALL_CHECKS_SCENARIO = dict(
     params=P1_BLOCK.replace("mu = 0.01", "mu = 0.5").replace(
         "omega = 0.02", "omega = 0.0"),
@@ -295,8 +296,7 @@ ALL_CHECKS_SCENARIO = dict(
     integrator="[integrator]\nt_end = 60\ndt = 0.01\n",
     extra="[checks]\nconservation = on\npositivity = on\nidentities = on\n"
           "asymptotics = on\nintegral_limit = on\n\n"
-          "[checks.positivity]\nv_lo = 0.0\nv_hi = 1.0\nbounds = corollary1\n"
-          "alpha = 0.9\n\n"
+          "[checks.positivity]\nbounds = corollary1\nalpha = 0.9\n\n"
           "[checks.asymptotics]\ntail_fraction = 0.2\nrel_tol = 2e-3\n\n"
           "[checks.integral_limit]\nrel_tol = 0.02\n")
 
@@ -306,8 +306,7 @@ def test_all_checks_with_every_option(tmp_path, capsys):
     sc = load_scenario(path)
     assert sc.checks == {
         "conservation": {}, "identities": {},
-        "positivity": {"v_lo": 0.0, "v_hi": 1.0, "bounds": "corollary1",
-                       "alpha": 0.9},
+        "positivity": {"bounds": "corollary1", "alpha": 0.9},
         "asymptotics": {"tail_fraction": 0.2, "rel_tol": 2e-3},
         "integral_limit": {"rel_tol": 0.02}}
     report = run_checks(integrate(sc.initial, sc.params, sc.law, sc.config), sc)
@@ -321,6 +320,14 @@ def test_all_checks_with_every_option(tmp_path, capsys):
     assert report.all_passed
     assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 0
     assert "overall: PASS" in capsys.readouterr().out
+    v_range = dict(ALL_CHECKS_SCENARIO, extra=ALL_CHECKS_SCENARIO["extra"].replace(
+        "bounds = corollary1\nalpha = 0.9", "v_lo = 0.0\nv_hi = 1.0"))
+    sc = load_scenario(write_scenario(tmp_path / "v.ini", **v_range))
+    assert sc.checks["positivity"] == {"v_lo": 0.0, "v_hi": 1.0}
+    report = run_checks(integrate(sc.initial, sc.params, sc.law, sc.config), sc)
+    by_name = {c.name: c for c in report.checks}
+    assert "V in [0, 1]" in by_name["positivity"].details
+    assert report.all_passed
 
 
 def test_adaptive_scenario_runs(tmp_path, capsys):
@@ -411,6 +418,16 @@ MALFORMED_INPUTS = {
                  "bounds = banana\n"),
         "key 'bounds' in [checks.positivity]: 'banana' is not one of: "
         "corollary1"),
+    "v_hi with bounds = corollary1": (lambda d: _simulate_argv(
+        d, extra="[checks]\npositivity = on\n\n[checks.positivity]\n"
+                 "bounds = corollary1\nv_hi = 0.5\n"),
+        "option 'v_hi' in [checks.positivity] has no effect with "
+        "bounds = corollary1"),
+    "alpha without bounds": (lambda d: _simulate_argv(
+        d, extra="[checks]\npositivity = on\n\n[checks.positivity]\n"
+                 "alpha = 0.9\n"),
+        "option 'alpha' in [checks.positivity] has no effect without "
+        "bounds = corollary1"),
     "nan gain g1": (lambda d: _simulate_argv(
         d, law=LAW_BLOCK.replace("g1 = 0.03", "g1 = nan")),
         "key 'g1' in [law]: 'nan' is not finite"),

@@ -25,6 +25,8 @@ from seirvax import (
     Saturated,
     SeirState,
     SusceptibleLinear,
+    SusceptiblePlusExposed,
+    ZeroVax,
     integrate,
     integrate_normal,
     integrate_zero_dynamics,
@@ -62,6 +64,17 @@ def _adaptive_immune_feedback():
     cfg = IntegratorConfig(t_end=10.0, dt=1e-2, adaptive=True, rel_tol=1e-6,
                            abs_tol=1e-8, sampling_stride=3)
     return _traj_digest(integrate(MIXED, P1, ImmuneFeedback(0.01, 0.05), cfg))
+
+
+def _accuracy_adaptive(law, rel_tol):
+    """The shipped scenario's plant on [0, 100] with default abs_tol and dt,
+    as the benchmark's time-to-accuracy ladder runs the adaptive pair."""
+    def case():
+        sc = load_scenario(SHIPPED)
+        cfg = IntegratorConfig(t_end=100.0, adaptive=True, rel_tol=rel_tol,
+                               sampling_stride=1)
+        return _traj_digest(integrate(sc.initial, sc.params, law, cfg))
+    return case
 
 
 def _fixed_project():
@@ -106,6 +119,13 @@ CASES = {
     "saturated_fixed": _saturated_fixed,
     "integrate_normal": _normal,
     "integrate_zero_dynamics": _zero_dynamics,
+    "accuracy_immune_feedback":
+        _accuracy_adaptive(ImmuneFeedback(0.0, 0.03), 1e-5),
+    "accuracy_susceptible_linear":
+        _accuracy_adaptive(SusceptibleLinear(0.05), 1e-6),
+    "accuracy_susceptible_plus_exposed":
+        _accuracy_adaptive(SusceptiblePlusExposed(0.005), 1e-6),
+    "accuracy_zero": _accuracy_adaptive(ZeroVax(), 1e-3),
 }
 
 GOLDEN = {
@@ -123,6 +143,14 @@ GOLDEN = {
         "6bf3bc584b195389c2963349ccbef06529377c5f5aba194be732259ae75ab8f9",
     "integrate_zero_dynamics":
         "2927fd7f74b65d0c208041b38755e0962a8453bbee4256fd388ef04e54c7a2c6",
+    "accuracy_immune_feedback":
+        "c67c67cc6ce0200d5101cd7173250d0e168a70a94957773039d60810f51b1333",
+    "accuracy_susceptible_linear":
+        "96bb8771e59232fdaa3a4c82ce479a6fd6546615e1312c3f3ff298179e3e80ed",
+    "accuracy_susceptible_plus_exposed":
+        "873b39e328c5df01078e968580eadbefc7a60de568f20890055d72fcc876e000",
+    "accuracy_zero":
+        "cc395565ac7e9caafcd0797b13734f9aa857981942834bb817b33d3b672d3409",
 }
 
 

@@ -9,18 +9,27 @@ import pytest
 
 from seirvax import (
     ConstantVax,
+    ConstrainedImmuneFeedback,
     GainConstraintError,
     ImmuneFeedback,
     IntegratorConfig,
+    Linearizing,
     ModelParams,
     NonFiniteStateError,
+    OutputZeroing,
+    Saturated,
     SeirState,
     SusceptibleLinear,
+    SusceptiblePlusExposed,
     Trajectory,
     ZeroVax,
     integrate,
+    law_name,
     positivity_events,
 )
+from seirvax.integrate import _DP_A, _DP_E, Samples, _run_dopri45
+from seirvax.laws import compile_law
+from seirvax.model import seir_field
 
 
 class TestBasics:
@@ -281,3 +290,152 @@ def test_adaptive_project_policy(p1):
     tr = integrate(SeirState(1000.0, 0.0, 0.0, 0.0), p1, ConstantVax(-5.0), cfg)
     assert tr.projected_count > 0
     assert np.all(tr.R >= 0.0)
+
+
+# -- Dormand-Prince kernel against the generic tableau loop ---------------
+
+def _tableau_sums(coeffs, ks):
+    """Per component, sum(coeffs[m] * ks[m][c]) accumulated left to right
+    from 0.0 over the whole row, zero coefficients included."""
+    out = []
+    for c in range(4):
+        acc = 0.0
+        for m, coef in enumerate(coeffs):
+            acc += coef * ks[m][c]
+        out.append(acc)
+    return out
+
+
+def _reference_dopri45(rhs, law_fn, y, params, config, project):
+    """The generic stage loop `_run_dopri45` unrolls, with V and the first
+    stage re-evaluated wherever the loop needs them.
+
+    Returns the samples and counts of rejected attempts and of final
+    steps whose t + h was clamped to a different t_end.
+    """
+    b5 = _DP_A[6] + (0.0,)
+    muN = params.mu * params.N
+    rtol, atol = config.rel_tol, config.abs_tol
+    t0, t_end = config.t0, config.t_end
+    samples = Samples()
+    stats = {"rejected": 0, "clamped": 0}
+
+    t = t0
+    h = min(config.dt, t_end - t0)
+    samples.record(t0, *y, law_fn(*y, t0))
+    accepted = 0
+    while t < t_end:
+        h = min(h, t_end - t)
+        V = law_fn(*y, t)
+        while True:
+            ks = []
+            for j in range(7):
+                yj = y if j == 0 else tuple(
+                    y[c] + h * s for c, s in enumerate(_tableau_sums(_DP_A[j], ks)))
+                ks.append(rhs(*yj, V))
+            y5 = tuple(y[c] + h * s for c, s in enumerate(_tableau_sums(b5, ks)))
+            err = [h * s for s in _tableau_sums(_DP_E, ks)]
+            hold_err = 0.5 * h * muN * abs(law_fn(*y5, t + h) - V)
+            err[0] += math.copysign(hold_err, err[0]) if err[0] else hold_err
+            err[3] += math.copysign(hold_err, err[3]) if err[3] else hold_err
+            try:
+                acc = 0.0
+                for c in range(4):
+                    acc += (err[c] / (atol + rtol * max(abs(y[c]), abs(y5[c])))) ** 2
+                norm = math.sqrt(acc / 4.0)
+            except OverflowError:
+                norm = math.inf
+            total = 0.0
+            for v in y5:
+                total += v
+            err_total = 0.0
+            for v in err:
+                err_total += v
+            if not math.isfinite(norm) and not math.isfinite(total + err_total):
+                raise samples.non_finite(t + h)
+            if norm <= 1.0:
+                break
+            stats["rejected"] += 1
+            h *= min(1.0, max(0.2, 0.9 * norm ** -0.2))
+            if h <= 1e-14 * max(1.0, abs(t)):
+                raise ValueError("adaptive step size underflow")
+
+        if t + h >= t_end:
+            stats["clamped"] += t + h != t_end
+            t = t_end
+        else:
+            t = t + h
+        y = y5
+        if project and min(y) < 0.0:
+            y = samples.project(t, y)
+        accepted += 1
+        if accepted % config.sampling_stride == 0 or t >= t_end:
+            samples.record(t, *y, law_fn(*y, t))
+        h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
+    return samples, stats
+
+
+# mu is large enough for the constrained immune-feedback gate.
+KERNEL_PARAMS = ModelParams(N=1000.0, mu=0.5, omega=0.02, beta=0.9,
+                            sigma=0.2, gamma=0.2)
+KERNEL_CATALOGUE = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
+                    SusceptiblePlusExposed(0.005), ImmuneFeedback(0.01, 0.05),
+                    ConstrainedImmuneFeedback(-0.05), Linearizing(0.1, 0.05),
+                    OutputZeroing())
+KERNEL_LAWS = KERNEL_CATALOGUE + tuple(Saturated(law) for law in KERNEL_CATALOGUE)
+# A first trial step of 5 days is rejected under every law.
+KERNEL_CONFIGS = {
+    "stride1": IntegratorConfig(t_end=2.0, dt=5.0, adaptive=True,
+                                rel_tol=1e-6, abs_tol=1e-8),
+    "stride3_t0_project": IntegratorConfig(t0=0.5, t_end=3.7, dt=1e-2,
+                                           adaptive=True, rel_tol=1e-6,
+                                           abs_tol=1e-8, sampling_stride=3,
+                                           positivity_policy="project"),
+}
+
+
+def _kernel_and_reference(state, params, law, config):
+    args = (seir_field(params), compile_law(law, params), state.as_tuple(),
+            params, config, config.positivity_policy == "project")
+    return _run_dopri45(*args), _reference_dopri45(*args)
+
+
+def _assert_bitwise(got: Samples, want: Samples) -> None:
+    assert got.columns().tobytes() == want.columns().tobytes()
+    assert repr(got.projected) == repr(want.projected)
+    assert got.n_projected == want.n_projected
+
+
+class TestDopriKernel:
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS.values(), ids=KERNEL_CONFIGS)
+    @pytest.mark.parametrize("law", KERNEL_LAWS, ids=law_name)
+    def test_matches_tableau_loop(self, mixed_state, law, config):
+        got, (want, stats) = _kernel_and_reference(mixed_state, KERNEL_PARAMS,
+                                                   law, config)
+        _assert_bitwise(got, want)
+        if config.dt == 5.0:
+            assert stats["rejected"] > 0
+
+    # R is driven below 0 by V = -5, or by roundoff under an immune law
+    # with g1 = 0 (which holds R at 0) whose V depends on the projected R.
+    @pytest.mark.parametrize("state, law", [
+        (SeirState(1000.0, 0.0, 0.0, 0.0), ConstantVax(-5.0)),
+        (SeirState(900.0, 50.0, 50.0, 0.0), ImmuneFeedback(0.01, 0.0)),
+    ], ids=["constant", "immune_feedback"])
+    def test_matches_tableau_loop_when_projecting(self, p1, state, law):
+        cfg = IntegratorConfig(t_end=2.0, dt=1e-2, adaptive=True, rel_tol=1e-8,
+                               abs_tol=1e-8, sampling_stride=3,
+                               positivity_policy="project")
+        got, (want, _) = _kernel_and_reference(state, p1, law, cfg)
+        assert want.n_projected > 0
+        _assert_bitwise(got, want)
+
+    def test_matches_tableau_loop_when_clamped(self, p1):
+        # From the disease-free state the step grows 5x per step, and the
+        # last step, from t = 1.56 (below t_end/2), lands off t_end = 5.7.
+        cfg = IntegratorConfig(t_end=5.7, dt=1e-2, adaptive=True, rel_tol=1e-8,
+                               abs_tol=1e-8)
+        got, (want, stats) = _kernel_and_reference(
+            SeirState(1000.0, 0.0, 0.0, 0.0), p1, ZeroVax(), cfg)
+        assert stats["clamped"] == 1
+        _assert_bitwise(got, want)
