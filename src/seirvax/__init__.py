@@ -45,10 +45,8 @@ from .laws import (
     corollary1_upper_bound,
     evaluate,
     infectious_upper_bound,
-    law_name,
     predicted_limits,
     susceptible_plus_exposed_alt,
-    validate_gains,
 )
 from .integrate import (
     EPS_POS_RTOL,
@@ -68,12 +66,10 @@ from .normal_form import (
     integrate_zero_dynamics,
     normal_derivative,
     relative_degree,
-    synthesize_linearizing_law,
     to_normal,
     to_normal_tangent,
     transform_jacobian,
     zero_dynamics_derivative,
-    zeroing_input,
 )
 from .equilibria import (
     CharZerosX1,

@@ -146,18 +146,28 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
     central differences and compared against the right-hand side. The
     integrator holds V constant per step, so the node value of V is
     first-order inconsistent with a centered window; identities involving
-    V or u therefore use the trailing average (V[i-1]+V[i])/2 (with u
-    recomputed from it), which restores second-order agreement.
+    V or u therefore use the mean of the held V over the window (with u
+    recomputed from it), which restores second-order agreement. With one
+    step per sample that mean is the trailing average (V[i-1]+V[i])/2;
+    with s = h/dt steps per sample, taking V linear between samples adds
+    (s-1)/(4s) * (V[i+1]-V[i-1]).
 
-    Requires at least 3 uniformly spaced samples.
+    Requires at least 3 uniformly spaced samples, a whole number of
+    integrator steps dt apart.
     """
     t = traj.t
     if t.shape[0] < 3:
         raise ValueError("identity suite requires at least 3 samples")
     steps = np.diff(t)
     h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * max(1.0, abs(float(t[-1])))):
+    atol = 1e-12 * max(1.0, abs(float(t[-1])))
+    if not np.allclose(steps, h, rtol=1e-9, atol=atol):
         raise ValueError("identity suite requires uniform sampling")
+    dt = traj.config.dt
+    stride = round(h / dt)
+    if stride < 1 or not math.isclose(h, stride * dt, rel_tol=1e-9, abs_tol=atol):
+        raise ValueError(f"identity suite requires samples a whole number of "
+                         f"steps apart (spacing {h!r}, dt {dt!r})")
 
     p = params
     mu, om, si, ga, N, bp = p.mu, p.omega, p.sigma, p.gamma, p.N, p.beta_prime
@@ -169,6 +179,8 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
 
     Sm, Em, Im, Rm = S[1:-1], E[1:-1], I[1:-1], R[1:-1]
     v_bar = 0.5 * (V[:-2] + V[1:-1])
+    if stride > 1:
+        v_bar = v_bar + (stride - 1) / (4.0 * stride) * (V[2:] - V[:-2])
     u_bar = om * Rm - si * Em - muN * v_bar
 
     d_ei = cdiff(E + I)

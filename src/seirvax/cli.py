@@ -35,8 +35,8 @@ from .checks import (
 from .equilibria import analyze, endemic_equilibrium
 from .exceptions import NonFiniteStateError, ScenarioError
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .laws import ImmuneFeedback, law_name, predicted_limits, validate_gains
-from .model import ModelParams
+from .laws import ImmuneFeedback, predicted_limits
+from .model import ModelParams, SeirState, coupling_control
 from .normal_form import integrate_zero_dynamics
 from .scenario import Scenario, load_scenario
 from .svgplot import write_line_chart
@@ -94,7 +94,7 @@ def _integral_limit(traj: Trajectory, scenario: Scenario, **opts) -> Check:
     if law.name != ImmuneFeedback.name:
         raise ScenarioError(
             "integral_limit check needs an immune-feedback family law "
-            f"(got {law_name(scenario.law)})")
+            f"(got {scenario.law.label})")
     return check_integral_limit(traj, scenario.params, law.g, law.g1, **opts)
 
 
@@ -124,7 +124,7 @@ def _report_text(scenario: Scenario, traj: Trajectory,
     p = scenario.params
     lines = [
         f"seirvax {__version__} simulation report",
-        f"law: {traj.law_label}",
+        f"law: {traj.law.label}",
         f"params: N={p.N:g} mu={p.mu:g} omega={p.omega:g} beta={p.beta:g} "
         f"sigma={p.sigma:g} gamma={p.gamma:g}",
         f"window: t0={traj.config.t0:g} t_end={traj.config.t_end:g} "
@@ -152,7 +152,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario = dataclasses.replace(scenario, config=config)
 
     advisories = [f"gain condition not met: {c.name}"
-                  for c in validate_gains(scenario.law, scenario.params)
+                  for c in scenario.law.gain_checks(scenario.params)
                   if not c.required and not c.holds]
 
     traj = integrate(scenario.initial, scenario.params, scenario.law, config)
@@ -167,7 +167,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             out_dir / scenario.outputs["svg"], traj.t,
             {"S": traj.S, "E": traj.E, "I": traj.I, "R": traj.R},
             secondary={"V": traj.V},
-            title=f"SEIR under {traj.law_label}")
+            title=f"SEIR under {traj.law.label}")
     text = _report_text(scenario, traj, report, advisories)
     if "report" in scenario.outputs:
         (out_dir / scenario.outputs["report"]).write_text(text + "\n")
@@ -281,8 +281,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     traj = Trajectory(
         t=t, S=data["S"], E=data["E"], I=data["I"], R=data["R"],
         V=data["V"], u=data["u"], params=scenario.params, law=scenario.law,
-        law_label=law_name(scenario.law), config=scenario.config)
+        config=scenario.config)
     report = run_checks(traj, scenario)
+    # u is derived from S, E, R and V: a tampered state column is the
+    # checks' to report, a u that disagrees with the rest is bad input.
+    if report.all_passed:
+        u = coupling_control(SeirState(traj.S, traj.E, traj.I, traj.R),
+                             scenario.params, traj.V)
+        bad = np.flatnonzero(u != traj.u)
+        if bad.size:
+            raise ScenarioError("CSV u column disagrees with omega*R - "
+                                f"sigma*E - mu*N*V at t = {float(t[bad[0]])!r}")
     for line in report.lines():
         print(line)
     print("overall: " + ("PASS" if report.all_passed else "FAIL"))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NonFiniteStateError
-from .laws import ControlLaw, LawFn, compile_law, law_name
+from .laws import ControlLaw, LawFn, compile_law
 from .model import Field, ModelParams, SeirState, coupling_control, seir_field
 
 __all__ = [
@@ -117,7 +117,6 @@ class Trajectory:
     u: np.ndarray
     params: ModelParams
     law: ControlLaw
-    law_label: str
     config: IntegratorConfig
     projected: tuple[PositivityEvent, ...] = field(default=())
     projected_count: int = 0
@@ -154,7 +153,7 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
         ValueError: invalid initial state or configuration, or adaptive
             tolerances float64 cannot meet.
         GainConstraintError: law gains violate a required constraint
-            (raised by the law's `compile`).
+            (raised by `compile_law`).
         NonFiniteStateError: a non-finite state appeared; carries the
             diagnostic sample index and time.
     """
@@ -172,8 +171,8 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
     t, S, E, I, R, V = samples.columns()
     u = coupling_control(SeirState(S, E, I, R), params, V)
     return Trajectory(t=t, S=S, E=E, I=I, R=R, V=V, u=u,
-                      params=params, law=law, law_label=law_name(law),
-                      config=config, projected=tuple(samples.projected),
+                      params=params, law=law, config=config,
+                      projected=tuple(samples.projected),
                       projected_count=samples.n_projected)
 
 

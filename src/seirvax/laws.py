@@ -14,14 +14,17 @@ Feedback laws (V as a function of the current state):
   OutputZeroing               V = -gamma*I / (mu*N), holds R identically at 0
   Saturated(inner, lo, hi)     inner law clipped to [lo, hi]
 
-Each law is one class: its scenario name, gains, gain constraints,
-binding and prediction live on it (see `ControlLaw`), and the functions
-below only dispatch to those methods. To add a law, write one class and
-list it in `SCENARIO_LAWS`.
+Each law is one class: its scenario name (`name`, `label`), gains
+(`gains`), gain constraints (`gain_checks`), binding and prediction live
+on it (see `ControlLaw`). To add a law, write one class and list it in
+`SCENARIO_LAWS`.
 
-`compile_law` binds a law to parameters once and returns the closure used
-everywhere (direct evaluation and the integrator), so a law evaluates
-bitwise-identically wherever it is used.
+Three module functions are the gated entry points: `compile_law` is the
+one gain gate (it refuses a failed required clause) and returns the
+closure used everywhere (direct evaluation and the integrator), so a law
+evaluates bitwise-identically wherever it is used; `evaluate` calls that
+closure at a state; `predicted_limits` refuses mu <= 0 and limits outside
+the population range.
 """
 
 from __future__ import annotations
@@ -50,10 +53,8 @@ __all__ = [
     "GainCheck",
     "AsymptoticPrediction",
     "InfectiousBound",
-    "law_name",
     "compile_law",
     "evaluate",
-    "validate_gains",
     "predicted_limits",
     "corollary1_upper_bound",
     "infectious_upper_bound",
@@ -114,9 +115,9 @@ class ControlLaw:
     its gains.
 
     A law owns its scenario `name`, its named gain constraints
-    (`gain_checks`), its binding to parameters (`compile`, which refuses
-    to bind when required constraints fail, naming each, and otherwise
-    calls `_bind`) and its closed-form limits (`predict`). `canonical`
+    (`gain_checks`), its binding to parameters (`_bind`, called by
+    `compile_law` once the required constraints hold) and its closed-form
+    limits (`_predict`, called by `predicted_limits`). `canonical`
     reduces a law to the one the synthesis produces: the immune-feedback
     family reduces to `ImmuneFeedback`, every other law to itself.
     """
@@ -139,19 +140,10 @@ class ControlLaw:
     def gain_checks(self, params: ModelParams) -> list[GainCheck]:
         return []
 
-    def compile(self, params: ModelParams) -> LawFn:
-        failed = [c.name for c in self.gain_checks(params)
-                  if c.required and not c.holds]
-        if failed:
-            raise GainConstraintError(
-                f"law {self.label} fails required gain constraint(s): "
-                + ", ".join(failed))
-        return self._bind(params)
-
     def _bind(self, params: ModelParams) -> LawFn:
         raise NotImplementedError
 
-    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+    def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         raise _refuse("no closed-form asymptotics for this law")
 
 
@@ -198,7 +190,7 @@ class SusceptibleLinear(ControlLaw):
         g, om, bp = self.g, params.omega, params.beta_prime
         return lambda S, E, I, R, t: (om * R + (g - bp * I) * S + muN) / muN
 
-    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+    def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         if not self.g >= 0.0:
             raise _refuse("g >= 0")
         mu, N = params.mu, params.N
@@ -225,7 +217,7 @@ class SusceptiblePlusExposed(ControlLaw):
         g, om, si = self.g, params.omega, params.sigma
         return lambda S, E, I, R, t: (g * S + (g - si) * E + om * R) / muN
 
-    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+    def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         g, mu, N = self.g, params.mu, params.N
         if not g >= 0.0:
             raise _refuse("g >= 0")
@@ -262,7 +254,7 @@ class ImmuneFeedback(ControlLaw):
         g, g1, ga, N = self.g, self.g1, params.gamma, params.N
         return lambda S, E, I, R, t: (g1 * N - g * R - ga * I) / muN
 
-    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+    def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         mu, om, N = params.mu, params.omega, params.N
         g, g1 = self.g, self.g1
         lam = mu + om + g
@@ -287,8 +279,8 @@ class _ImmuneFamily(ControlLaw):
     def _bind(self, params: ModelParams) -> LawFn:
         return compile_law(self.canonical(params), params)
 
-    def predict(self, params: ModelParams) -> AsymptoticPrediction:
-        return self.canonical(params).predict(params)
+    def _predict(self, params: ModelParams) -> AsymptoticPrediction:
+        return self.canonical(params)._predict(params)
 
 
 @dataclass(frozen=True)
@@ -313,7 +305,6 @@ class ConstrainedImmuneFeedback(_ImmuneFamily):
             GainCheck("g > -(mu+omega)", g > -(mu + om), True),
             GainCheck("mu >= |g| - omega + max(gamma, |g|)",
                       mu >= abs(g) - om + max(ga, abs(g)), True),
-            GainCheck("g1 == mu+omega+g", True, True),
             GainCheck("|g| >= omega", abs(g) >= om, False),
         ]
 
@@ -336,10 +327,10 @@ class Linearizing(_ImmuneFamily):
             GainCheck("g1 >= 0", self.g1 >= 0.0, True),
         ]
 
-    def predict(self, params: ModelParams) -> AsymptoticPrediction:
+    def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         if not self.g_prime > 0.0:
             raise _refuse("g_prime > 0")
-        return super().predict(params)
+        return super()._predict(params)
 
 
 @dataclass(frozen=True)
@@ -380,8 +371,7 @@ class Saturated(ControlLaw):
         return self.inner.gains
 
     def gain_checks(self, params: ModelParams) -> list[GainCheck]:
-        return self.inner.gain_checks(params) + [
-            GainCheck("lo <= hi", self.lo <= self.hi, True)]
+        return self.inner.gain_checks(params)
 
     def _bind(self, params: ModelParams) -> LawFn:
         inner = compile_law(self.inner, params)
@@ -409,21 +399,22 @@ def _require_law(law: object) -> None:
         raise TypeError(f"not a control law: {law!r}")
 
 
-def law_name(law: ControlLaw) -> str:
-    """Short stable identifier, used in trajectory metadata and scenarios."""
-    _require_law(law)
-    return law.label
-
-
 @lru_cache(maxsize=256)
 def compile_law(law: ControlLaw, params: ModelParams) -> LawFn:
     """Bind a law to parameters, returning the V(S, E, I, R, t) closure.
 
-    Bind-time constraint violations raise GainConstraintError (or
-    VaccinationChannelError when mu*N = 0 and the law needs the channel).
+    This is the one gain gate: a failed required gain constraint raises
+    GainConstraintError naming every failed clause (and mu*N = 0 raises
+    VaccinationChannelError when the law needs the channel).
     """
     _require_law(law)
-    return law.compile(params)
+    failed = [c.name for c in law.gain_checks(params)
+              if c.required and not c.holds]
+    if failed:
+        raise GainConstraintError(
+            f"law {law.label} fails required gain constraint(s): "
+            + ", ".join(failed))
+    return law._bind(params)
 
 
 def evaluate(law: ControlLaw, state: SeirState, params: ModelParams,
@@ -435,12 +426,6 @@ def evaluate(law: ControlLaw, state: SeirState, params: ModelParams,
     """
     fn = compile_law(law, params)
     return fn(state.S, state.E, state.I, state.R, t)
-
-
-def validate_gains(law: ControlLaw, params: ModelParams) -> list[GainCheck]:
-    """Evaluate every named constraint attached to the law."""
-    _require_law(law)
-    return law.gain_checks(params)
 
 
 def _check_population_limits(pred: AsymptoticPrediction, N: float) -> None:
@@ -468,7 +453,7 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
     _require_law(law)
     if params.mu <= 0.0:
         raise _refuse("mu > 0")
-    pred = law.predict(params)
+    pred = law._predict(params)
     _check_population_limits(pred, params.N)
     return pred
 

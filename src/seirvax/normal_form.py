@@ -1,4 +1,4 @@
-"""Feedback linearization for output y = R: transform, zero dynamics, synthesis.
+"""Feedback linearization for output y = R: transform and zero dynamics.
 
 The output y = R has relative degree one (V appears in dR/dt with
 coefficient mu*N), and the linear change of coordinates
@@ -6,14 +6,16 @@ coefficient mu*N), and the linear change of coordinates
     z1 = R,  z2 = S + R,  z3 = E,  z4 = I
 
 puts the plant in normal form with the input entering only the z1
-equation. Holding the output at zero with V = gamma*z4/(mu*N) leaves the
-zero dynamics in (z2, z3, z4); their solutions are bounded, which is the
-admissibility condition for the linearizing law
+equation. Holding the output at zero with V = -gamma*z4/(mu*N) (the law
+`laws.OutputZeroing`) leaves the zero dynamics in (z2, z3, z4); their
+solutions are bounded, which is the admissibility condition for the
+linearizing law
 
     V = (1/(mu*N)) * ((mu+omega)*z1 - gamma*z4 + eta),
     eta = -g_prime*z1 + g1*N,
 
-equal to the immune-feedback law with g = g_prime - (mu+omega).
+the law `laws.Linearizing`, whose `canonical` form is the immune-feedback
+law with g = g_prime - (mu+omega).
 
 The z4 equation uses -(mu+gamma)*z4: the transform leaves the infectious
 equation untouched, so gamma (not omega) is the only coefficient
@@ -28,9 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import VaccinationChannelError
 from .integrate import IntegratorConfig, rk4
-from .laws import ControlLaw, ImmuneFeedback, compile_law
+from .laws import ControlLaw, compile_law
 from .model import (Field, ModelParams, Rates, SeirState, StateDerivative,
                     derivative)
 
@@ -44,8 +45,6 @@ __all__ = [
     "relative_degree",
     "normal_derivative",
     "zero_dynamics_derivative",
-    "zeroing_input",
-    "synthesize_linearizing_law",
     "NormalTrajectory",
     "ZeroDynTrajectory",
     "integrate_normal",
@@ -178,33 +177,6 @@ def zero_dynamics_derivative(z2: float, z3: float, z4: float,
     exactly on the sum = N manifold where the output-zeroed plant lives.
     """
     return _zero_field(params)(0.0, z2, z3, z4, 0.0)[1:]
-
-
-def zeroing_input(z4: float, params: ModelParams) -> float:
-    """Input V = -gamma*z4/(mu*N) rendering dz1 identically zero at z1 = 0.
-
-    At z1 = 0 the output equation is dz1 = gamma*z4 + mu*N*V, so the
-    cancelling input carries a minus sign (negative vaccination: holding
-    the immune population at zero removes immunity as fast as recovery
-    adds it).
-    """
-    muN = params.mu * params.N
-    if muN == 0.0:
-        raise VaccinationChannelError("vaccination channel gain zero")
-    return -params.gamma * z4 / muN
-
-
-def synthesize_linearizing_law(g_prime: float, g1: float,
-                               params: ModelParams) -> ImmuneFeedback:
-    """Linearizing law for eta = -g_prime*z1 + g1*N, undone to x-coordinates.
-
-    Returns the immune-feedback law with g = g_prime - (mu+omega); the
-    closed loop then obeys dz1/dt = -g_prime*z1 + g1*N, hence
-    z1(inf) = g1*N/g_prime for g_prime > 0.
-    """
-    if not g_prime > 0.0:
-        raise ValueError("synthesize_linearizing_law requires g_prime > 0")
-    return ImmuneFeedback(g=g_prime - (params.mu + params.omega), g1=g1)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,10 @@ def load_scenario(path: str | Path) -> Scenario:
                 _check_positivity_options(opts)
             if name in checks:
                 checks[name] = opts
+    if config.adaptive and "identities" in checks:
+        raise ScenarioError("check 'identities' in [checks] needs uniform "
+                            "samples; it cannot run with adaptive = on in "
+                            "[integrator]")
 
     outputs: dict[str, str] = {}
     if parser.has_section("outputs"):

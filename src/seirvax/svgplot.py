@@ -12,6 +12,8 @@ __all__ = ["write_line_chart"]
 _WIDTH, _HEIGHT = 920, 520
 _ML, _MR, _MT, _MB = 70, 70, 40, 50
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
+_X_LABEL, _Y_LABEL, _Y2_LABEL = "t (days)", "individuals", "fraction"
+_DASH = ' stroke-dasharray="6,4"'
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -36,12 +38,20 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
+def _padded_range(arrays) -> tuple[float, float]:
+    """Range of the values, widened to 1 if flat, padded by 5% each side."""
+    values = np.concatenate([np.asarray(v, dtype=float) for v in arrays])
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if hi <= lo:
+        hi = lo + 1.0
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad
+
+
 def write_line_chart(path: str | Path, t: np.ndarray,
                      series: dict[str, np.ndarray],
                      secondary: dict[str, np.ndarray] | None = None,
-                     title: str = "", x_label: str = "t (days)",
-                     y_label: str = "individuals",
-                     y2_label: str = "fraction") -> None:
+                     title: str = "") -> None:
     """Write a line chart of `series` vs t, with an optional right axis.
 
     Axes are auto-scaled; the secondary mapping (e.g. the vaccination
@@ -53,23 +63,8 @@ def write_line_chart(path: str | Path, t: np.ndarray,
     if x1 <= x0:
         x1 = x0 + 1.0
 
-    all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    y_lo, y_hi = float(np.min(all_y)), float(np.max(all_y))
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
-    if secondary:
-        all_y2 = np.concatenate([np.asarray(v, dtype=float)
-                                 for v in secondary.values()])
-        y2_lo, y2_hi = float(np.min(all_y2)), float(np.max(all_y2))
-        if y2_hi <= y2_lo:
-            y2_hi = y2_lo + 1.0
-        pad2 = 0.05 * (y2_hi - y2_lo)
-        y2_lo, y2_hi = y2_lo - pad2, y2_hi + pad2
-    else:
-        y2_lo, y2_hi = 0.0, 1.0
+    y_lo, y_hi = _padded_range(series.values())
+    y2_lo, y2_hi = _padded_range(secondary.values()) if secondary else (0.0, 1.0)
 
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB
@@ -84,11 +79,10 @@ def write_line_chart(path: str | Path, t: np.ndarray,
         return _MT + (y2_hi - y) / (y2_hi - y2_lo) * ph
 
     def polyline(xs: np.ndarray, ys: np.ndarray, to_y, color: str,
-                 dashed: bool = False) -> str:
+                 dash: str) -> str:
         step = max(1, len(xs) // 2000)   # cap path size for long runs
         pts = " ".join(f"{sx(float(x)):.2f},{to_y(float(y)):.2f}"
                        for x, y in zip(xs[::step], ys[::step]))
-        dash = ' stroke-dasharray="6,4"' if dashed else ""
         return (f'<polyline fill="none" stroke="{color}" stroke-width="1.6"'
                 f'{dash} points="{pts}"/>')
 
@@ -121,42 +115,31 @@ def write_line_chart(path: str | Path, t: np.ndarray,
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                'fill="none" stroke="#333333"/>')
     out.append(f'<text x="{_ML + pw / 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="12">{x_label}</text>')
+               f'font-family="sans-serif" font-size="12">{_X_LABEL}</text>')
     out.append(f'<text x="18" y="{_MT + ph / 2}" text-anchor="middle" '
                f'transform="rotate(-90 18 {_MT + ph / 2})" '
-               f'font-family="sans-serif" font-size="12">{y_label}</text>')
+               f'font-family="sans-serif" font-size="12">{_Y_LABEL}</text>')
     if secondary:
         xr = _WIDTH - 18
         out.append(f'<text x="{xr}" y="{_MT + ph / 2}" text-anchor="middle" '
                    f'transform="rotate(90 {xr} {_MT + ph / 2})" '
                    f'font-family="sans-serif" font-size="12" '
-                   f'fill="#555555">{y2_label}</text>')
+                   f'fill="#555555">{_Y2_LABEL}</text>')
 
     legend_x = _ML + 10
     legend_y = _MT + 16
-    idx = 0
-    for name, vals in series.items():
+    entries = ([(name, vals, sy, "", "") for name, vals in series.items()]
+               + [(name, vals, sy2, _DASH, " (right axis)")
+                  for name, vals in secondary.items()])
+    for idx, (name, vals, to_y, dash, note) in enumerate(entries):
         color = _COLORS[idx % len(_COLORS)]
-        out.append(polyline(t, np.asarray(vals, dtype=float), sy, color))
+        out.append(polyline(t, np.asarray(vals, dtype=float), to_y, color, dash))
         out.append(f'<line x1="{legend_x}" y1="{legend_y - 4}" '
                    f'x2="{legend_x + 22}" y2="{legend_y - 4}" '
-                   f'stroke="{color}" stroke-width="2"/>')
+                   f'stroke="{color}" stroke-width="2"{dash}/>')
         out.append(f'<text x="{legend_x + 28}" y="{legend_y}" '
-                   f'font-family="sans-serif" font-size="12">{name}</text>')
+                   f'font-family="sans-serif" font-size="12">{name}{note}</text>')
         legend_y += 16
-        idx += 1
-    for name, vals in secondary.items():
-        color = _COLORS[idx % len(_COLORS)]
-        out.append(polyline(t, np.asarray(vals, dtype=float), sy2, color,
-                            dashed=True))
-        out.append(f'<line x1="{legend_x}" y1="{legend_y - 4}" '
-                   f'x2="{legend_x + 22}" y2="{legend_y - 4}" stroke="{color}" '
-                   'stroke-width="2" stroke-dasharray="6,4"/>')
-        out.append(f'<text x="{legend_x + 28}" y="{legend_y}" '
-                   f'font-family="sans-serif" font-size="12">{name} '
-                   '(right axis)</text>')
-        legend_y += 16
-        idx += 1
 
     out.append("</svg>")
     Path(path).write_text("\n".join(out))

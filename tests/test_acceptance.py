@@ -38,7 +38,6 @@ from seirvax import (
     integrate_normal,
     integrate_zero_dynamics,
     jacobian_at,
-    law_name,
     relative_degree,
     to_normal,
 )
@@ -95,15 +94,17 @@ def _random_scenario(rng: np.random.Generator):
     return params, _random_initial(rng, params.N), law
 
 
+def _note_identity(shared, traj, params):
+    """Add a trajectory's identity-suite verdict to criterion 13's pool."""
+    chk = check_identity_suite(traj, params)
+    shared["identity"].append(
+        (traj.law.label, chk.passed, chk.worst, chk.tolerance))
+
+
 @pytest.fixture(scope="module")
 def shared():
     """Workloads for criteria 1, 2 (timed) and the identity pool for 13."""
     data = {"identity": []}
-
-    def note_identity(traj, params):
-        chk = check_identity_suite(traj, params)
-        data["identity"].append(
-            (law_name(traj.law), chk.passed, chk.worst, chk.tolerance))
 
     # criterion 1: conservation over random catalogue scenarios
     rng = np.random.default_rng(20260810)
@@ -115,7 +116,7 @@ def shared():
         tr = integrate(initial, params, law, cfg)
         drifts.append(float(np.max(np.abs(
             tr.S + tr.E + tr.I + tr.R - params.N))) / params.N)
-        note_identity(tr, params)
+        _note_identity(data, tr, params)
     data["c1_time"] = time.perf_counter() - t0
     data["c1_drifts"] = drifts
 
@@ -128,7 +129,7 @@ def shared():
         law = Saturated(inner, 0.0, 1.0)
         tr = integrate(initial, params, law, cfg)
         lows.append(float(tr.states().min()) / params.N)
-        note_identity(tr, params)
+        _note_identity(data, tr, params)
     data["c2_time"] = time.perf_counter() - t0
     data["c2_lows"] = lows
     return data
@@ -162,9 +163,7 @@ def test_criterion_03_theorem2i_closed_form(shared):
         worst_rel = max(worst_rel, float(np.max(np.abs(tr.S - closed) / closed)))
         fit = estimate_decay_rate(tr.t, tr.S)
         worst_rate = max(worst_rate, abs(fit.rate - (P1.mu + g)) / (P1.mu + g))
-        chk = check_identity_suite(tr, P1)
-        shared["identity"].append(
-            (law_name(tr.law), chk.passed, chk.worst, chk.tolerance))
+        _note_identity(shared, tr, P1)
     ok = worst_rel <= 1e-3 and worst_rate <= 0.01
     _report(3, ok, f"10 gain draws: worst rel error vs exp(-(mu+g)t)S0 = "
                    f"{worst_rel:.2e} (tol 1e-03); worst rate error = "
@@ -178,9 +177,7 @@ def test_criterion_04_theorem2i_vaccination_limit(shared):
     n_tail = int(0.1 * len(tr))
     mean_v = float(np.mean(tr.V[-n_tail:]))
     err = abs(mean_v - (1.0 + P1.omega / P1.mu))
-    chk = check_identity_suite(tr, P1)
-    shared["identity"].append(
-        (law_name(tr.law), chk.passed, chk.worst, chk.tolerance))
+    _note_identity(shared, tr, P1)
     ok = err <= 1e-2
     _report(4, ok, f"tail mean V = {mean_v:.6f} vs 3.0: |err| = {err:.2e} "
                    "(tol 1e-02)")
@@ -200,9 +197,7 @@ def test_criterion_05_theorem2ii_limits(shared):
         se_lim = P1.mu * P1.N / (P1.mu + g)
         ir_lim = g * P1.N / (P1.mu + g)
         worst = max(worst, abs(se - se_lim) / se_lim, abs(ir - ir_lim) / ir_lim)
-        chk = check_identity_suite(tr, P1)
-        shared["identity"].append(
-            (law_name(tr.law), chk.passed, chk.worst, chk.tolerance))
+        _note_identity(shared, tr, P1)
     ok = worst <= 1e-3
     _report(5, ok, f"5 draws g in (0, mu): worst relative error of S+E and "
                    f"I+R limits = {worst:.2e} (tol 1e-03)")
@@ -224,9 +219,7 @@ def test_criterion_06_theorem3_limits(shared):
         worst_rate = max(worst_rate, abs(fit.rate - lam) / lam)
         chk_int = check_integral_limit(tr, P1, g=g, g1=g1, rel_tol=0.01)
         worst_int = max(worst_int, chk_int.worst / chk_int.tolerance * 0.01)
-        chk = check_identity_suite(tr, P1)
-        shared["identity"].append(
-            (law_name(tr.law), chk.passed, chk.worst, chk.tolerance))
+        _note_identity(shared, tr, P1)
     ok = worst_r <= 1e-3 and worst_rate <= 0.01 and worst_int <= 0.01
     _report(6, ok, f"g in (0, -0.01, 0.05), g1 = mu+omega+g: worst |R-N|/N = "
                    f"{worst_r:.2e} (1e-03); N-R rate err = {worst_rate:.2%} "

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from seirvax import (
+    ConstrainedImmuneFeedback,
     HorizonError,
     ImmuneFeedback,
     IntegratorConfig,
@@ -127,6 +128,37 @@ class TestIdentitySuite:
         bad_I[300] += 0.5
         chk = check_identity_suite(dataclasses.replace(tr, I=bad_I), p1)
         assert not chk.passed
+
+    @pytest.mark.parametrize("stride", [2, 5, 10])
+    @pytest.mark.parametrize("law", [
+        ConstrainedImmuneFeedback(-0.1),
+        SusceptibleLinear(0.3),
+        ImmuneFeedback(0.2, 0.6),
+    ], ids=lambda law: law.label)
+    def test_passes_on_strided_runs(self, p1, law, stride):
+        # A fast plant (mu = 0.5): V moves within a sample interval, so
+        # the held V's window mean differs from the trailing average.
+        p = dataclasses.replace(p1, mu=0.5, omega=0.0)
+        cfg = IntegratorConfig(t_end=60.0, dt=1e-2, sampling_stride=stride)
+        tr = integrate(SeirState(700.0, 200.0, 100.0, 0.0), p, law, cfg)
+        chk = check_identity_suite(tr, p)
+        assert chk.passed, (chk.worst, chk.tolerance)
+
+    def test_corrupted_strided_sample_fails(self, p1, mixed_state):
+        cfg = IntegratorConfig(t_end=10.0, dt=1e-2, sampling_stride=5)
+        tr = integrate(mixed_state, p1, ZeroVax(), cfg)
+        assert check_identity_suite(tr, p1).passed
+        bad_I = tr.I.copy()
+        bad_I[60] += 0.5
+        chk = check_identity_suite(dataclasses.replace(tr, I=bad_I), p1)
+        assert not chk.passed
+
+    def test_refuses_spacing_off_the_step_grid(self, p1, mixed_state):
+        cfg = IntegratorConfig(t_end=10.0, dt=1e-2, sampling_stride=5)
+        tr = integrate(mixed_state, p1, ZeroVax(), cfg)
+        off_grid = dataclasses.replace(tr.config, dt=0.02)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            check_identity_suite(dataclasses.replace(tr, config=off_grid), p1)
 
     def test_refuses_non_uniform_sampling(self, p1, mixed_state):
         cfg = IntegratorConfig(t_end=10.0, dt=1e-2)

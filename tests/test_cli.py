@@ -207,6 +207,17 @@ class TestVerify:
         assert code == 2
         assert "FAIL  conservation" in capsys.readouterr().out
 
+    def test_tampered_u_column_exits_one(self, run_artifacts, capsys):
+        csv_path, scenario_path = run_artifacts
+        lines = csv_path.read_text().splitlines()
+        t = lines[3].split(",")[0]
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",12345.0"
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(["verify", str(csv_path), scenario_path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "u column" in err and f"t = {t}" in err
+
     def test_non_monotone_time_exits_one(self, run_artifacts, capsys):
         csv_path, scenario_path = run_artifacts
         lines = csv_path.read_text().splitlines()
@@ -438,6 +449,11 @@ MALFORMED_INPUTS = {
         d, integrator="[integrator]\nt_end = 50\ndt = 0.01\nadaptive = on\n"
                       "rel_tol = 1e-300\nabs_tol = 1e-300\n"),
         "rel_tol = 1e-300 and abs_tol = 1e-300 cannot be met"),
+    "identities with adaptive = on": (lambda d: _simulate_argv(
+        d, integrator="[integrator]\nt_end = 50\ndt = 0.01\nadaptive = on\n",
+        extra="[checks]\nidentities = on\n"),
+        "check 'identities' in [checks] needs uniform samples; it cannot "
+        "run with adaptive = on in [integrator]"),
 }
 
 

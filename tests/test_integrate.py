@@ -24,7 +24,6 @@ from seirvax import (
     Trajectory,
     ZeroVax,
     integrate,
-    law_name,
     positivity_events,
 )
 from seirvax.integrate import _DP_A, _DP_E, Samples, _run_dopri45
@@ -228,7 +227,7 @@ class TestPositivity:
         tr = Trajectory(t=t, S=np.array([-1.0, 1.0]), E=np.zeros(2),
                         I=np.zeros(2), R=np.array([1001.0, 999.0]),
                         V=np.zeros(2), u=np.zeros(2), params=p1,
-                        law=ZeroVax(), law_label="zero",
+                        law=ZeroVax(),
                         config=IntegratorConfig(t_end=1.0))
         events = positivity_events(tr)
         assert events and events[0].t == 0.0 and events[0].component == "S"
@@ -408,7 +407,7 @@ def _assert_bitwise(got: Samples, want: Samples) -> None:
 
 class TestDopriKernel:
     @pytest.mark.parametrize("config", KERNEL_CONFIGS.values(), ids=KERNEL_CONFIGS)
-    @pytest.mark.parametrize("law", KERNEL_LAWS, ids=law_name)
+    @pytest.mark.parametrize("law", KERNEL_LAWS, ids=lambda law: law.label)
     def test_matches_tableau_loop(self, mixed_state, law, config):
         got, (want, stats) = _kernel_and_reference(mixed_state, KERNEL_PARAMS,
                                                    law, config)

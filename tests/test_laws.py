@@ -27,10 +27,8 @@ from seirvax import (
     evaluate,
     infectious_upper_bound,
     ScenarioError,
-    law_name,
     predicted_limits,
     susceptible_plus_exposed_alt,
-    validate_gains,
 )
 
 from conftest import random_conserved_state
@@ -106,7 +104,7 @@ class TestValidateGains:
         p = ModelParams(N=1000.0, mu=0.5, omega=0.1, beta=0.9,
                         sigma=0.3, gamma=0.3)
         checks = dict((c.name, c.holds)
-                      for c in validate_gains(ConstrainedImmuneFeedback(-0.05), p))
+                      for c in ConstrainedImmuneFeedback(-0.05).gain_checks(p))
         assert checks["mu >= |g| - omega + max(gamma, |g|)"]
         assert checks["g < 0"]
         # derived g1 = mu+omega+g = 0.55
@@ -116,19 +114,19 @@ class TestValidateGains:
         assert v_con == pytest.approx(v_imm, rel=1e-15)
 
     def test_immune_feedback_boundary_fails(self, p1):
-        checks = validate_gains(ImmuneFeedback(-(p1.mu + p1.omega), 0.03), p1)
+        checks = ImmuneFeedback(-(p1.mu + p1.omega), 0.03).gain_checks(p1)
         gate = [c for c in checks if c.name == "g > -(mu+omega)"][0]
         assert not gate.holds and gate.required
 
     def test_spe_gain_at_mu_fails_advisory(self, p1):
-        checks = validate_gains(SusceptiblePlusExposed(p1.mu), p1)
+        checks = SusceptiblePlusExposed(p1.mu).gain_checks(p1)
         gate = [c for c in checks if c.name == "g < mu"][0]
         assert not gate.holds and not gate.required
 
     def test_distinctness_advisory_under_p1(self, p1):
         # P1 has sigma == gamma: the distinctness clauses report failure
         # but do not block binding.
-        checks = validate_gains(SusceptibleLinear(0.1), p1)
+        checks = SusceptibleLinear(0.1).gain_checks(p1)
         fails = [c for c in checks if not c.holds]
         assert fails and all(not c.required for c in fails)
 
@@ -173,6 +171,16 @@ class TestPredictedLimits:
         with pytest.raises(PredictionError, match="g1"):
             # r_inf would exceed N
             predicted_limits(ImmuneFeedback(0.0, 0.1), p1)
+
+    def test_mu_zero_refused_for_every_law(self):
+        # predicted_limits is the only way to the limits, and it refuses
+        # mu = 0 (where the limit formulas divide by mu) before any law's.
+        p = ModelParams(N=1000.0, mu=0.0, omega=0.02, beta=0.9,
+                        sigma=0.2, gamma=0.2)
+        for law in CATALOGUE:
+            assert not hasattr(law, "predict")
+            with pytest.raises(PredictionError, match="mu > 0"):
+                predicted_limits(law, p)
 
 
 class TestBounds:
@@ -251,7 +259,7 @@ class TestLawProperties:
         p = ModelParams(N=1000.0, mu=0.5, omega=0.0, beta=0.9,
                         sigma=0.2, gamma=0.2)
         law = ConstrainedImmuneFeedback(-0.1)
-        gate = [c for c in validate_gains(law, p) if c.required]
+        gate = [c for c in law.gain_checks(p) if c.required]
         assert all(c.holds for c in gate)
         rng = np.random.default_rng(13)
         states = rng.dirichlet((1, 1, 1, 1), size=10_000) * p.N
@@ -291,25 +299,25 @@ class TestLawProperties:
 
 
 def test_law_names():
-    assert law_name(ZeroVax()) == "zero"
-    assert law_name(Saturated(ImmuneFeedback(0.0, 0.03))) \
+    assert ZeroVax().label == "zero"
+    assert Saturated(ImmuneFeedback(0.0, 0.03)).label \
         == "saturated(immune_feedback)"
 
 
 class TestLawProtocol:
     def test_catalogue_covers_scenario_laws(self):
-        assert sorted(law_name(law) for law in CATALOGUE) == sorted(SCENARIO_LAWS)
+        assert sorted(law.label for law in CATALOGUE) == sorted(SCENARIO_LAWS)
 
-    @pytest.mark.parametrize("law", CATALOGUE, ids=law_name)
+    @pytest.mark.parametrize("law", CATALOGUE, ids=lambda law: law.label)
     def test_build_law_round_trip(self, law):
-        assert build_law(law_name(law), law.gains) == law
+        assert build_law(law.name, law.gains) == law
 
-    @pytest.mark.parametrize("law", CATALOGUE, ids=law_name)
+    @pytest.mark.parametrize("law", CATALOGUE, ids=lambda law: law.label)
     def test_saturated_round_trip(self, law):
         sat = Saturated(law, -0.5, 2.0)
-        assert law_name(sat) == f"saturated({law_name(law)})"
+        assert sat.label == f"saturated({law.label})"
         assert sat.gains == law.gains
-        assert build_law(law_name(law), sat.gains, sat.lo, sat.hi) == sat
+        assert build_law(law.name, sat.gains, sat.lo, sat.hi) == sat
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_LAWS))
     def test_scenario_gain_keys_are_class_fields(self, name):
@@ -330,9 +338,11 @@ class TestLawProtocol:
         for law in CATALOGUE[:5] + (OutputZeroing(), Saturated(ZeroVax())):
             assert law.canonical(p1) is law
 
-    @pytest.mark.parametrize("call", [compile_law, validate_gains, predicted_limits])
+    @pytest.mark.parametrize("call", [
+        compile_law,
+        lambda law, p: evaluate(law, SeirState(700.0, 200.0, 100.0, 0.0), p),
+        predicted_limits,
+    ], ids=["compile_law", "evaluate", "predicted_limits"])
     def test_non_laws_raise_type_error(self, call, p1):
-        with pytest.raises(TypeError, match="not a control law"):
-            law_name("immune_feedback")
         with pytest.raises(TypeError, match="not a control law"):
             call("immune_feedback", p1)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from seirvax import (
+    GainConstraintError,
     ImmuneFeedback,
     IntegratorConfig,
+    Linearizing,
     ModelParams,
     NormalState,
     OutputZeroing,
@@ -15,20 +17,25 @@ from seirvax import (
     VaccinationChannelError,
     ZeroVax,
     derivative,
+    evaluate,
     from_normal,
     integrate,
     integrate_normal,
     integrate_zero_dynamics,
     normal_derivative,
     relative_degree,
-    synthesize_linearizing_law,
     to_normal,
     to_normal_tangent,
     zero_dynamics_derivative,
-    zeroing_input,
 )
 
 from conftest import random_conserved_state
+from seirvax.laws import compile_law
+
+
+def zeroing_input(z4, params):
+    """The output-zeroing law's V at a state with z4 = I and z1 = R = 0."""
+    return evaluate(OutputZeroing(), SeirState(0.0, 0.0, z4, 0.0), params)
 
 
 class TestTransform:
@@ -160,6 +167,8 @@ class TestZeroingInput:
         # magnitude gamma*z4/(mu*N) = 0.2*50/10 = 1).
         assert zeroing_input(0.0, p1) == 0.0
         assert zeroing_input(50.0, p1) == pytest.approx(-1.0)
+        for z4 in (50.0, 123.456, 1e-300, 7e5):
+            assert zeroing_input(z4, p1) == -p1.gamma * z4 / (p1.mu * p1.N)
         dz = normal_derivative(NormalState(0.0, 850.0, 100.0, 50.0), p1,
                                zeroing_input(50.0, p1))
         assert dz[0] == pytest.approx(0.0, abs=1e-12)
@@ -194,12 +203,12 @@ class TestZeroingInput:
 class TestSynthesis:
     def test_remark_special_case(self, p1):
         # g' = g1 = mu+omega gives the plain total-population law.
-        law = synthesize_linearizing_law(p1.mu + p1.omega, p1.mu + p1.omega, p1)
+        law = Linearizing(p1.mu + p1.omega, p1.mu + p1.omega).canonical(p1)
         assert law == ImmuneFeedback(g=0.0, g1=p1.mu + p1.omega)
 
     def test_closed_loop_tracks_scalar_solution(self, p1):
         g_prime, g1 = 0.05, 0.02
-        law = synthesize_linearizing_law(g_prime, g1, p1)
+        law = Linearizing(g_prime, g1).canonical(p1)
         tr = integrate(SeirState(650.0, 250.0, 100.0, 0.0), p1, law,
                        IntegratorConfig(t_end=200.0, dt=1e-3,
                                         sampling_stride=1000))
@@ -209,15 +218,15 @@ class TestSynthesis:
         assert rel.max() < 1e-3
 
     def test_full_immunization_when_gains_match(self, p1):
-        law = synthesize_linearizing_law(0.05, 0.05, p1)
+        law = Linearizing(0.05, 0.05).canonical(p1)
         tr = integrate(SeirState(650.0, 250.0, 100.0, 0.0), p1, law,
                        IntegratorConfig(t_end=400.0, dt=1e-2,
                                         sampling_stride=500))
         assert tr.R[-1] == pytest.approx(p1.N, rel=1e-4)
 
     def test_requires_positive_g_prime(self, p1):
-        with pytest.raises(ValueError):
-            synthesize_linearizing_law(0.0, 0.05, p1)
+        with pytest.raises(GainConstraintError, match="g_prime > 0"):
+            compile_law(Linearizing(0.0, 0.05), p1)
 
 
 class TestTrajectoryEquivalence:
