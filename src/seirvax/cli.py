@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -50,11 +51,17 @@ _CHECK_FAILURE = 2
 
 def _write_csv(path: str | Path, header: str,
                cols: tuple[np.ndarray, ...]) -> None:
-    """Write columns under a header with shortest round-trip decimals."""
+    """Write columns under a header with shortest round-trip decimals.
+
+    Each value is written as Python's `repr` of the float, which reads
+    back bitwise; one format operation writes the whole table, so the
+    cost is that of the `repr`s themselves.
+    """
+    values = np.column_stack(cols).ravel().tolist()
+    row = ",".join(["%r"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in zip(*(c.tolist() for c in cols)):
-            fh.write(",".join(repr(v) for v in row) + "\n")
+        fh.write(row * (len(values) // len(cols)) % tuple(values))
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
@@ -63,28 +70,48 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
                (traj.t, traj.S, traj.E, traj.I, traj.R, traj.V, traj.u))
 
 
+def _parse_rows(body: str) -> np.ndarray:
+    """The rows below the header, line by line, each value by `float`;
+    refuses the first malformed line by its number."""
+    rows = []
+    for lineno, line in enumerate(body.splitlines(), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise ScenarioError(f"CSV line {lineno}: expected 7 fields")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ScenarioError(f"CSV line {lineno}: {exc}") from exc
+    return np.asarray(rows, dtype=float)
+
+
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV; the header must match exactly."""
+    """Read a trajectory CSV; the header must match exactly.
+
+    numpy's reader parses the table in one pass and reads shortest
+    round-trip decimals back bitwise; where it refuses a row (it accepts
+    a subset of what `float` does), the rows are parsed one by one, which
+    accepts what `float` accepts and names the first malformed line.
+    Blank lines are skipped.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ScenarioError(
                 f"CSV header mismatch: expected {CSV_HEADER!r}, got {header!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ScenarioError(f"CSV line {lineno}: expected 7 fields")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ScenarioError(f"CSV line {lineno}: {exc}") from exc
-    if not rows:
+        body = fh.read()
+    if not body.strip():
         raise ScenarioError("CSV contains no samples")
-    data = np.asarray(rows, dtype=float)
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != 7:
+        data = _parse_rows(body)
     names = CSV_HEADER.split(",")
     return {name: data[:, k] for k, name in enumerate(names)}
 

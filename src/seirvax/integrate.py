@@ -1,14 +1,25 @@
 """Deterministic closed-loop integration of the SEIR plant under a law.
 
-The default scheme is classic fixed-step 4th-order Runge-Kutta. The
-vaccination fraction V is evaluated from the law at the state at the
-start of each step and held constant across the step's internal stages
-(zero-order hold): the laws are state feedback, and freezing V per step
-keeps runs exactly reproducible. An embedded Dormand-Prince 5(4) pair is
-available for adaptive stepping; like `rk4`, its inner loop is a
-straight-line scalar kernel over the four components, with the tableau
-unpacked into locals.
+The feedback is continuous: the law's V is evaluated at every stage of
+both schemes, so under any catalogue law the fixed-step scheme is the
+classic 4th-order Runge-Kutta method and the adaptive one the embedded
+Dormand-Prince 5(4) pair with exact FSAL (Hairer, Norsett & Wanner,
+Solving ODEs I, II.1-II.4; Dormand & Prince 1980).
 
+Both steppers are written once each as templates (`_RK4`, `_DOPRI`, the
+Dormand-Prince sums and stage times generated from `_DP_A`, `_DP_C` and
+`_DP_E`), and `kernels.kernel` compiles one straight-line kernel per
+vector field and law shape, with the field and the law's V expression
+inlined at every stage: a step makes no Python call per stage. A kernel
+is compiled on first use and cached (about 1-2 ms for RK4 and 3 ms for
+Dormand-Prince); gains and parameters are its arguments, so a new draw
+reuses it. On a 2-core x86 host with Python 3.11 an RK4 step costs about
+2.3 us (four law and four field evaluations, against 3.3 us for the old
+kernel that held V and called the field and the law as closures) and an
+accepted Dormand-Prince step about 11 us (six of each).
+
+Samples go to a float64 buffer; finiteness is checked once over the
+columns at the end (and when the adaptive pair sees a non-finite error).
 Every sample records the applied V and the auxiliary control
 u = omega*R - sigma*E - mu*N*V, computed by `model.coupling_control` so
 recomputation reproduces stored values bitwise.
@@ -21,13 +32,15 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import NonFiniteStateError
-from .laws import ControlLaw, LawFn, compile_law
-from .model import Field, ModelParams, SeirState, coupling_control, seir_field
+from .kernels import FieldSource, kernel
+from .laws import ControlLaw, law_program
+from .model import SEIR_SOURCE, ModelParams, SeirState, coupling_control
 
 __all__ = [
     "IntegratorConfig",
@@ -153,21 +166,14 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
         ValueError: invalid initial state or configuration, or adaptive
             tolerances float64 cannot meet.
         GainConstraintError: law gains violate a required constraint
-            (raised by `compile_law`).
+            (raised by `laws.law_program`).
         NonFiniteStateError: a non-finite state appeared; carries the
             diagnostic sample index and time.
     """
     _check_initial(state0, params)
-    law_fn = compile_law(law, params)
-    rhs = seir_field(params)
-    project = config.positivity_policy == "project"
-
-    if config.adaptive:
-        samples = _run_dopri45(rhs, law_fn, state0.as_tuple(), params, config,
-                               project)
-    else:
-        samples = rk4(rhs, law_fn, state0.as_tuple(), config, project)
-
+    stepper = _run_dopri45 if config.adaptive else rk4
+    samples = stepper(SEIR_SOURCE, law, params, state0.as_tuple(), config,
+                      config.positivity_policy == "project")
     t, S, E, I, R, V = samples.columns()
     u = coupling_control(SeirState(S, E, I, R), params, V)
     return Trajectory(t=t, S=S, E=E, I=I, R=R, V=V, u=u,
@@ -177,31 +183,39 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
 
 
 class Samples:
-    """Sample buffer of a stepper: rows (t, y0, y1, y2, y3, V).
+    """Sample buffer of a stepper: rows (t, y0, y1, y2, y3, V) in `rows`.
 
-    `record` refuses a non-finite state or V; `project` clamps negative
-    components to zero and logs each one (the log is capped, the count
-    is not).
+    The kernels append rows unchecked; `columns` refuses a non-finite
+    state or V. `project` clamps negative components to zero and logs
+    each one (the log is capped, the count is not).
     """
 
     def __init__(self) -> None:
-        self.flat: list[float] = []
+        self.rows = array("d")
         self.projected: list[PositivityEvent] = []
         self.n_projected = 0
 
-    def record(self, t: float, y0: float, y1: float, y2: float, y3: float,
-               V: float) -> None:
-        if not (math.isfinite(y0 + y1 + y2 + y3) and math.isfinite(V)):
-            raise self.non_finite(
-                t, "V" if math.isfinite(y0 + y1 + y2 + y3) else "state")
-        self.flat.extend((t, y0, y1, y2, y3, V))
-
-    def non_finite(self, t: float, what: str = "state") -> NonFiniteStateError:
-        """The error for a non-finite state (or V) at t, at the next
-        sample index."""
-        index = len(self.flat) // 6
-        return NonFiniteStateError(
+    def check(self) -> None:
+        """Raise NonFiniteStateError at the first row with a non-finite
+        state or V."""
+        data = np.frombuffer(self.rows, dtype=np.float64).reshape(-1, 6)
+        finite = np.isfinite(data)
+        if finite.all():
+            return
+        index = int(np.argmin(finite[:, 1:].all(axis=1)))
+        what = "V" if finite[index, 1:5].all() else "state"
+        t = float(data[index, 0])
+        raise NonFiniteStateError(
             f"non-finite {what} at t = {t} (sample index {index})",
+            t=t, sample_index=index)
+
+    def non_finite(self, t: float) -> NonFiniteStateError:
+        """The error for a non-finite state at t, at the next sample
+        index, unless a recorded sample is already non-finite."""
+        self.check()
+        index = len(self.rows) // 6
+        return NonFiniteStateError(
+            f"non-finite state at t = {t} (sample index {index})",
             t=t, sample_index=index)
 
     def project(self, t: float, y: tuple) -> tuple:
@@ -214,58 +228,62 @@ class Samples:
 
     def columns(self) -> np.ndarray:
         """(6, n) array: the t, y0..y3 and V columns, each contiguous."""
-        return np.array(self.flat, dtype=np.float64).reshape(-1, 6).T.copy()
+        self.check()
+        return np.frombuffer(self.rows, dtype=np.float64).reshape(-1, 6).T.copy()
 
 
-def rk4(rhs: Field, control: LawFn, y0: tuple, config: IntegratorConfig,
-        project: bool = False) -> Samples:
-    """Classic fixed-step RK4 of a 4-component field on the config's grid.
-
-    control(y0, y1, y2, y3, t) gives V at the state at the start of each
-    step; V is held across the step's four stages (zero-order hold) and
-    passed to rhs(y0, y1, y2, y3, V). Samples are recorded at t0, every
-    `sampling_stride` steps and at the last step. With `project`, negative
-    components are clamped to zero after each step.
-    """
-    h = config.dt
+# Classic RK4 with the law at every stage. V at the end of a step is both
+# the recorded value and the first stage's input of the next step.
+_RK4 = """\
+def rk4(y0, y1, y2, y3, t0, h, n, stride, project, out, clamp, {args}):
     half = 0.5 * h
     sixth = h / 6.0
-    t0 = config.t0
-    n = config.n_steps
-    stride = config.sampling_stride
+    record = out.frombytes
+    t = t0
+    @V = law(y, t)
+    record(row(t, y0, y1, y2, y3, V))
+    for k in range(1, n + 1):
+        @k1 = field(y, V)
+        s{c} = y{c} + half * k1_{c}
+        @V = law(s, t + half)
+        @k2 = field(s, V)
+        s{c} = y{c} + half * k2_{c}
+        @V = law(s, t + half)
+        @k3 = field(s, V)
+        s{c} = y{c} + h * k3_{c}
+        @V = law(s, t + h)
+        @k4 = field(s, V)
+        y{c} = y{c} + sixth * (k1_{c} + 2.0 * k2_{c} + 2.0 * k3_{c} + k4_{c})
+        t = t0 + k * h
+        if project and (y0 < 0.0 or y1 < 0.0 or y2 < 0.0 or y3 < 0.0):
+            y0, y1, y2, y3 = clamp(t, (y0, y1, y2, y3))
+        @V = law(y, t)
+        if k % stride == 0 or k == n:
+            record(row(t, y0, y1, y2, y3, V))
+"""
+
+
+def rk4(field: FieldSource, law: ControlLaw, params: ModelParams, y0: tuple,
+        config: IntegratorConfig, project: bool = False) -> Samples:
+    """Classic fixed-step RK4 of `field` closed under `law` on the config's grid.
+
+    The law is evaluated at the state of every stage (at `field.law_state`,
+    its S, E, I, R in the field's coordinates). Samples are recorded at
+    t0, every `sampling_stride` steps and at the last step. With
+    `project`, negative components are clamped to zero after each step.
+    """
+    shape, values = law_program(law, params)
     samples = Samples()
-    record, clamp = samples.record, samples.project
-
-    a, b, c, d = y0
-    V = control(a, b, c, d, t0)
-    record(t0, a, b, c, d, V)
-    for k in range(n):
-        k1a, k1b, k1c, k1d = rhs(a, b, c, d, V)
-        k2a, k2b, k2c, k2d = rhs(a + half * k1a, b + half * k1b,
-                                 c + half * k1c, d + half * k1d, V)
-        k3a, k3b, k3c, k3d = rhs(a + half * k2a, b + half * k2b,
-                                 c + half * k2c, d + half * k2d, V)
-        k4a, k4b, k4c, k4d = rhs(a + h * k3a, b + h * k3b,
-                                 c + h * k3c, d + h * k3d, V)
-        a = a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-        b = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-        c = c + sixth * (k1c + 2.0 * (k2c + k3c) + k4c)
-        d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
-
-        t = t0 + (k + 1) * h
-        if project and (a < 0.0 or b < 0.0 or c < 0.0 or d < 0.0):
-            a, b, c, d = clamp(t, (a, b, c, d))
-        # The law is a pure function of (state, t): V at the end of this
-        # step is both the recorded value and the next step's held value.
-        V = control(a, b, c, d, t)
-        if (k + 1) % stride == 0 or k + 1 == n:
-            record(t, a, b, c, d, V)
+    kernel(_RK4, field, shape)(
+        *y0, config.t0, config.dt, config.n_steps, config.sampling_stride,
+        project, samples.rows, samples.project, *field.bind(params), *values)
     return samples
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980): the stage rows of A,
-# whose last row is also the 5th-order weights (FSAL), and the error
-# weights b5 - b4. `_run_dopri45` unpacks these; nothing else reads them.
+# whose last row is also the 5th-order weights (FSAL), the stage times c
+# and the error weights b5 - b4. `_dopri_sums` writes the kernel's sums
+# from these.
 _DP_A = (
     (),
     (1.0 / 5.0,),
@@ -277,137 +295,120 @@ _DP_A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
      11.0 / 84.0),
 )
+_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-def _run_dopri45(rhs: Field, law_fn: LawFn, y: tuple, params: ModelParams,
-                 config: IntegratorConfig, project: bool) -> Samples:
-    """Embedded Dormand-Prince 5(4) with V held per attempted step.
+def _dopri_sums(template: str) -> str:
+    """Write the Dormand-Prince sums and stage times into `template`.
 
-    A straight-line kernel: every stage, the 5th-order update and the
-    error estimate are written out term by term, in the order of a
-    left-to-right sum over the tableau row that starts from 0.0. Terms
-    with a zero coefficient are left out: after the leading 0.0 the
-    running sum is never -0.0, so adding a signed zero cannot change it.
-    The first stage is evaluated once per accepted step, since a rejected
-    attempt changes neither y nor V.
+    `<A j>` is sum(a[j][m] * k<m+1>) and `<E>` is sum(e[m] * k<m+1>), in
+    the order of a left-to-right sum that starts from 0.0. Terms with a
+    zero coefficient are left out: after the leading 0.0 the running sum
+    is never -0.0, so adding a signed zero cannot change it. `<T j>` is
+    the time of stage j + 1.
     """
-    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
-    e1, _, e3, e4, e5, e6, e7 = _DP_E
-    muN = params.mu * params.N
-    rtol, atol = config.rel_tol, config.abs_tol
-    t0, t_end = config.t0, config.t_end
-    stride = config.sampling_stride
-    samples = Samples()
-    copysign, isfinite, sqrt = math.copysign, math.isfinite, math.sqrt
+    def dot(coeffs):
+        return " + ".join(["0.0"] + [f"{w!r} * k{m + 1}_{{c}}"
+                                     for m, w in enumerate(coeffs) if w])
+    for j, row in enumerate(_DP_A):
+        template = template.replace(f"<A {j}>", dot(row))
+    for j, c in enumerate(_DP_C):
+        template = template.replace(f"<T {j}>", f"t + {c!r} * h")
+    return template.replace("<E>", dot(_DP_E))
 
-    t = t0
-    h = min(config.dt, t_end - t0)
-    a, b, c, d = y
-    V = law_fn(a, b, c, d, t0)
-    samples.record(t0, a, b, c, d, V)
+
+# The FSAL property: the last stage is the field at the accepted solution,
+# so it is the next step's first stage unless the step is projected.
+_DOPRI = _dopri_sums("""\
+def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, project, out, clamp,
+          fail, {args}):
+    record = out.frombytes
+    @V = law(y, t)
+    record(row(t, y0, y1, y2, y3, V))
+    @k1 = field(y, V)
     accepted = 0
-
     while t < t_end:
         h = min(h, t_end - t)
-        k1a, k1b, k1c, k1d = rhs(a, b, c, d, V)
-
         while True:
-            k2a, k2b, k2c, k2d = rhs(
-                a + h * (0.0 + a21 * k1a), b + h * (0.0 + a21 * k1b),
-                c + h * (0.0 + a21 * k1c), d + h * (0.0 + a21 * k1d), V)
-            k3a, k3b, k3c, k3d = rhs(
-                a + h * (0.0 + a31 * k1a + a32 * k2a),
-                b + h * (0.0 + a31 * k1b + a32 * k2b),
-                c + h * (0.0 + a31 * k1c + a32 * k2c),
-                d + h * (0.0 + a31 * k1d + a32 * k2d), V)
-            k4a, k4b, k4c, k4d = rhs(
-                a + h * (0.0 + a41 * k1a + a42 * k2a + a43 * k3a),
-                b + h * (0.0 + a41 * k1b + a42 * k2b + a43 * k3b),
-                c + h * (0.0 + a41 * k1c + a42 * k2c + a43 * k3c),
-                d + h * (0.0 + a41 * k1d + a42 * k2d + a43 * k3d), V)
-            k5a, k5b, k5c, k5d = rhs(
-                a + h * (0.0 + a51 * k1a + a52 * k2a + a53 * k3a + a54 * k4a),
-                b + h * (0.0 + a51 * k1b + a52 * k2b + a53 * k3b + a54 * k4b),
-                c + h * (0.0 + a51 * k1c + a52 * k2c + a53 * k3c + a54 * k4c),
-                d + h * (0.0 + a51 * k1d + a52 * k2d + a53 * k3d + a54 * k4d),
-                V)
-            k6a, k6b, k6c, k6d = rhs(
-                a + h * (0.0 + a61 * k1a + a62 * k2a + a63 * k3a + a64 * k4a
-                         + a65 * k5a),
-                b + h * (0.0 + a61 * k1b + a62 * k2b + a63 * k3b + a64 * k4b
-                         + a65 * k5b),
-                c + h * (0.0 + a61 * k1c + a62 * k2c + a63 * k3c + a64 * k4c
-                         + a65 * k5c),
-                d + h * (0.0 + a61 * k1d + a62 * k2d + a63 * k3d + a64 * k4d
-                         + a65 * k5d),
-                V)
-            # The 5th-order solution is also the 7th stage's argument.
-            ya = a + h * (0.0 + a71 * k1a + a73 * k3a + a74 * k4a + a75 * k5a
-                          + a76 * k6a)
-            yb = b + h * (0.0 + a71 * k1b + a73 * k3b + a74 * k4b + a75 * k5b
-                          + a76 * k6b)
-            yc = c + h * (0.0 + a71 * k1c + a73 * k3c + a74 * k4c + a75 * k5c
-                          + a76 * k6c)
-            yd = d + h * (0.0 + a71 * k1d + a73 * k3d + a74 * k4d + a75 * k5d
-                          + a76 * k6d)
-            k7a, k7b, k7c, k7d = rhs(ya, yb, yc, yd, V)
-            ea = h * (0.0 + e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a
-                      + e6 * k6a + e7 * k7a)
-            eb = h * (0.0 + e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b
-                      + e6 * k6b + e7 * k7b)
-            ec = h * (0.0 + e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c
-                      + e6 * k6c + e7 * k7c)
-            ed = h * (0.0 + e1 * k1d + e3 * k3d + e4 * k4d + e5 * k5d
-                      + e6 * k6d + e7 * k7d)
-            # The hold of V across the step leaves an O(h) bias the
-            # embedded pair cannot see; charge mu*N*|dV|*h/2 against the
-            # S and R components so the controller resolves fast feedback.
-            V_end = law_fn(ya, yb, yc, yd, t + h)
-            hold_err = 0.5 * h * muN * abs(V_end - V)
-            ea += copysign(hold_err, ea) if ea else hold_err
-            ed += copysign(hold_err, ed) if ed else hold_err
+            s{c} = y{c} + h * (<A 1>)
+            @V = law(s, <T 1>)
+            @k2 = field(s, V)
+            s{c} = y{c} + h * (<A 2>)
+            @V = law(s, <T 2>)
+            @k3 = field(s, V)
+            s{c} = y{c} + h * (<A 3>)
+            @V = law(s, <T 3>)
+            @k4 = field(s, V)
+            s{c} = y{c} + h * (<A 4>)
+            @V = law(s, <T 4>)
+            @k5 = field(s, V)
+            s{c} = y{c} + h * (<A 5>)
+            @V = law(s, <T 5>)
+            @k6 = field(s, V)
+            z{c} = y{c} + h * (<A 6>)
+            @V = law(z, t + h)
+            @k7 = field(z, V)
+            e{c} = h * (<E>)
             # A finite error too many tolerances wide to square counts as
             # an infinite norm: the step is rejected, and a tolerance that
             # float64 cannot meet ends in the step-size underflow below.
             try:
                 norm = sqrt((0.0
-                             + (ea / (atol + rtol * max(abs(a), abs(ya)))) ** 2
-                             + (eb / (atol + rtol * max(abs(b), abs(yb)))) ** 2
-                             + (ec / (atol + rtol * max(abs(c), abs(yc)))) ** 2
-                             + (ed / (atol + rtol * max(abs(d), abs(yd)))) ** 2)
+                             + (e0 / (atol + rtol * max(abs(y0), abs(z0)))) ** 2
+                             + (e1 / (atol + rtol * max(abs(y1), abs(z1)))) ** 2
+                             + (e2 / (atol + rtol * max(abs(y2), abs(z2)))) ** 2
+                             + (e3 / (atol + rtol * max(abs(y3), abs(z3)))) ** 2)
                             / 4.0)
             except OverflowError:
-                norm = math.inf
+                norm = inf
             if not isfinite(norm) and not isfinite(
-                    (0.0 + ya + yb + yc + yd) + (0.0 + ea + eb + ec + ed)):
-                raise samples.non_finite(t + h)
+                    (0.0 + z0 + z1 + z2 + z3) + (0.0 + e0 + e1 + e2 + e3)):
+                raise fail(t + h)
             if norm <= 1.0:
                 break
             h *= min(1.0, max(0.2, 0.9 * norm ** -0.2))
             if h <= 1e-14 * max(1.0, abs(t)):
                 raise ValueError(
-                    f"adaptive step size underflow at t = {t!r}: rel_tol = "
-                    f"{rtol!r} and abs_tol = {atol!r} cannot be met in float64")
-
-        # The law is a pure function of (state, t): V_end is both the
-        # recorded value and the next step's held value, unless the step
-        # is clamped to t_end or projected.
+                    f"adaptive step size underflow at t = {{t!r}}: rel_tol = "
+                    f"{{rtol!r}} and abs_tol = {{atol!r}} cannot be met in float64")
         t += h
-        a, b, c, d, V = ya, yb, yc, yd, V_end
+        y{c} = z{c}
         if t >= t_end:
             t = t_end
-            V = law_fn(a, b, c, d, t)
-        if project and min(a, b, c, d) < 0.0:
-            a, b, c, d = samples.project(t, (a, b, c, d))
-            V = law_fn(a, b, c, d, t)
+            @V = law(y, t)
+        if project and (y0 < 0.0 or y1 < 0.0 or y2 < 0.0 or y3 < 0.0):
+            y0, y1, y2, y3 = clamp(t, (y0, y1, y2, y3))
+            @V = law(y, t)
+            @k7 = field(y, V)
+        k1_{c} = k7_{c}
         accepted += 1
         if accepted % stride == 0 or t >= t_end:
-            samples.record(t, a, b, c, d, V)
+            record(row(t, y0, y1, y2, y3, V))
         h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
+""")
 
+
+def _run_dopri45(field: FieldSource, law: ControlLaw, params: ModelParams,
+                 y0: tuple, config: IntegratorConfig,
+                 project: bool = False) -> Samples:
+    """Embedded Dormand-Prince 5(4) of `field` closed under `law`.
+
+    Local extrapolation (the 5th-order solution is kept), an RMS error
+    norm over the four components, and the step controller
+    h *= clip(0.9 * norm^-1/5) within [0.2, 5] (within [0.2, 1] after a
+    rejection). The first trial step is min(dt, t_end - t0); a step that
+    would pass t_end is shortened to end on it. Samples are recorded at
+    t0, every `sampling_stride` accepted steps and at t_end.
+    """
+    shape, values = law_program(law, params)
+    samples = Samples()
+    kernel(_DOPRI, field, shape)(
+        *y0, config.t0, config.t_end, min(config.dt, config.t_end - config.t0),
+        config.rel_tol, config.abs_tol, config.sampling_stride, project,
+        samples.rows, samples.project, samples.non_finite, *field.bind(params),
+        *values)
     return samples
 
 

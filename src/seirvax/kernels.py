@@ -1,0 +1,176 @@
+"""Straight-line kernels generated from source: vector fields, laws, steppers.
+
+Each vector field is written once, as source (`FieldSource`), and each
+law class gives its vaccination fraction V as one Python expression
+(`laws.ControlLaw.v_expr`). A law's *shape* is that expression with the
+names of its constants, wrapped in ("clip", inner) once per `Saturated`
+layer. From these pieces this module writes:
+
+  - `function(field)`: the field as a plain function of (state, V);
+  - `law_function(shape)`: the law as a V(S, E, I, R, t) closure;
+  - `kernel(template, field, shape)`: a stepper template with the field
+    and the law inlined at every stage, so that a step makes no Python
+    call per stage.
+
+Each is compiled lazily, on first use, and cached per field and law
+shape: gains and parameters are arguments of the generated code, so a
+new parameter draw reuses the compiled kernel. The closure and the
+kernels evaluate the same text with the same constants, so V from
+`laws.evaluate` and V recorded by an integrator are bitwise equal.
+
+Template syntax (see `integrate._RK4` and `integrate._DOPRI`):
+
+  - a line containing `{c}` is written four times, for c = 0..3;
+  - `@V = law(s, T)` evaluates the law at the state s0..s3 and time T;
+  - `@k = field(s, V)` sets k_0..k_3 to the field at s0..s3 with input V;
+  - `{args}` is the list of the field's and the law's constants;
+  - `{{`, `}}` stand for literal braces.
+"""
+
+from __future__ import annotations
+
+import linecache
+import math
+import re
+import struct
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
+
+__all__ = ["FieldSource", "function", "law_function", "kernel"]
+
+_NAME = re.compile(r"\b[A-Za-z_]\w*\b")
+_DIRECTIVE = re.compile(r"^(\s*)@(\w+) = (law|field)\((\w+), (.+)\)$")
+_COMPONENTS = range(4)
+# A sample row (t, y0, y1, y2, y3, V) as the bytes of six native doubles,
+# for a kernel to append to an array("d").
+_ROW = struct.Struct("6d")
+
+# A law shape: ("expr", expression, constant names) or ("clip", shape).
+Shape = tuple
+
+
+@dataclass(frozen=True)
+class FieldSource:
+    """A 4-component vector field (state, V) -> rates, written once as source.
+
+    `body` assigns temporaries and `rates` are the four rate expressions,
+    both in the names `state`, the input `V` and the constants `consts`,
+    whose values `bind(params)` gives in the same order. `law_state` is
+    (S, E, I, R) as expressions in `state`: where a law reads the state.
+    """
+
+    name: str
+    state: tuple[str, str, str, str]
+    consts: tuple[str, ...]
+    body: tuple[str, ...]
+    rates: tuple[str, str, str, str]
+    law_state: tuple[str, str, str, str]
+    bind: Callable[..., tuple[float, ...]]
+
+    def lines(self, at: tuple[str, ...], V: str, out: str) -> list[str]:
+        """Statements setting out_0..out_3 to the field at the names `at`."""
+        names = dict(zip(self.state, at), V=V)
+        # constants and temporaries get the field's prefix
+        sub = _renamer(names, "f_")
+        return ([sub(line) for line in self.body]
+                + [f"{out}_{c} = {sub(rate)}" for c, rate in enumerate(self.rates)])
+
+    def args(self) -> list[str]:
+        return ["f_" + name for name in self.consts]
+
+
+def _renamer(names: dict[str, str], prefix: str) -> Callable[[str], str]:
+    """Rewrite each identifier of a source text: `names` maps some, the
+    rest get `prefix`."""
+    return lambda src: _NAME.sub(lambda m: names.get(m[0], prefix + m[0]), src)
+
+
+def _law_lines(shape: Shape, target: str, state: tuple[str, ...], t: str,
+               depth: int = 0) -> list[str]:
+    """Statements setting `target` to V at (S, E, I, R) = state and time t."""
+    if shape[0] == "clip":
+        lo, hi = f"L{depth}_lo", f"L{depth}_hi"
+        return _law_lines(shape[1], target, state, t, depth + 1) + [
+            f"if {target} < {lo}: {target} = {lo}",
+            f"elif {target} > {hi}: {target} = {hi}"]
+    names = dict(zip("SEIR", (s if s.isidentifier() else f"({s})" for s in state)))
+    names["t"] = t if t.isidentifier() else f"({t})"
+    return [f"{target} = " + _renamer(names, f"L{depth}_")(shape[1])]
+
+
+def _law_args(shape: Shape, depth: int = 0) -> list[str]:
+    """The law's constants as kernel arguments, in the order of its values."""
+    if shape[0] == "clip":
+        return _law_args(shape[1], depth + 1) + [f"L{depth}_lo", f"L{depth}_hi"]
+    return [f"L{depth}_{name}" for name in shape[2]]
+
+
+def _compile(source: str, name: str, label: str) -> Callable:
+    """Execute generated source and return its function `name`.
+
+    The source is registered with linecache so tracebacks show it.
+    """
+    filename = f"<seirvax {label}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "inf": math.inf,
+                 "row": _ROW.pack}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def function(field: FieldSource) -> Callable[..., Callable]:
+    """make(*field constants) -> the field as f(y0, y1, y2, y3, V) -> rates."""
+    body = field.lines(field.state, "V", "r")
+    source = "\n".join([
+        f"def make({', '.join(field.args())}):",
+        f"    def field({', '.join(field.state)}, V):",
+        *("        " + line for line in body),
+        "        return (r_0, r_1, r_2, r_3)",
+        "    return field", ""])
+    return _compile(source, "make", f"field {field.name}")
+
+
+@lru_cache(maxsize=256)
+def law_function(shape: Shape) -> Callable[..., Callable]:
+    """make(*law constants) -> the law as V(S, E, I, R, t)."""
+    source = "\n".join([
+        f"def make({', '.join(_law_args(shape))}):",
+        "    def law(S, E, I, R, t):",
+        *("        " + line for line in _law_lines(shape, "V", tuple("SEIR"), "t")),
+        "        return V",
+        "    return law", ""])
+    return _compile(source, "make", f"law {shape!r}")
+
+
+@lru_cache(maxsize=256)
+def kernel(template: str, field: FieldSource, shape: Shape) -> Callable:
+    """The stepper `template` with `field` and the law `shape` inlined.
+
+    The template's `{args}` is filled with the field's and then the law's
+    constants, which the caller passes in that order.
+    """
+    args = ", ".join(field.args() + _law_args(shape))
+    lines = []
+    for line in template.splitlines():
+        if "{c}" in line:
+            lines.extend(line.format(c=c) for c in _COMPONENTS)
+            continue
+        line = line.format(args=args)
+        match = _DIRECTIVE.match(line)
+        if not match:
+            lines.append(line)
+            continue
+        indent, target, what, at, last = match.groups()
+        state = tuple(f"{at}{c}" for c in _COMPONENTS)
+        if what == "law":
+            sub = _renamer(dict(zip(field.state, state)), "")
+            block = _law_lines(shape, target, tuple(map(sub, field.law_state)), last)
+        else:
+            block = field.lines(state, last, target)
+        lines.extend(indent + stmt for stmt in block)
+    source = "\n".join(lines) + "\n"
+    name = template.split("(", 1)[0].split()[-1]
+    return _compile(source, name, f"{name} {field.name} {shape!r}")

@@ -15,16 +15,20 @@ Feedback laws (V as a function of the current state):
   Saturated(inner, lo, hi)     inner law clipped to [lo, hi]
 
 Each law is one class: its scenario name (`name`, `label`), gains
-(`gains`), gain constraints (`gain_checks`), binding and prediction live
-on it (see `ControlLaw`). To add a law, write one class and list it in
-`SCENARIO_LAWS`.
+(`gains`), gain constraints (`gain_checks`), its V as one expression
+(`v_expr`, with the constants `_constants` binds) and its prediction live
+on it (see `ControlLaw`). To add a law, write one class with one V
+expression and list it in `SCENARIO_LAWS`: the integrators inline that
+expression at every stage of their generated kernels (`kernels`), and
+`compile_law` builds the V closure from the same text.
 
-Three module functions are the gated entry points: `compile_law` is the
-one gain gate (it refuses a failed required clause) and returns the
-closure used everywhere (direct evaluation and the integrator), so a law
-evaluates bitwise-identically wherever it is used; `evaluate` calls that
-closure at a state; `predicted_limits` refuses mu <= 0 and limits outside
-the population range.
+Four module functions are the gated entry points: `law_program` is the
+one gain gate (it refuses a failed required clause) and returns the law's
+shape and constants, which the integrators compile into their kernels;
+`compile_law` returns the V(S, E, I, R, t) closure of the same program,
+so a law evaluates bitwise-identically wherever it is used; `evaluate`
+calls that closure at a state; `predicted_limits` refuses mu <= 0 and
+limits outside the population range.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple, Optional
 
 from .exceptions import GainConstraintError, PredictionError, VaccinationChannelError
+from .kernels import Shape, law_function
 from .model import ModelParams, SeirState
 
 __all__ = [
@@ -53,6 +58,7 @@ __all__ = [
     "GainCheck",
     "AsymptoticPrediction",
     "InfectiousBound",
+    "law_program",
     "compile_law",
     "evaluate",
     "predicted_limits",
@@ -115,14 +121,17 @@ class ControlLaw:
     its gains.
 
     A law owns its scenario `name`, its named gain constraints
-    (`gain_checks`), its binding to parameters (`_bind`, called by
-    `compile_law` once the required constraints hold) and its closed-form
-    limits (`_predict`, called by `predicted_limits`). `canonical`
-    reduces a law to the one the synthesis produces: the immune-feedback
-    family reduces to `ImmuneFeedback`, every other law to itself.
+    (`gain_checks`), its vaccination fraction as one Python expression
+    (`v_expr`, in S, E, I, R, t and the names `_constants` binds, called
+    by `law_program` once the required constraints hold) and its
+    closed-form limits (`_predict`, called by `predicted_limits`).
+    `canonical` reduces a law to the one the synthesis produces: the
+    immune-feedback family reduces to `ImmuneFeedback`, every other law
+    to itself.
     """
 
     name: ClassVar[str]
+    v_expr: ClassVar[str]
 
     @property
     def label(self) -> str:
@@ -140,8 +149,13 @@ class ControlLaw:
     def gain_checks(self, params: ModelParams) -> list[GainCheck]:
         return []
 
-    def _bind(self, params: ModelParams) -> LawFn:
-        raise NotImplementedError
+    def _constants(self, params: ModelParams) -> dict[str, float]:
+        return {}
+
+    def _program(self, params: ModelParams) -> tuple[Shape, tuple[float, ...]]:
+        """(shape, constant values): what the kernels and closures compile."""
+        consts = self._constants(params)
+        return ("expr", self.v_expr, tuple(consts)), tuple(consts.values())
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         raise _refuse("no closed-form asymptotics for this law")
@@ -152,9 +166,7 @@ class ZeroVax(ControlLaw):
     """No vaccination."""
 
     name: ClassVar[str] = "zero"
-
-    def _bind(self, params: ModelParams) -> LawFn:
-        return lambda S, E, I, R, t: 0.0
+    v_expr: ClassVar[str] = "0.0"
 
 
 @dataclass(frozen=True)
@@ -162,11 +174,11 @@ class ConstantVax(ControlLaw):
     """Constant vaccination fraction (no sign restriction)."""
 
     name: ClassVar[str] = "constant"
+    v_expr: ClassVar[str] = "v"
     value: float
 
-    def _bind(self, params: ModelParams) -> LawFn:
-        v = float(self.value)
-        return lambda S, E, I, R, t: v
+    def _constants(self, params: ModelParams) -> dict[str, float]:
+        return {"v": float(self.value)}
 
 
 @dataclass(frozen=True)
@@ -174,6 +186,7 @@ class SusceptibleLinear(ControlLaw):
     """Control u = -g*S realized through the vaccination channel."""
 
     name: ClassVar[str] = "susceptible_linear"
+    v_expr: ClassVar[str] = "(om * R + (g - bp * I) * S + muN) / muN"
     g: float
 
     def gain_checks(self, params: ModelParams) -> list[GainCheck]:
@@ -185,10 +198,9 @@ class SusceptibleLinear(ControlLaw):
             GainCheck("g != gamma", g != ga, False),
         ]
 
-    def _bind(self, params: ModelParams) -> LawFn:
-        muN = _require_channel(params)
-        g, om, bp = self.g, params.omega, params.beta_prime
-        return lambda S, E, I, R, t: (om * R + (g - bp * I) * S + muN) / muN
+    def _constants(self, params: ModelParams) -> dict[str, float]:
+        return {"om": params.omega, "g": self.g, "bp": params.beta_prime,
+                "muN": _require_channel(params)}
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         if not self.g >= 0.0:
@@ -204,6 +216,7 @@ class SusceptiblePlusExposed(ControlLaw):
     """Control u = -g*(S+E) realized through the vaccination channel."""
 
     name: ClassVar[str] = "susceptible_plus_exposed"
+    v_expr: ClassVar[str] = "(g * S + (g - si) * E + om * R) / muN"
     g: float
 
     def gain_checks(self, params: ModelParams) -> list[GainCheck]:
@@ -212,10 +225,9 @@ class SusceptiblePlusExposed(ControlLaw):
             GainCheck("g < mu", self.g < params.mu, False),
         ]
 
-    def _bind(self, params: ModelParams) -> LawFn:
-        muN = _require_channel(params)
-        g, om, si = self.g, params.omega, params.sigma
-        return lambda S, E, I, R, t: (g * S + (g - si) * E + om * R) / muN
+    def _constants(self, params: ModelParams) -> dict[str, float]:
+        return {"g": self.g, "si": params.sigma, "om": params.omega,
+                "muN": _require_channel(params)}
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         g, mu, N = self.g, params.mu, params.N
@@ -236,6 +248,7 @@ class ImmuneFeedback(ControlLaw):
     """Control u = -g*R + g1*N; drives R toward g1*N/(mu+omega+g)."""
 
     name: ClassVar[str] = "immune_feedback"
+    v_expr: ClassVar[str] = "(g1N - g * R - ga * I) / muN"
     g: float
     g1: float
 
@@ -249,10 +262,9 @@ class ImmuneFeedback(ControlLaw):
                       g >= 0.0 and ga == mu + om, False),
         ]
 
-    def _bind(self, params: ModelParams) -> LawFn:
-        muN = _require_channel(params)
-        g, g1, ga, N = self.g, self.g1, params.gamma, params.N
-        return lambda S, E, I, R, t: (g1 * N - g * R - ga * I) / muN
+    def _constants(self, params: ModelParams) -> dict[str, float]:
+        return {"g1N": self.g1 * params.N, "g": self.g, "ga": params.gamma,
+                "muN": _require_channel(params)}
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         mu, om, N = params.mu, params.omega, params.N
@@ -274,10 +286,10 @@ class ImmuneFeedback(ControlLaw):
 
 
 class _ImmuneFamily(ControlLaw):
-    """A law that binds and predicts as its canonical `ImmuneFeedback`."""
+    """A law that evaluates and predicts as its canonical `ImmuneFeedback`."""
 
-    def _bind(self, params: ModelParams) -> LawFn:
-        return compile_law(self.canonical(params), params)
+    def _program(self, params: ModelParams) -> tuple[Shape, tuple[float, ...]]:
+        return law_program(self.canonical(params), params)
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         return self.canonical(params)._predict(params)
@@ -342,11 +354,10 @@ class OutputZeroing(ControlLaw):
     """
 
     name: ClassVar[str] = "output_zeroing"
+    v_expr: ClassVar[str] = "-ga * I / muN"
 
-    def _bind(self, params: ModelParams) -> LawFn:
-        muN = _require_channel(params)
-        ga = params.gamma
-        return lambda S, E, I, R, t: -ga * I / muN
+    def _constants(self, params: ModelParams) -> dict[str, float]:
+        return {"ga": params.gamma, "muN": _require_channel(params)}
 
 
 @dataclass(frozen=True)
@@ -373,19 +384,12 @@ class Saturated(ControlLaw):
     def gain_checks(self, params: ModelParams) -> list[GainCheck]:
         return self.inner.gain_checks(params)
 
-    def _bind(self, params: ModelParams) -> LawFn:
-        inner = compile_law(self.inner, params)
-        lo, hi = self.lo, self.hi
-
-        def clipped(S: float, E: float, I: float, R: float, t: float) -> float:
-            v = inner(S, E, I, R, t)
-            if v < lo:
-                return lo
-            if v > hi:
-                return hi
-            return v
-
-        return clipped
+    def _program(self, params: ModelParams) -> tuple[Shape, tuple[float, ...]]:
+        """The inner law's V, then clipped: below lo gives lo, above hi
+        gives hi, anything else (NaN included) passes. The gate that
+        admitted this law checked the inner law's constraints."""
+        shape, values = self.inner._program(params)
+        return ("clip", shape), values + (float(self.lo), float(self.hi))
 
 
 # Scenario law name -> class; Saturated is built from the clip keys instead.
@@ -399,13 +403,15 @@ def _require_law(law: object) -> None:
         raise TypeError(f"not a control law: {law!r}")
 
 
-@lru_cache(maxsize=256)
-def compile_law(law: ControlLaw, params: ModelParams) -> LawFn:
-    """Bind a law to parameters, returning the V(S, E, I, R, t) closure.
+def law_program(law: ControlLaw, params: ModelParams) -> tuple[Shape, tuple[float, ...]]:
+    """Bind a law to parameters: (shape, constant values).
 
-    This is the one gain gate: a failed required gain constraint raises
-    GainConstraintError naming every failed clause (and mu*N = 0 raises
-    VaccinationChannelError when the law needs the channel).
+    The shape is the law's V expression with the names of its constants
+    (wrapped once per clip); the integrators compile one kernel per shape
+    and pass the values as arguments. This is the one gain gate: a failed
+    required gain constraint raises GainConstraintError naming every
+    failed clause (and mu*N = 0 raises VaccinationChannelError when the
+    law needs the channel).
     """
     _require_law(law)
     failed = [c.name for c in law.gain_checks(params)
@@ -414,7 +420,19 @@ def compile_law(law: ControlLaw, params: ModelParams) -> LawFn:
         raise GainConstraintError(
             f"law {law.label} fails required gain constraint(s): "
             + ", ".join(failed))
-    return law._bind(params)
+    return law._program(params)
+
+
+@lru_cache(maxsize=256)
+def compile_law(law: ControlLaw, params: ModelParams) -> LawFn:
+    """Bind a law to parameters, returning the V(S, E, I, R, t) closure.
+
+    Built from `law_program`'s shape and constants, the text the
+    integrators inline, so the closure gives bitwise the V they record.
+    The closure's factory is compiled once per shape.
+    """
+    shape, values = law_program(law, params)
+    return law_function(shape)(*values)
 
 
 def evaluate(law: ControlLaw, state: SeirState, params: ModelParams,

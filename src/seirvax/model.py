@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .exceptions import VaccinationChannelError
+from .kernels import FieldSource, function
 
 __all__ = [
     "ModelParams",
@@ -33,6 +34,7 @@ __all__ = [
     "StateDerivative",
     "AdmissibilityReport",
     "CONSERVATION_RTOL",
+    "SEIR_SOURCE",
     "seir_field",
     "derivative",
     "check_assumption1",
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 # A 4-component rate tuple, and a vector field (y0, y1, y2, y3, V) -> rates
-# with the vaccination fraction V held by the caller.
+# at the vaccination fraction V the caller gives.
 Rates = tuple[float, float, float, float]
 Field = Callable[[float, float, float, float, float], Rates]
 
@@ -148,34 +150,43 @@ class AdmissibilityReport:
     e_dot0: float
 
 
+def _seir_constants(params: ModelParams) -> tuple[float, ...]:
+    return (params.mu, params.omega, params.sigma, params.gamma,
+            params.beta_prime, params.mu * params.N)
+
+
+# The one x-space right-hand side. Shared subexpressions are reused so that
+# the coupling terms cancel exactly and the four components sum to zero (up
+# to roundoff in the mu-terms) on states with S+E+I+R = N.
+SEIR_SOURCE = FieldSource(
+    name="seir",
+    state=("S", "E", "I", "R"),
+    consts=("mu", "om", "si", "ga", "bp", "muN"),
+    body=("infection = bp * (S * I)",   # beta*S*I/N, in dS(-) and dE(+)
+          "recovery = ga * I",          # gamma*I,    in dI(-) and dR(+)
+          "incubation = si * E",        # sigma*E,    in dE(-) and dI(+)
+          "waning = om * R",            # omega*R,    in dR(-) and dS(+)
+          "vax = muN * V"),             # mu*N*V,     in dS(-) and dR(+)
+    rates=("waning - mu * S - infection + (muN - vax)",
+           "infection - mu * E - incubation",
+           "incubation - mu * I - recovery",
+           "recovery + vax - mu * R - waning"),
+    law_state=("S", "E", "I", "R"),
+    bind=_seir_constants,
+)
+
+
 @lru_cache(maxsize=256)
 def seir_field(params: ModelParams) -> Field:
     """The SEIR vector field bound to `params`: (S, E, I, R, V) -> rates.
 
-    This is the one x-space right-hand side; `derivative`, the RK4 stepper
-    and the adaptive pair all evaluate it. V carries no sign or range
-    restriction here: feedback laws may command V > 1 (range enforcement
-    belongs to the controllers and the verification layer). Shared
-    subexpressions are reused so that the coupling terms cancel exactly
-    and the four components sum to zero (up to roundoff in the mu-terms)
-    on states with S+E+I+R = N.
+    Generated from `SEIR_SOURCE`, the source the integrators inline, so
+    `derivative` and the steppers evaluate the same arithmetic. V carries
+    no sign or range restriction here: feedback laws may command V > 1
+    (range enforcement belongs to the controllers and the verification
+    layer).
     """
-    mu, om, si, ga = params.mu, params.omega, params.sigma, params.gamma
-    bp = params.beta_prime
-    muN = mu * params.N
-
-    def field(S: float, E: float, I: float, R: float, V: float) -> Rates:
-        infection = bp * (S * I)   # beta*S*I/N, appears in dS(-) and dE(+)
-        recovery = ga * I          # gamma*I,    appears in dI(-) and dR(+)
-        incubation = si * E        # sigma*E,    appears in dE(-) and dI(+)
-        waning = om * R            # omega*R,    appears in dR(-) and dS(+)
-        vax = muN * V              # mu*N*V,     appears in dS(-) and dR(+)
-        return (waning - mu * S - infection + (muN - vax),
-                infection - mu * E - incubation,
-                incubation - mu * I - recovery,
-                recovery + vax - mu * R - waning)
-
-    return field
+    return function(SEIR_SOURCE)(*_seir_constants(params))
 
 
 def derivative(state: SeirState, params: ModelParams, V: float) -> StateDerivative:

@@ -20,6 +20,12 @@ law with g = g_prime - (mu+omega).
 The z4 equation uses -(mu+gamma)*z4: the transform leaves the infectious
 equation untouched, so gamma (not omega) is the only coefficient
 consistent with the plant.
+
+Both fields are written once, as source (`NORMAL_SOURCE`, `ZERO_SOURCE`):
+`normal_derivative` and `zero_dynamics_derivative` evaluate functions
+generated from them, and `integrate_normal` and `integrate_zero_dynamics`
+run the `integrate.rk4` template with the field (and, for the normal
+form, the law at every stage) inlined; see `kernels`.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from .integrate import IntegratorConfig, rk4
-from .laws import ControlLaw, compile_law
-from .model import (Field, ModelParams, Rates, SeirState, StateDerivative,
+from .kernels import FieldSource, function
+from .laws import ControlLaw, ZeroVax
+from .model import (Field, ModelParams, SeirState, StateDerivative,
                     derivative)
 
 __all__ = [
@@ -124,43 +131,55 @@ def relative_degree(params: ModelParams,
     )
 
 
+def _normal_constants(params: ModelParams) -> tuple[float, ...]:
+    mu, ga = params.mu, params.gamma
+    # Rate constants folded once; (-a)*z rounds exactly like -(a)*z.
+    return (-mu, -(mu + params.omega), -(mu + ga), mu + params.sigma, ga,
+            params.sigma, params.beta_prime, mu * params.N)
+
+
+_NORMAL_CONSTS = ("nmu", "nmu_om", "nmu_ga", "mu_si", "ga", "si", "bp", "muN")
+
+# The normal-form field (z1, z2, z3, z4, V) -> rates; V enters only dz1.
+# A law reads the back-transformed state (S, E, I, R) = (z2 - z1, z3, z4, z1).
+NORMAL_SOURCE = FieldSource(
+    name="normal",
+    state=("z1", "z2", "z3", "z4"),
+    consts=_NORMAL_CONSTS,
+    body=("f = bp * ((z2 - z1) * z4)",),
+    rates=("nmu_om * z1 + ga * z4 + muN * V",
+           "nmu * z2 + ga * z4 - f + muN",
+           "f - mu_si * z3",
+           "nmu_ga * z4 + si * z3"),
+    law_state=("z2 - z1", "z3", "z4", "z1"),
+    bind=_normal_constants,
+)
+
+# The zero dynamics (output held at z1 = 0) in the normal-form shape: dz1
+# is 0 and V is ignored, so z1 stays exactly 0 and the shared 4-component
+# stepper integrates (z2, z3, z4).
+ZERO_SOURCE = FieldSource(
+    name="zero_dynamics",
+    state=("z1", "z2", "z3", "z4"),
+    consts=_NORMAL_CONSTS,
+    body=("f = bp * (z2 * z4)",),
+    rates=("0.0",
+           "nmu * z2 + ga * z4 - f + muN",
+           "f - mu_si * z3",
+           "nmu_ga * z4 + si * z3"),
+    law_state=("z2 - z1", "z3", "z4", "z1"),
+    bind=_normal_constants,
+)
+
+
 @lru_cache(maxsize=256)
 def _normal_field(params: ModelParams) -> Field:
-    """The normal-form field (z1, z2, z3, z4, V) -> rates; V enters only dz1."""
-    mu, ga, si, bp = params.mu, params.gamma, params.sigma, params.beta_prime
-    muN = mu * params.N
-    # Rate constants folded once; (-a)*z rounds exactly like -(a)*z.
-    nmu, nmu_om, nmu_ga, mu_si = -mu, -(mu + params.omega), -(mu + ga), mu + si
-
-    def field(z1: float, z2: float, z3: float, z4: float, V: float) -> Rates:
-        f = bp * ((z2 - z1) * z4)
-        return (nmu_om * z1 + ga * z4 + muN * V,
-                nmu * z2 + ga * z4 - f + muN,
-                f - mu_si * z3,
-                nmu_ga * z4 + si * z3)
-
-    return field
+    return function(NORMAL_SOURCE)(*_normal_constants(params))
 
 
 @lru_cache(maxsize=256)
 def _zero_field(params: ModelParams) -> Field:
-    """The zero dynamics (output held at z1 = 0) in the normal-form shape.
-
-    dz1 is 0 and V is ignored, so z1 stays exactly 0 and the shared
-    4-component stepper integrates (z2, z3, z4).
-    """
-    mu, ga, si, bp = params.mu, params.gamma, params.sigma, params.beta_prime
-    muN = mu * params.N
-    nmu, nmu_ga, mu_si = -mu, -(mu + ga), mu + si
-
-    def field(z1: float, z2: float, z3: float, z4: float, V: float) -> Rates:
-        f = bp * (z2 * z4)
-        return (0.0,
-                nmu * z2 + ga * z4 - f + muN,
-                f - mu_si * z3,
-                nmu_ga * z4 + si * z3)
-
-    return field
+    return function(ZERO_SOURCE)(*_normal_constants(params))
 
 
 def normal_derivative(z: NormalState, params: ModelParams,
@@ -225,24 +244,15 @@ def integrate_normal(z0: NormalState, params: ModelParams, law: ControlLaw,
 
     The integration runs in z, independently of the x-space field, so it
     cross-checks `integrate`. The law is state feedback in x-coordinates;
-    it is evaluated at the back-transformed state and held across each
-    step, mirroring the x-space integrator step for step.
+    it is evaluated at the back-transformed state at every stage, in the
+    kernel the same `rk4` template generates for `NORMAL_SOURCE`.
     """
     if config.adaptive:
         raise ValueError("integrate_normal supports fixed-step mode only")
-    law_fn = compile_law(law, params)
-
-    def control(z1: float, z2: float, z3: float, z4: float, t: float) -> float:
-        return law_fn(z2 - z1, z3, z4, z1, t)
-
-    t, z1, z2, z3, z4, V = rk4(_normal_field(params), control, z0.as_tuple(),
+    t, z1, z2, z3, z4, V = rk4(NORMAL_SOURCE, law, params, z0.as_tuple(),
                                config).columns()
     return NormalTrajectory(t=t, z1=z1, z2=z2, z3=z3, z4=z4, V=V,
                             params=params, law=law, config=config)
-
-
-def _no_input(z1: float, z2: float, z3: float, z4: float, t: float) -> float:
-    return 0.0
 
 
 def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
@@ -252,7 +262,7 @@ def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
         raise ValueError("integrate_zero_dynamics supports fixed-step mode only")
     if not all(math.isfinite(v) for v in z0):
         raise ValueError("initial zero-dynamics state must be finite")
-    t, _, z2, z3, z4, _ = rk4(_zero_field(params), _no_input, (0.0, *z0),
+    t, _, z2, z3, z4, _ = rk4(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0),
                               config).columns()
     return ZeroDynTrajectory(t=t, z2=z2, z3=z3, z4=z4, params=params,
                              config=config)

@@ -136,8 +136,8 @@ class TestIdentitySuite:
         ImmuneFeedback(0.2, 0.6),
     ], ids=lambda law: law.label)
     def test_passes_on_strided_runs(self, p1, law, stride):
-        # A fast plant (mu = 0.5): V moves within a sample interval, so
-        # the held V's window mean differs from the trailing average.
+        # A fast plant (mu = 0.5): V moves within a sample interval, and
+        # the samples still follow the continuous closed loop.
         p = dataclasses.replace(p1, mu=0.5, omega=0.0)
         cfg = IntegratorConfig(t_end=60.0, dt=1e-2, sampling_stride=stride)
         tr = integrate(SeirState(700.0, 200.0, 100.0, 0.0), p, law, cfg)
@@ -153,12 +153,40 @@ class TestIdentitySuite:
         chk = check_identity_suite(dataclasses.replace(tr, I=bad_I), p1)
         assert not chk.passed
 
-    def test_refuses_spacing_off_the_step_grid(self, p1, mixed_state):
+    def test_ignores_the_step_size(self, p1, mixed_state):
+        # Only the samples are judged: a run is judged alike whatever step
+        # its config names (a CSV replayed by `verify` carries none).
         cfg = IntegratorConfig(t_end=10.0, dt=1e-2, sampling_stride=5)
-        tr = integrate(mixed_state, p1, ZeroVax(), cfg)
+        tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), cfg)
         off_grid = dataclasses.replace(tr.config, dt=0.02)
-        with pytest.raises(ValueError, match="whole number of steps"):
-            check_identity_suite(dataclasses.replace(tr, config=off_grid), p1)
+        chk = check_identity_suite(dataclasses.replace(tr, config=off_grid), p1)
+        assert chk == check_identity_suite(tr, p1) and chk.passed
+
+    def test_saturated_kinks_are_skipped(self, p1, mixed_state):
+        # V starts clipped at 1, falls through the interior to the clip at
+        # 0 and climbs back to 1: four switches, at each of which the
+        # solution is only C^1. The two windows around each are skipped.
+        law = Saturated(SusceptibleLinear(0.05), 0.0, 1.0)
+        tr = integrate(mixed_state, p1, law, IntegratorConfig(t_end=100.0, dt=0.01))
+        clip = (tr.V > 0.0).astype(int) + (tr.V >= 1.0)
+        switches = int(np.count_nonzero(np.diff(clip)))
+        assert switches == 4
+        chk = check_identity_suite(tr, p1)
+        assert chk.passed, (chk.worst, chk.tolerance)
+        assert chk.details["kink windows skipped"] == 2 * switches
+        # Judged as if unclipped, the O(h) kink residual exceeds the O(h^2)
+        # tolerance.
+        assert not check_identity_suite(
+            dataclasses.replace(tr, law=law.inner), p1).passed
+
+    @pytest.mark.parametrize("law", [
+        ImmuneFeedback(0.0, 0.03), SusceptibleLinear(0.1),
+        SusceptiblePlusExposed(0.005), ConstrainedImmuneFeedback(-0.1),
+    ], ids=lambda law: law.label)
+    def test_no_kink_skip_without_saturation(self, p1, mixed_state, law):
+        p = dataclasses.replace(p1, mu=0.5, omega=0.0)
+        tr = integrate(mixed_state, p, law, IntegratorConfig(t_end=20.0, dt=0.05))
+        assert check_identity_suite(tr, p).details["kink windows skipped"] == 0
 
     def test_refuses_non_uniform_sampling(self, p1, mixed_state):
         cfg = IntegratorConfig(t_end=10.0, dt=1e-2)

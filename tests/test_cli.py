@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seirvax import ImmuneFeedback, Saturated, ScenarioError, integrate
-from seirvax.cli import (main, read_trajectory_csv, run_checks,
-                         write_trajectory_csv)
+from seirvax.cli import (CSV_HEADER, _write_csv, main, read_trajectory_csv,
+                         run_checks, write_trajectory_csv)
 from seirvax.scenario import build_law, load_scenario
+
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "full_immunization.ini"
 
 P1_BLOCK = """\
 [params]
@@ -173,6 +176,42 @@ class TestCsvRoundTrip:
                           ("R", tr.R), ("V", tr.V), ("u", tr.u)):
             assert np.array_equal(data[name], col)
 
+    def test_shipped_run_is_bitwise(self, tmp_path):
+        sc = load_scenario(SHIPPED)
+        tr = integrate(sc.initial, sc.params, sc.law, sc.config)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(path, tr)
+        data = read_trajectory_csv(path)
+        for name in ("t", "S", "E", "I", "R", "V", "u"):
+            assert data[name].tobytes() == getattr(tr, name).tobytes(), name
+
+    def test_special_values_round_trip(self, tmp_path):
+        cols = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, np.inf,
+                         -np.inf, 0.1, 1.0 / 3.0, 2.0 ** -1074 * 3, -1e-300,
+                         123456789.125, 1e22, 1e23, np.nan]).reshape(-1, 7)
+        path = tmp_path / "t.csv"
+        _write_csv(path, CSV_HEADER, tuple(cols.T))
+        data = read_trajectory_csv(path)
+        got = np.column_stack([data[name] for name in CSV_HEADER.split(",")])
+        assert got.tobytes() == cols.tobytes()   # nan is the one quiet NaN
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,1,2,3,4,5,6\n1,2,3\n", "CSV line 3: expected 7 fields"),
+        ("0,1,2,3,4,5,6\n\n1,2,x,4,5,6,7\n", "CSV line 4: could not convert"),
+        ("", "CSV contains no samples"),
+        ("\n\n", "CSV contains no samples"),
+    ], ids=["fields", "number", "empty", "blank"])
+    def test_malformed_rows_rejected(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n" + body)
+        with pytest.raises(ScenarioError, match=message):
+            read_trajectory_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n0,1,2,3,4,5,6\n\n1,2,3,4,5,6,7\n")
+        assert read_trajectory_csv(path)["u"].tolist() == [6.0, 7.0]
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,S,E,I,R,V,u\n0,1,2,3,4,5,6\n")
@@ -232,6 +271,22 @@ class TestVerify:
         text = csv_path.read_text().replace("t,S,E,I,R,V,u", "t,S,E,I,R,V")
         csv_path.write_text(text)
         assert main(["verify", str(csv_path), scenario_path]) == 1
+
+    def test_verifies_a_run_at_an_overridden_step(self, tmp_path, capsys):
+        # The identity suite judges the samples alone, so a run made with
+        # --dt other than the scenario's (spacing 0.125 against dt 0.01)
+        # replays as it passed.
+        path = write_scenario(
+            tmp_path / "s.ini",
+            integrator="[integrator]\nt_end = 100\ndt = 0.01\n"
+                       "sampling_stride = 10\n",
+            extra="[checks]\nconservation = on\nidentities = on\n\n"
+                  "[outputs]\ncsv = t.csv\n")
+        assert main(["simulate", path, "--out-dir", str(tmp_path),
+                     "--dt", "0.0125"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "t.csv"), path]) == 0
+        assert "PASS  identity_suite" in capsys.readouterr().out
 
 
 class TestEquilibriaCommand:

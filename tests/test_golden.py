@@ -130,25 +130,25 @@ CASES = {
 
 GOLDEN = {
     "shipped_scenario":
-        "4722123ab20a68297f7a1481ea9c0cd40294eca54567ee25579da602f1fa29de",
+        "023ae2a80228d9c5e59b3b06e2d11058f00e9655396b8c0144fc4087e7605d97",
     "adaptive_immune_feedback":
-        "70a80fe7470a4cf3beb7155caddb010f28e41f35b52c2043b9468403146b7bae",
+        "8722ad0035cc0aa6d41ce34b3c2e103b40aa7de9b43c6d30027caa972b9e499f",
     "fixed_project":
-        "b61572178dc73041331b9577e54a825d3d655a21533c91e69bf0cd607e288d1d",
+        "b1371f22d623deaa9e31727e4dda3215c5524bc340523aeab302689701f9df72",
     "adaptive_project":
         "58fd46029b6ef01be4de09ead9091a616cebd7ff675b410f8041fd642509eb46",
     "saturated_fixed":
-        "8fe9b1a8ba77df68be023e766db5995c0a68defc633a33aac848b886a298817a",
+        "6123165ec44f5bcad8ed998039faebf9f678dec4ccdca404c9897acd40a8a7d8",
     "integrate_normal":
-        "6bf3bc584b195389c2963349ccbef06529377c5f5aba194be732259ae75ab8f9",
+        "9f3c0cc9c05d694ba67879feb74748bd3f54e21b1abbc8fdd84b146938532bdc",
     "integrate_zero_dynamics":
         "2927fd7f74b65d0c208041b38755e0962a8453bbee4256fd388ef04e54c7a2c6",
     "accuracy_immune_feedback":
-        "c67c67cc6ce0200d5101cd7173250d0e168a70a94957773039d60810f51b1333",
+        "109d4460009106ea07869e1e09b65b732b4b78f6540ce18f2214ae3ddc4ca757",
     "accuracy_susceptible_linear":
-        "96bb8771e59232fdaa3a4c82ce479a6fd6546615e1312c3f3ff298179e3e80ed",
+        "da622ebc5aff6f62d2653a432ac95a421eef5a6ba3084f0b9ac07107d93fea6a",
     "accuracy_susceptible_plus_exposed":
-        "873b39e328c5df01078e968580eadbefc7a60de568f20890055d72fcc876e000",
+        "e00f942b452d79bd8d45666fa269b827fb274a111a0c3031a3f217eb0a2e89ee",
     "accuracy_zero":
         "cc395565ac7e9caafcd0797b13734f9aa857981942834bb817b33d3b672d3409",
 }

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -25,10 +27,47 @@ from seirvax import (
     ZeroVax,
     integrate,
     positivity_events,
+    to_normal,
 )
-from seirvax.integrate import _DP_A, _DP_E, Samples, _run_dopri45
-from seirvax.laws import compile_law
-from seirvax.model import seir_field
+from seirvax.integrate import _DP_A, _DP_C, _DP_E, Samples, _run_dopri45, rk4
+from seirvax.laws import ControlLaw, compile_law
+from seirvax.model import SEIR_SOURCE, seir_field
+from seirvax.normal_form import NORMAL_SOURCE, _normal_field
+
+
+ORACLE_CATALOGUE = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
+                    SusceptiblePlusExposed(0.005), ImmuneFeedback(0.01, 0.05),
+                    ConstrainedImmuneFeedback(-0.05), Linearizing(0.1, 0.05),
+                    OutputZeroing())
+
+
+def _oracle_params(law) -> ModelParams:
+    """p1, or a plant fast enough for the constrained law's gate."""
+    if isinstance(law, ConstrainedImmuneFeedback):
+        return ModelParams(N=1000.0, mu=0.5, omega=0.0, beta=0.9, sigma=0.2,
+                           gamma=0.2)
+    return ModelParams(N=1000.0, mu=0.01, omega=0.02, beta=0.9, sigma=0.2,
+                       gamma=0.2)
+
+
+def _dop853(p: ModelParams, law, state: SeirState, t_end: float):
+    """Dense output of the continuous closed loop from scipy's DOP853."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    V = compile_law(law, p)
+    bp = p.beta / p.N
+
+    def rhs(t, y):
+        S, E, I, R = y
+        v = V(S, E, I, R, t)
+        return [-p.mu * S + p.omega * R - bp * S * I + p.mu * p.N * (1.0 - v),
+                bp * S * I - (p.mu + p.sigma) * E,
+                -(p.mu + p.gamma) * I + p.sigma * E,
+                -(p.mu + p.omega) * R + p.gamma * I + p.mu * p.N * v]
+
+    sol = solve_ivp(rhs, (0.0, t_end), list(state.as_tuple()), method="DOP853",
+                    rtol=1e-13, atol=1e-10, dense_output=True)
+    assert sol.success
+    return sol.sol
 
 
 class TestBasics:
@@ -122,8 +161,7 @@ class TestClosedForms:
 
     def test_theorem2i_s_independent_of_companions(self, p1):
         # The decoupled S equation ignores the other compartments, so any
-        # companion split must land on the same closed form (up to the
-        # step-hold error of V).
+        # companion split must land on the same closed form.
         cfg = IntegratorConfig(t_end=10.0, dt=1e-3, sampling_stride=1000)
         expected = 500.0 * math.exp(-1.1)
         for companions in ((200.0, 100.0, 200.0), (50.0, 250.0, 200.0)):
@@ -159,28 +197,48 @@ class TestClosedForms:
         ratio = err(0.25) / err(0.125)
         assert 12.0 <= ratio <= 20.0
 
-    def test_against_scipy_reference(self, p1, mixed_state):
-        # Independent oracle: scipy's adaptive RK45 at tight tolerance on
-        # the same vaccination-free vector field.
-        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    def test_against_scipy_reference(self, mixed_state):
+        # Independent oracle: scipy's DOP853 at tight tolerance on the
+        # vector field written out here, with V from the law at every
+        # evaluation (the continuous closed loop), for every catalogue law.
+        cfg = IntegratorConfig(t_end=50.0, dt=0.05, sampling_stride=50)
+        for law in ORACLE_CATALOGUE:
+            p = _oracle_params(law)
+            sol = _dop853(p, law, mixed_state, 50.0)
+            tr = integrate(mixed_state, p, law, cfg)
+            dev = np.max(np.abs(tr.states().T - sol(tr.t)))
+            assert dev < 1e-6 * p.N, (law, dev)
 
-        def rhs(t, y):
-            S, E, I, R = y
-            bp = p1.beta / p1.N
-            return [
-                -p1.mu * S + p1.omega * R - bp * S * I + p1.mu * p1.N,
-                bp * S * I - (p1.mu + p1.sigma) * E,
-                -(p1.mu + p1.gamma) * I + p1.sigma * E,
-                -(p1.mu + p1.omega) * R + p1.gamma * I,
-            ]
+    @pytest.mark.parametrize("law", ORACLE_CATALOGUE, ids=lambda law: law.label)
+    def test_order_against_dop853(self, mixed_state, law):
+        # Halving dt divides the worst deviation from the continuous closed
+        # loop by 2^4 (measured 4.06-4.13 over the catalogue).
+        p = _oracle_params(law)
+        sol = _dop853(p, law, mixed_state, 50.0)
 
-        sol = solve_ivp(rhs, (0.0, 50.0), list(mixed_state.as_tuple()),
-                        rtol=1e-11, atol=1e-11, dense_output=True)
-        cfg = IntegratorConfig(t_end=50.0, dt=1e-3, sampling_stride=5000)
-        tr = integrate(mixed_state, p1, ZeroVax(), cfg)
-        ref = sol.sol(tr.t)
-        ours = tr.states().T
-        assert np.max(np.abs(ours - ref)) < 1e-6 * p1.N
+        def err(dt: float) -> float:
+            tr = integrate(mixed_state, p, law, IntegratorConfig(t_end=50.0, dt=dt))
+            return float(np.max(np.abs(tr.states().T - sol(tr.t))))
+
+        assert math.log2(err(0.5) / err(0.25)) >= 3.9
+
+    @pytest.mark.parametrize("law", [Saturated(ImmuneFeedback(0.0, 0.03)),
+                                     Saturated(SusceptibleLinear(0.05))],
+                             ids=lambda law: law.label)
+    def test_saturated_order_at_clip_switches(self, p1, mixed_state, law):
+        # Where V enters or leaves the clip the closed loop is only C^1 and
+        # fixed-step RK4 converges at about second order: over dt = 1 to
+        # 1/8 the mean order per halving measured 1.90 and 2.35 for these
+        # two laws (single halvings range from 0.85 to 2.8, as the switch
+        # moves against the grid). A clip that never switches keeps order 4.
+        sol = _dop853(p1, law, mixed_state, 50.0)
+        errs = []
+        for dt in (1.0, 0.125):
+            tr = integrate(mixed_state, p1, law, IntegratorConfig(t_end=50.0, dt=dt))
+            errs.append(float(np.max(np.abs(tr.states().T - sol(tr.t)))))
+        clipped = (tr.V <= law.lo) | (tr.V >= law.hi)
+        assert clipped.any() and not clipped.all()
+        assert 1.5 <= math.log2(errs[0] / errs[1]) / 3.0 <= 3.0
 
 
 class TestInvariants:
@@ -291,29 +349,65 @@ def test_adaptive_project_policy(p1):
     assert np.all(tr.R >= 0.0)
 
 
-# -- Dormand-Prince kernel against the generic tableau loop ---------------
+# -- generated kernels against textbook per-stage loops --------------------
 
-def _tableau_sums(coeffs, ks):
-    """Per component, sum(coeffs[m] * ks[m][c]) accumulated left to right
-    from 0.0 over the whole row, zero coefficients included."""
-    out = []
-    for c in range(4):
-        acc = 0.0
-        for m, coef in enumerate(coeffs):
-            acc += coef * ks[m][c]
-        out.append(acc)
-    return out
+@dataclasses.dataclass(frozen=True)
+class Pulse(ControlLaw):
+    """A time-varying law, one class with one V expression: it carries the
+    stage times into the kernels."""
+
+    name: ClassVar[str] = "pulse"
+    v_expr: ClassVar[str] = "rate * t * S / N"
+    rate: float
+
+    def _constants(self, params):
+        return {"rate": self.rate, "N": params.N}
 
 
-def _reference_dopri45(rhs, law_fn, y, params, config, project):
-    """The generic stage loop `_run_dopri45` unrolls, with V and the first
-    stage re-evaluated wherever the loop needs them.
+def _left_to_right(coeffs, ks, c, acc=0.0):
+    """acc + sum(coeffs[m] * ks[m][c]), accumulated left to right."""
+    for coef, k in zip(coeffs, ks):
+        acc += coef * k[c]
+    return acc
+
+
+def _reference_rk4(f, law, y, config, project):
+    """Classic RK4 with the law evaluated at every stage.
+
+    `f(y0, y1, y2, y3, V)` is the field and `law(y, t)` gives V at a
+    state. Returns the samples the kernel should write.
+    """
+    h, t0, n = config.dt, config.t0, config.n_steps
+    samples = Samples()
+    t = t0
+    samples.rows.extend((t, *y, law(y, t)))
+    for k in range(1, n + 1):
+        ks = []
+        for c, prev in ((0.0, None), (0.5, 0), (0.5, 1), (1.0, 2)):
+            yj = y if prev is None else tuple(
+                y[i] + (c * h) * ks[prev][i] for i in range(4))
+            ks.append(f(*yj, law(yj, t + c * h)))
+        # y + h/6 * (k1 + 2*k2 + 2*k3 + k4)
+        y = tuple(y[i] + h / 6.0 * _left_to_right((2.0, 2.0, 1.0), ks[1:], i,
+                                                   ks[0][i])
+                  for i in range(4))
+        t = t0 + k * h
+        if project and min(y) < 0.0:
+            y = samples.project(t, y)
+        if k % config.sampling_stride == 0 or k == n:
+            samples.rows.extend((t, *y, law(y, t)))
+    return samples
+
+
+def _reference_dopri45(f, law, y, config, project):
+    """Dormand-Prince 5(4) written from the tableau: every stage evaluates
+    the law and the field afresh (no FSAL), every sum is a left-to-right
+    accumulation from 0.0 over the whole row, zero coefficients included.
 
     Returns the samples and counts of rejected attempts and of final
     steps whose t + h was clamped to a different t_end.
     """
     b5 = _DP_A[6] + (0.0,)
-    muN = params.mu * params.N
     rtol, atol = config.rel_tol, config.abs_tol
     t0, t_end = config.t0, config.t_end
     samples = Samples()
@@ -321,22 +415,18 @@ def _reference_dopri45(rhs, law_fn, y, params, config, project):
 
     t = t0
     h = min(config.dt, t_end - t0)
-    samples.record(t0, *y, law_fn(*y, t0))
+    samples.rows.extend((t0, *y, law(y, t0)))
     accepted = 0
     while t < t_end:
         h = min(h, t_end - t)
-        V = law_fn(*y, t)
         while True:
             ks = []
             for j in range(7):
                 yj = y if j == 0 else tuple(
-                    y[c] + h * s for c, s in enumerate(_tableau_sums(_DP_A[j], ks)))
-                ks.append(rhs(*yj, V))
-            y5 = tuple(y[c] + h * s for c, s in enumerate(_tableau_sums(b5, ks)))
-            err = [h * s for s in _tableau_sums(_DP_E, ks)]
-            hold_err = 0.5 * h * muN * abs(law_fn(*y5, t + h) - V)
-            err[0] += math.copysign(hold_err, err[0]) if err[0] else hold_err
-            err[3] += math.copysign(hold_err, err[3]) if err[3] else hold_err
+                    y[c] + h * _left_to_right(_DP_A[j], ks, c) for c in range(4))
+                ks.append(f(*yj, law(yj, t + _DP_C[j] * h)))
+            y5 = tuple(y[c] + h * _left_to_right(b5, ks, c) for c in range(4))
+            err = [h * _left_to_right(_DP_E, ks, c) for c in range(4)]
             try:
                 acc = 0.0
                 for c in range(4):
@@ -369,7 +459,7 @@ def _reference_dopri45(rhs, law_fn, y, params, config, project):
             y = samples.project(t, y)
         accepted += 1
         if accepted % config.sampling_stride == 0 or t >= t_end:
-            samples.record(t, *y, law_fn(*y, t))
+            samples.rows.extend((t, *y, law(y, t)))
         h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
     return samples, stats
 
@@ -380,7 +470,7 @@ KERNEL_PARAMS = ModelParams(N=1000.0, mu=0.5, omega=0.02, beta=0.9,
 KERNEL_CATALOGUE = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
                     SusceptiblePlusExposed(0.005), ImmuneFeedback(0.01, 0.05),
                     ConstrainedImmuneFeedback(-0.05), Linearizing(0.1, 0.05),
-                    OutputZeroing())
+                    OutputZeroing(), Pulse(0.05))
 KERNEL_LAWS = KERNEL_CATALOGUE + tuple(Saturated(law) for law in KERNEL_CATALOGUE)
 # A first trial step of 5 days is rejected under every law.
 KERNEL_CONFIGS = {
@@ -391,12 +481,30 @@ KERNEL_CONFIGS = {
                                            abs_tol=1e-8, sampling_stride=3,
                                            positivity_policy="project"),
 }
+RK4_CONFIGS = {
+    "stride1": IntegratorConfig(t_end=2.0, dt=0.1),
+    "stride3_t0_project": IntegratorConfig(t0=0.5, t_end=3.7, dt=0.1,
+                                           sampling_stride=3,
+                                           positivity_policy="project"),
+}
+
+
+def _x_space(params, law):
+    """The x-space field and the law at an x-space state."""
+    fn = compile_law(law, params)
+    return seir_field(params), lambda y, t: fn(*y, t)
 
 
 def _kernel_and_reference(state, params, law, config):
-    args = (seir_field(params), compile_law(law, params), state.as_tuple(),
-            params, config, config.positivity_policy == "project")
-    return _run_dopri45(*args), _reference_dopri45(*args)
+    project = config.positivity_policy == "project"
+    f, law_at = _x_space(params, law)
+    if config.adaptive:
+        got = _run_dopri45(SEIR_SOURCE, law, params, state.as_tuple(), config,
+                           project)
+        return got, _reference_dopri45(f, law_at, state.as_tuple(), config,
+                                       project)
+    got = rk4(SEIR_SOURCE, law, params, state.as_tuple(), config, project)
+    return got, (_reference_rk4(f, law_at, state.as_tuple(), config, project), {})
 
 
 def _assert_bitwise(got: Samples, want: Samples) -> None:
@@ -437,4 +545,39 @@ class TestDopriKernel:
         got, (want, stats) = _kernel_and_reference(
             SeirState(1000.0, 0.0, 0.0, 0.0), p1, ZeroVax(), cfg)
         assert stats["clamped"] == 1
+        _assert_bitwise(got, want)
+
+
+class TestRk4Kernel:
+    @pytest.mark.parametrize("config", RK4_CONFIGS.values(), ids=RK4_CONFIGS)
+    @pytest.mark.parametrize("law", KERNEL_LAWS, ids=lambda law: law.label)
+    def test_matches_textbook_loop(self, mixed_state, law, config):
+        got, (want, _) = _kernel_and_reference(mixed_state, KERNEL_PARAMS, law,
+                                               config)
+        _assert_bitwise(got, want)
+
+    # As in TestDopriKernel's projection cases.
+    @pytest.mark.parametrize("state, law", [
+        (SeirState(1000.0, 0.0, 0.0, 0.0), ConstantVax(-5.0)),
+        (SeirState(900.0, 50.0, 50.0, 0.0), ImmuneFeedback(0.01, 0.0)),
+    ], ids=["constant", "immune_feedback"])
+    def test_matches_textbook_loop_when_projecting(self, p1, state, law):
+        cfg = IntegratorConfig(t_end=2.0, dt=1e-2, sampling_stride=3,
+                               positivity_policy="project")
+        got, (want, _) = _kernel_and_reference(state, p1, law, cfg)
+        assert want.n_projected > 0
+        _assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("law", [ImmuneFeedback(0.01, 0.05),
+                                     Saturated(SusceptibleLinear(0.05)),
+                                     Pulse(0.05)], ids=lambda law: law.label)
+    def test_normal_form_matches_textbook_loop(self, mixed_state, law):
+        # The law reads the back-transformed state (z2 - z1, z3, z4, z1).
+        config = RK4_CONFIGS["stride3_t0_project"]
+        fn = compile_law(law, KERNEL_PARAMS)
+        z0 = to_normal(mixed_state).as_tuple()
+        got = rk4(NORMAL_SOURCE, law, KERNEL_PARAMS, z0, config, True)
+        want = _reference_rk4(_normal_field(KERNEL_PARAMS),
+                              lambda z, t: fn(z[1] - z[0], z[2], z[3], z[0], t),
+                              z0, config, True)
         _assert_bitwise(got, want)
