@@ -23,7 +23,6 @@ from .model import (
     check_assumption1,
     coupling_control,
     derivative,
-    is_admissible,
     is_conserved,
     vaccination_from_control,
 )

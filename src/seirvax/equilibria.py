@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -223,18 +224,85 @@ def _sweep_polynomials(params: ModelParams, endemic: EquilibriumPoint):
     i_frac = endemic.state.I / N
     lin_mu = np.array([1.0, mu])                  # (s + mu)
     lin_mo = np.array([1.0, mu + om])             # (s + mu + omega)
-    quad_ms = np.polymul(np.array([1.0, mu + si]), np.array([1.0, mu + si]))
-    p0 = np.polymul(np.polymul(lin_mu, quad_ms), lin_mo)
+    # np.convolve is np.polymul without the poly1d round trip (same bits).
+    quad_ms = np.convolve(np.array([1.0, mu + si]), np.array([1.0, mu + si]))
+    p0 = np.convolve(np.convolve(lin_mu, quad_ms), lin_mo)
     ptilde = np.polysub(
-        i_frac * np.polysub(np.polymul(quad_ms, lin_mo),
+        i_frac * np.polysub(np.convolve(quad_ms, lin_mo),
                             np.array([om * si ** 2])),
-        si * s_frac * np.polymul(lin_mu, lin_mo))
+        si * s_frac * np.convolve(lin_mu, lin_mo))
     return p0, ptilde
 
 
+@lru_cache(maxsize=None)
+def _default_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The default frequency grid and 1j times it, built on first use."""
+    grid = np.logspace(-6.0, 6.0, 10_000)
+    s = 1j * grid
+    grid.flags.writeable = False
+    s.flags.writeable = False
+    return grid, s
+
+
+def _polyval_into(coeffs: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.polyval(coeffs, s) written into out, with the same operations."""
+    out.fill(0.0)
+    for c in coeffs:
+        np.multiply(out, s, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _ratios(p0: np.ndarray, ptilde: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|ptilde(s)/p0(s)| elementwise over a complex array s."""
+    num = _polyval_into(ptilde, s, np.empty_like(s))
+    den = _polyval_into(p0, s, np.empty_like(s))
+    return np.abs(np.divide(num, den, out=num))
+
+
 def _ratio_at(p0: np.ndarray, ptilde: np.ndarray, w: np.ndarray) -> np.ndarray:
-    s = 1j * np.asarray(w, dtype=float)
-    return np.abs(np.polyval(ptilde, s) / np.polyval(p0, s))
+    return _ratios(p0, ptilde, 1j * np.asarray(w, dtype=float))
+
+
+def _ratio_scalar(p0: list[float], ptilde: list[float], w: float) -> float:
+    """_ratio_at at one frequency w > 0, in Python floats and bitwise equal.
+
+    It repeats numpy's complex arithmetic: the Horner step of np.polyval
+    (a complex product, then a real coefficient added as c + 0j), Smith's
+    division as numpy's complex divide does it (CPython's complex division
+    rounds differently), and np.abs for the magnitude (abs() and
+    math.hypot round differently).
+    """
+    sr, si = 0.0 * w, 1.0 * w
+    nr = ni = dr = di = 0.0
+    for c in ptilde:
+        nr, ni = nr * sr - ni * si + c, nr * si + ni * sr + 0.0
+    for c in p0:
+        dr, di = dr * sr - di * si + c, dr * si + di * sr + 0.0
+    if abs(dr) >= abs(di):
+        rat = di / dr
+        scl = 1.0 / (dr + di * rat)
+        q = complex((nr + ni * rat) * scl, (ni - nr * rat) * scl)
+    else:
+        rat = dr / di
+        scl = 1.0 / (di + dr * rat)
+        q = complex((nr * rat + ni) * scl, (ni * rat - nr) * scl)
+    return float(np.abs(q))
+
+
+def _checked_grid(grid) -> tuple[np.ndarray, np.ndarray]:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("sweep refused: frequency grid must be one-dimensional")
+    if grid.size == 0:
+        raise ValueError("sweep refused: empty frequency grid")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("sweep refused: frequency grid must be finite")
+    if not np.all(grid > 0.0):
+        raise ValueError("sweep refused: frequency grid must be strictly positive")
+    if not np.all(grid[1:] > grid[:-1]):
+        raise ValueError("sweep refused: frequency grid must be strictly increasing")
+    return grid, 1j * grid
 
 
 def hinf_ratio_sweep(params: ModelParams,
@@ -244,22 +312,20 @@ def hinf_ratio_sweep(params: ModelParams,
     The default grid is 1e4 log-spaced points on [1e-6, 1e6] rad/day; the
     ratio is proper with degree gap one, so it decays at the high end and
     flattens to |ptilde(0)/p0(0)| at the low end; a golden-section polish
-    around the grid argmax refines the peak. Requires mu > 0 (p0 strictly
-    Hurwitz) and an existing endemic point.
+    around the grid argmax refines the peak. A caller's grid must be
+    one-dimensional, non-empty, finite, strictly positive and strictly
+    increasing; anything else raises ValueError. Requires mu > 0 (p0
+    strictly Hurwitz) and an existing endemic point.
     """
     if params.mu == 0.0:
         raise ValueError("sweep refused: p0 has a root on the imaginary axis (mu = 0)")
     endemic = endemic_equilibrium(params)
     if endemic is None:
         raise ValueError("sweep refused: no endemic equilibrium for these parameters")
-    if grid is None:
-        grid = np.logspace(-6.0, 6.0, 10_000)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("sweep refused: empty frequency grid")
+    grid, s = _default_grid() if grid is None else _checked_grid(grid)
 
     p0, ptilde = _sweep_polynomials(params, endemic)
-    ratios = _ratio_at(p0, ptilde, grid)
+    ratios = _ratios(p0, ptilde, s)
     k = int(np.argmax(ratios))
     best_w, best_r = float(grid[k]), float(ratios[k])
 
@@ -267,23 +333,24 @@ def hinf_ratio_sweep(params: ModelParams,
     lo = math.log(grid[max(k - 1, 0)])
     hi = math.log(grid[min(k + 1, grid.size - 1)])
     if hi > lo:
+        p0l, ptl = p0.tolist(), ptilde.tolist()
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
-        fc = -_ratio_at(p0, ptilde, np.array([math.exp(c)]))[0]
-        fd = -_ratio_at(p0, ptilde, np.array([math.exp(d)]))[0]
+        fc = -_ratio_scalar(p0l, ptl, math.exp(c))
+        fd = -_ratio_scalar(p0l, ptl, math.exp(d))
         for _ in range(60):
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
-                fc = -_ratio_at(p0, ptilde, np.array([math.exp(c)]))[0]
+                fc = -_ratio_scalar(p0l, ptl, math.exp(c))
             else:
                 a, c, fc = c, d, fd
                 d = a + invphi * (b - a)
-                fd = -_ratio_at(p0, ptilde, np.array([math.exp(d)]))[0]
+                fd = -_ratio_scalar(p0l, ptl, math.exp(d))
         w_pol = math.exp((a + b) / 2.0)
-        r_pol = float(_ratio_at(p0, ptilde, np.array([w_pol]))[0])
+        r_pol = _ratio_scalar(p0l, ptl, w_pol)
         if r_pol > best_r:
             best_w, best_r = w_pol, r_pol
 

@@ -40,7 +40,6 @@ __all__ = [
     "check_assumption1",
     "coupling_control",
     "vaccination_from_control",
-    "is_admissible",
     "is_conserved",
 ]
 
@@ -268,11 +267,6 @@ def vaccination_from_control(state: SeirState, params: ModelParams, u: float) ->
     if muN == 0.0:
         raise VaccinationChannelError("vaccination channel gain zero")
     return (params.omega * state.R - params.sigma * state.E - u) / muN
-
-
-def is_admissible(state: SeirState) -> bool:
-    """True when every component is nonnegative."""
-    return min(state.S, state.E, state.I, state.R) >= 0.0
 
 
 def is_conserved(state: SeirState, params: ModelParams,

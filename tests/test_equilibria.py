@@ -234,6 +234,52 @@ class TestSweep:
         with pytest.raises(ValueError, match="empty"):
             hinf_ratio_sweep(p1, grid=np.array([]))
 
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 10.0], [-1.0, 1.0, 10.0]])
+    def test_rejects_non_positive_grid(self, p1, grid):
+        with pytest.raises(ValueError, match="strictly positive"):
+            hinf_ratio_sweep(p1, grid=grid)
+
+    @pytest.mark.parametrize("grid", [[np.nan, 1.0], [np.inf], [1.0, np.inf]])
+    def test_rejects_non_finite_grid(self, p1, grid):
+        with pytest.raises(ValueError, match="finite"):
+            hinf_ratio_sweep(p1, grid=grid)
+
+    @pytest.mark.parametrize("grid", [[10.0, 1.0, 0.1], [0.1, 1.0, 1.0, 10.0]])
+    def test_rejects_grid_not_increasing(self, p1, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hinf_ratio_sweep(p1, grid=grid)
+
+    def test_rejects_grid_not_one_dimensional(self, p1):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            hinf_ratio_sweep(p1, grid=np.logspace(-1.0, 1.0, 4).reshape(2, 2))
+
+    def test_explicit_default_grid_matches_default(self, p1):
+        grid = np.logspace(-6.0, 6.0, 10_000)
+        assert hinf_ratio_sweep(p1, grid=grid) == hinf_ratio_sweep(p1)
+        assert hinf_ratio_sweep(p1, grid=list(grid)) == hinf_ratio_sweep(p1)
+
+    def test_scalar_ratio_is_bitwise_ratio_at(self):
+        # The polish evaluates one frequency at a time in Python floats; it
+        # must round exactly as the numpy grid evaluation does.
+        from seirvax.equilibria import _ratio_at, _ratio_scalar, _sweep_polynomials
+        rng = np.random.default_rng(20111)
+        checked = 0
+        for mu, omega, sigma, factor in [(0.005, 0.0, 0.1, 1.1),
+                                         (0.01, 0.02, 0.2, 1.6),
+                                         (0.02, 0.05, 0.3, 2.5),
+                                         (0.01, 0.05, 0.1, 4.0),
+                                         (0.02, 0.0, 0.2, 3.2)]:
+            p = _params(mu=mu, omega=omega, sigma=sigma,
+                        beta=factor * (mu + sigma) ** 2 / sigma)
+            p0, pt = _sweep_polynomials(p, endemic_equilibrium(p))
+            w = np.exp(rng.uniform(math.log(1e-7), math.log(1e7), 400))
+            grid_ratios = _ratio_at(p0, pt, w)
+            for wk, rk in zip(w.tolist(), grid_ratios.tolist()):
+                got = _ratio_scalar(p0.tolist(), pt.tolist(), wk)
+                assert got.hex() == rk.hex(), (p, wk)
+                checked += 1
+        assert checked == 2000
+
 
 class TestAnalyze:
     def test_p1_reports(self, p1):

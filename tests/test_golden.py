@@ -1,18 +1,24 @@
-"""Bitwise golden outputs of the integrators.
+"""Bitwise golden outputs of the integrators and the frequency sweep.
 
-Each case integrates a fixed input and hashes the raw little-endian
-float64 bytes of every sample column (plus the projection log where the
-run projects). The digests pin the exact arithmetic of the steppers and
-vector fields: a refactor that reorders one floating-point operation
-changes them. Regenerate a digest only for a deliberate change of the
-numbers, and say so in the change log.
+Each integrator case integrates a fixed input and hashes the raw
+little-endian float64 bytes of every sample column (plus the projection
+log where the run projects). The sweep cases hash every endemic point's
+`SweepResult` over a fixed parameter map, and the bytes of the
+`equilibria --json` report. The digests pin the exact arithmetic of the
+steppers, vector fields and sweep: a refactor that reorders one
+floating-point operation changes them. Regenerate a digest only for a
+deliberate change of the numbers, and say so in the change log.
 
     PYTHONPATH=src python tests/test_golden.py   # print current digests
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +33,14 @@ from seirvax import (
     SusceptibleLinear,
     SusceptiblePlusExposed,
     ZeroVax,
+    endemic_equilibrium,
+    hinf_ratio_sweep,
     integrate,
     integrate_normal,
     integrate_zero_dynamics,
     to_normal,
 )
+from seirvax.cli import main
 from seirvax.scenario import load_scenario
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "full_immunization.ini"
@@ -111,6 +120,38 @@ def _zero_dynamics():
     return _digest(traj, ("t", "z2", "z3", "z4"))
 
 
+def _sweep_map():
+    """(max_ratio, argmax_freq, condition_holds) at every endemic point of a
+    648-point map: mu x omega x sigma = gamma x 24 beta from 0.25 to 4 times
+    the threshold (mu+sigma)^2/sigma."""
+    h = hashlib.sha256()
+    endemic = 0
+    for mu in (0.005, 0.01, 0.02):
+        for omega in (0.0, 0.02, 0.05):
+            for sigma in (0.1, 0.2, 0.3):
+                beta_star = (mu + sigma) ** 2 / sigma
+                for factor in np.linspace(0.25, 4.0, 24):
+                    p = ModelParams(N=1000.0, mu=mu, omega=omega,
+                                    beta=float(factor * beta_star),
+                                    sigma=sigma, gamma=sigma)
+                    if endemic_equilibrium(p) is None:
+                        continue
+                    res = hinf_ratio_sweep(p)
+                    endemic += 1
+                    h.update(struct.pack("<dd?", res.max_ratio,
+                                         res.argmax_freq, res.condition_holds))
+    assert endemic == 513
+    return h.hexdigest()
+
+
+def _equilibria_json():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "eq.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["equilibria", "--beta", "0.25", "--json", str(path)]) == 0
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 CASES = {
     "shipped_scenario": _shipped,
     "adaptive_immune_feedback": _adaptive_immune_feedback,
@@ -126,6 +167,8 @@ CASES = {
     "accuracy_susceptible_plus_exposed":
         _accuracy_adaptive(SusceptiblePlusExposed(0.005), 1e-6),
     "accuracy_zero": _accuracy_adaptive(ZeroVax(), 1e-3),
+    "sweep_map": _sweep_map,
+    "equilibria_json": _equilibria_json,
 }
 
 GOLDEN = {
@@ -151,6 +194,10 @@ GOLDEN = {
         "e00f942b452d79bd8d45666fa269b827fb274a111a0c3031a3f217eb0a2e89ee",
     "accuracy_zero":
         "cc395565ac7e9caafcd0797b13734f9aa857981942834bb817b33d3b672d3409",
+    "sweep_map":
+        "e17eab131cd1634b2e33060eb56d8dca1636969db2cfc8bfb1bbb9619e305f6d",
+    "equilibria_json":
+        "cb4f54023252fe98f215b702018773e4eb3fbad4f18220644861afb534c8c290",
 }
 
 
