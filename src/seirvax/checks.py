@@ -16,8 +16,8 @@ import numpy as np
 
 from .exceptions import HorizonError
 from .integrate import EPS_POS_RTOL, Trajectory
-from .laws import AsymptoticPrediction, ControlLaw, Saturated
-from .model import ModelParams
+from .laws import AsymptoticPrediction, ControlLaw, Saturated, corollary1_upper_bound
+from .model import ModelParams, SeirState
 
 __all__ = [
     "Check",
@@ -82,7 +82,8 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
     Sub-checks: (a) components >= -eps, (b) components <= N + eps with
     eps = 1e-9*N, (c) V within [v_lo, v_hi]. Pass bounds="corollary1" to
     check V against [0, 1 + (alpha - beta*I/N)*S/(mu*N)] instead, the
-    state-dependent extended bound (alpha defaults to beta).
+    state-dependent extended bound of `laws.corollary1_upper_bound` (alpha
+    defaults to beta; mu*N = 0 raises VaccinationChannelError).
     """
     p = traj.params
     N = p.N
@@ -100,8 +101,9 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
                   max(0.0, float(high[k_high]) - N), eps, float(traj.t[k_high]))
 
     if bounds == "corollary1":
-        a = p.beta if alpha is None else alpha
-        hi = 1.0 + (a - p.beta_prime * traj.I) * traj.S / (p.mu * N)
+        hi = corollary1_upper_bound(
+            SeirState(traj.S, traj.E, traj.I, traj.R), p,
+            p.beta if alpha is None else alpha)
         lo = np.zeros_like(hi)
         bound_name = "V in corollary1 range"
     elif bounds is None:

@@ -9,14 +9,16 @@ mu = 0 and sigma < beta a special branch applies. Local stability at x1
 has closed-form characteristic zeros; at the endemic point the
 characteristic polynomial splits as p0(s) + beta*ptilde(s) with p0
 Hurwitz, and sup_w |ptilde(iw)/p0(iw)| < 1/beta certifies stability
-(Rouche argument on the left half-plane).
+(Rouche argument on the left half-plane). The supremum is computed
+exactly from the stationary points of the squared magnitude, the
+single-input case of the L-infinity norm computation of Bruinsma and
+Steinbuch (Syst. Control Lett. 14, 1990).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -217,104 +219,51 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def _sweep_polynomials(params: ModelParams, endemic: EquilibriumPoint):
-    """Coefficient arrays (highest degree first) for p0 and ptilde."""
-    mu, om, si, N = params.mu, params.omega, params.sigma, params.N
-    s_frac = endemic.state.S / N
-    i_frac = endemic.state.I / N
-    lin_mu = np.array([1.0, mu])                  # (s + mu)
-    lin_mo = np.array([1.0, mu + om])             # (s + mu + omega)
-    # np.convolve is np.polymul without the poly1d round trip (same bits).
-    quad_ms = np.convolve(np.array([1.0, mu + si]), np.array([1.0, mu + si]))
-    p0 = np.convolve(np.convolve(lin_mu, quad_ms), lin_mo)
-    ptilde = np.polysub(
-        i_frac * np.polysub(np.convolve(quad_ms, lin_mo),
-                            np.array([om * si ** 2])),
-        si * s_frac * np.convolve(lin_mu, lin_mo))
-    return p0, ptilde
-
-
-@lru_cache(maxsize=None)
-def _default_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The default frequency grid and 1j times it, built on first use."""
-    grid = np.logspace(-6.0, 6.0, 10_000)
-    s = 1j * grid
-    grid.flags.writeable = False
-    s.flags.writeable = False
-    return grid, s
-
-
-def _polyval_into(coeffs: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.polyval(coeffs, s) written into out, with the same operations."""
-    out.fill(0.0)
-    for c in coeffs:
-        np.multiply(out, s, out=out)
-        np.add(out, c, out=out)
+def _polymul(a: list[float], b: list[float]) -> list[float]:
+    """Product of two coefficient lists, both highest or both lowest degree first."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def _ratios(p0: np.ndarray, ptilde: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """|ptilde(s)/p0(s)| elementwise over a complex array s."""
-    num = _polyval_into(ptilde, s, np.empty_like(s))
-    den = _polyval_into(p0, s, np.empty_like(s))
-    return np.abs(np.divide(num, den, out=num))
+def _sweep_polynomials(params: ModelParams, endemic: EquilibriumPoint):
+    """Coefficient lists (highest degree first) for p0 and ptilde."""
+    mu, om, si, N = params.mu, params.omega, params.sigma, params.N
+    s_frac = endemic.state.S / N
+    i_frac = endemic.state.I / N
+    c = mu + si
+    cubic = _polymul([1.0, 2.0 * c, c * c], [1.0, mu + om])   # (s+c)^2 (s+mu+om)
+    p0 = _polymul(cubic, [1.0, mu])
+    # ptilde = i_frac*(cubic - om*si^2) - si*s_frac*(s+mu)(s+mu+om)
+    shifted = cubic[:3] + [cubic[3] - om * si ** 2]
+    quad = [0.0] + _polymul([1.0, mu], [1.0, mu + om])
+    ptilde = [i_frac * u - si * s_frac * v for u, v in zip(shifted, quad)]
+    return p0, ptilde
 
 
-def _ratio_at(p0: np.ndarray, ptilde: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _ratios(p0, ptilde, 1j * np.asarray(w, dtype=float))
-
-
-def _ratio_scalar(p0: list[float], ptilde: list[float], w: float) -> float:
-    """_ratio_at at one frequency w > 0, in Python floats and bitwise equal.
-
-    It repeats numpy's complex arithmetic: the Horner step of np.polyval
-    (a complex product, then a real coefficient added as c + 0j), Smith's
-    division as numpy's complex divide does it (CPython's complex division
-    rounds differently), and np.abs for the magnitude (abs() and
-    math.hypot round differently).
-    """
-    sr, si = 0.0 * w, 1.0 * w
-    nr = ni = dr = di = 0.0
+def _ratio(p0: list[float], ptilde: list[float], w: float) -> float:
+    """|ptilde(iw)/p0(iw)| by complex Horner in Python floats."""
+    s = complex(0.0, w)
+    num = den = 0j
     for c in ptilde:
-        nr, ni = nr * sr - ni * si + c, nr * si + ni * sr + 0.0
+        num = num * s + c
     for c in p0:
-        dr, di = dr * sr - di * si + c, dr * si + di * sr + 0.0
-    if abs(dr) >= abs(di):
-        rat = di / dr
-        scl = 1.0 / (dr + di * rat)
-        q = complex((nr + ni * rat) * scl, (ni - nr * rat) * scl)
-    else:
-        rat = dr / di
-        scl = 1.0 / (di + dr * rat)
-        q = complex((nr * rat + ni) * scl, (ni * rat - nr) * scl)
-    return float(np.abs(q))
+        den = den * s + c
+    return abs(num) / abs(den)
 
 
-def _checked_grid(grid) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("sweep refused: frequency grid must be one-dimensional")
-    if grid.size == 0:
-        raise ValueError("sweep refused: empty frequency grid")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("sweep refused: frequency grid must be finite")
-    if not np.all(grid > 0.0):
-        raise ValueError("sweep refused: frequency grid must be strictly positive")
-    if not np.all(grid[1:] > grid[:-1]):
-        raise ValueError("sweep refused: frequency grid must be strictly increasing")
-    return grid, 1j * grid
+def hinf_ratio_sweep(params: ModelParams) -> SweepResult:
+    """Exact peak of |ptilde(iw)/p0(iw)| over w >= 0 and the 1/beta test.
 
-
-def hinf_ratio_sweep(params: ModelParams,
-                     grid: np.ndarray | None = None) -> SweepResult:
-    """Peak of |ptilde(iw)/p0(iw)| over frequency and the 1/beta test.
-
-    The default grid is 1e4 log-spaced points on [1e-6, 1e6] rad/day; the
-    ratio is proper with degree gap one, so it decays at the high end and
-    flattens to |ptilde(0)/p0(0)| at the low end; a golden-section polish
-    around the grid argmax refines the peak. A caller's grid must be
-    one-dimensional, non-empty, finite, strictly positive and strictly
-    increasing; anything else raises ValueError. Requires mu > 0 (p0
+    With x = w^2, A(x) = |ptilde(iw)|^2 (degree 3) and B(x) = |p0(iw)|^2
+    = (x+mu^2)(x+(mu+sigma)^2)^2(x+(mu+omega)^2) (degree 4). The interior
+    extrema of A/B are roots of A'B - AB' (degree 6), found as eigenvalues
+    of its companion matrix. The ratio is evaluated directly at w = 0 and
+    at w = sqrt(Re r) for every root r with Re r > 0, and the largest
+    value wins; argmax_freq is 0.0 when the w -> 0 limit is the peak. The
+    ratio is strictly proper, so w -> inf never is. Requires mu > 0 (p0
     strictly Hurwitz) and an existing endemic point.
     """
     if params.mu == 0.0:
@@ -322,37 +271,30 @@ def hinf_ratio_sweep(params: ModelParams,
     endemic = endemic_equilibrium(params)
     if endemic is None:
         raise ValueError("sweep refused: no endemic equilibrium for these parameters")
-    grid, s = _default_grid() if grid is None else _checked_grid(grid)
 
     p0, ptilde = _sweep_polynomials(params, endemic)
-    ratios = _ratios(p0, ptilde, s)
-    k = int(np.argmax(ratios))
-    best_w, best_r = float(grid[k]), float(ratios[k])
+    c3, c2, c1, c0 = ptilde
+    # ptilde(iw) = (c0 - c2 x) + iw (c1 - c3 x); A and B lowest degree first.
+    a = [c0 * c0, c1 * c1 - 2.0 * c0 * c2, c2 * c2 - 2.0 * c1 * c3, c3 * c3]
+    mu, om, si = params.mu, params.omega, params.sigma
+    b = _polymul(_polymul([mu * mu, 1.0], [(mu + om) ** 2, 1.0]),
+                 _polymul([(mu + si) ** 2, 1.0], [(mu + si) ** 2, 1.0]))
+    da = [k * v for k, v in enumerate(a)][1:]
+    db = [k * v for k, v in enumerate(b)][1:]
+    stationary = [u - v for u, v in zip(_polymul(da, b), _polymul(a, db))]
+    if p0[-1] == 0.0 or stationary[6] == 0.0:
+        raise ValueError("sweep refused: the rates span too many orders of "
+                         "magnitude for double precision")
+    companion = np.eye(6, k=-1)
+    companion[0] = [-v / stationary[6] for v in reversed(stationary[:6])]
 
-    # Golden-section polish on log-frequency between the argmax neighbours.
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, grid.size - 1)])
-    if hi > lo:
-        p0l, ptl = p0.tolist(), ptilde.tolist()
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = -_ratio_scalar(p0l, ptl, math.exp(c))
-        fd = -_ratio_scalar(p0l, ptl, math.exp(d))
-        for _ in range(60):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = -_ratio_scalar(p0l, ptl, math.exp(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = -_ratio_scalar(p0l, ptl, math.exp(d))
-        w_pol = math.exp((a + b) / 2.0)
-        r_pol = _ratio_scalar(p0l, ptl, w_pol)
-        if r_pol > best_r:
-            best_w, best_r = w_pol, r_pol
+    best_w, best_r = 0.0, _ratio(p0, ptilde, 0.0)
+    for root in np.linalg.eigvals(companion).tolist():
+        if root.real > 0.0:
+            w = math.sqrt(root.real)
+            r = _ratio(p0, ptilde, w)
+            if r > best_r:
+                best_w, best_r = w, r
 
     threshold = 1.0 / params.beta if params.beta > 0.0 else math.inf
     return SweepResult(max_ratio=best_r, argmax_freq=best_w,

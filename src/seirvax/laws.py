@@ -39,6 +39,8 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple, Optional
 
+import numpy as np
+
 from .exceptions import GainConstraintError, PredictionError, VaccinationChannelError
 from .kernels import Shape, law_function
 from .model import ModelParams, SeirState
@@ -477,15 +479,20 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
 
 
 def corollary1_upper_bound(state: SeirState, params: ModelParams,
-                           alpha: float) -> float:
+                           alpha: float):
     """Extended admissible upper bound for V: 1 + (alpha - beta*I/N)*S/(mu*N).
 
-    The caller must supply alpha >= beta*I/N (alpha = beta works whenever
-    I <= N); a violation is reported with a warning, not an error.
+    The state's fields may be floats or equal-length arrays (a whole
+    trajectory); the bound has the same shape. The caller must supply
+    alpha >= beta*I/N (alpha = beta works whenever I <= N); a violation
+    is reported with a warning, not an error. Raises
+    VaccinationChannelError when mu*N = 0, where the bound is undefined.
     """
-    muN = _require_channel(params)
+    muN = params.mu * params.N
+    if muN == 0.0:
+        raise VaccinationChannelError("corollary1 bound needs mu*N > 0")
     incidence = params.beta_prime * state.I
-    if alpha < incidence:
+    if np.any(alpha < incidence):
         warnings.warn("corollary1_upper_bound: alpha < beta*I/N, bound not valid",
                       stacklevel=2)
     return 1.0 + (alpha - incidence) * state.S / muN

@@ -89,6 +89,24 @@ class TestPositivity:
         with pytest.raises(ValueError, match="unknown V bounds"):
             monitor_positivity(tr, bounds="corollary2")
 
+    def test_corollary_bound_is_the_law_function(self, p1):
+        # The check's upper bound is laws.corollary1_upper_bound over the
+        # samples, bit for bit the parenthesised formula; mu = 0 refuses.
+        import dataclasses
+        from seirvax import VaccinationChannelError, ZeroVax
+        cfg = IntegratorConfig(t_end=20.0, dt=1e-2, sampling_stride=10)
+        tr = integrate(SeirState(500.0, 100.0, 50.0, 350.0), p1,
+                       SusceptibleLinear(0.1), cfg)
+        hi = 1.0 + (0.5 - p1.beta_prime * tr.I) * tr.S / (p1.mu * p1.N)
+        worst = float(np.max(np.maximum(-tr.V, tr.V - hi)))
+        chk = monitor_positivity(tr, bounds="corollary1", alpha=0.5)
+        assert chk.details["V in corollary1 range"].worst == max(0.0, worst)
+        p0 = dataclasses.replace(p1, mu=0.0)
+        tr0 = integrate(SeirState(500.0, 100.0, 50.0, 350.0), p0, ZeroVax(),
+                        IntegratorConfig(t_end=1.0, dt=1e-2))
+        with pytest.raises(VaccinationChannelError, match="mu\\*N > 0"):
+            monitor_positivity(tr0, bounds="corollary1")
+
     def test_lower_violation_with_unbounded_upper(self, p1, mixed_state):
         # An infinite upper bound must not mask lower-bound violations.
         from seirvax import ConstantVax

@@ -494,6 +494,13 @@ MALFORMED_INPUTS = {
                  "alpha = 0.9\n"),
         "option 'alpha' in [checks.positivity] has no effect without "
         "bounds = corollary1"),
+    "corollary1 bounds at mu = 0": (lambda d: _simulate_argv(
+        d, params=P1_BLOCK.replace("mu = 0.01", "mu = 0"),
+        law="[law]\nname = zero\n",
+        integrator="[integrator]\nt_end = 5\ndt = 0.01\n",
+        extra="[checks]\npositivity = on\n\n[checks.positivity]\n"
+              "bounds = corollary1\n"),
+        "corollary1 bound needs mu*N > 0"),
     "nan gain g1": (lambda d: _simulate_argv(
         d, law=LAW_BLOCK.replace("g1 = 0.03", "g1 = nan")),
         "key 'g1' in [law]: 'nan' is not finite"),

@@ -3,11 +3,12 @@
 Each integrator case integrates a fixed input and hashes the raw
 little-endian float64 bytes of every sample column (plus the projection
 log where the run projects). The sweep cases hash every endemic point's
-`SweepResult` over a fixed parameter map, and the bytes of the
-`equilibria --json` report. The digests pin the exact arithmetic of the
-steppers, vector fields and sweep: a refactor that reorders one
-floating-point operation changes them. Regenerate a digest only for a
-deliberate change of the numbers, and say so in the change log.
+`SweepResult` over a fixed parameter map, the map's `condition_holds`
+verdicts alone, and the bytes of the `equilibria --json` report. The
+digests pin the exact arithmetic of the steppers, vector fields and
+sweep: a refactor that reorders one floating-point operation changes
+them. Regenerate a digest only for a deliberate change of the numbers,
+and say so in the change log.
 
     PYTHONPATH=src python tests/test_golden.py   # print current digests
 """
@@ -120,12 +121,11 @@ def _zero_dynamics():
     return _digest(traj, ("t", "z2", "z3", "z4"))
 
 
-def _sweep_map():
-    """(max_ratio, argmax_freq, condition_holds) at every endemic point of a
-    648-point map: mu x omega x sigma = gamma x 24 beta from 0.25 to 4 times
-    the threshold (mu+sigma)^2/sigma."""
-    h = hashlib.sha256()
-    endemic = 0
+def _map_sweeps():
+    """The `SweepResult` at every endemic point of a 648-point map: mu x
+    omega x sigma = gamma x 24 beta from 0.25 to 4 times the threshold
+    (mu+sigma)^2/sigma."""
+    results = []
     for mu in (0.005, 0.01, 0.02):
         for omega in (0.0, 0.02, 0.05):
             for sigma in (0.1, 0.2, 0.3):
@@ -134,14 +134,26 @@ def _sweep_map():
                     p = ModelParams(N=1000.0, mu=mu, omega=omega,
                                     beta=float(factor * beta_star),
                                     sigma=sigma, gamma=sigma)
-                    if endemic_equilibrium(p) is None:
-                        continue
-                    res = hinf_ratio_sweep(p)
-                    endemic += 1
-                    h.update(struct.pack("<dd?", res.max_ratio,
-                                         res.argmax_freq, res.condition_holds))
-    assert endemic == 513
+                    if endemic_equilibrium(p) is not None:
+                        results.append(hinf_ratio_sweep(p))
+    assert len(results) == 513
+    return results
+
+
+def _sweep_map():
+    """(max_ratio, argmax_freq, condition_holds) at every map point."""
+    h = hashlib.sha256()
+    for res in _map_sweeps():
+        h.update(struct.pack("<dd?", res.max_ratio, res.argmax_freq,
+                             res.condition_holds))
     return h.hexdigest()
+
+
+def _sweep_verdicts():
+    """The condition_holds bit alone at every map point: it must survive
+    any change to how the peak is computed."""
+    bits = bytes(res.condition_holds for res in _map_sweeps())
+    return hashlib.sha256(bits).hexdigest()
 
 
 def _equilibria_json():
@@ -168,6 +180,7 @@ CASES = {
         _accuracy_adaptive(SusceptiblePlusExposed(0.005), 1e-6),
     "accuracy_zero": _accuracy_adaptive(ZeroVax(), 1e-3),
     "sweep_map": _sweep_map,
+    "sweep_verdicts": _sweep_verdicts,
     "equilibria_json": _equilibria_json,
 }
 
@@ -195,7 +208,9 @@ GOLDEN = {
     "accuracy_zero":
         "cc395565ac7e9caafcd0797b13734f9aa857981942834bb817b33d3b672d3409",
     "sweep_map":
-        "e17eab131cd1634b2e33060eb56d8dca1636969db2cfc8bfb1bbb9619e305f6d",
+        "c7275e63eb6f92b5d6b06b59abafbcbf53a8743d86e17e7bc361ebd446974797",
+    "sweep_verdicts":
+        "6fd7ed7693121972588e2c7797321cdd8cea38e15540c2d2bf9006c762f4cb05",
     "equilibria_json":
         "cb4f54023252fe98f215b702018773e4eb3fbad4f18220644861afb534c8c290",
 }

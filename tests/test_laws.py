@@ -197,6 +197,19 @@ class TestBounds:
         assert corollary1_upper_bound(mixed_state, p1, p1.beta) \
             == pytest.approx(60.85, rel=1e-12)
 
+    def test_corollary1_on_arrays(self, p1):
+        S = np.array([100.0, 0.0, 700.0])
+        I = np.array([300.0 / 0.9, 100.0, 50.0])
+        got = corollary1_upper_bound(SeirState(S, 0.0, I, 0.0), p1, 0.3)
+        want = [corollary1_upper_bound(SeirState(s, 0.0, i, 0.0), p1, 0.3)
+                for s, i in zip(S.tolist(), I.tolist())]
+        assert got.tolist() == want
+        with pytest.warns(UserWarning):
+            corollary1_upper_bound(SeirState(S, 0.0, I, 0.0), p1, 0.01)
+        p0 = dataclasses.replace(p1, mu=0.0)
+        with pytest.raises(VaccinationChannelError, match="mu\\*N > 0"):
+            corollary1_upper_bound(SeirState(S, 0.0, I, 0.0), p0, 0.3)
+
     def test_corollary1_warns_on_bad_alpha(self, p1, mixed_state):
         with pytest.warns(UserWarning):
             corollary1_upper_bound(mixed_state, p1, 0.0)
