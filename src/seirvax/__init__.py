@@ -23,8 +23,6 @@ from .model import (
     check_assumption1,
     coupling_control,
     derivative,
-    is_conserved,
-    vaccination_from_control,
 )
 from .laws import (
     AsymptoticPrediction,
@@ -33,19 +31,15 @@ from .laws import (
     ControlLaw,
     GainCheck,
     ImmuneFeedback,
-    InfectiousBound,
     Linearizing,
     OutputZeroing,
     Saturated,
     SusceptibleLinear,
     SusceptiblePlusExposed,
     ZeroVax,
-    constrained_gain_margin,
     corollary1_upper_bound,
     evaluate,
-    infectious_upper_bound,
     predicted_limits,
-    susceptible_plus_exposed_alt,
 )
 from .integrate import (
     EPS_POS_RTOL,
@@ -53,21 +47,17 @@ from .integrate import (
     PositivityEvent,
     Trajectory,
     integrate,
-    positivity_events,
 )
 from .normal_form import (
     NormalState,
     NormalTrajectory,
-    TransformReport,
     ZeroDynTrajectory,
     from_normal,
     integrate_normal,
     integrate_zero_dynamics,
     normal_derivative,
-    relative_degree,
     to_normal,
     to_normal_tangent,
-    transform_jacobian,
     zero_dynamics_derivative,
 )
 from .equilibria import (

@@ -16,8 +16,9 @@ import numpy as np
 
 from .exceptions import HorizonError
 from .integrate import EPS_POS_RTOL, Trajectory
-from .laws import AsymptoticPrediction, ControlLaw, Saturated, corollary1_upper_bound
-from .model import ModelParams, SeirState
+from .laws import (AsymptoticPrediction, ControlLaw, ImmuneFeedback, Saturated,
+                   corollary1_upper_bound, predicted_limits)
+from .model import CONSERVATION_RTOL, ModelParams, SeirState
 
 __all__ = [
     "Check",
@@ -65,12 +66,12 @@ class VerificationReport:
 
 
 def monitor_conservation(traj: Trajectory) -> Check:
-    """Worst |S+E+I+R - N| over the samples against 1e-9*N."""
+    """Worst |S+E+I+R - N| over the samples against CONSERVATION_RTOL*N."""
     N = traj.params.N
     drift = np.abs(traj.S + traj.E + traj.I + traj.R - N)
     k = int(np.argmax(drift))
     worst = float(drift[k])
-    tol = 1e-9 * N
+    tol = CONSERVATION_RTOL * N
     return Check("conservation", worst <= tol, worst, tol, float(traj.t[k]))
 
 
@@ -308,21 +309,24 @@ def estimate_decay_rate(t: np.ndarray, values: np.ndarray) -> DecayFit:
     return DecayFit(rate=-float(slope), r_squared=r2)
 
 
-def check_integral_limit(traj: Trajectory, params: ModelParams, g: float,
-                         g1: float, rel_tol: float = 0.01) -> Check:
+def check_integral_limit(traj: Trajectory, rel_tol: float = 0.01) -> Check:
     """Convolution integral of (omega+g)*R against its closed-form limit.
 
     Evaluates int_0^T exp(-mu*(T-tau))*(omega+g)*R(tau) dtau at the final
-    sample by the trapezoid rule and compares with
-    g1*(omega+g)*N/(mu*(mu+omega+g)). Requires a horizon of at least
-    10/min(mu, mu+omega+g).
+    sample by the trapezoid rule and compares it with the immune-feedback
+    prediction's `integral_limit`. Refuses a law outside the
+    immune-feedback family, the gains `predicted_limits` refuses, and a
+    horizon shorter than 10/min(mu, mu+omega+g).
     """
-    mu, om, N = params.mu, params.omega, params.N
-    lam = mu + om + g
-    if mu <= 0.0 or lam <= 0.0:
-        raise ValueError("integral limit requires mu > 0 and mu+omega+g > 0")
+    params = traj.params
+    law = traj.law.canonical(params)
+    if not isinstance(law, ImmuneFeedback):
+        raise ValueError("integral_limit check needs an immune-feedback "
+                         f"family law (got {traj.law.label})")
+    limit = predicted_limits(law, params).integral_limit
+    mu, om, g = params.mu, params.omega, law.g
     t0, t_end = float(traj.t[0]), float(traj.t[-1])
-    need_span = 10.0 / min(mu, lam)
+    need_span = 10.0 / min(mu, mu + om + g)
     if (t_end - t0) < need_span:
         raise HorizonError(
             f"horizon too short for integral limit: need t_end >= {t0 + need_span:g}",
@@ -331,8 +335,7 @@ def check_integral_limit(traj: Trajectory, params: ModelParams, g: float,
     weight = np.exp(-mu * (t_end - traj.t)) * (om + g) * traj.R
     dt = np.diff(traj.t)
     integral = float(np.sum(0.5 * dt * (weight[1:] + weight[:-1])))
-    limit = g1 * (om + g) * N / (mu * lam)
-    scale = abs(limit) if limit != 0.0 else N
+    scale = abs(limit) if limit != 0.0 else params.N
     err = abs(integral - limit)
     return Check("integral_limit", err <= rel_tol * scale, err,
                  rel_tol * scale, t_end,

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .checks import (
-    Check,
     VerificationReport,
     check_asymptotics,
     check_identity_suite,
@@ -37,8 +36,9 @@ from .checks import (
 from .equilibria import analyze, endemic_equilibrium  # noqa: F401
 from .exceptions import NonFiniteStateError, ScenarioError
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .laws import ImmuneFeedback, predicted_limits
-from .model import ModelParams, SeirState, coupling_control
+from .laws import predicted_limits
+from .model import (CONSERVATION_RTOL, ModelParams, SeirState,
+                    check_assumption1, coupling_control)
 from .normal_form import integrate_zero_dynamics
 from .scenario import Scenario, load_scenario
 from .svgplot import write_line_chart
@@ -117,15 +117,6 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
-def _integral_limit(traj: Trajectory, scenario: Scenario, **opts) -> Check:
-    law = scenario.law.canonical(scenario.params)
-    if law.name != ImmuneFeedback.name:
-        raise ScenarioError(
-            "integral_limit check needs an immune-feedback family law "
-            f"(got {scenario.law.label})")
-    return check_integral_limit(traj, scenario.params, law.g, law.g1, **opts)
-
-
 # Check name -> call(traj, scenario, **options). Only the options the
 # scenario sets are passed, so each default lives in the check function;
 # the check functions are looked up here at call time.
@@ -135,7 +126,8 @@ _CHECK_CALLS = {
     "identities": lambda traj, sc: check_identity_suite(traj, sc.params),
     "asymptotics": lambda traj, sc, **opts: check_asymptotics(
         traj, predicted_limits(sc.law, sc.params), **opts),
-    "integral_limit": _integral_limit,
+    "integral_limit": lambda traj, sc, **opts: check_integral_limit(
+        traj, **opts),
 }
 
 
@@ -182,6 +174,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     advisories = [f"gain condition not met: {c.name}"
                   for c in scenario.law.gain_checks(scenario.params)
                   if not c.required and not c.holds]
+    advisories += [f"Assumption 1 not met: {clause}" for clause in
+                   check_assumption1(scenario.initial,
+                                     scenario.params).violated_clauses]
 
     traj = integrate(scenario.initial, scenario.params, scenario.law, config)
     report = run_checks(traj, scenario)
@@ -281,7 +276,7 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
                (traj.t, traj.z2, traj.z3, traj.z4, total))
 
     c0 = float(total[0])
-    eps = 1e-9 * c0 if c0 > 0.0 else 1e-9
+    eps = CONSERVATION_RTOL * c0 if c0 > 0.0 else CONSERVATION_RTOL
     drift = float(np.max(np.abs(total - c0)))
     conserved = drift <= eps
     lo = float(min(traj.z2.min(), traj.z3.min(), traj.z4.min()))

@@ -40,7 +40,9 @@ __all__ = [
     "analyze",
 ]
 
-# Residual gate for returned equilibria: 1e-8 * mu * N, or 1e-8 * N when mu = 0.
+# Residual gate for returned equilibria: 1e-8 times the largest of mu*N (N
+# when mu = 0) and the field's terms at the point, whose rounding the
+# residual carries.
 _RESIDUAL_RTOL = 1e-8
 
 
@@ -94,16 +96,20 @@ def _residual(state: SeirState, params: ModelParams) -> float:
     return max(abs(d.dS), abs(d.dE), abs(d.dI), abs(d.dR))
 
 
-def _residual_gate(params: ModelParams) -> float:
-    scale = params.mu * params.N if params.mu > 0.0 else params.N
-    return _RESIDUAL_RTOL * scale
+def _residual_gate(state: SeirState, params: ModelParams) -> float:
+    p = params
+    scale = p.mu * p.N if p.mu > 0.0 else p.N
+    return _RESIDUAL_RTOL * max(scale, p.beta_prime * state.S * state.I,
+                                p.sigma * state.E, p.gamma * state.I,
+                                p.omega * state.R)
 
 
 def _check_residual(point: EquilibriumPoint, params: ModelParams) -> EquilibriumPoint:
-    if point.residual > _residual_gate(params):
+    gate = _residual_gate(point.state, params)
+    if point.residual > gate:
         raise ArithmeticError(
             f"equilibrium residual {point.residual} exceeds gate "
-            f"{_residual_gate(params)} for {point.kind}")
+            f"{gate} for {point.kind}")
     return point
 
 
@@ -254,7 +260,8 @@ def _ratio(p0: list[float], ptilde: list[float], w: float) -> float:
     return abs(num) / abs(den)
 
 
-def hinf_ratio_sweep(params: ModelParams) -> SweepResult:
+def hinf_ratio_sweep(params: ModelParams,
+                     endemic: Optional[EquilibriumPoint]) -> SweepResult:
     """Exact peak of |ptilde(iw)/p0(iw)| over w >= 0 and the 1/beta test.
 
     With x = w^2, A(x) = |ptilde(iw)|^2 (degree 3) and B(x) = |p0(iw)|^2
@@ -264,11 +271,11 @@ def hinf_ratio_sweep(params: ModelParams) -> SweepResult:
     at w = sqrt(Re r) for every root r with Re r > 0, and the largest
     value wins; argmax_freq is 0.0 when the w -> 0 limit is the peak. The
     ratio is strictly proper, so w -> inf never is. Requires mu > 0 (p0
-    strictly Hurwitz) and an existing endemic point.
+    strictly Hurwitz) and an existing endemic point: `endemic` is
+    `endemic_equilibrium(params)`, None where there is none.
     """
     if params.mu == 0.0:
         raise ValueError("sweep refused: p0 has a root on the imaginary axis (mu = 0)")
-    endemic = endemic_equilibrium(params)
     if endemic is None:
         raise ValueError("sweep refused: no endemic equilibrium for these parameters")
 
@@ -319,7 +326,7 @@ def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
         spec2 = eigenvalues(j2)
         hinf_ratio = hinf_condition = None
         if sweep and params.mu > 0.0:
-            res = hinf_ratio_sweep(params)
+            res = hinf_ratio_sweep(params, x2)
             hinf_ratio, hinf_condition = res.max_ratio, res.condition_holds
         reports.append(StabilityReport(
             point=x2, jacobian=j2, spectrum=spec2, closed_form_zeros=None,

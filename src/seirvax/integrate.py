@@ -48,7 +48,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "rk4",
-    "positivity_events",
     "EPS_POS_RTOL",
 ]
 
@@ -106,7 +105,7 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class PositivityEvent:
-    """One negative-component observation (projection log or monitor hit)."""
+    """One negative component clamped to zero by the project policy."""
 
     t: float
     component: str
@@ -410,19 +409,3 @@ def _run_dopri45(field: FieldSource, law: ControlLaw, params: ModelParams,
         samples.rows, samples.project, samples.non_finite, *field.bind(params),
         *values)
     return samples
-
-
-def positivity_events(traj: Trajectory) -> list[PositivityEvent]:
-    """Samples where any component dips below -EPS_POS_RTOL*N.
-
-    An empty list means the trajectory is numerically positive.
-    """
-    eps = EPS_POS_RTOL * traj.params.N
-    events: list[PositivityEvent] = []
-    for name in ("S", "E", "I", "R"):
-        col = getattr(traj, name)
-        for idx in np.nonzero(col < -eps)[0]:
-            events.append(PositivityEvent(float(traj.t[idx]), name,
-                                          float(col[idx])))
-    events.sort(key=lambda ev: (ev.t, ev.component))
-    return events

@@ -59,15 +59,11 @@ __all__ = [
     "SCENARIO_LAWS",
     "GainCheck",
     "AsymptoticPrediction",
-    "InfectiousBound",
     "law_program",
     "compile_law",
     "evaluate",
     "predicted_limits",
     "corollary1_upper_bound",
-    "infectious_upper_bound",
-    "susceptible_plus_exposed_alt",
-    "constrained_gain_margin",
 ]
 
 
@@ -301,9 +297,9 @@ class _ImmuneFamily(ControlLaw):
 class ConstrainedImmuneFeedback(_ImmuneFamily):
     """Immune feedback with negative g, g1 tied to mu+omega+g.
 
-    Intended for the constrained-gain regime where V stays in [0, 1];
-    the printed gain gate is checked at bind time and the exact
-    per-sample margin is available via `constrained_gain_margin`.
+    Intended for the constrained-gain regime where V stays in [0, 1]:
+    the printed gain gate is checked at bind time, and a run's recorded V
+    is checked against [0, 1] by the positivity check's V-range sub-check.
     """
 
     name: ClassVar[str] = "constrained_immune_feedback"
@@ -496,53 +492,3 @@ def corollary1_upper_bound(state: SeirState, params: ModelParams,
         warnings.warn("corollary1_upper_bound: alpha < beta*I/N, bound not valid",
                       stacklevel=2)
     return 1.0 + (alpha - incidence) * state.S / muN
-
-
-@dataclass(frozen=True)
-class InfectiousBound:
-    """Upper bound on the infectious population and the nonnegativity condition.
-
-    condition_holds is None when gamma = 0 (condition undefined).
-    """
-
-    i_max: float
-    ratio: float
-    condition_holds: Optional[bool]
-
-
-def infectious_upper_bound(params: ModelParams) -> InfectiousBound:
-    """min(1, sigma*beta/((mu+sigma)*(mu+gamma))) * N and the (mu+omega)/gamma gate."""
-    mu, om, ga, si, be, N = (params.mu, params.omega, params.gamma,
-                             params.sigma, params.beta, params.N)
-    denom = (mu + si) * (mu + ga)
-    if denom <= 0.0:
-        raise ValueError("infectious_upper_bound requires mu+sigma > 0 and mu+gamma > 0")
-    ratio = si * be / denom
-    factor = min(1.0, ratio)
-    condition = factor >= (mu + om) / ga if ga > 0.0 else None
-    return InfectiousBound(i_max=factor * N, ratio=ratio, condition_holds=condition)
-
-
-def susceptible_plus_exposed_alt(state: SeirState, params: ModelParams,
-                                 g: float) -> float:
-    """Regrouped form of the susceptible-plus-exposed law:
-
-    V = (g*(N - I) - sigma*E + (omega - g)*R) / (mu*N)
-
-    Equals the primary form exactly when S+E+I+R = N.
-    """
-    muN = _require_channel(params)
-    return (g * (params.N - state.I) - params.sigma * state.E
-            + (params.omega - g) * state.R) / muN
-
-
-def constrained_gain_margin(state: SeirState, params: ModelParams,
-                            g: float) -> float:
-    """Per-sample margin -(|g|-omega)*N + |g|*R - gamma*I for the constrained law.
-
-    V <= 1 at this state exactly when the margin is <= 0; the gain gate's
-    "sufficiently large |g| - omega" has no closed form, so this is the
-    runtime check to monitor along trajectories.
-    """
-    return (-(abs(g) - params.omega) * params.N + abs(g) * state.R
-            - params.gamma * state.I)

@@ -11,9 +11,10 @@ and +mu*N:
     dR/dt = -(mu + omega)*R + gamma*I + mu*N*V
 
 This module holds the parameter/state types, the vector field, the
-admissibility check on initial conditions, and the algebraic coupling
-between the vaccination fraction V and the auxiliary control
-u = omega*R - sigma*E - mu*N*V.
+admissibility check on initial conditions (Assumption 1, which
+`seirvax simulate` reports as an advisory), and the algebraic coupling
+u = omega*R - sigma*E - mu*N*V between the vaccination fraction V and
+the auxiliary control u.
 
 All operations are pure functions of their inputs.
 """
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .exceptions import VaccinationChannelError
 from .kernels import FieldSource, function
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "derivative",
     "check_assumption1",
     "coupling_control",
-    "vaccination_from_control",
-    "is_conserved",
 ]
 
 # A 4-component rate tuple, and a vector field (y0, y1, y2, y3, V) -> rates
@@ -48,8 +46,8 @@ __all__ = [
 Rates = tuple[float, float, float, float]
 Field = Callable[[float, float, float, float, float], Rates]
 
-# Relative tolerance (of N) for tagging a state as conserved. RK4 drift
-# over desk-scale horizons stays well under this.
+# Relative tolerance (of the conserved total) of the conservation checks.
+# RK4 drift over desk-scale horizons stays well under this.
 CONSERVATION_RTOL = 1e-9
 
 
@@ -253,23 +251,3 @@ def coupling_control(state: SeirState, params: ModelParams, V: float) -> float:
     bits per sample as the scalar expression.
     """
     return params.omega * state.R - params.sigma * state.E - params.mu * params.N * V
-
-
-def vaccination_from_control(state: SeirState, params: ModelParams, u: float) -> float:
-    """Vaccination fraction realizing a required control u.
-
-    Inverts the coupling: V = (omega*R - sigma*E - u)/(mu*N).
-
-    Raises:
-        VaccinationChannelError: if mu*N = 0 (the channel gain vanishes).
-    """
-    muN = params.mu * params.N
-    if muN == 0.0:
-        raise VaccinationChannelError("vaccination channel gain zero")
-    return (params.omega * state.R - params.sigma * state.E - u) / muN
-
-
-def is_conserved(state: SeirState, params: ModelParams,
-                 rtol: float = CONSERVATION_RTOL) -> bool:
-    """True when S+E+I+R equals N within rtol*N."""
-    return abs(state.total - params.N) <= rtol * params.N

@@ -39,17 +39,13 @@ import numpy as np
 from .integrate import IntegratorConfig, rk4
 from .kernels import FieldSource, function
 from .laws import ControlLaw, ZeroVax
-from .model import (Field, ModelParams, SeirState, StateDerivative,
-                    derivative)
+from .model import Field, ModelParams, SeirState, StateDerivative
 
 __all__ = [
     "NormalState",
-    "TransformReport",
     "to_normal",
     "from_normal",
     "to_normal_tangent",
-    "transform_jacobian",
-    "relative_degree",
     "normal_derivative",
     "zero_dynamics_derivative",
     "NormalTrajectory",
@@ -72,20 +68,6 @@ class NormalState:
         return (self.z1, self.z2, self.z3, self.z4)
 
 
-@dataclass(frozen=True)
-class TransformReport:
-    """Relative degree and well-posedness of the transform.
-
-    input_coefficient is the numerically measured coefficient of V in
-    dy/dt (equals mu*N); jacobian_det is d(S,E,I,R)/d(z1,z2,z3,z4) = -1.
-    """
-
-    jacobian_det: float
-    relative_degree: int
-    well_posed: bool
-    input_coefficient: float
-
-
 def to_normal(state: SeirState) -> NormalState:
     return NormalState(z1=state.R, z2=state.S + state.R, z3=state.E, z4=state.I)
 
@@ -98,37 +80,6 @@ def from_normal(z: NormalState) -> SeirState:
 def to_normal_tangent(d: StateDerivative) -> tuple[float, float, float, float]:
     """Pushforward of a state derivative: (dR, dS+dR, dE, dI)."""
     return (d.dR, d.dS + d.dR, d.dE, d.dI)
-
-
-def transform_jacobian() -> np.ndarray:
-    """Constant matrix d(S,E,I,R)/d(z1,z2,z3,z4)."""
-    return np.array([
-        [-1.0, 1.0, 0.0, 0.0],   # S = z2 - z1
-        [0.0, 0.0, 1.0, 0.0],    # E = z3
-        [0.0, 0.0, 0.0, 1.0],    # I = z4
-        [1.0, 0.0, 0.0, 0.0],    # R = z1
-    ])
-
-
-def relative_degree(params: ModelParams,
-                    probe: SeirState | None = None) -> TransformReport:
-    """Measure the relative degree of the output y = R numerically.
-
-    Evaluates dy/dt at V = 0 and V = 1 at a probe state; the difference
-    is the input coefficient mu*N, so the input appears after one
-    derivative and the relative degree is one wherever mu*N != 0.
-    """
-    if probe is None:
-        probe = SeirState(0.7 * params.N, 0.1 * params.N,
-                          0.05 * params.N, 0.15 * params.N)
-    coeff = derivative(probe, params, 1.0).dR - derivative(probe, params, 0.0).dR
-    det = float(np.linalg.det(transform_jacobian()))
-    return TransformReport(
-        jacobian_det=det,
-        relative_degree=1,
-        well_posed=params.mu * params.N != 0.0,
-        input_coefficient=coeff,
-    )
 
 
 def _normal_constants(params: ModelParams) -> tuple[float, ...]:

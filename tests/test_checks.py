@@ -299,18 +299,19 @@ class TestIntegralLimit:
     def test_theorem3_limit_value(self, p1, mixed_state):
         cfg = IntegratorConfig(t_end=2000.0, dt=1e-2, sampling_stride=10)
         tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), cfg)
-        chk = check_integral_limit(tr, p1, g=0.0, g1=0.03, rel_tol=0.01)
+        chk = check_integral_limit(tr, rel_tol=0.01)
         assert chk.passed
         assert chk.details["limit"] == pytest.approx(2000.0, rel=1e-12)
         assert chk.details["integral"] == pytest.approx(2000.0, rel=0.01)
 
     def test_zero_weight_degenerate(self, p1, mixed_state):
-        # g = -omega makes the integrand vanish identically.
+        # g = -omega makes the integrand vanish identically (g1 stays
+        # below mu+omega+g, which rounds to just under 0.01 here).
         g = -p1.omega
-        law = ImmuneFeedback(g, 0.01)
+        law = ImmuneFeedback(g, 0.005)
         cfg = IntegratorConfig(t_end=1001.0, dt=1e-2, sampling_stride=100)
         tr = integrate(mixed_state, p1, law, cfg)
-        chk = check_integral_limit(tr, p1, g=g, g1=0.01)
+        chk = check_integral_limit(tr)
         assert chk.passed
         assert chk.details["limit"] == 0.0
         assert chk.details["integral"] == 0.0
@@ -325,7 +326,15 @@ class TestIntegralLimit:
         cfg = IntegratorConfig(t_end=100.0, dt=1e-2, sampling_stride=10)
         tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), cfg)
         with pytest.raises(HorizonError):
-            check_integral_limit(tr, p1, g=0.0, g1=0.03)
+            check_integral_limit(tr)
+
+    def test_refuses_law_outside_immune_family(self, p1, mixed_state):
+        cfg = IntegratorConfig(t_end=1.0, dt=1e-2)
+        for law in (SusceptibleLinear(0.1),
+                    Saturated(ImmuneFeedback(0.0, 0.03), 0.0, 1.0)):
+            tr = integrate(mixed_state, p1, law, cfg)
+            with pytest.raises(ValueError, match="immune-feedback family"):
+                check_integral_limit(tr)
 
 
 class TestTheorem2iAsymptoticsSweep:

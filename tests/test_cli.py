@@ -152,6 +152,21 @@ class TestSimulate:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_assumption1_advisory(self, tmp_path, capsys):
+        # E0 = 100 <= (mu+gamma)/sigma * I0 = 105: one warning line, and
+        # the exit code stays the checks' own.
+        initial = INITIAL_BLOCK.replace("E = 200", "E = 100").replace(
+            "R = 0", "R = 100")
+        path = write_scenario(tmp_path / "s.ini", initial=initial,
+                              extra="[checks]\nconservation = on\n")
+        code = main(["simulate", path, "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0 and "overall: PASS" in out
+        assert [line for line in out.splitlines() if "Assumption 1" in line] \
+            == ["warning: Assumption 1 not met: E0 > (mu+gamma)/sigma * I0"]
+        assert main(["simulate", str(SHIPPED), "--out-dir", str(tmp_path)]) == 0
+        assert "Assumption 1" not in capsys.readouterr().out
+
     def test_overrides(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path / "s.ini",
@@ -318,6 +333,14 @@ class TestEquilibriaCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "mu_zero_special" in out
+
+    def test_small_mu_endemic_point(self, capsys):
+        # The endemic residual (1.8e-15) exceeds 1e-8*mu*N = 1e-15 but not
+        # the rounding of the field's terms at the point.
+        code = main(["equilibria", "--mu", "1e-10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "endemic: S=222.222222" in out
 
 
 class TestZerodynCommand:
@@ -501,6 +524,12 @@ MALFORMED_INPUTS = {
         extra="[checks]\npositivity = on\n\n[checks.positivity]\n"
               "bounds = corollary1\n"),
         "corollary1 bound needs mu*N > 0"),
+    "integral_limit under susceptible_linear": (lambda d: _simulate_argv(
+        d, law="[law]\nname = susceptible_linear\ng = 0.1\n",
+        integrator="[integrator]\nt_end = 5\ndt = 0.01\n",
+        extra="[checks]\nintegral_limit = on\n"),
+        "integral_limit check needs an immune-feedback family law "
+        "(got susceptible_linear)"),
     "nan gain g1": (lambda d: _simulate_argv(
         d, law=LAW_BLOCK.replace("g1 = 0.03", "g1 = nan")),
         "key 'g1' in [law]: 'nan' is not finite"),

@@ -27,6 +27,10 @@ def _params(N=1000.0, mu=0.01, omega=0.02, beta=0.9, sigma=0.2, gamma=None):
                        gamma=sigma if gamma is None else gamma)
 
 
+def _sweep(p):
+    return hinf_ratio_sweep(p, endemic_equilibrium(p))
+
+
 class TestDiseaseFree:
     def test_point_and_residual(self, p1):
         eq = disease_free_equilibrium(p1)
@@ -76,6 +80,20 @@ class TestEndemic:
         assert endemic_equilibrium(_params(beta=beta_star)) is None
         eq = endemic_equilibrium(_params(beta=beta_star * (1.0 + 1e-9)))
         assert eq.state.S == pytest.approx(1000.0, rel=1e-8)
+
+    def test_residual_gate_covers_small_mu(self):
+        # The residual carries the rounding of the field's terms (beta*S*I/N,
+        # sigma*E, ...), which mu*N alone does not bound once mu is small:
+        # no draw down to mu = 1e-14 may fail the gate.
+        rng = np.random.default_rng(1103)
+        found = 0
+        for _ in range(1000):
+            p = _params(mu=10.0 ** rng.uniform(-14.0, 0.0),
+                        omega=rng.uniform(0.0, 1.0),
+                        beta=10.0 ** rng.uniform(-3.0, 1.5),
+                        sigma=10.0 ** rng.uniform(-3.0, 0.5))
+            found += endemic_equilibrium(p) is not None
+        assert found >= 300
 
     def test_requires_sigma_equals_gamma(self):
         with pytest.raises(ValueError, match="sigma equals gamma"):
@@ -192,15 +210,15 @@ class TestSweep:
         # beta = 0.25 with the P1 rates: the endemic point exists and the
         # peak stays under 1/beta = 4.
         p = _params(beta=0.25)
-        res = hinf_ratio_sweep(p)
+        res = _sweep(p)
         assert res.threshold == pytest.approx(4.0)
         assert res.condition_holds
         assert 0.0 < res.max_ratio < 4.0
 
     def test_condition_implies_stable_spectrum(self):
         p = _params(beta=0.25)
-        res = hinf_ratio_sweep(p)
         eq = endemic_equilibrium(p)
+        res = hinf_ratio_sweep(p, eq)
         spec = eigenvalues(jacobian_at(eq.state, p))
         assert res.condition_holds
         assert np.all(spec.real < 0.0)
@@ -229,19 +247,19 @@ class TestSweep:
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="imaginary axis"):
-            hinf_ratio_sweep(_params(mu=0.0))
+            _sweep(_params(mu=0.0))
         with pytest.raises(ValueError, match="no endemic"):
-            hinf_ratio_sweep(_params(beta=0.2))
+            _sweep(_params(beta=0.2))
         # p0(0) = mu^2 (mu+sigma)^2 underflows to zero at omega = 0
         with pytest.raises(ValueError, match="orders of magnitude"):
-            hinf_ratio_sweep(_params(mu=1e-170, omega=0.0))
+            _sweep(_params(mu=1e-170, omega=0.0))
 
     def test_peak_below_every_fixed_grid(self):
         # mu = 1e-12, omega = 0: p0 has a double root at -mu, the ratio
         # falls from its DC value sigma/(mu+sigma)^2 - 2/beta = 2.78 near
         # w = mu, and a grid starting at w = 1e-6 read 1.11 < 1/beta.
         p = _params(mu=1e-12, omega=0.0)
-        res = hinf_ratio_sweep(p)
+        res = _sweep(p)
         assert res.argmax_freq == 0.0 and not res.condition_holds
         dc = 0.2 / (1e-12 + 0.2) ** 2 - 2.0 / 0.9
         assert res.max_ratio == pytest.approx(dc, rel=1e-9)
@@ -266,7 +284,7 @@ class TestSweep:
             eq = endemic_equilibrium(p)
             if eq is None:
                 continue
-            res = hinf_ratio_sweep(p)
+            res = hinf_ratio_sweep(p, eq)
             p0, pt = _sweep_polynomials(p, eq)
             assert res.max_ratio == _ratio(p0, pt, res.argmax_freq), p
             c3, c2, c1, c0 = pt

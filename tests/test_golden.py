@@ -134,8 +134,9 @@ def _map_sweeps():
                     p = ModelParams(N=1000.0, mu=mu, omega=omega,
                                     beta=float(factor * beta_star),
                                     sigma=sigma, gamma=sigma)
-                    if endemic_equilibrium(p) is not None:
-                        results.append(hinf_ratio_sweep(p))
+                    endemic = endemic_equilibrium(p)
+                    if endemic is not None:
+                        results.append(hinf_ratio_sweep(p, endemic))
     assert len(results) == 513
     return results
 

@@ -26,7 +26,7 @@ from seirvax import (
     Trajectory,
     ZeroVax,
     integrate,
-    positivity_events,
+    monitor_positivity,
     to_normal,
 )
 from seirvax.integrate import _DP_A, _DP_C, _DP_E, Samples, _run_dopri45, rk4
@@ -277,29 +277,32 @@ class TestPositivity:
         cfg = IntegratorConfig(t_end=300.0, dt=1e-2, sampling_stride=10)
         law = Saturated(ImmuneFeedback(0.0, 0.03), 0.0, 1.0)
         tr = integrate(mixed_state, p1, law, cfg)
-        assert positivity_events(tr) == []
+        chk = monitor_positivity(tr)
+        assert chk.passed and chk.details["components >= 0"].worst == 0.0
 
     def test_injected_negative_start_reported_at_t0(self, p1):
-        # Hand-built trajectory: the monitor flags the first sample.
+        # Hand-built trajectory: the lower sub-check flags the first sample.
         t = np.array([0.0, 1.0])
         tr = Trajectory(t=t, S=np.array([-1.0, 1.0]), E=np.zeros(2),
                         I=np.zeros(2), R=np.array([1001.0, 999.0]),
                         V=np.zeros(2), u=np.zeros(2), params=p1,
                         law=ZeroVax(),
                         config=IntegratorConfig(t_end=1.0))
-        events = positivity_events(tr)
-        assert events and events[0].t == 0.0 and events[0].component == "S"
+        lower = monitor_positivity(tr, v_hi=np.inf).details["components >= 0"]
+        assert not lower.passed
+        assert lower.worst == 1.0 and lower.location_t == 0.0
 
     def test_negative_vaccination_drives_r_negative(self, p1):
-        # V = -5 from (N,0,0,0): dR/dt = -50/day, so the first event is
-        # one step after t0.
+        # V = -5 from (N,0,0,0): dR/dt = -50/day, so R is negative from
+        # one step after t0 and lowest at t_end.
         cfg = IntegratorConfig(t_end=1.0, dt=1e-2)
         tr = integrate(SeirState(1000.0, 0.0, 0.0, 0.0), p1,
                        ConstantVax(-5.0), cfg)
-        events = positivity_events(tr)
-        assert events
-        assert events[0].component == "R"
-        assert events[0].t == pytest.approx(cfg.dt, abs=1e-12)
+        assert tr.R[0] == 0.0 and tr.R[1] < 0.0
+        lower = monitor_positivity(tr, v_lo=-5.0).details["components >= 0"]
+        assert not lower.passed
+        assert lower.worst == -float(tr.R[-1])
+        assert lower.location_t == pytest.approx(cfg.t_end, abs=1e-12)
 
     def test_project_policy_clamps_and_logs(self, p1):
         cfg = IntegratorConfig(t_end=1.0, dt=1e-2, positivity_policy="project")

@@ -22,13 +22,10 @@ from seirvax import (
     SusceptiblePlusExposed,
     VaccinationChannelError,
     ZeroVax,
-    constrained_gain_margin,
     corollary1_upper_bound,
     evaluate,
-    infectious_upper_bound,
     ScenarioError,
     predicted_limits,
-    susceptible_plus_exposed_alt,
 )
 
 from conftest import random_conserved_state
@@ -214,31 +211,6 @@ class TestBounds:
         with pytest.warns(UserWarning):
             corollary1_upper_bound(mixed_state, p1, 0.0)
 
-    def test_infectious_bound_p1(self, p1):
-        b = infectious_upper_bound(p1)
-        # sigma*beta/((mu+sigma)(mu+gamma)) = 0.18/0.0441 ~= 4.082 -> capped
-        assert b.ratio == pytest.approx(0.18 / 0.0441, rel=1e-12)
-        assert b.i_max == 1000.0
-        assert b.condition_holds  # 1 >= 0.03/0.2
-
-    def test_infectious_bound_zero_beta(self):
-        p = ModelParams(N=1000.0, mu=0.01, omega=0.02, beta=0.0,
-                        sigma=0.2, gamma=0.2)
-        assert infectious_upper_bound(p).i_max == 0.0
-
-    def test_infectious_bound_boundary(self):
-        # sigma*beta = (mu+sigma)(mu+gamma) -> factor exactly 1 -> bound N
-        mu, si = 0.01, 0.2
-        ga = 0.2
-        be = (mu + si) * (mu + ga) / si
-        p = ModelParams(N=1000.0, mu=mu, omega=0.02, beta=be, sigma=si, gamma=ga)
-        assert infectious_upper_bound(p).i_max == pytest.approx(1000.0, rel=1e-15)
-
-    def test_infectious_bound_gamma_zero_condition_undefined(self):
-        p = ModelParams(N=1000.0, mu=0.01, omega=0.02, beta=0.9,
-                        sigma=0.2, gamma=0.0)
-        assert infectious_upper_bound(p).condition_holds is None
-
 
 class TestLawProperties:
     def test_control_identity_immune_feedback(self, p1):
@@ -279,9 +251,9 @@ class TestLawProperties:
         for row in states:
             v = evaluate(law, SeirState(*map(float, row)), p)
             assert -1e-12 <= v <= 1.0 + 1e-12
-        # margin check is tight at the R = N corner
-        assert constrained_gain_margin(SeirState(0, 0, 0, p.N), p, -0.1) \
-            == pytest.approx(0.0, abs=1e-12)
+        # the range is tight at the R = N corner
+        assert evaluate(law, SeirState(0.0, 0.0, 0.0, p.N), p) \
+            == pytest.approx(1.0, abs=1e-12)
 
     def test_saturated_always_in_range(self, p1):
         rng = np.random.default_rng(17)
@@ -307,7 +279,9 @@ class TestLawProperties:
         for _ in range(300):
             s = random_conserved_state(rng, p1.N)
             v1 = evaluate(law, s, p1)
-            v2 = susceptible_plus_exposed_alt(s, p1, g)
+            # regrouped with S + E = N - I - R
+            v2 = (g * (p1.N - s.I) - p1.sigma * s.E
+                  + (p1.omega - g) * s.R) / (p1.mu * p1.N)
             assert v1 == pytest.approx(v2, abs=8.0 * np.spacing(max(1.0, abs(v1))))
 
 

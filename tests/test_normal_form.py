@@ -23,7 +23,6 @@ from seirvax import (
     integrate_normal,
     integrate_zero_dynamics,
     normal_derivative,
-    relative_degree,
     to_normal,
     to_normal_tangent,
     zero_dynamics_derivative,
@@ -72,22 +71,29 @@ class TestTransform:
         assert s.S == -5.0
 
     def test_jacobian_det_is_exactly_minus_one(self, p1):
-        assert relative_degree(p1).jacobian_det == -1.0
+        # d(S,E,I,R)/d(z1,z2,z3,z4): from_normal is linear, so its columns
+        # are the images of the unit vectors.
+        jac = np.column_stack([from_normal(NormalState(*e)).as_tuple()
+                               for e in np.eye(4).tolist()])
+        assert np.linalg.det(jac) == -1.0
 
 
 class TestRelativeDegree:
     def test_p1(self, p1):
-        rep = relative_degree(p1)
-        assert rep.relative_degree == 1
-        assert rep.well_posed
-        assert rep.input_coefficient == pytest.approx(10.0, rel=1e-12)
+        # V enters the output equation dz1 = dR with coefficient mu*N and
+        # no other normal-form equation: relative degree one.
+        z = to_normal(SeirState(700.0, 100.0, 50.0, 150.0))
+        d0 = normal_derivative(z, p1, 0.0)
+        d1 = normal_derivative(z, p1, 1.0)
+        assert d1[1:] == d0[1:]
+        assert d1[0] - d0[0] == pytest.approx(10.0, rel=1e-12)
 
-    def test_mu_zero_ill_posed(self):
+    def test_mu_zero_ill_posed(self, mixed_state):
+        # mu*N = 0: the input channel vanishes and V moves nothing.
         p = ModelParams(N=1000.0, mu=0.0, omega=0.02, beta=0.9,
                         sigma=0.2, gamma=0.2)
-        rep = relative_degree(p)
-        assert not rep.well_posed
-        assert rep.input_coefficient == pytest.approx(0.0, abs=1e-12)
+        z = to_normal(mixed_state)
+        assert normal_derivative(z, p, 1.0) == normal_derivative(z, p, 0.0)
 
     def test_coefficient_estimate_any_state(self, p1):
         rng = np.random.default_rng(5)
