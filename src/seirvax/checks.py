@@ -323,10 +323,11 @@ def check_integral_limit(traj: Trajectory, rel_tol: float = 0.01) -> Check:
     if not isinstance(law, ImmuneFeedback):
         raise ValueError("integral_limit check needs an immune-feedback "
                          f"family law (got {traj.law.label})")
-    limit = predicted_limits(law, params).integral_limit
+    pred = predicted_limits(law, params)
+    limit = pred.integral_limit
     mu, om, g = params.mu, params.omega, law.g
     t0, t_end = float(traj.t[0]), float(traj.t[-1])
-    need_span = 10.0 / min(mu, mu + om + g)
+    need_span = 10.0 / min(mu, pred.decay_rate)
     if (t_end - t0) < need_span:
         raise HorizonError(
             f"horizon too short for integral limit: need t_end >= {t0 + need_span:g}",

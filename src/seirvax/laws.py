@@ -270,6 +270,9 @@ class ImmuneFeedback(ControlLaw):
         lam = mu + om + g
         if not g > -(mu + om):
             raise _refuse("g > -(mu+omega)")
+        if g1 > lam and math.fsum((mu, om, g, -g1)) >= 0.0:
+            # g1 meets the clause exactly; only the rounded sum falls below it.
+            lam = g1
         if not 0.0 <= g1 <= lam:
             raise _refuse("0 <= g1 <= mu+omega+g (limits within [0, N])")
         kwargs = dict(

@@ -125,6 +125,7 @@ CLAUSE_NONNEG = "min(S0, I0, R0) >= 0"
 CLAUSE_EXPOSED = "E0 > (mu+gamma)/sigma * I0"
 CLAUSE_INCIDENCE = "beta*S0*I0/((mu+sigma)*N) > E0 (only if I0 != 0)"
 CLAUSE_SIGMA_ZERO = "sigma zero"
+CLAUSE_MU_SIGMA_ZERO = "mu+sigma zero"
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,8 @@ def check_assumption1(state0: SeirState, params: ModelParams) -> AdmissibilityRe
       2. E0 > (mu+gamma)/sigma * I0
       3. beta*S0*I0/((mu+sigma)*N) > E0, required only when I0 != 0
     With sigma = 0 and I0 > 0 the second clause is undefined and is
-    reported as violated with reason "sigma zero".
+    reported as violated with reason "sigma zero"; with mu + sigma = 0 and
+    I0 != 0 the third is, with reason "mu+sigma zero".
 
     Also reports beta > beta0 with beta0 = (mu+gamma)*(1+mu/sigma), the
     parametric threshold that makes the constraints independent of the
@@ -229,7 +231,10 @@ def check_assumption1(state0: SeirState, params: ModelParams) -> AdmissibilityRe
         clauses.append((CLAUSE_EXPOSED, E0 > (mu + ga) / si * I0))
 
     if I0 != 0.0:
-        clauses.append((CLAUSE_INCIDENCE, be * S0 * I0 / ((mu + si) * N) > E0))
+        if mu + si == 0.0:
+            clauses.append((CLAUSE_MU_SIGMA_ZERO, False))
+        else:
+            clauses.append((CLAUSE_INCIDENCE, be * S0 * I0 / ((mu + si) * N) > E0))
 
     beta0 = math.inf if si == 0.0 else (mu + ga) * (1.0 + mu / si)
     e_dot0 = derivative(state0, params, 0.0).dE

@@ -259,6 +259,15 @@ class TestAsymptotics:
         mean_v = chk.details["v_inf"][0]
         assert abs(mean_v - 3.0) <= 1e-2
 
+    def test_full_immunization_at_rounded_edge(self, p1, mixed_state):
+        # g1 = mu+omega+g exactly, though the float sum is 0.00999...98.
+        law = ImmuneFeedback(-p1.omega, 0.01)
+        pred = predicted_limits(law, p1)
+        assert (pred.r_inf, pred.s_inf, pred.decay_rate) == (p1.N, 0.0, 0.01)
+        cfg = IntegratorConfig(t_end=2000.0, dt=1e-2, sampling_stride=100)
+        tr = integrate(mixed_state, p1, law, cfg)
+        assert check_asymptotics(tr, pred, rel_tol=1e-3).passed
+
     def test_refuses_short_horizon(self, p1, mixed_state):
         cfg = IntegratorConfig(t_end=50.0, dt=1e-2, sampling_stride=10)
         tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), cfg)
@@ -305,10 +314,10 @@ class TestIntegralLimit:
         assert chk.details["integral"] == pytest.approx(2000.0, rel=0.01)
 
     def test_zero_weight_degenerate(self, p1, mixed_state):
-        # g = -omega makes the integrand vanish identically (g1 stays
-        # below mu+omega+g, which rounds to just under 0.01 here).
+        # g = -omega makes the integrand vanish identically; g1 sits on
+        # the edge mu+omega+g, which rounds to just under 0.01.
         g = -p1.omega
-        law = ImmuneFeedback(g, 0.005)
+        law = ImmuneFeedback(g, 0.01)
         cfg = IntegratorConfig(t_end=1001.0, dt=1e-2, sampling_stride=100)
         tr = integrate(mixed_state, p1, law, cfg)
         chk = check_integral_limit(tr)

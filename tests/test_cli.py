@@ -167,6 +167,33 @@ class TestSimulate:
         assert main(["simulate", str(SHIPPED), "--out-dir", str(tmp_path)]) == 0
         assert "Assumption 1" not in capsys.readouterr().out
 
+    def test_assumption1_undefined_incidence_clause(self, tmp_path, capsys):
+        # mu = sigma = 0 with I0 > 0: both clauses that divide are reported
+        # as violated instead of raising, and the exit code stays the checks'.
+        params = P1_BLOCK.replace("mu = 0.01", "mu = 0").replace(
+            "sigma = 0.2", "sigma = 0")
+        path = write_scenario(tmp_path / "s.ini", params=params,
+                              law="[law]\nname = zero\n",
+                              extra="[checks]\nconservation = on\n")
+        code = main(["simulate", path, "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0 and "overall: PASS" in out
+        assert [line for line in out.splitlines() if "Assumption 1" in line] \
+            == ["warning: Assumption 1 not met: sigma zero",
+                "warning: Assumption 1 not met: mu+sigma zero"]
+
+    def test_immune_feedback_at_rounded_edge(self, tmp_path, capsys):
+        # g1 = mu+omega+g exactly, though the float sum rounds below 0.01.
+        law = LAW_BLOCK.replace("g = 0.0", "g = -0.02").replace(
+            "g1 = 0.03", "g1 = 0.01")
+        path = write_scenario(
+            tmp_path / "s.ini", law=law,
+            integrator=INTEGRATOR_BLOCK.replace("t_end = 400", "t_end = 2000"),
+            extra="[checks]\nasymptotics = on\nintegral_limit = on\n")
+        code = main(["simulate", path, "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0 and "overall: PASS" in out
+
     def test_overrides(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path / "s.ini",

@@ -168,6 +168,15 @@ class TestPredictedLimits:
         with pytest.raises(PredictionError, match="g1"):
             # r_inf would exceed N
             predicted_limits(ImmuneFeedback(0.0, 0.1), p1)
+        with pytest.raises(PredictionError, match="g1"):
+            # one ulp past the exact edge mu+omega+g = 0.01
+            predicted_limits(ImmuneFeedback(-0.02, np.nextafter(0.01, 1.0)), p1)
+
+    def test_exact_edge_accepted_past_rounded_sum(self, p1):
+        # mu+omega+g = 0.01 exactly, but the float sum is 0.00999...98.
+        assert p1.mu + p1.omega - 0.02 < 0.01
+        pred = predicted_limits(ImmuneFeedback(-0.02, 0.01), p1)
+        assert (pred.r_inf, pred.s_plus_e_plus_i_inf, pred.s_inf) == (1000.0, 0.0, 0.0)
 
     def test_mu_zero_refused_for_every_law(self):
         # predicted_limits is the only way to the limits, and it refuses

@@ -128,6 +128,14 @@ class TestAssumption1:
         assert not rep.assumption1_holds
         assert "sigma zero" in rep.violated_clauses
 
+    def test_mu_and_sigma_zero_incidence_clause_is_violated(self):
+        p = ModelParams(N=1000.0, mu=0.0, omega=0.02, beta=0.9,
+                        sigma=0.0, gamma=0.2)
+        rep = check_assumption1(SeirState(900.0, 50.0, 50.0, 0.0), p)
+        assert rep.violated_clauses == ("sigma zero", "mu+sigma zero")
+        assert check_assumption1(SeirState(950.0, 50.0, 0.0, 0.0),
+                                 p).assumption1_holds
+
     def test_satisfied_incidence_clause_forces_growing_exposed(self, p1):
         # The report surfaces dE/dt(0): positive whenever the incidence
         # clause holds (its known tension with the narrative reading).
