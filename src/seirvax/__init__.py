@@ -44,7 +44,6 @@ from .laws import (
 from .integrate import (
     EPS_POS_RTOL,
     IntegratorConfig,
-    PositivityEvent,
     Trajectory,
     integrate,
 )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -49,20 +48,26 @@ ZERODYN_HEADER = "t,z2,z3,z4,sum"
 _USAGE_ERROR = 1
 _CHECK_FAILURE = 2
 
+# Rows per format operation when writing a CSV: the memory of a write is
+# that of one block, whatever the length of the table.
+_CSV_BLOCK_ROWS = 1024
+
 
 def _write_csv(path: str | Path, header: str,
                cols: tuple[np.ndarray, ...]) -> None:
     """Write columns under a header with shortest round-trip decimals.
 
     Each value is written as Python's `repr` of the float, which reads
-    back bitwise; one format operation writes the whole table, so the
-    cost is that of the `repr`s themselves.
+    back bitwise; one format operation writes each block of
+    `_CSV_BLOCK_ROWS` rows, so the cost is that of the `repr`s themselves.
     """
-    values = np.column_stack(cols).ravel().tolist()
-    row = ",".join(["%r"] * len(cols)) + "\n"
+    block = ",".join(["%r"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.write(row * (len(values) // len(cols)) % tuple(values))
+        for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            values = np.column_stack(
+                [col[start:start + _CSV_BLOCK_ROWS] for col in cols])
+            fh.write(block * len(values) % tuple(values.ravel().tolist()))
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
@@ -71,11 +76,11 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
                (traj.t, traj.S, traj.E, traj.I, traj.R, traj.V, traj.u))
 
 
-def _parse_rows(body: str) -> np.ndarray:
+def _parse_rows(lines) -> np.ndarray:
     """The rows below the header, line by line, each value by `float`;
     refuses the first malformed line by its number."""
     rows = []
-    for lineno, line in enumerate(body.splitlines(), start=2):
+    for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue
@@ -92,27 +97,28 @@ def _parse_rows(body: str) -> np.ndarray:
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a trajectory CSV; the header must match exactly.
 
-    numpy's reader parses the table in one pass and reads shortest
+    numpy's reader parses the open file in one pass and reads shortest
     round-trip decimals back bitwise; where it refuses a row (it accepts
-    a subset of what `float` does), the rows are parsed one by one, which
-    accepts what `float` accepts and names the first malformed line.
-    Blank lines are skipped.
+    a subset of what `float` does), the file is read again and the rows
+    are parsed one by one, which accepts what `float` accepts and names
+    the first malformed line. Blank lines are skipped.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ScenarioError(
                 f"CSV header mismatch: expected {CSV_HEADER!r}, got {header!r}")
-        body = fh.read()
-    if not body.strip():
-        raise ScenarioError("CSV contains no samples")
-    try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                          ndmin=2)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != 7:
-        data = _parse_rows(body)
+        start = fh.tell()
+        if not any(line.strip() for line in iter(fh.readline, "")):
+            raise ScenarioError("CSV contains no samples")
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != 7:
+            fh.seek(start)
+            data = _parse_rows(fh)
     names = CSV_HEADER.split(",")
     return {name: data[:, k] for k, name in enumerate(names)}
 

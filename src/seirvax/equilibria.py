@@ -105,12 +105,30 @@ def _residual_gate(state: SeirState, params: ModelParams) -> float:
 
 
 def _check_residual(point: EquilibriumPoint, params: ModelParams) -> EquilibriumPoint:
+    """The point, refused with a ValueError where its residual exceeds the
+    gate (parameters whose closed form double precision cannot hold)."""
     gate = _residual_gate(point.state, params)
     if point.residual > gate:
-        raise ArithmeticError(
+        raise ValueError(
             f"equilibrium residual {point.residual} exceeds gate "
             f"{gate} for {point.kind}")
     return point
+
+
+def _square(x: float, what: str) -> float:
+    """x ** 2, refused with a ValueError where it overflows a double."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise ValueError(f"({what})^2 overflows double precision at "
+                         f"{what} = {x!r}") from None
+
+
+def _nonzero(value: float, what: str) -> float:
+    """value, refused with a ValueError where it underflowed to 0."""
+    if value == 0.0:
+        raise ValueError(f"{what} underflows double precision")
+    return value
 
 
 def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
@@ -130,7 +148,8 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
 
     Requires sigma = gamma and sigma > 0. For mu > 0 the point exists iff
     (mu+sigma)^2/(sigma*beta) < 1; for mu = 0 the special branch exists
-    iff sigma < beta.
+    iff sigma < beta. Rates whose closed form overflows or underflows
+    double precision are refused with a ValueError.
     """
     _require_sigma_equals_gamma(params)
     mu, om, be, si, N = params.mu, params.omega, params.beta, params.sigma, params.N
@@ -140,7 +159,7 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
     if mu == 0.0:
         if not si < be:
             return None
-        denom = be * (2.0 * om + si)
+        denom = _nonzero(be * (2.0 * om + si), "endemic closed form")
         state = SeirState(
             S=si * N / be,
             E=(be - si) * om * N / denom,
@@ -152,12 +171,15 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
                                  feasibility_a11=a11_feasibility(params)[1])
         return _check_residual(point, params)
 
-    if be == 0.0 or (mu + si) ** 2 / (si * be) >= 1.0:
+    if be == 0.0:
+        return None
+    ms2 = _square(mu + si, "mu+sigma")
+    if ms2 / _nonzero(si * be, "sigma*beta") >= 1.0:
         return None
 
-    ms2 = (mu + si) ** 2
     excess = si * be - ms2
     denom = be * (ms2 + om * (mu + 2.0 * si))
+    _nonzero(si * denom, "endemic closed form")
     state = SeirState(
         S=ms2 / (si * be) * N,
         E=(mu + om) * (mu + si) * excess / (si * denom) * N,
@@ -178,9 +200,9 @@ def a11_feasibility(params: ModelParams) -> tuple[float, bool]:
     mu, om, be, si, N = params.mu, params.omega, params.beta, params.sigma, params.N
     if si == 0.0 or be == 0.0:
         raise ValueError("feasibility expression undefined for sigma = 0 or beta = 0")
-    ms2 = (mu + si) ** 2
-    value = ((si * be - ms2) / (be * (ms2 + om * (mu + 2.0 * si)))
-             * max(si, (1.0 + mu / si) * (mu + om)))
+    ms2 = _square(mu + si, "mu+sigma")
+    denom = _nonzero(be * (ms2 + om * (mu + 2.0 * si)), "feasibility expression")
+    value = (si * be - ms2) / denom * max(si, (1.0 + mu / si) * (mu + om))
     return value, value <= 1.0
 
 
@@ -210,7 +232,7 @@ def char_zeros_x1(params: ModelParams) -> CharZerosX1:
     mu, om, be, si = params.mu, params.omega, params.beta, params.sigma
     root = math.sqrt(si * be)
     zeros = (-mu, -(mu + om), -(mu + si) + root, -(mu + si) - root)
-    threshold = (mu + si) ** 2 / si if si > 0.0 else math.inf
+    threshold = _square(mu + si, "mu+sigma") / si if si > 0.0 else math.inf
     stable = mu > 0.0 and om > -mu and 0.0 <= be < threshold
     return CharZerosX1(zeros=zeros, locally_stable=stable)
 
@@ -243,7 +265,7 @@ def _sweep_polynomials(params: ModelParams, endemic: EquilibriumPoint):
     cubic = _polymul([1.0, 2.0 * c, c * c], [1.0, mu + om])   # (s+c)^2 (s+mu+om)
     p0 = _polymul(cubic, [1.0, mu])
     # ptilde = i_frac*(cubic - om*si^2) - si*s_frac*(s+mu)(s+mu+om)
-    shifted = cubic[:3] + [cubic[3] - om * si ** 2]
+    shifted = cubic[:3] + [cubic[3] - om * _square(si, "sigma")]
     quad = [0.0] + _polymul([1.0, mu], [1.0, mu + om])
     ptilde = [i_frac * u - si * s_frac * v for u, v in zip(shifted, quad)]
     return p0, ptilde
@@ -284,8 +306,9 @@ def hinf_ratio_sweep(params: ModelParams,
     # ptilde(iw) = (c0 - c2 x) + iw (c1 - c3 x); A and B lowest degree first.
     a = [c0 * c0, c1 * c1 - 2.0 * c0 * c2, c2 * c2 - 2.0 * c1 * c3, c3 * c3]
     mu, om, si = params.mu, params.omega, params.sigma
-    b = _polymul(_polymul([mu * mu, 1.0], [(mu + om) ** 2, 1.0]),
-                 _polymul([(mu + si) ** 2, 1.0], [(mu + si) ** 2, 1.0]))
+    ms2 = _square(mu + si, "mu+sigma")
+    b = _polymul(_polymul([mu * mu, 1.0], [_square(mu + om, "mu+omega"), 1.0]),
+                 _polymul([ms2, 1.0], [ms2, 1.0]))
     da = [k * v for k, v in enumerate(a)][1:]
     db = [k * v for k, v in enumerate(b)][1:]
     stationary = [u - v for u, v in zip(_polymul(da, b), _polymul(a, db))]

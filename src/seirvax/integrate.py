@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .model import SEIR_SOURCE, ModelParams, SeirState, coupling_control
 
 __all__ = [
     "IntegratorConfig",
-    "PositivityEvent",
     "Trajectory",
     "integrate",
     "rk4",
@@ -55,23 +54,15 @@ __all__ = [
 # integration roundoff, small enough to expose genuine model violations.
 EPS_POS_RTOL = 1e-9
 
-_PROJECTION_LOG_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration window and scheme selection.
-
-    positivity_policy: "report" leaves negative excursions in place for
-    the monitors to see (default; clamping would mask bugs), "project"
-    clamps negative components to zero after each step and logs the event.
-    """
+    """Integration window and scheme selection."""
 
     t_end: float
     t0: float = 0.0
     dt: float = 1e-2
     sampling_stride: int = 1
-    positivity_policy: str = "report"
     adaptive: bool = False
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
@@ -87,8 +78,6 @@ class IntegratorConfig:
         if not (isinstance(self.sampling_stride, numbers.Integral)
                 and self.sampling_stride >= 1):
             raise ValueError("sampling_stride must be an integer >= 1")
-        if self.positivity_policy not in ("report", "project"):
-            raise ValueError("positivity_policy must be 'report' or 'project'")
         if self.adaptive and not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("adaptive mode needs rel_tol > 0 and abs_tol > 0")
         span = self.t_end - self.t0
@@ -104,20 +93,12 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class PositivityEvent:
-    """One negative component clamped to zero by the project policy."""
-
-    t: float
-    component: str
-    value: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time-ordered samples of the closed loop, immutable after construction.
 
     Arrays t, S, E, I, R, V, u share a common length; t is strictly
     increasing and the first sample equals the initial condition at t0.
+    Negative excursions stay in the samples for `monitor_positivity`.
     """
 
     t: np.ndarray
@@ -130,8 +111,6 @@ class Trajectory:
     params: ModelParams
     law: ControlLaw
     config: IntegratorConfig
-    projected: tuple[PositivityEvent, ...] = field(default=())
-    projected_count: int = 0
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -171,28 +150,22 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
     """
     _check_initial(state0, params)
     stepper = _run_dopri45 if config.adaptive else rk4
-    samples = stepper(SEIR_SOURCE, law, params, state0.as_tuple(), config,
-                      config.positivity_policy == "project")
+    samples = stepper(SEIR_SOURCE, law, params, state0.as_tuple(), config)
     t, S, E, I, R, V = samples.columns()
     u = coupling_control(SeirState(S, E, I, R), params, V)
     return Trajectory(t=t, S=S, E=E, I=I, R=R, V=V, u=u,
-                      params=params, law=law, config=config,
-                      projected=tuple(samples.projected),
-                      projected_count=samples.n_projected)
+                      params=params, law=law, config=config)
 
 
 class Samples:
     """Sample buffer of a stepper: rows (t, y0, y1, y2, y3, V) in `rows`.
 
     The kernels append rows unchecked; `columns` refuses a non-finite
-    state or V. `project` clamps negative components to zero and logs
-    each one (the log is capped, the count is not).
+    state or V.
     """
 
     def __init__(self) -> None:
         self.rows = array("d")
-        self.projected: list[PositivityEvent] = []
-        self.n_projected = 0
 
     def check(self) -> None:
         """Raise NonFiniteStateError at the first row with a non-finite
@@ -217,14 +190,6 @@ class Samples:
             f"non-finite state at t = {t} (sample index {index})",
             t=t, sample_index=index)
 
-    def project(self, t: float, y: tuple) -> tuple:
-        for name, value in zip("SEIR", y):
-            if value < 0.0:
-                self.n_projected += 1
-                if len(self.projected) < _PROJECTION_LOG_CAP:
-                    self.projected.append(PositivityEvent(t, name, value))
-        return tuple(max(v, 0.0) for v in y)
-
     def columns(self) -> np.ndarray:
         """(6, n) array: the t, y0..y3 and V columns, each contiguous."""
         self.check()
@@ -234,7 +199,7 @@ class Samples:
 # Classic RK4 with the law at every stage. V at the end of a step is both
 # the recorded value and the first stage's input of the next step.
 _RK4 = """\
-def rk4(y0, y1, y2, y3, t0, h, n, stride, project, out, clamp, {args}):
+def rk4(y0, y1, y2, y3, t0, h, n, stride, out, {args}):
     half = 0.5 * h
     sixth = h / 6.0
     record = out.frombytes
@@ -254,8 +219,6 @@ def rk4(y0, y1, y2, y3, t0, h, n, stride, project, out, clamp, {args}):
         @k4 = field(s, V)
         y{c} = y{c} + sixth * (k1_{c} + 2.0 * k2_{c} + 2.0 * k3_{c} + k4_{c})
         t = t0 + k * h
-        if project and (y0 < 0.0 or y1 < 0.0 or y2 < 0.0 or y3 < 0.0):
-            y0, y1, y2, y3 = clamp(t, (y0, y1, y2, y3))
         @V = law(y, t)
         if k % stride == 0 or k == n:
             record(row(t, y0, y1, y2, y3, V))
@@ -263,19 +226,18 @@ def rk4(y0, y1, y2, y3, t0, h, n, stride, project, out, clamp, {args}):
 
 
 def rk4(field: FieldSource, law: ControlLaw, params: ModelParams, y0: tuple,
-        config: IntegratorConfig, project: bool = False) -> Samples:
+        config: IntegratorConfig) -> Samples:
     """Classic fixed-step RK4 of `field` closed under `law` on the config's grid.
 
     The law is evaluated at the state of every stage (at `field.law_state`,
     its S, E, I, R in the field's coordinates). Samples are recorded at
-    t0, every `sampling_stride` steps and at the last step. With
-    `project`, negative components are clamped to zero after each step.
+    t0, every `sampling_stride` steps and at the last step.
     """
     shape, values = law_program(law, params)
     samples = Samples()
     kernel(_RK4, field, shape)(
         *y0, config.t0, config.dt, config.n_steps, config.sampling_stride,
-        project, samples.rows, samples.project, *field.bind(params), *values)
+        samples.rows, *field.bind(params), *values)
     return samples
 
 
@@ -319,10 +281,9 @@ def _dopri_sums(template: str) -> str:
 
 
 # The FSAL property: the last stage is the field at the accepted solution,
-# so it is the next step's first stage unless the step is projected.
+# so it is the next step's first stage.
 _DOPRI = _dopri_sums("""\
-def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, project, out, clamp,
-          fail, {args}):
+def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, out, fail, {args}):
     record = out.frombytes
     @V = law(y, t)
     record(row(t, y0, y1, y2, y3, V))
@@ -377,10 +338,6 @@ def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, project, out, clamp,
         if t >= t_end:
             t = t_end
             @V = law(y, t)
-        if project and (y0 < 0.0 or y1 < 0.0 or y2 < 0.0 or y3 < 0.0):
-            y0, y1, y2, y3 = clamp(t, (y0, y1, y2, y3))
-            @V = law(y, t)
-            @k7 = field(y, V)
         k1_{c} = k7_{c}
         accepted += 1
         if accepted % stride == 0 or t >= t_end:
@@ -390,8 +347,7 @@ def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, project, out, clamp,
 
 
 def _run_dopri45(field: FieldSource, law: ControlLaw, params: ModelParams,
-                 y0: tuple, config: IntegratorConfig,
-                 project: bool = False) -> Samples:
+                 y0: tuple, config: IntegratorConfig) -> Samples:
     """Embedded Dormand-Prince 5(4) of `field` closed under `law`.
 
     Local extrapolation (the 5th-order solution is kept), an RMS error
@@ -405,7 +361,6 @@ def _run_dopri45(field: FieldSource, law: ControlLaw, params: ModelParams,
     samples = Samples()
     kernel(_DOPRI, field, shape)(
         *y0, config.t0, config.t_end, min(config.dt, config.t_end - config.t0),
-        config.rel_tol, config.abs_tol, config.sampling_stride, project,
-        samples.rows, samples.project, samples.non_finite, *field.bind(params),
-        *values)
+        config.rel_tol, config.abs_tol, config.sampling_stride, samples.rows,
+        samples.non_finite, *field.bind(params), *values)
     return samples

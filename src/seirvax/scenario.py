@@ -91,12 +91,10 @@ def build_law(name: str, gains: dict[str, float],
 
 def _value(section: configparser.SectionProxy, key: str, where: str,
            kind: type | tuple = float, finite: bool = False):
-    """Read one value as float, int (finite and whole), bool, str or one
-    of a tuple of strings, naming the key on failure."""
+    """Read one value as float, int (finite and whole), bool or one of a
+    tuple of strings, naming the key on failure."""
     raw = section[key]
     bad = f"key {key!r} in [{where}]: {raw!r}"
-    if kind is str:
-        return raw.strip()
     if isinstance(kind, tuple):
         if raw.strip() not in kind:
             raise ScenarioError(f"{bad} is not one of: {', '.join(kind)}")

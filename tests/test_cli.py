@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 from seirvax import ImmuneFeedback, Saturated, ScenarioError, integrate
 from seirvax.cli import (CSV_HEADER, _write_csv, main, read_trajectory_csv,
@@ -206,6 +212,12 @@ class TestSimulate:
         assert len(data["t"]) == 2  # stride 100 > 4 steps: start + final only
 
 
+@pytest.fixture(scope="module")
+def shipped_run():
+    sc = load_scenario(SHIPPED)
+    return integrate(sc.initial, sc.params, sc.law, sc.config)
+
+
 class TestCsvRoundTrip:
     def test_full_precision(self, tmp_path, p1, mixed_state):
         from seirvax import IntegratorConfig, ZeroVax, integrate
@@ -218,14 +230,32 @@ class TestCsvRoundTrip:
                           ("R", tr.R), ("V", tr.V), ("u", tr.u)):
             assert np.array_equal(data[name], col)
 
-    def test_shipped_run_is_bitwise(self, tmp_path):
-        sc = load_scenario(SHIPPED)
-        tr = integrate(sc.initial, sc.params, sc.law, sc.config)
+    def test_shipped_run_is_bitwise(self, tmp_path, shipped_run):
         path = tmp_path / "t.csv"
-        write_trajectory_csv(path, tr)
+        write_trajectory_csv(path, shipped_run)
         data = read_trajectory_csv(path)
         for name in ("t", "S", "E", "I", "R", "V", "u"):
-            assert data[name].tobytes() == getattr(tr, name).tobytes(), name
+            assert data[name].tobytes() == getattr(shipped_run, name).tobytes(), name
+
+    def test_memory_is_bounded(self, tmp_path, shipped_run):
+        # 12001 rows: the seven float64 columns alone take 0.67 MB, and a
+        # whole-table write or read would take several times that.
+        assert len(shipped_run) == 12001
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(path, shipped_run)
+        read_trajectory_csv(path)   # first calls allocate once per process
+        peaks = []
+        for step in (lambda: write_trajectory_csv(path, shipped_run),
+                     lambda: read_trajectory_csv(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        write_peak, read_peak = peaks
+        assert write_peak <= 2_000_000
+        assert read_peak <= 1_500_000
 
     def test_special_values_round_trip(self, tmp_path):
         cols = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, np.inf,
@@ -243,6 +273,7 @@ class TestCsvRoundTrip:
         ("", "CSV contains no samples"),
         ("\n\n", "CSV contains no samples"),
     ], ids=["fields", "number", "empty", "blank"])
+    @pytest.mark.filterwarnings("error")   # no numpy empty-input warning
     def test_malformed_rows_rejected(self, tmp_path, body, message):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n" + body)
@@ -458,17 +489,20 @@ def test_adaptive_scenario_runs(tmp_path, capsys):
     assert data["t"][-1] == pytest.approx(50.0, abs=1e-9)
 
 
-def test_scenario_policy_and_output_zeroing(tmp_path):
-    path = write_scenario(
-        tmp_path / "s.ini",
-        initial=INITIAL_BLOCK.replace("R = 0", "R = 0").replace("S = 700", "S = 700"),
-        law="[law]\nname = output_zeroing\n",
-        integrator="[integrator]\nt_end = 5\ndt = 0.01\n"
-                   "positivity_policy = project\n")
-    sc = load_scenario(path)
+def test_scenario_policy_and_output_zeroing(tmp_path, capsys):
+    law = "[law]\nname = output_zeroing\n"
+    integrator = "[integrator]\nt_end = 5\ndt = 0.01\n"
+    sc = load_scenario(write_scenario(tmp_path / "s.ini", law=law,
+                                      integrator=integrator))
     from seirvax import OutputZeroing
     assert sc.law == OutputZeroing()
-    assert sc.config.positivity_policy == "project"
+    # The steppers have no positivity policy: the key is unknown.
+    path = write_scenario(tmp_path / "p.ini", law=law,
+                          integrator=integrator + "positivity_policy = project\n")
+    assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "unknown key 'positivity_policy'" in err[0]
 
 
 def _simulate_argv(tmp_path, *flags, **blocks):
@@ -572,6 +606,16 @@ MALFORMED_INPUTS = {
         extra="[checks]\nidentities = on\n"),
         "check 'identities' in [checks] needs uniform samples; it cannot "
         "run with adaptive = on in [integrator]"),
+    "equilibria --mu 1e200": (lambda d: ["equilibria", "--mu", "1e200"],
+                              "(mu+sigma)^2 overflows double precision"),
+    "equilibria --sigma 1e200 --gamma 1e200": (
+        lambda d: ["equilibria", "--sigma", "1e200", "--gamma", "1e200"],
+        "(mu+sigma)^2 overflows double precision"),
+    "equilibria --omega 1e308": (lambda d: ["equilibria", "--omega", "1e308"],
+                                 "(mu+omega)^2 overflows double precision"),
+    "equilibria --N 1e308 --beta 100": (
+        lambda d: ["equilibria", "--N", "1e308", "--beta", "100"],
+        "equilibrium residual inf exceeds gate"),
 }
 
 
@@ -584,3 +628,73 @@ def test_malformed_input_exits_one_with_one_line(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert fragment in err
+
+
+# -- fuzzing the numeric flags of equilibria and zerodyn -------------------
+
+_PARAM_FLAGS = ("N", "mu", "omega", "beta", "sigma", "gamma")
+# Any float a flag can hold: magnitudes from 1e-320 to 1e308 on a log
+# scale, either sign, and 0, the infinities and NaN.
+_ANY_FLOAT = st.one_of(
+    st.builds(lambda sign, exp: sign * 10.0 ** exp, st.sampled_from((1.0, -1.0)),
+              st.floats(min_value=-320.0, max_value=308.0)),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)))
+_PARAMS = st.fixed_dictionaries({}, optional=dict.fromkeys(_PARAM_FLAGS, _ANY_FLOAT))
+_ZERODYN = st.fixed_dictionaries(
+    {"z2": _ANY_FLOAT, "z3": _ANY_FLOAT, "z4": _ANY_FLOAT},
+    optional={"t-end": _ANY_FLOAT.filter(lambda v: not v > 1.0),
+              "dt": _ANY_FLOAT, "stride": st.integers(-2, 10)})
+
+
+def _flags(values: dict) -> list[str]:
+    # --flag=value, so that argparse reads '-1e-05' as a value, not a flag
+    return [f"--{name}={value!r}" for name, value in values.items()]
+
+
+def _run_in_process(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's own usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@seed(20111103)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(("equilibria", "zerodyn")), params=_PARAMS,
+       same_gamma=st.booleans(), zerodyn=_ZERODYN, json_out=st.booleans())
+@example(command="equilibria", params={"mu": 1e200}, same_gamma=False,
+         zerodyn={}, json_out=False)
+@example(command="equilibria", params={"sigma": 1e200}, same_gamma=True,
+         zerodyn={}, json_out=False)
+@example(command="equilibria", params={"omega": 1e308}, same_gamma=False,
+         zerodyn={}, json_out=False)
+@example(command="equilibria", params={"N": 1e308, "beta": 100.0},
+         same_gamma=False, zerodyn={}, json_out=False)
+def test_numeric_flags_never_escape(tmp_path, command, params, same_gamma,
+                                    zerodyn, json_out):
+    """Any float in any numeric flag ends in exit 0, 1 or 2; exit 1
+    carries exactly one stderr line, the `error:` message."""
+    if same_gamma and "sigma" in params:
+        params = {**params, "gamma": params["sigma"]}
+    argv = [command, *_flags(params)]
+    if command == "equilibria":
+        if json_out:
+            argv += ["--json", str(tmp_path / "eq.json")]
+    else:
+        span, dt = zerodyn.get("t-end", 1000.0), zerodyn.get("dt", 1e-2)
+        if span > 1.0:
+            zerodyn = {**zerodyn, "t-end": 1.0}
+            span = 1.0
+        # at most 10^4 steps: the grid of a valid config has span/dt of them
+        if 0.0 < span and 0.0 < dt < span * 1e-4:
+            zerodyn = {**zerodyn, "dt": span * 1e-4}
+        argv += [*_flags(zerodyn), "--out-dir", str(tmp_path)]
+    code, err = _run_in_process(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
