@@ -15,11 +15,9 @@ from .exceptions import (
     VaccinationChannelError,
 )
 from .model import (
-    AdmissibilityReport,
     CONSERVATION_RTOL,
     ModelParams,
     SeirState,
-    StateDerivative,
     check_assumption1,
     coupling_control,
     derivative,
@@ -42,7 +40,6 @@ from .laws import (
     predicted_limits,
 )
 from .integrate import (
-    EPS_POS_RTOL,
     IntegratorConfig,
     Trajectory,
     integrate,
@@ -54,10 +51,7 @@ from .normal_form import (
     from_normal,
     integrate_normal,
     integrate_zero_dynamics,
-    normal_derivative,
     to_normal,
-    to_normal_tangent,
-    zero_dynamics_derivative,
 )
 from .equilibria import (
     CharZerosX1,
@@ -81,7 +75,6 @@ from .checks import (
     check_identity_suite,
     check_integral_limit,
     estimate_decay_rate,
-    identity_tolerance,
     monitor_conservation,
     monitor_positivity,
 )

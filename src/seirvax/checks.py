@@ -8,6 +8,7 @@ worst <= tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import HorizonError
-from .integrate import EPS_POS_RTOL, Trajectory
+from .integrate import Trajectory
 from .laws import (AsymptoticPrediction, ControlLaw, ImmuneFeedback, Saturated,
                    corollary1_upper_bound, predicted_limits)
 from .model import CONSERVATION_RTOL, ModelParams, SeirState
@@ -30,8 +31,11 @@ __all__ = [
     "check_asymptotics",
     "estimate_decay_rate",
     "check_integral_limit",
-    "identity_tolerance",
 ]
+
+# Absolute positivity slack is _EPS_POS_RTOL * N: large enough to ignore
+# integration roundoff, small enough to expose genuine model violations.
+_EPS_POS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,15 +92,16 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
     """
     p = traj.params
     N = p.N
-    eps = EPS_POS_RTOL * N
-    states = traj.states()
+    eps = _EPS_POS_RTOL * N
+    # Componentwise extremes folded over S, E, I, R, with no (n, 4) copy.
+    components = (traj.S, traj.E, traj.I, traj.R)
 
-    low = states.min(axis=1)
+    low = functools.reduce(np.minimum, components)
     k_low = int(np.argmin(low))
     lower = Check("components >= 0", bool(low[k_low] >= -eps),
                   max(0.0, -float(low[k_low])), eps, float(traj.t[k_low]))
 
-    high = states.max(axis=1)
+    high = functools.reduce(np.maximum, components)
     k_high = int(np.argmax(high))
     upper = Check("components <= N", bool(high[k_high] <= N + eps),
                   max(0.0, float(high[k_high]) - N), eps, float(traj.t[k_high]))
@@ -129,7 +134,7 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
         details={c.name: c for c in subs})
 
 
-def identity_tolerance(params: ModelParams, law: ControlLaw, dt: float) -> float:
+def _identity_tolerance(params: ModelParams, law: ControlLaw, dt: float) -> float:
     """Per-sample tolerance 1e-3 * N * rate_scale * dt^2 for the identity suite.
 
     rate_scale is (3*(mu+omega+sigma+gamma+beta+sum|gains|))^3 (a
@@ -210,7 +215,7 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
         if skipped.size == Vm.size:
             raise ValueError("identity suite: every window straddles a clip switch")
 
-    tol = identity_tolerance(params, traj.law, h)
+    tol = _identity_tolerance(params, traj.law, h)
     worst = -1.0
     worst_t: Optional[float] = None
     details: dict[str, float] = {"kink windows skipped": int(skipped.size)}

@@ -181,8 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   for c in scenario.law.gain_checks(scenario.params)
                   if not c.required and not c.holds]
     advisories += [f"Assumption 1 not met: {clause}" for clause in
-                   check_assumption1(scenario.initial,
-                                     scenario.params).violated_clauses]
+                   check_assumption1(scenario.initial, scenario.params)]
 
     traj = integrate(scenario.initial, scenario.params, scenario.law, config)
     report = run_checks(traj, scenario)

@@ -92,8 +92,7 @@ class StabilityReport:
 
 
 def _residual(state: SeirState, params: ModelParams) -> float:
-    d = derivative(state, params, 0.0)
-    return max(abs(d.dS), abs(d.dE), abs(d.dI), abs(d.dR))
+    return max(map(abs, derivative(state, params, 0.0)))
 
 
 def _residual_gate(state: SeirState, params: ModelParams) -> float:

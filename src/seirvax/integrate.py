@@ -47,12 +47,13 @@ __all__ = [
     "Trajectory",
     "integrate",
     "rk4",
-    "EPS_POS_RTOL",
+    "MAX_STEPS",
 ]
 
-# Absolute positivity slack is EPS_POS_RTOL * N: large enough to ignore
-# integration roundoff, small enough to expose genuine model violations.
-EPS_POS_RTOL = 1e-9
+# The most steps a run may take: the fixed grid's step count, or the
+# adaptive pair's attempted steps. About four minutes of RK4 at 2.3 us a
+# step (2-core x86 host); the shipped scenario takes 1.2e5.
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,18 @@ class IntegratorConfig:
         if not (isinstance(self.sampling_stride, numbers.Integral)
                 and self.sampling_stride >= 1):
             raise ValueError("sampling_stride must be an integer >= 1")
-        if self.adaptive and not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("adaptive mode needs rel_tol > 0 and abs_tol > 0")
+        if self.adaptive:
+            if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
+                raise ValueError("adaptive mode needs rel_tol > 0 and abs_tol > 0")
+            return
         span = self.t_end - self.t0
-        if not self.adaptive and abs(self.n_steps * self.dt - span) > 1e-9 * span:
+        # the float ratio, before `n_steps` converts it (or an inf) to an int
+        if span / self.dt > MAX_STEPS:
+            raise ValueError(
+                f"dt = {self.dt!r} gives {span / self.dt:.3g} steps over "
+                f"t_end - t0 = {span!r}, above the step bound "
+                f"MAX_STEPS = {MAX_STEPS}")
+        if abs(self.n_steps * self.dt - span) > 1e-9 * span:
             raise ValueError(
                 f"dt = {self.dt!r} does not divide t_end - t0 = {span!r}: "
                 f"{self.n_steps} steps end at t = {self.t0 + self.n_steps * self.dt!r}")
@@ -114,13 +123,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def state_at(self, i: int) -> SeirState:
-        return SeirState(float(self.S[i]), float(self.E[i]),
-                         float(self.I[i]), float(self.R[i]))
-
-    def final_state(self) -> SeirState:
-        return self.state_at(len(self) - 1)
 
     def states(self) -> np.ndarray:
         """(n, 4) array of samples in S, E, I, R order."""
@@ -283,15 +285,23 @@ def _dopri_sums(template: str) -> str:
 # The FSAL property: the last stage is the field at the accepted solution,
 # so it is the next step's first stage.
 _DOPRI = _dopri_sums("""\
-def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, out, fail, {args}):
+def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, out, fail,
+          max_steps, {args}):
     record = out.frombytes
     @V = law(y, t)
     record(row(t, y0, y1, y2, y3, V))
     @k1 = field(y, V)
     accepted = 0
+    attempts = 0
     while t < t_end:
         h = min(h, t_end - t)
         while True:
+            attempts += 1
+            if attempts > max_steps:
+                raise ValueError(
+                    f"adaptive run stopped at the step bound MAX_STEPS = "
+                    f"{{max_steps}} attempted steps, at t = {{t!r}} of "
+                    f"t_end = {{t_end!r}}")
             s{c} = y{c} + h * (<A 1>)
             @V = law(s, <T 1>)
             @k2 = field(s, V)
@@ -355,12 +365,13 @@ def _run_dopri45(field: FieldSource, law: ControlLaw, params: ModelParams,
     h *= clip(0.9 * norm^-1/5) within [0.2, 5] (within [0.2, 1] after a
     rejection). The first trial step is min(dt, t_end - t0); a step that
     would pass t_end is shortened to end on it. Samples are recorded at
-    t0, every `sampling_stride` accepted steps and at t_end.
+    t0, every `sampling_stride` accepted steps and at t_end. More than
+    `MAX_STEPS` attempted steps raise ValueError.
     """
     shape, values = law_program(law, params)
     samples = Samples()
     kernel(_DOPRI, field, shape)(
         *y0, config.t0, config.t_end, min(config.dt, config.t_end - config.t0),
         config.rel_tol, config.abs_tol, config.sampling_stride, samples.rows,
-        samples.non_finite, *field.bind(params), *values)
+        samples.non_finite, MAX_STEPS, *field.bind(params), *values)
     return samples

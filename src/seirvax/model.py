@@ -31,8 +31,6 @@ from .kernels import FieldSource, function
 __all__ = [
     "ModelParams",
     "SeirState",
-    "StateDerivative",
-    "AdmissibilityReport",
     "CONSERVATION_RTOL",
     "SEIR_SOURCE",
     "seir_field",
@@ -103,49 +101,12 @@ class SeirState:
         return (self.S, self.E, self.I, self.R)
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Rates (dS, dE, dI, dR) in individuals/day."""
-
-    dS: float
-    dE: float
-    dI: float
-    dR: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.dS, self.dE, self.dI, self.dR)
-
-    @property
-    def total(self) -> float:
-        return self.dS + self.dE + self.dI + self.dR
-
-
-# Clause names used by the admissibility report.
+# Clause names that `check_assumption1` reports.
 CLAUSE_NONNEG = "min(S0, I0, R0) >= 0"
 CLAUSE_EXPOSED = "E0 > (mu+gamma)/sigma * I0"
 CLAUSE_INCIDENCE = "beta*S0*I0/((mu+sigma)*N) > E0 (only if I0 != 0)"
 CLAUSE_SIGMA_ZERO = "sigma zero"
 CLAUSE_MU_SIGMA_ZERO = "mu+sigma zero"
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of the initial-condition admissibility check.
-
-    ``clauses`` maps each named inequality to its truth value so callers
-    can apply their own reading; ``assumption1_holds`` is their
-    conjunction. ``beta0`` is the parametric threshold
-    (mu+gamma)*(1+mu/sigma) and ``beta_above_threshold`` reports
-    beta > beta0. ``e_dot0`` is dE/dt at the initial state with V = 0;
-    note a satisfied incidence clause forces e_dot0 > 0.
-    """
-
-    assumption1_holds: bool
-    beta_above_threshold: bool
-    beta0: float
-    violated_clauses: tuple[str, ...]
-    clauses: tuple[tuple[str, bool], ...]
-    e_dot0: float
 
 
 def _seir_constants(params: ModelParams) -> tuple[float, ...]:
@@ -187,8 +148,8 @@ def seir_field(params: ModelParams) -> Field:
     return function(SEIR_SOURCE)(*_seir_constants(params))
 
 
-def derivative(state: SeirState, params: ModelParams, V: float) -> StateDerivative:
-    """Right-hand side of the SEIR equations for vaccination fraction V.
+def derivative(state: SeirState, params: ModelParams, V: float) -> Rates:
+    """Right-hand side (dS, dE, dI, dR) of the SEIR equations at V.
 
     Raises:
         ValueError: if any input component or V is not finite.
@@ -197,11 +158,11 @@ def derivative(state: SeirState, params: ModelParams, V: float) -> StateDerivati
     if not (math.isfinite(S) and math.isfinite(E) and math.isfinite(I)
             and math.isfinite(R) and math.isfinite(V)):
         raise ValueError("derivative: non-finite state or V")
-    return StateDerivative(*seir_field(params)(S, E, I, R, V))
+    return seir_field(params)(S, E, I, R, V)
 
 
-def check_assumption1(state0: SeirState, params: ModelParams) -> AdmissibilityReport:
-    """Literal admissibility check on the initial conditions.
+def check_assumption1(state0: SeirState, params: ModelParams) -> tuple[str, ...]:
+    """The clauses of Assumption 1 the initial conditions violate, in order.
 
     Clauses, evaluated exactly as stated:
       1. min(S0, I0, R0) >= 0
@@ -209,17 +170,13 @@ def check_assumption1(state0: SeirState, params: ModelParams) -> AdmissibilityRe
       3. beta*S0*I0/((mu+sigma)*N) > E0, required only when I0 != 0
     With sigma = 0 and I0 > 0 the second clause is undefined and is
     reported as violated with reason "sigma zero"; with mu + sigma = 0 and
-    I0 != 0 the third is, with reason "mu+sigma zero".
-
-    Also reports beta > beta0 with beta0 = (mu+gamma)*(1+mu/sigma), the
-    parametric threshold that makes the constraints independent of the
-    particular initial conditions.
+    I0 != 0 the third is, with reason "mu+sigma zero". An empty tuple
+    means the assumption holds.
     """
     S0, E0, I0, R0 = state0.S, state0.E, state0.I, state0.R
     mu, si, ga, be, N = params.mu, params.sigma, params.gamma, params.beta, params.N
 
-    clauses: list[tuple[str, bool]] = []
-    clauses.append((CLAUSE_NONNEG, min(S0, I0, R0) >= 0.0))
+    clauses = [(CLAUSE_NONNEG, min(S0, I0, R0) >= 0.0)]
 
     if si == 0.0:
         if I0 > 0.0:
@@ -236,17 +193,7 @@ def check_assumption1(state0: SeirState, params: ModelParams) -> AdmissibilityRe
         else:
             clauses.append((CLAUSE_INCIDENCE, be * S0 * I0 / ((mu + si) * N) > E0))
 
-    beta0 = math.inf if si == 0.0 else (mu + ga) * (1.0 + mu / si)
-    e_dot0 = derivative(state0, params, 0.0).dE
-
-    return AdmissibilityReport(
-        assumption1_holds=all(ok for _, ok in clauses),
-        beta_above_threshold=be > beta0,
-        beta0=beta0,
-        violated_clauses=tuple(name for name, ok in clauses if not ok),
-        clauses=tuple(clauses),
-        e_dot0=e_dot0,
-    )
+    return tuple(name for name, ok in clauses if not ok)
 
 
 def coupling_control(state: SeirState, params: ModelParams, V: float) -> float:

@@ -22,32 +22,27 @@ equation untouched, so gamma (not omega) is the only coefficient
 consistent with the plant.
 
 Both fields are written once, as source (`NORMAL_SOURCE`, `ZERO_SOURCE`):
-`normal_derivative` and `zero_dynamics_derivative` evaluate functions
-generated from them, and `integrate_normal` and `integrate_zero_dynamics`
-run the `integrate.rk4` template with the field (and, for the normal
-form, the law at every stage) inlined; see `kernels`.
+`integrate_normal` and `integrate_zero_dynamics` run the `integrate.rk4`
+template with the field (and, for the normal form, the law at every
+stage) inlined; see `kernels`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .integrate import IntegratorConfig, rk4
-from .kernels import FieldSource, function
+from .kernels import FieldSource
 from .laws import ControlLaw, ZeroVax
-from .model import Field, ModelParams, SeirState, StateDerivative
+from .model import ModelParams, SeirState
 
 __all__ = [
     "NormalState",
     "to_normal",
     "from_normal",
-    "to_normal_tangent",
-    "normal_derivative",
-    "zero_dynamics_derivative",
     "NormalTrajectory",
     "ZeroDynTrajectory",
     "integrate_normal",
@@ -77,11 +72,6 @@ def from_normal(z: NormalState) -> SeirState:
     return SeirState(S=z.z2 - z.z1, E=z.z3, I=z.z4, R=z.z1)
 
 
-def to_normal_tangent(d: StateDerivative) -> tuple[float, float, float, float]:
-    """Pushforward of a state derivative: (dR, dS+dR, dE, dI)."""
-    return (d.dR, d.dS + d.dR, d.dE, d.dI)
-
-
 def _normal_constants(params: ModelParams) -> tuple[float, ...]:
     mu, ga = params.mu, params.gamma
     # Rate constants folded once; (-a)*z rounds exactly like -(a)*z.
@@ -108,7 +98,8 @@ NORMAL_SOURCE = FieldSource(
 
 # The zero dynamics (output held at z1 = 0) in the normal-form shape: dz1
 # is 0 and V is ignored, so z1 stays exactly 0 and the shared 4-component
-# stepper integrates (z2, z3, z4).
+# stepper integrates (z2, z3, z4). The sum obeys
+# d(z2+z3+z4)/dt = mu*(N - (z2+z3+z4)): constant on the sum = N manifold.
 ZERO_SOURCE = FieldSource(
     name="zero_dynamics",
     state=("z1", "z2", "z3", "z4"),
@@ -121,32 +112,6 @@ ZERO_SOURCE = FieldSource(
     law_state=("z2 - z1", "z3", "z4", "z1"),
     bind=_normal_constants,
 )
-
-
-@lru_cache(maxsize=256)
-def _normal_field(params: ModelParams) -> Field:
-    return function(NORMAL_SOURCE)(*_normal_constants(params))
-
-
-@lru_cache(maxsize=256)
-def _zero_field(params: ModelParams) -> Field:
-    return function(ZERO_SOURCE)(*_normal_constants(params))
-
-
-def normal_derivative(z: NormalState, params: ModelParams,
-                      V: float) -> tuple[float, float, float, float]:
-    """Normal-form vector field (input appears only in dz1)."""
-    return _normal_field(params)(z.z1, z.z2, z.z3, z.z4, V)
-
-
-def zero_dynamics_derivative(z2: float, z3: float, z4: float,
-                             params: ModelParams) -> tuple[float, float, float]:
-    """Residual dynamics with the output held at zero (z1 = 0).
-
-    The sum obeys d(z2+z3+z4)/dt = mu*(N - (z2+z3+z4)), so it is constant
-    exactly on the sum = N manifold where the output-zeroed plant lives.
-    """
-    return _zero_field(params)(0.0, z2, z3, z4, 0.0)[1:]
 
 
 @dataclass(frozen=True)

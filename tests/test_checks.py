@@ -125,6 +125,45 @@ class TestPositivity:
         assert not sub.passed and sub.location_t == 0.0
 
 
+def _row_reduction_subchecks(traj) -> list[tuple]:
+    """(passed, worst, location) of the two component sub-checks, from the
+    (n, 4) row reduction `monitor_positivity` once used."""
+    N = traj.params.N
+    eps = 1e-9 * N
+    states = traj.states()
+    low, high = states.min(axis=1), states.max(axis=1)
+    k_low, k_high = int(np.argmin(low)), int(np.argmax(high))
+    return [(bool(low[k_low] >= -eps), max(0.0, -float(low[k_low])).hex(),
+             float(traj.t[k_low]).hex()),
+            (bool(high[k_high] <= N + eps), max(0.0, float(high[k_high]) - N).hex(),
+             float(traj.t[k_high]).hex())]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_extremes_match_row_reduction(p1, mixed_state, seed):
+    # The minimum and maximum folded over S, E, I, R give the verdict, the
+    # worst value and its location of the row reduction bit for bit: on
+    # runs whose constant V drives a component negative or above N, on
+    # noisy copies of them, and with ties at the extreme.
+    from seirvax import ConstantVax
+    rng = np.random.default_rng(seed)
+    v = float(rng.uniform(-8.0, 8.0))
+    tr = integrate(mixed_state, p1, ConstantVax(v),
+                   IntegratorConfig(t_end=20.0, dt=1e-2))
+    noisy = {name: getattr(tr, name) + rng.normal(scale=float(rng.uniform(0.0, 50.0)),
+                                                  size=len(tr))
+             for name in "SEIR"}
+    rows = rng.integers(0, len(tr), size=3)
+    for name in "SEIR":   # equal extremes in several rows and columns
+        noisy[name][rows] = -7.0 if seed % 2 else 2.0 * p1.N
+    for traj in (tr, dataclasses.replace(tr, **noisy)):
+        chk = monitor_positivity(traj, v_hi=np.inf, v_lo=-np.inf)
+        got = [(c.passed, c.worst.hex(), c.location_t.hex())
+               for c in (chk.details["components >= 0"],
+                         chk.details["components <= N"])]
+        assert got == _row_reduction_subchecks(traj)
+
+
 class TestIdentitySuite:
     @pytest.mark.parametrize("law", [
         ZeroVax(),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from seirvax import ImmuneFeedback, Saturated, ScenarioError, integrate
 from seirvax.cli import (CSV_HEADER, _write_csv, main, read_trajectory_csv,
                          run_checks, write_trajectory_csv)
+from seirvax.integrate import MAX_STEPS
 from seirvax.scenario import build_law, load_scenario
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "full_immunization.ini"
@@ -526,6 +527,12 @@ MALFORMED_INPUTS = {
                           "dt must be finite"),
     "zerodyn --t-end inf": (lambda d: _zerodyn_argv(d, "--t-end", "inf"),
                             "t_end must be finite"),
+    "scenario t_end = 1e300, dt = 1e-10": (lambda d: _simulate_argv(
+        d, integrator="[integrator]\nt_end = 1e300\ndt = 1e-10\n"),
+        "above the step bound MAX_STEPS = 100000000"),
+    "zerodyn --t-end 1e300 --dt 1e-10": (lambda d: _zerodyn_argv(
+        d, "--t-end", "1e300", "--dt", "1e-10"),
+        "above the step bound MAX_STEPS = 100000000"),
     "off-grid scenario dt": (lambda d: _simulate_argv(
         d, integrator="[integrator]\nt_end = 1200\ndt = 5000\n"),
         "does not divide"),
@@ -675,13 +682,18 @@ def _run_in_process(argv: list[str]) -> tuple[int, str]:
          zerodyn={}, json_out=False)
 @example(command="equilibria", params={"N": 1e308, "beta": 100.0},
          same_gamma=False, zerodyn={}, json_out=False)
+@example(command="zerodyn", params={}, same_gamma=False,
+         zerodyn={"z2": 300.0, "z3": 400.0, "z4": 300.0, "t-end": 1.0,
+                  "dt": 1e-300}, json_out=False)
 def test_numeric_flags_never_escape(tmp_path, command, params, same_gamma,
                                     zerodyn, json_out):
     """Any float in any numeric flag ends in exit 0, 1 or 2; exit 1
-    carries exactly one stderr line, the `error:` message."""
+    carries exactly one stderr line, the `error:` message. A `zerodyn`
+    grid of more than MAX_STEPS steps exits 1."""
     if same_gamma and "sigma" in params:
         params = {**params, "gamma": params["sigma"]}
     argv = [command, *_flags(params)]
+    over_bound = False
     if command == "equilibria":
         if json_out:
             argv += ["--json", str(tmp_path / "eq.json")]
@@ -690,11 +702,15 @@ def test_numeric_flags_never_escape(tmp_path, command, params, same_gamma,
         if span > 1.0:
             zerodyn = {**zerodyn, "t-end": 1.0}
             span = 1.0
-        # at most 10^4 steps: the grid of a valid config has span/dt of them
-        if 0.0 < span and 0.0 < dt < span * 1e-4:
+        # A grid over the step bound must be refused. One within it runs,
+        # so a draw of more than 10^4 steps gets 10^4 to keep the fuzz fast.
+        steps = span / dt if 0.0 < span and 0.0 < dt else 0.0
+        over_bound = steps > MAX_STEPS
+        if 1e4 < steps <= MAX_STEPS:
             zerodyn = {**zerodyn, "dt": span * 1e-4}
         argv += [*_flags(zerodyn), "--out-dir", str(tmp_path)]
     code, err = _run_in_process(argv)
     assert code in (0, 1, 2)
+    assert code == 1 or not over_bound, err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err

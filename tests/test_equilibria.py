@@ -36,7 +36,7 @@ class TestDiseaseFree:
         eq = disease_free_equilibrium(p1)
         assert eq.state == SeirState(1000.0, 0.0, 0.0, 0.0)
         assert eq.residual == 0.0
-        assert derivative(eq.state, p1, 0.0).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert derivative(eq.state, p1, 0.0) == (0.0, 0.0, 0.0, 0.0)
 
     def test_residual_scales_with_population(self):
         for N in (10.0, 1000.0, 1e8):
@@ -64,7 +64,7 @@ class TestEndemic:
         def residual(x):
             st = SeirState(*x)
             d = derivative(st, p1, 0.0)
-            return [d.dS, d.dE, d.dI, st.total - p1.N]
+            return [*d[:3], st.total - p1.N]
 
         sol = fsolve(residual, [250.0, 100.0, 100.0, 550.0], full_output=False)
         eq = endemic_equilibrium(p1).state
@@ -146,8 +146,8 @@ class TestJacobian:
         for k in range(4):
             up = list(st.as_tuple()); up[k] += eps
             dn = list(st.as_tuple()); dn[k] -= eps
-            du = derivative(SeirState(*up), p1, 0.0).as_tuple()
-            dd = derivative(SeirState(*dn), p1, 0.0).as_tuple()
+            du = derivative(SeirState(*up), p1, 0.0)
+            dd = derivative(SeirState(*dn), p1, 0.0)
             fd[:, k] = (np.array(du) - np.array(dd)) / (2.0 * eps)
         assert np.max(np.abs(fd - j)) <= 1e-6 * np.max(np.abs(j))
 
@@ -330,5 +330,5 @@ class TestStabilityConsistency:
         tr = integrate(start, p, ZeroVax(),
                        IntegratorConfig(t_end=20.0 / p.mu, dt=1e-2,
                                         sampling_stride=1000))
-        final = np.array(tr.final_state().as_tuple())
+        final = tr.states()[-1]
         assert np.max(np.abs(final - x1)) < 1e-4 * p.N

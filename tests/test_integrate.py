@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 from typing import ClassVar
 
@@ -29,10 +30,12 @@ from seirvax import (
     monitor_positivity,
     to_normal,
 )
-from seirvax.integrate import _DP_A, _DP_C, _DP_E, Samples, _run_dopri45, rk4
+from seirvax.integrate import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
+                               _run_dopri45, rk4)
 from seirvax.laws import ControlLaw, compile_law
 from seirvax.model import SEIR_SOURCE, seir_field
-from seirvax.normal_form import NORMAL_SOURCE, _normal_field
+from seirvax.kernels import function
+from seirvax.normal_form import NORMAL_SOURCE
 
 
 ORACLE_CATALOGUE = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
@@ -81,7 +84,7 @@ class TestBasics:
         cfg = IntegratorConfig(t_end=5.0, dt=0.01, sampling_stride=7)
         tr = integrate(mixed_state, p1, ZeroVax(), cfg)
         assert tr.t[0] == 0.0
-        assert tr.state_at(0) == mixed_state
+        assert (tr.S[0], tr.E[0], tr.I[0], tr.R[0]) == mixed_state.as_tuple()
         assert np.all(np.diff(tr.t) > 0.0)
         assert tr.t[-1] == pytest.approx(5.0, abs=1e-12)
 
@@ -118,6 +121,31 @@ class TestBasics:
         IntegratorConfig(t_end=1200.0, dt=5000.0, adaptive=True)
         assert IntegratorConfig(t_end=1200.0, dt=0.01).n_steps == 120_000
         assert IntegratorConfig(t_end=1.5, t0=0.5, dt=0.25).n_steps == 4
+
+    def test_config_refuses_grid_over_step_bound(self):
+        # Refused from the float ratio, before a step count is formed or
+        # run: 1e300 steps, a ratio that overflows, and just over the bound.
+        for t_end, dt in ((1.0, 1e-300), (1e300, 1e-10), (1.0, 0.99e-8)):
+            with pytest.raises(ValueError,
+                               match="step bound MAX_STEPS = 100000000"):
+                IntegratorConfig(t_end=t_end, dt=dt)
+            # In adaptive mode dt is only the first trial step.
+            IntegratorConfig(t_end=t_end, dt=dt, adaptive=True)
+        assert IntegratorConfig(t_end=1.0, dt=1e-8).n_steps == MAX_STEPS
+
+    def test_adaptive_run_refuses_past_step_bound(self, p1, mixed_state,
+                                                  monkeypatch):
+        # The Dormand-Prince kernel counts attempted steps, rejected ones
+        # included, against the bound it reads at each run.
+        monkeypatch.setattr(importlib.import_module("seirvax.integrate"),
+                            "MAX_STEPS", 5)
+        cfg = IntegratorConfig(t_end=50.0, dt=5.0, adaptive=True, rel_tol=1e-6,
+                               abs_tol=1e-8)
+        with pytest.raises(ValueError, match="step bound MAX_STEPS = 5 attempted "
+                                             "steps, at t = "):
+            integrate(mixed_state, p1, ImmuneFeedback(0.01, 0.05), cfg)
+        monkeypatch.undo()
+        integrate(mixed_state, p1, ImmuneFeedback(0.01, 0.05), cfg)
 
     @pytest.mark.parametrize("stride", [2.7, 2.0, 0, -1])
     def test_config_rejects_non_integer_stride(self, stride):
@@ -265,8 +293,8 @@ class TestInvariants:
         cfg = IntegratorConfig(t_end=5.0, dt=1e-2, sampling_stride=11)
         law = ImmuneFeedback(0.01, 0.05)
         tr = integrate(mixed_state, p1, law, cfg)
-        for i in range(len(tr)):
-            assert tr.V[i] == evaluate(law, tr.state_at(i), p1, float(tr.t[i]))
+        for i, row in enumerate(tr.states().tolist()):
+            assert tr.V[i] == evaluate(law, SeirState(*row), p1, float(tr.t[i]))
 
 
 class TestPositivity:
@@ -527,7 +555,8 @@ class TestRk4Kernel:
         fn = compile_law(law, KERNEL_PARAMS)
         z0 = to_normal(mixed_state).as_tuple()
         got = rk4(NORMAL_SOURCE, law, KERNEL_PARAMS, z0, config)
-        want = _reference_rk4(_normal_field(KERNEL_PARAMS),
+        field = function(NORMAL_SOURCE)(*NORMAL_SOURCE.bind(KERNEL_PARAMS))
+        want = _reference_rk4(field,
                               lambda z, t: fn(z[1] - z[0], z[2], z[3], z[0], t),
                               z0, config)
         _assert_bitwise(got, want)

@@ -22,14 +22,23 @@ from seirvax import (
     integrate,
     integrate_normal,
     integrate_zero_dynamics,
-    normal_derivative,
     to_normal,
-    to_normal_tangent,
-    zero_dynamics_derivative,
 )
 
 from conftest import random_conserved_state
+from seirvax.kernels import function
 from seirvax.laws import compile_law
+from seirvax.normal_form import NORMAL_SOURCE, ZERO_SOURCE
+
+
+def normal_rates(z, params, V):
+    """The normal-form field at z, from the source the kernels inline."""
+    return function(NORMAL_SOURCE)(*NORMAL_SOURCE.bind(params))(*z.as_tuple(), V)
+
+
+def zero_rates(z2, z3, z4, params):
+    """(dz2, dz3, dz4) of the zero dynamics, whose field holds z1 at 0."""
+    return function(ZERO_SOURCE)(*ZERO_SOURCE.bind(params))(0.0, z2, z3, z4, 0.0)[1:]
 
 
 def zeroing_input(z4, params):
@@ -83,8 +92,8 @@ class TestRelativeDegree:
         # V enters the output equation dz1 = dR with coefficient mu*N and
         # no other normal-form equation: relative degree one.
         z = to_normal(SeirState(700.0, 100.0, 50.0, 150.0))
-        d0 = normal_derivative(z, p1, 0.0)
-        d1 = normal_derivative(z, p1, 1.0)
+        d0 = normal_rates(z, p1, 0.0)
+        d1 = normal_rates(z, p1, 1.0)
         assert d1[1:] == d0[1:]
         assert d1[0] - d0[0] == pytest.approx(10.0, rel=1e-12)
 
@@ -93,15 +102,15 @@ class TestRelativeDegree:
         p = ModelParams(N=1000.0, mu=0.0, omega=0.02, beta=0.9,
                         sigma=0.2, gamma=0.2)
         z = to_normal(mixed_state)
-        assert normal_derivative(z, p, 1.0) == normal_derivative(z, p, 0.0)
+        assert normal_rates(z, p, 1.0) == normal_rates(z, p, 0.0)
 
     def test_coefficient_estimate_any_state(self, p1):
         rng = np.random.default_rng(5)
         muN = p1.mu * p1.N
         for _ in range(100):
             s = random_conserved_state(rng, p1.N)
-            d1 = derivative(s, p1, 1.0).dR
-            d0 = derivative(s, p1, 0.0).dR
+            d1 = derivative(s, p1, 1.0)[3]
+            d0 = derivative(s, p1, 0.0)[3]
             scale = max(abs(d1), abs(d0), muN)
             assert abs((d1 - d0) - muN) <= 4.0 * np.spacing(scale)
 
@@ -112,25 +121,26 @@ class TestNormalDerivative:
         for _ in range(300):
             s = random_conserved_state(rng, p1.N)
             v = float(rng.uniform(-1.0, 3.0))
-            lhs = to_normal_tangent(derivative(s, p1, v))
-            rhs = normal_derivative(to_normal(s), p1, v)
+            dS, dE, dI, dR = derivative(s, p1, v)
+            lhs = (dR, dS + dR, dE, dI)   # the pushforward of the x-space rates
+            rhs = normal_rates(to_normal(s), p1, v)
             for a, b in zip(lhs, rhs):
                 assert a == pytest.approx(b, abs=1e-10, rel=1e-10)
 
     def test_disease_free_image_is_fixed(self, p1):
-        dz = normal_derivative(NormalState(0.0, 1000.0, 0.0, 0.0), p1, 0.0)
+        dz = normal_rates(NormalState(0.0, 1000.0, 0.0, 0.0), p1, 0.0)
         assert dz == (0.0, 0.0, 0.0, 0.0)
 
     def test_matches_dr_example(self, p1, mixed_state):
         # dz1 = -0.03*150 + 0.2*50 = 5.5, the dR of the x-space example.
-        dz = normal_derivative(NormalState(150.0, 850.0, 100.0, 50.0), p1, 0.0)
+        dz = normal_rates(NormalState(150.0, 850.0, 100.0, 50.0), p1, 0.0)
         assert dz[0] == pytest.approx(5.5, abs=1e-12)
-        assert dz[0] == pytest.approx(derivative(mixed_state, p1, 0.0).dR)
+        assert dz[0] == pytest.approx(derivative(mixed_state, p1, 0.0)[3])
 
 
 class TestZeroDynamics:
     def test_disease_free_fixed_point(self, p1):
-        assert zero_dynamics_derivative(1000.0, 0.0, 0.0, p1) == (0.0, 0.0, 0.0)
+        assert zero_rates(1000.0, 0.0, 0.0, p1) == (0.0, 0.0, 0.0)
 
     def test_sum_conserved_on_population_manifold(self, p1):
         rng = np.random.default_rng(11)
@@ -161,8 +171,7 @@ class TestZeroDynamics:
                                      IntegratorConfig(t_end=3000.0, dt=1e-2,
                                                       sampling_stride=1000))
         assert tr.z2[-1] == pytest.approx(245.0, rel=1e-6)
-        d = zero_dynamics_derivative(float(tr.z2[-1]), float(tr.z3[-1]),
-                                     float(tr.z4[-1]), p1)
+        d = zero_rates(float(tr.z2[-1]), float(tr.z3[-1]), float(tr.z4[-1]), p1)
         assert max(abs(v) for v in d) < 1e-8 * p1.N
 
 
@@ -175,7 +184,7 @@ class TestZeroingInput:
         assert zeroing_input(50.0, p1) == pytest.approx(-1.0)
         for z4 in (50.0, 123.456, 1e-300, 7e5):
             assert zeroing_input(z4, p1) == -p1.gamma * z4 / (p1.mu * p1.N)
-        dz = normal_derivative(NormalState(0.0, 850.0, 100.0, 50.0), p1,
+        dz = normal_rates(NormalState(0.0, 850.0, 100.0, 50.0), p1,
                                zeroing_input(50.0, p1))
         assert dz[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -189,7 +198,7 @@ class TestZeroingInput:
         rng = np.random.default_rng(21)
         for _ in range(200):
             z4 = float(rng.uniform(0.0, p1.N))
-            dz = normal_derivative(
+            dz = normal_rates(
                 NormalState(0.0, float(rng.uniform(0.0, p1.N)),
                             float(rng.uniform(0.0, p1.N)), z4),
                 p1, zeroing_input(z4, p1))
