@@ -144,6 +144,14 @@ def run_checks(traj: Trajectory, scenario: Scenario) -> VerificationReport:
         for name, opts in scenario.checks.items()))
 
 
+def _scheme(config: IntegratorConfig) -> str:
+    """How a run stepped, as the report's window line names it."""
+    if not config.adaptive:
+        return f"dt={config.dt:g}"
+    return (f"adaptive rel_tol={config.rel_tol:g} abs_tol={config.abs_tol:g}"
+            + (" dense" if config.dense else ""))
+
+
 def _report_text(scenario: Scenario, traj: Trajectory,
                  report: VerificationReport,
                  advisories: list[str]) -> str:
@@ -154,7 +162,7 @@ def _report_text(scenario: Scenario, traj: Trajectory,
         f"params: N={p.N:g} mu={p.mu:g} omega={p.omega:g} beta={p.beta:g} "
         f"sigma={p.sigma:g} gamma={p.gamma:g}",
         f"window: t0={traj.config.t0:g} t_end={traj.config.t_end:g} "
-        f"dt={traj.config.dt:g} samples={len(traj)}",
+        f"{_scheme(traj.config)} samples={len(traj)}",
         f"final state: S={float(traj.S[-1])!r} E={float(traj.E[-1])!r} "
         f"I={float(traj.I[-1])!r} R={float(traj.R[-1])!r}",
     ]
@@ -348,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("scenario", help="path to the scenario file")
     sim.add_argument("--out-dir", default=".", help="directory for artifacts")
     sim.add_argument("--dt", type=float, default=None,
-                     help="override the scenario step size")
+                     help="override the scenario dt: the fixed step, or "
+                          "the adaptive first trial step and dense spacing")
     sim.add_argument("--t-end", type=float, default=None,
                      help="override the scenario end time")
     sim.set_defaults(fn=cmd_simulate)

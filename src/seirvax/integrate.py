@@ -18,6 +18,14 @@ reuses it. On a 2-core x86 host with Python 3.11 an RK4 step costs about
 kernel that held V and called the field and the law as closures) and an
 accepted Dormand-Prince step about 11 us (six of each).
 
+With `dense` the adaptive pair samples the fixed grid instead of its own
+steps: one more block of `_DOPRI`, after an accepted step, writes every
+grid time the step covers from the pair's 4th-order continuous extension
+(`_DP_P`; Shampine 1986, Hairer, Norsett & Wanner II.6). On the shipped
+scenario (1200 days, 12001 samples, same host) that is 330 steps in
+11-17 ms, against 120000 RK4 steps in 215-255 ms, within 2.0e-6 of
+DOP853 at rtol 1e-13.
+
 Samples go to a float64 buffer; finiteness is checked once over the
 columns at the end (and when the adaptive pair sees a non-finite error).
 Every sample records the applied V and the auxiliary control
@@ -67,6 +75,7 @@ class IntegratorConfig:
     adaptive: bool = False
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
+    dense: bool = False
 
     def __post_init__(self) -> None:
         for name in ("t0", "t_end", "dt", "rel_tol", "abs_tol"):
@@ -79,10 +88,15 @@ class IntegratorConfig:
         if not (isinstance(self.sampling_stride, numbers.Integral)
                 and self.sampling_stride >= 1):
             raise ValueError("sampling_stride must be an integer >= 1")
+        if self.dense and not self.adaptive:
+            raise ValueError("dense output needs adaptive = on: the fixed-step "
+                             "run already samples its grid")
         if self.adaptive:
             if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
                 raise ValueError("adaptive mode needs rel_tol > 0 and abs_tol > 0")
-            return
+            if not self.dense:
+                return
+        # the fixed grid: the steps of a fixed run, the samples of a dense one
         span = self.t_end - self.t0
         # the float ratio, before `n_steps` converts it (or an inf) to an int
         if span / self.dt > MAX_STEPS:
@@ -97,7 +111,7 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        """Number of fixed steps: (t_end - t0)/dt rounded, at least one."""
+        """Steps of the fixed grid: (t_end - t0)/dt rounded, at least one."""
         return max(1, int(round((self.t_end - self.t0) / self.dt)))
 
 
@@ -261,16 +275,36 @@ _DP_A = (
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# The pair's 4th-order continuous extension (Shampine 1986; Hairer,
+# Norsett & Wanner, Solving ODEs I, II.6): the weight of stage i at
+# theta = (tau - t)/h in [0, 1] is b_i(theta) = sum(_DP_P[i][j] *
+# theta^(j+1)), so y(tau) ~ y + h * sum(b_i(theta) * k_i); at theta = 1 the
+# weights are the 5th-order ones, the last row of `_DP_A`.
+_DP_P = (
+    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0),
+    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0),
+    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0),
+    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0),
+    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+     69997945.0 / 29380423.0),
+)
 
 
 def _dopri_sums(template: str) -> str:
     """Write the Dormand-Prince sums and stage times into `template`.
 
-    `<A j>` is sum(a[j][m] * k<m+1>) and `<E>` is sum(e[m] * k<m+1>), in
-    the order of a left-to-right sum that starts from 0.0. Terms with a
-    zero coefficient are left out: after the leading 0.0 the running sum
-    is never -0.0, so adding a signed zero cannot change it. `<T j>` is
-    the time of stage j + 1.
+    `<A j>` is sum(a[j][m] * k<m+1>), `<E>` is sum(e[m] * k<m+1>) and
+    `<P j>` is sum(p[m][j] * k<m+1>), in the order of a left-to-right sum
+    that starts from 0.0. Terms with a zero coefficient are left out:
+    after the leading 0.0 the running sum is never -0.0, so adding a
+    signed zero cannot change it. `<T j>` is the time of stage j + 1.
     """
     def dot(coeffs):
         return " + ".join(["0.0"] + [f"{w!r} * k{m + 1}_{{c}}"
@@ -279,18 +313,23 @@ def _dopri_sums(template: str) -> str:
         template = template.replace(f"<A {j}>", dot(row))
     for j, c in enumerate(_DP_C):
         template = template.replace(f"<T {j}>", f"t + {c!r} * h")
+    for j, column in enumerate(zip(*_DP_P)):
+        template = template.replace(f"<P {j}>", dot(column))
     return template.replace("<E>", dot(_DP_E))
 
 
 # The FSAL property: the last stage is the field at the accepted solution,
-# so it is the next step's first stage.
+# so it is the next step's first stage. `times` yields the dense output
+# times in increasing order; an empty one leaves `t_out` infinite, and the
+# dense block costs one comparison per accepted step.
 _DOPRI = _dopri_sums("""\
-def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, out, fail,
+def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, times, out, fail,
           max_steps, {args}):
     record = out.frombytes
     @V = law(y, t)
     record(row(t, y0, y1, y2, y3, V))
     @k1 = field(y, V)
+    t_out = next(times, inf)
     accepted = 0
     attempts = 0
     while t < t_end:
@@ -343,10 +382,28 @@ def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, out, fail,
                 raise ValueError(
                     f"adaptive step size underflow at t = {{t!r}}: rel_tol = "
                     f"{{rtol!r}} and abs_tol = {{atol!r}} cannot be met in float64")
-        t += h
+        # A step that reaches t_end ends exactly on it, also the step cut
+        # to end there whose t + h rounds below it.
+        t_next = t + h
+        if t_next >= t_end or h >= t_end - t:
+            t_next = t_end
+        # Dense output at every output time in [t, t_next), the step's
+        # continuous extension gathered per power of theta:
+        # y + h * sum(theta^j * q<j>), q<j> = sum(_DP_P[i][j-1] * k<i+1>).
+        if t_out < t_next:
+            q1_{c} = <P 0>
+            q2_{c} = <P 1>
+            q3_{c} = <P 2>
+            q4_{c} = <P 3>
+            while t_out < t_next:
+                th = (t_out - t) / h
+                s{c} = y{c} + h * (th * (q1_{c} + th * (q2_{c} + th * (q3_{c} + th * q4_{c}))))
+                @v = law(s, t_out)
+                record(row(t_out, s0, s1, s2, s3, v))
+                t_out = next(times, inf)
+        t = t_next
         y{c} = z{c}
-        if t >= t_end:
-            t = t_end
+        if t == t_end:
             @V = law(y, t)
         k1_{c} = k7_{c}
         accepted += 1
@@ -364,14 +421,27 @@ def _run_dopri45(field: FieldSource, law: ControlLaw, params: ModelParams,
     norm over the four components, and the step controller
     h *= clip(0.9 * norm^-1/5) within [0.2, 5] (within [0.2, 1] after a
     rejection). The first trial step is min(dt, t_end - t0); a step that
-    would pass t_end is shortened to end on it. Samples are recorded at
-    t0, every `sampling_stride` accepted steps and at t_end. More than
+    would pass t_end is shortened to end exactly on it. More than
     `MAX_STEPS` attempted steps raise ValueError.
+
+    Samples are recorded at t0 and t_end and, in between, every
+    `sampling_stride` accepted steps or, with `dense`, at the fixed
+    grid's sample times t0 + k*dt (k a multiple of `sampling_stride`
+    below `n_steps`), each from the 4th-order continuous extension of the
+    step that covers it. The stepping is the same either way.
     """
     shape, values = law_program(law, params)
     samples = Samples()
+    stride, times = config.sampling_stride, iter(())
+    if config.dense:
+        # no run accepts MAX_STEPS + 1 steps: only t0 and t_end are
+        # recorded at step ends
+        stride = MAX_STEPS + 1
+        times = (config.t0 + k * config.dt
+                 for k in range(config.sampling_stride, config.n_steps,
+                                config.sampling_stride))
     kernel(_DOPRI, field, shape)(
         *y0, config.t0, config.t_end, min(config.dt, config.t_end - config.t0),
-        config.rel_tol, config.abs_tol, config.sampling_stride, samples.rows,
+        config.rel_tol, config.abs_tol, stride, times, samples.rows,
         samples.non_finite, MAX_STEPS, *field.bind(params), *values)
     return samples

@@ -214,9 +214,10 @@ def load_scenario(path: str | Path) -> Scenario:
             if name in checks:
                 checks[name] = opts
     if config.adaptive and "identities" in checks:
-        raise ScenarioError("check 'identities' in [checks] needs uniform "
-                            "samples; it cannot run with adaptive = on in "
-                            "[integrator]")
+        raise ScenarioError("check 'identities' in [checks] cannot run with "
+                            "adaptive = on in [integrator]: its tolerance "
+                            "bounds central-difference truncation, not the "
+                            "adaptive pair's error")
 
     outputs: dict[str, str] = {}
     if parser.has_section("outputs"):

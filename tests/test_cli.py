@@ -54,6 +54,8 @@ dt = 0.01
 sampling_stride = 100
 """
 
+DENSE_BLOCK = INTEGRATOR_BLOCK + "adaptive = on\ndense = on\n"
+
 
 def write_scenario(path, *, params=P1_BLOCK, initial=INITIAL_BLOCK,
                    law=LAW_BLOCK, integrator=INTEGRATOR_BLOCK, extra=""):
@@ -490,6 +492,22 @@ def test_adaptive_scenario_runs(tmp_path, capsys):
     assert data["t"][-1] == pytest.approx(50.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("integrator, window", [
+    (INTEGRATOR_BLOCK, "window: t0=0 t_end=400 dt=0.01 samples=401"),
+    (INTEGRATOR_BLOCK + "adaptive = on\n",
+     "window: t0=0 t_end=400 adaptive rel_tol=1e-08 abs_tol=1e-10 samples="),
+    (DENSE_BLOCK,
+     "window: t0=0 t_end=400 adaptive rel_tol=1e-08 abs_tol=1e-10 dense "
+     "samples=401"),
+], ids=["fixed", "adaptive", "dense"])
+def test_report_window_names_the_scheme(tmp_path, capsys, integrator, window):
+    path = write_scenario(tmp_path / "s.ini", integrator=integrator,
+                          extra="[checks]\nconservation = on\n")
+    assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith(window), lines[3]
+
+
 def test_scenario_policy_and_output_zeroing(tmp_path, capsys):
     law = "[law]\nname = output_zeroing\n"
     integrator = "[integrator]\nt_end = 5\ndt = 0.01\n"
@@ -611,8 +629,24 @@ MALFORMED_INPUTS = {
     "identities with adaptive = on": (lambda d: _simulate_argv(
         d, integrator="[integrator]\nt_end = 50\ndt = 0.01\nadaptive = on\n",
         extra="[checks]\nidentities = on\n"),
-        "check 'identities' in [checks] needs uniform samples; it cannot "
-        "run with adaptive = on in [integrator]"),
+        "check 'identities' in [checks] cannot run with adaptive = on in "
+        "[integrator]: its tolerance bounds central-difference truncation"),
+    "identities with adaptive = dense = on": (lambda d: _simulate_argv(
+        d, integrator=DENSE_BLOCK, extra="[checks]\nidentities = on\n"),
+        "check 'identities' in [checks] cannot run with adaptive = on"),
+    "dense without adaptive": (lambda d: _simulate_argv(
+        d, integrator=INTEGRATOR_BLOCK + "dense = on\n"),
+        "dense output needs adaptive = on"),
+    "off-grid dense dt": (lambda d: _simulate_argv(
+        d, integrator=DENSE_BLOCK.replace("dt = 0.01", "dt = 5000")),
+        "does not divide"),
+    "simulate --dt off the shipped dense grid": (lambda d: [
+        "simulate", str(SHIPPED), "--out-dir", str(d), "--dt", "0.7"],
+        "dt = 0.7 does not divide t_end - t0 = 1200.0"),
+    "dense grid over the step bound": (lambda d: _simulate_argv(
+        d, integrator=DENSE_BLOCK.replace("t_end = 400", "t_end = 1e300")
+        .replace("dt = 0.01", "dt = 1e-10")),
+        "above the step bound MAX_STEPS = 100000000"),
     "equilibria --mu 1e200": (lambda d: ["equilibria", "--mu", "1e200"],
                               "(mu+sigma)^2 overflows double precision"),
     "equilibria --sigma 1e200 --gamma 1e200": (

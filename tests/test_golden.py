@@ -15,6 +15,7 @@ and say so in the change log.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import struct
@@ -64,6 +65,14 @@ def _traj_digest(traj) -> str:
 
 
 def _shipped():
+    """The shipped scenario on the fixed RK4 grid."""
+    sc = load_scenario(SHIPPED)
+    cfg = dataclasses.replace(sc.config, adaptive=False, dense=False)
+    return _traj_digest(integrate(sc.initial, sc.params, sc.law, cfg))
+
+
+def _shipped_dense():
+    """The shipped scenario as it ships: adaptive with dense output."""
     sc = load_scenario(SHIPPED)
     return _traj_digest(integrate(sc.initial, sc.params, sc.law, sc.config))
 
@@ -149,6 +158,7 @@ def _equilibria_json():
 
 CASES = {
     "shipped_scenario": _shipped,
+    "shipped_dense": _shipped_dense,
     "adaptive_immune_feedback": _adaptive_immune_feedback,
     "saturated_fixed": _saturated_fixed,
     "integrate_normal": _normal,
@@ -168,6 +178,8 @@ CASES = {
 GOLDEN = {
     "shipped_scenario":
         "023ae2a80228d9c5e59b3b06e2d11058f00e9655396b8c0144fc4087e7605d97",
+    "shipped_dense":
+        "39542bc6398946396429deae661e8da0906da6ed179c5dab7d4d508d079376bf",
     "adaptive_immune_feedback":
         "8722ad0035cc0aa6d41ce34b3c2e103b40aa7de9b43c6d30027caa972b9e499f",
     "saturated_fixed":

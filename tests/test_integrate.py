@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -36,6 +37,7 @@ from seirvax.laws import ControlLaw, compile_law
 from seirvax.model import SEIR_SOURCE, seir_field
 from seirvax.kernels import function
 from seirvax.normal_form import NORMAL_SOURCE
+from seirvax.scenario import load_scenario
 
 
 ORACLE_CATALOGUE = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
@@ -46,7 +48,7 @@ ORACLE_CATALOGUE = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
 
 def _oracle_params(law) -> ModelParams:
     """p1, or a plant fast enough for the constrained law's gate."""
-    if isinstance(law, ConstrainedImmuneFeedback):
+    if isinstance(getattr(law, "inner", law), ConstrainedImmuneFeedback):
         return ModelParams(N=1000.0, mu=0.5, omega=0.0, beta=0.9, sigma=0.2,
                            gamma=0.2)
     return ModelParams(N=1000.0, mu=0.01, omega=0.02, beta=0.9, sigma=0.2,
@@ -414,14 +416,15 @@ def _reference_dopri45(f, law, y, config):
     the law and the field afresh (no FSAL), every sum is a left-to-right
     accumulation from 0.0 over the whole row, zero coefficients included.
 
-    Returns the samples and counts of rejected attempts and of final
-    steps whose t + h was clamped to a different t_end.
+    Returns the samples and a dict of: the count of rejected attempts,
+    the count of final steps whose t + h was clamped to a different
+    t_end, and each accepted step as (t, h, y, ks).
     """
     b5 = _DP_A[6] + (0.0,)
     rtol, atol = config.rel_tol, config.abs_tol
     t0, t_end = config.t0, config.t_end
     samples = Samples()
-    stats = {"rejected": 0, "clamped": 0}
+    stats = {"rejected": 0, "clamped": 0, "steps": []}
 
     t = t0
     h = min(config.dt, t_end - t0)
@@ -459,7 +462,10 @@ def _reference_dopri45(f, law, y, config):
             if h <= 1e-14 * max(1.0, abs(t)):
                 raise ValueError("adaptive step size underflow")
 
-        if t + h >= t_end:
+        stats["steps"].append((t, h, y, ks))
+        # a step cut to end on t_end ends there, even where t + h rounds
+        # below it
+        if t + h >= t_end or h >= t_end - t:
             stats["clamped"] += t + h != t_end
             t = t_end
         else:
@@ -560,3 +566,109 @@ class TestRk4Kernel:
                               lambda z, t: fn(z[1] - z[0], z[2], z[3], z[0], t),
                               z0, config)
         _assert_bitwise(got, want)
+
+
+# -- dense output -----------------------------------------------------------
+
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "full_immunization.ini"
+DENSE_CONFIG = IntegratorConfig(t0=0.5, t_end=3.7, dt=1e-2, adaptive=True,
+                                rel_tol=1e-6, abs_tol=1e-8, sampling_stride=3,
+                                dense=True)
+
+
+class TestDense:
+    def test_config_applies_the_fixed_grid_rules(self):
+        with pytest.raises(ValueError, match="dense output needs adaptive = on"):
+            IntegratorConfig(t_end=1.0, dense=True)
+        with pytest.raises(ValueError, match="does not divide"):
+            IntegratorConfig(t_end=1.0, dt=0.3, adaptive=True, dense=True)
+        with pytest.raises(ValueError, match="step bound MAX_STEPS = 100000000"):
+            IntegratorConfig(t_end=1.0, dt=1e-300, adaptive=True, dense=True)
+
+    def test_samples_are_the_fixed_grid(self, mixed_state):
+        # t0, every third grid time below t_end, and t_end: the times of
+        # the fixed run on the same grid, bitwise.
+        dense = integrate(mixed_state, KERNEL_PARAMS, ImmuneFeedback(0.01, 0.05),
+                          DENSE_CONFIG)
+        fixed = integrate(mixed_state, KERNEL_PARAMS, ImmuneFeedback(0.01, 0.05),
+                          dataclasses.replace(DENSE_CONFIG, adaptive=False,
+                                              dense=False))
+        assert len(dense) == 320 // 3 + 2
+        assert dense.t.tobytes() == fixed.t.tobytes()
+
+    def test_stepping_is_unchanged(self, mixed_state):
+        # The dense run takes the adaptive run's steps: its last sample is
+        # that run's, bitwise, and a grid time on a step's end is that
+        # step's 5th-order solution (stride 1: the accepted first trial
+        # step ends on t0 + dt).
+        law = ImmuneFeedback(0.01, 0.05)
+        cfg = dataclasses.replace(DENSE_CONFIG, sampling_stride=1)
+        dense = _run_dopri45(SEIR_SOURCE, law, KERNEL_PARAMS,
+                             mixed_state.as_tuple(), cfg).columns()
+        steps = _run_dopri45(SEIR_SOURCE, law, KERNEL_PARAMS,
+                             mixed_state.as_tuple(),
+                             dataclasses.replace(cfg, dense=False)).columns()
+        assert steps[0, 1] == cfg.t0 + cfg.dt
+        assert dense[:, -1].tobytes() == steps[:, -1].tobytes()
+        assert dense[:, 1].tobytes() == steps[:, 1].tobytes()
+
+    @pytest.mark.parametrize("law", [ImmuneFeedback(0.01, 0.05), Pulse(0.05),
+                                     Saturated(SusceptibleLinear(0.05))],
+                             ids=lambda law: law.label)
+    def test_interpolant_matches_scipy_rk45(self, mixed_state, law):
+        # scipy's RK45 interpolates the same pair with its matrix P:
+        # y + h * (K^T P) (theta, theta^2, theta^3, theta^4), at the stages
+        # of the textbook loop, which takes the kernel's steps bitwise.
+        P = pytest.importorskip("scipy.integrate").RK45.P
+        f, law_at = _x_space(KERNEL_PARAMS, law)
+        _, stats = _reference_dopri45(f, law_at, mixed_state.as_tuple(),
+                                      dataclasses.replace(DENSE_CONFIG,
+                                                          dense=False))
+        got = _run_dopri45(SEIR_SOURCE, law, KERNEL_PARAMS,
+                           mixed_state.as_tuple(), DENSE_CONFIG).columns()
+        starts = np.array([t for t, *_ in stats["steps"]])
+        for tau, *state in got.T[1:-1, :5]:
+            t, h, y, ks = stats["steps"][np.searchsorted(starts, tau, "right") - 1]
+            theta = (tau - t) / h
+            want = np.array(y) + h * (np.array(ks).T @ P) @ theta ** np.arange(1, 5)
+            np.testing.assert_allclose(state, want, rtol=1e-14, atol=1e-12)
+        assert len(stats["steps"]) >= 3
+
+    @pytest.mark.parametrize(
+        "law", ORACLE_CATALOGUE + tuple(Saturated(law) for law in ORACLE_CATALOGUE),
+        ids=lambda law: law.label)
+    def test_against_dop853(self, mixed_state, law):
+        # Every catalogue law: within 1e-3*N of the continuous closed loop
+        # and conserving the population to 1e-9*N, at the fixed grid's times.
+        p = _oracle_params(law)
+        cfg = IntegratorConfig(t_end=100.0, dt=0.1, sampling_stride=5,
+                               adaptive=True, dense=True)
+        tr = integrate(mixed_state, p, law, cfg)
+        fixed_t = 0.1 * np.arange(0, 1001, 5)
+        assert tr.t.tobytes() == fixed_t.tobytes()
+        dev = np.max(np.abs(tr.states().T - _dop853(p, law, mixed_state, 100.0)(tr.t)))
+        assert dev <= 1e-3 * p.N, dev
+        assert np.max(np.abs(tr.S + tr.E + tr.I + tr.R - p.N)) <= 1e-9 * p.N
+
+    def test_shipped_scenario(self):
+        # The shipped scenario runs dense: the fixed run's 12001 sample
+        # times, bitwise, within 1e-3*N of DOP853.
+        sc = load_scenario(SHIPPED)
+        assert sc.config.adaptive and sc.config.dense
+        tr = integrate(sc.initial, sc.params, sc.law, sc.config)
+        fixed_t = sc.config.t0 + sc.config.dt * np.arange(0, 120001, 10)
+        assert tr.t.tobytes() == fixed_t.tobytes()
+        sol = _dop853(sc.params, sc.law, sc.initial, sc.config.t_end)
+        assert np.max(np.abs(tr.states().T - sol(tr.t))) <= 1e-3 * sc.params.N
+
+    def test_short_horizons_end_without_a_tiny_step(self, p1):
+        # The step cut to end on t_end ends there: at t_end = 0.41 the cut
+        # step used to land one ulp short, and a 5.6e-17 step followed.
+        for k in range(11, 100):
+            t_end = k / 100.0
+            cfg = IntegratorConfig(t_end=t_end, dt=0.1, adaptive=True,
+                                   rel_tol=1e-6, abs_tol=1e-8)
+            tr = integrate(SeirState(700.0, 200.0, 100.0, 0.0), p1,
+                           ImmuneFeedback(0.0, 0.03), cfg)
+            assert tr.t[-1] == t_end
+            assert np.diff(tr.t).min() >= 1e-12, (t_end, tr.t[-3:])
