@@ -32,8 +32,9 @@ Every sample records the applied V and the auxiliary control
 u = omega*R - sigma*E - mu*N*V, computed by `model.coupling_control` so
 recomputation reproduces stored values bitwise.
 
-`rk4` is the one fixed-step stepper: `integrate` runs it on the x-space
-field and `normal_form` on the normal-form and zero-dynamics fields.
+`_solve` chooses the scheme, once for every field: `integrate` runs it
+on the x-space field and `normal_form` on the normal-form and
+zero-dynamics fields, so each of them runs fixed, adaptive or dense.
 """
 
 from __future__ import annotations
@@ -165,12 +166,19 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
             diagnostic sample index and time.
     """
     _check_initial(state0, params)
-    stepper = _run_dopri45 if config.adaptive else rk4
-    samples = stepper(SEIR_SOURCE, law, params, state0.as_tuple(), config)
-    t, S, E, I, R, V = samples.columns()
+    t, S, E, I, R, V = _solve(SEIR_SOURCE, law, params, state0.as_tuple(),
+                              config).columns()
     u = coupling_control(SeirState(S, E, I, R), params, V)
     return Trajectory(t=t, S=S, E=E, I=I, R=R, V=V, u=u,
                       params=params, law=law, config=config)
+
+
+def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,
+           y0: tuple, config: IntegratorConfig) -> Samples:
+    """Integrate `field` closed under `law` with the config's scheme: the
+    Dormand-Prince pair when `adaptive`, else `rk4`."""
+    return (_run_dopri45 if config.adaptive else rk4)(field, law, params, y0,
+                                                      config)
 
 
 class Samples:

@@ -22,8 +22,10 @@ equation untouched, so gamma (not omega) is the only coefficient
 consistent with the plant.
 
 Both fields are written once, as source (`NORMAL_SOURCE`, `ZERO_SOURCE`):
-`integrate_normal` and `integrate_zero_dynamics` run the `integrate.rk4`
-template with the field (and, for the normal form, the law at every
+`integrate_normal` and `integrate_zero_dynamics` run the stepper the
+config selects, as `integrate` does (fixed-step RK4, or the adaptive
+Dormand-Prince pair with or without dense output), from the same
+templates with the field (and, for the normal form, the law at every
 stage) inlined; see `kernels`.
 """
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import IntegratorConfig, rk4
+from .integrate import IntegratorConfig, _solve
 from .kernels import FieldSource
 from .laws import ControlLaw, ZeroVax
 from .model import ModelParams, SeirState
@@ -156,29 +158,30 @@ class ZeroDynTrajectory:
 
 def integrate_normal(z0: NormalState, params: ModelParams, law: ControlLaw,
                      config: IntegratorConfig) -> NormalTrajectory:
-    """Fixed-step RK4 of the normal-form system under a law.
+    """Integrate the normal-form system under a law with the config's scheme.
 
     The integration runs in z, independently of the x-space field, so it
-    cross-checks `integrate`. The law is state feedback in x-coordinates;
-    it is evaluated at the back-transformed state at every stage, in the
-    kernel the same `rk4` template generates for `NORMAL_SOURCE`.
+    cross-checks `integrate` under the same config: fixed-step RK4, or the
+    Dormand-Prince pair, whose dense output samples the same grid. The law
+    is state feedback in x-coordinates; it is evaluated at the
+    back-transformed state at every stage, in the kernel the stepper's
+    template generates for `NORMAL_SOURCE`.
     """
-    if config.adaptive:
-        raise ValueError("integrate_normal supports fixed-step mode only")
-    t, z1, z2, z3, z4, V = rk4(NORMAL_SOURCE, law, params, z0.as_tuple(),
-                               config).columns()
+    t, z1, z2, z3, z4, V = _solve(NORMAL_SOURCE, law, params, z0.as_tuple(),
+                                  config).columns()
     return NormalTrajectory(t=t, z1=z1, z2=z2, z3=z3, z4=z4, V=V,
                             params=params, law=law, config=config)
 
 
 def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
                             config: IntegratorConfig) -> ZeroDynTrajectory:
-    """Fixed-step RK4 of the autonomous zero dynamics from (z2, z3, z4)."""
-    if config.adaptive:
-        raise ValueError("integrate_zero_dynamics supports fixed-step mode only")
+    """Integrate the autonomous zero dynamics from (z2, z3, z4) with the
+    config's scheme: fixed-step RK4, or the Dormand-Prince pair, whose
+    dense output samples the fixed grid's times. z1 is held at exactly 0
+    either way."""
     if not all(math.isfinite(v) for v in z0):
         raise ValueError("initial zero-dynamics state must be finite")
-    t, _, z2, z3, z4, _ = rk4(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0),
-                              config).columns()
+    t, _, z2, z3, z4, _ = _solve(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0),
+                                 config).columns()
     return ZeroDynTrajectory(t=t, z2=z2, z3=z3, z4=z4, params=params,
                              config=config)

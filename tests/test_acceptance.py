@@ -277,14 +277,18 @@ def test_criterion_08_normal_form_consistency():
                    f"jacobian det = {det}")
 
 
-def test_criterion_09_zero_dynamics():
+@pytest.mark.parametrize("scheme", ["fixed", "dense"])
+def test_criterion_09_zero_dynamics(scheme):
+    # fixed RK4, and the adaptive pair's dense output that `zerodyn` runs
     rng = np.random.default_rng(333)
     worst_drift = 0.0
     worst_low, worst_high = 0.0, 0.0
+    dense = scheme == "dense"
     for _ in range(20):
         z0 = tuple(map(float, rng.dirichlet((1.0, 1.0, 1.0)) * P1.N))
         c0 = sum(z0)
-        cfg = IntegratorConfig(t_end=1000.0, dt=1e-2, sampling_stride=100)
+        cfg = IntegratorConfig(t_end=1000.0, dt=1e-2, sampling_stride=100,
+                               adaptive=dense, dense=dense)
         tr = integrate_zero_dynamics(z0, P1, cfg)
         worst_drift = max(worst_drift,
                           float(np.max(np.abs(tr.total - c0))) / c0)
@@ -293,8 +297,8 @@ def test_criterion_09_zero_dynamics():
         worst_low = min(worst_low, lo / c0)
         worst_high = max(worst_high, (hi - c0) / c0)
     ok = worst_drift <= 1e-9 and worst_low >= -1e-9 and worst_high <= 1e-9
-    _report(9, ok, f"20 starts, 1000 days: sum drift/C = {worst_drift:.2e} "
-                   f"(<= 1e-09); component range excess = [{worst_low:.2e}, "
+    _report(9, ok, f"20 starts, 1000 days, {scheme}: sum drift/C = "
+                   f"{worst_drift:.2e} (<= 1e-09); component range excess = [{worst_low:.2e}, "
                    f"{worst_high:.2e}] (within +/- 1e-09)")
 
 

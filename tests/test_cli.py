@@ -422,6 +422,19 @@ class TestZerodynCommand:
         assert "PASS  sum conservation" in out
         assert "PASS  boundedness" in out
 
+    def test_names_its_scheme_and_samples(self, tmp_path, capsys):
+        # The README command: the dense pair writes the fixed grid's 1001
+        # sample times (every 100th of dt = 0.01 over 1000 days), bitwise.
+        code = main(["zerodyn", "--z2", "300", "--z3", "400", "--z4", "300",
+                     "--t-end", "1000", "--out-dir", str(tmp_path)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("scheme: adaptive rel_tol=1e-08 abs_tol=1e-10 "
+                            "dense, samples=1001")
+        t = np.loadtxt(tmp_path / "zerodyn.csv", delimiter=",", skiprows=1,
+                       usecols=0)
+        assert t.tobytes() == (0.01 * np.arange(0, 100001, 100)).tobytes()
+
     def test_off_population_start_fails_conservation(self, tmp_path, capsys):
         # sum != N: the flow pulls the sum toward N, reported honestly.
         code = main(["zerodyn", "--z2", "100", "--z3", "100", "--z4", "100",
@@ -736,8 +749,10 @@ def test_numeric_flags_never_escape(tmp_path, command, params, same_gamma,
         if span > 1.0:
             zerodyn = {**zerodyn, "t-end": 1.0}
             span = 1.0
-        # A grid over the step bound must be refused. One within it runs,
-        # so a draw of more than 10^4 steps gets 10^4 to keep the fuzz fast.
+        # A grid over the step bound must be refused. One within it runs
+        # on the dense pair, whose run time follows the grid's dense
+        # samples and CSV rows, so a draw of more than 10^4 grid steps gets
+        # 10^4 to keep the fuzz fast.
         steps = span / dt if 0.0 < span and 0.0 < dt else 0.0
         over_bound = steps > MAX_STEPS
         if 1e4 < steps <= MAX_STEPS:

@@ -3,8 +3,8 @@
 Each integrator case integrates a fixed input and hashes the raw
 little-endian float64 bytes of every sample column. The sweep cases hash every endemic point's
 `SweepResult` over a fixed parameter map, the map's `condition_holds`
-verdicts alone, and the bytes of the `equilibria --json` report. The
-digests pin the exact arithmetic of the steppers, vector fields and
+verdicts alone, and the bytes of the `equilibria --json` report; the
+last case hashes the bytes of the README's `zerodyn` CSV. The digests pin the exact arithmetic of the steppers, vector fields and
 sweep: a refactor that reorders one floating-point operation changes
 them. Regenerate a digest only for a deliberate change of the numbers,
 and say so in the change log.
@@ -156,6 +156,15 @@ def _equilibria_json():
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _zerodyn_cli():
+    """The bytes of the CSV the README's `zerodyn` command writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["zerodyn", "--z2", "300", "--z3", "400", "--z4", "300",
+                         "--t-end", "1000", "--out-dir", tmp]) == 0
+        return hashlib.sha256((Path(tmp) / "zerodyn.csv").read_bytes()).hexdigest()
+
+
 CASES = {
     "shipped_scenario": _shipped,
     "shipped_dense": _shipped_dense,
@@ -173,6 +182,7 @@ CASES = {
     "sweep_map": _sweep_map,
     "sweep_verdicts": _sweep_verdicts,
     "equilibria_json": _equilibria_json,
+    "zerodyn_cli": _zerodyn_cli,
 }
 
 GOLDEN = {
@@ -202,6 +212,8 @@ GOLDEN = {
         "6fd7ed7693121972588e2c7797321cdd8cea38e15540c2d2bf9006c762f4cb05",
     "equilibria_json":
         "cb4f54023252fe98f215b702018773e4eb3fbad4f18220644861afb534c8c290",
+    "zerodyn_cli":
+        "5f2b30384025f708ef31fffda87812ecd58a533c07377acddbe34ace874c670b",
 }
 
 

@@ -28,6 +28,7 @@ from seirvax import (
     Trajectory,
     ZeroVax,
     integrate,
+    integrate_zero_dynamics,
     monitor_positivity,
     to_normal,
 )
@@ -36,7 +37,7 @@ from seirvax.integrate import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
 from seirvax.laws import ControlLaw, compile_law
 from seirvax.model import SEIR_SOURCE, seir_field
 from seirvax.kernels import function
-from seirvax.normal_form import NORMAL_SOURCE
+from seirvax.normal_form import NORMAL_SOURCE, ZERO_SOURCE
 from seirvax.scenario import load_scenario
 
 
@@ -70,6 +71,23 @@ def _dop853(p: ModelParams, law, state: SeirState, t_end: float):
                 -(p.mu + p.omega) * R + p.gamma * I + p.mu * p.N * v]
 
     sol = solve_ivp(rhs, (0.0, t_end), list(state.as_tuple()), method="DOP853",
+                    rtol=1e-13, atol=1e-10, dense_output=True)
+    assert sol.success
+    return sol.sol
+
+
+def _dop853_zero_dynamics(p: ModelParams, z0: tuple, t_end: float):
+    """Dense output of the zero dynamics (z2, z3, z4) from scipy's DOP853."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    bp = p.beta / p.N
+
+    def rhs(t, z):
+        z2, z3, z4 = z
+        return [-p.mu * z2 + p.gamma * z4 - bp * z2 * z4 + p.mu * p.N,
+                bp * z2 * z4 - (p.mu + p.sigma) * z3,
+                -(p.mu + p.gamma) * z4 + p.sigma * z3]
+
+    sol = solve_ivp(rhs, (0.0, t_end), list(z0), method="DOP853",
                     rtol=1e-13, atol=1e-10, dense_output=True)
     assert sol.success
     return sol.sol
@@ -660,6 +678,27 @@ class TestDense:
         assert tr.t.tobytes() == fixed_t.tobytes()
         sol = _dop853(sc.params, sc.law, sc.initial, sc.config.t_end)
         assert np.max(np.abs(tr.states().T - sol(tr.t))) <= 1e-3 * sc.params.N
+
+    @pytest.mark.parametrize("z0", [(300.0, 400.0, 300.0), (999.0, 0.0, 1.0),
+                                    (620.0, 242.0, 138.0)], ids=str)
+    def test_zero_dynamics(self, p1, z0):
+        # The `zerodyn` run: the fixed run's sample times bitwise, z1 held
+        # at exactly +0.0, within 1e-4 of DOP853 (measured 6.8e-6) and the
+        # sum C conserved to 1e-9*C.
+        cfg = IntegratorConfig(t_end=1000.0, dt=1e-2, sampling_stride=100,
+                               adaptive=True, dense=True)
+        tr = integrate_zero_dynamics(z0, p1, cfg)
+        fixed = integrate_zero_dynamics(
+            z0, p1, dataclasses.replace(cfg, adaptive=False, dense=False))
+        assert len(tr) == 1001
+        assert tr.t.tobytes() == fixed.t.tobytes()
+        z1 = _run_dopri45(ZERO_SOURCE, ZeroVax(), p1, (0.0, *z0), cfg).columns()[1]
+        assert z1.tobytes() == np.zeros(len(tr)).tobytes()
+        sol = _dop853_zero_dynamics(p1, z0, cfg.t_end)
+        dev = np.max(np.abs(np.vstack((tr.z2, tr.z3, tr.z4)) - sol(tr.t)))
+        assert dev <= 1e-4, dev
+        c = sum(z0)
+        assert np.max(np.abs(tr.total - c)) <= 1e-9 * c
 
     def test_short_horizons_end_without_a_tiny_step(self, p1):
         # The step cut to end on t_end ends there: at t_end = 0.41 the cut

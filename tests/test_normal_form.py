@@ -254,3 +254,20 @@ class TestTrajectoryEquivalence:
         assert np.abs(tr_z.z2 - (tr_x.S + tr_x.R)).max() < tol
         assert np.abs(tr_z.z3 - tr_x.E).max() < tol
         assert np.abs(tr_z.z4 - tr_x.I).max() < tol
+
+    @pytest.mark.parametrize("law", [ImmuneFeedback(0.0, 0.03),
+                                     Linearizing(0.1, 0.05)],
+                             ids=lambda law: law.label)
+    def test_dense_x_and_z_integration_agree(self, p1, mixed_state, law):
+        # Dense runs sample the same grid in x and in z, each within the
+        # pair's tolerance of the true solution (measured about 1e-6*N).
+        cfg = IntegratorConfig(t_end=100.0, dt=1e-2, sampling_stride=100,
+                               adaptive=True, dense=True)
+        tr_x = integrate(mixed_state, p1, law, cfg)
+        tr_z = integrate_normal(to_normal(mixed_state), p1, law, cfg)
+        assert tr_z.t.tobytes() == tr_x.t.tobytes()
+        tol = 1e-5 * p1.N
+        assert np.abs(tr_z.z1 - tr_x.R).max() < tol
+        assert np.abs(tr_z.z2 - (tr_x.S + tr_x.R)).max() < tol
+        assert np.abs(tr_z.z3 - tr_x.E).max() < tol
+        assert np.abs(tr_z.z4 - tr_x.I).max() < tol
