@@ -3,7 +3,8 @@
 Each integrator case integrates a fixed input and hashes the raw
 little-endian float64 bytes of every sample column. The sweep cases hash every endemic point's
 `SweepResult` over a fixed parameter map, the map's `condition_holds`
-verdicts alone, and the bytes of the `equilibria --json` report; the
+verdicts alone, every `analyze` report's spectrum and verdicts over the
+same map, and the bytes of the `equilibria --json` report; the
 last case hashes the bytes of the README's `zerodyn` CSV. The digests pin the exact arithmetic of the steppers, vector fields and
 sweep: a refactor that reorders one floating-point operation changes
 them. Regenerate a digest only for a deliberate change of the numbers,
@@ -33,6 +34,7 @@ from seirvax import (
     SusceptibleLinear,
     SusceptiblePlusExposed,
     ZeroVax,
+    analyze,
     endemic_equilibrium,
     hinf_ratio_sweep,
     integrate,
@@ -112,22 +114,26 @@ def _zero_dynamics():
     return _digest(traj, ("t", "z2", "z3", "z4"))
 
 
-def _map_sweeps():
-    """The `SweepResult` at every endemic point of a 648-point map: mu x
-    omega x sigma = gamma x 24 beta from 0.25 to 4 times the threshold
-    (mu+sigma)^2/sigma."""
-    results = []
+def _map_params():
+    """The 648-point map: mu x omega x sigma = gamma x 24 beta from 0.25 to
+    4 times the threshold (mu+sigma)^2/sigma."""
     for mu in (0.005, 0.01, 0.02):
         for omega in (0.0, 0.02, 0.05):
             for sigma in (0.1, 0.2, 0.3):
                 beta_star = (mu + sigma) ** 2 / sigma
                 for factor in np.linspace(0.25, 4.0, 24):
-                    p = ModelParams(N=1000.0, mu=mu, omega=omega,
-                                    beta=float(factor * beta_star),
-                                    sigma=sigma, gamma=sigma)
-                    endemic = endemic_equilibrium(p)
-                    if endemic is not None:
-                        results.append(hinf_ratio_sweep(p, endemic))
+                    yield ModelParams(N=1000.0, mu=mu, omega=omega,
+                                      beta=float(factor * beta_star),
+                                      sigma=sigma, gamma=sigma)
+
+
+def _map_sweeps():
+    """The `SweepResult` at every endemic point of the map."""
+    results = []
+    for p in _map_params():
+        endemic = endemic_equilibrium(p)
+        if endemic is not None:
+            results.append(hinf_ratio_sweep(p, endemic))
     assert len(results) == 513
     return results
 
@@ -146,6 +152,25 @@ def _sweep_verdicts():
     any change to how the peak is computed."""
     bits = bytes(res.condition_holds for res in _map_sweeps())
     return hashlib.sha256(bits).hexdigest()
+
+
+def _map_reports():
+    """Every `analyze` report over the map: its kind, the spectrum's bytes
+    as complex128 with the spectrum's own dtype, `locally_stable` and the
+    closed-form zeros."""
+    h = hashlib.sha256()
+    count = 0
+    for p in _map_params():
+        for rep in analyze(p):
+            count += 1
+            zeros = rep.closed_form_zeros
+            h.update(rep.point.kind.encode())
+            h.update(np.ascontiguousarray(rep.spectrum, dtype="<c16").tobytes())
+            h.update(rep.spectrum.dtype.char.encode())
+            h.update(struct.pack("<?", rep.locally_stable))
+            h.update(b"-" if zeros is None else struct.pack("<4d", *zeros))
+    assert count == 648 + 513
+    return h.hexdigest()
 
 
 def _equilibria_json():
@@ -181,6 +206,7 @@ CASES = {
     "accuracy_zero": _accuracy_adaptive(ZeroVax(), 1e-3),
     "sweep_map": _sweep_map,
     "sweep_verdicts": _sweep_verdicts,
+    "map_reports": _map_reports,
     "equilibria_json": _equilibria_json,
     "zerodyn_cli": _zerodyn_cli,
 }
@@ -210,6 +236,8 @@ GOLDEN = {
         "c7275e63eb6f92b5d6b06b59abafbcbf53a8743d86e17e7bc361ebd446974797",
     "sweep_verdicts":
         "6fd7ed7693121972588e2c7797321cdd8cea38e15540c2d2bf9006c762f4cb05",
+    "map_reports":
+        "0f77a5011612b901aa72c15a350f0c6071c421e460cd27640d3b7c99d72f85f9",
     "equilibria_json":
         "cb4f54023252fe98f215b702018773e4eb3fbad4f18220644861afb534c8c290",
     "zerodyn_cli":
