@@ -236,14 +236,36 @@ def char_zeros_x1(params: ModelParams) -> CharZerosX1:
     return CharZerosX1(zeros=zeros, locally_stable=stable)
 
 
-def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Spectrum of a real matrix, sorted by real part descending."""
+def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
+    """Spectrum of a real (n, n) matrix, or a list of the spectra of a
+    (..., n, n) stack in C order of the leading axes.
+
+    One finiteness check and one `np.linalg.eigvals` call cover the whole
+    stack. Each spectrum is sorted by real part descending, then by
+    imaginary part descending, and is float64 when no imaginary part is
+    nonzero (complex128 otherwise), so a stack row is bitwise the
+    spectrum of a lone call on its matrix.
+    """
     m = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("eigenvalues: non-finite entries")
     vals = np.linalg.eigvals(m)
-    order = np.lexsort((-vals.imag, -vals.real))
-    return vals[order]
+    if vals.ndim == 1:
+        return _sorted_spectrum(vals.tolist())
+    return [_sorted_spectrum(row)
+            for row in vals.reshape(-1, vals.shape[-1]).tolist()]
+
+
+def _sorted_spectrum(values: list) -> np.ndarray:
+    """Eigenvalues in Python numbers as a sorted float64 or complex array."""
+    values.sort(key=_descending)
+    if any(v.imag for v in values):
+        return np.array(values, dtype=complex)
+    return np.array([v.real for v in values])
+
+
+def _descending(v: complex) -> tuple[float, float]:
+    return -v.real, -v.imag
 
 
 def _polymul(a: list[float], b: list[float]) -> list[float]:
@@ -281,6 +303,10 @@ def _ratio(p0: list[float], ptilde: list[float], w: float) -> float:
     return abs(num) / abs(den)
 
 
+# Rows 1-5 of a 6x6 companion matrix: ones on the subdiagonal.
+_SUBDIAGONAL = tuple(tuple(row) for row in np.eye(6, k=-1)[1:].tolist())
+
+
 def hinf_ratio_sweep(params: ModelParams,
                      endemic: Optional[EquilibriumPoint]) -> SweepResult:
     """Exact peak of |ptilde(iw)/p0(iw)| over w >= 0 and the 1/beta test.
@@ -314,8 +340,8 @@ def hinf_ratio_sweep(params: ModelParams,
     if p0[-1] == 0.0 or stationary[6] == 0.0:
         raise ValueError("sweep refused: the rates span too many orders of "
                          "magnitude for double precision")
-    companion = np.eye(6, k=-1)
-    companion[0] = [-v / stationary[6] for v in reversed(stationary[:6])]
+    companion = np.array([[-v / stationary[6] for v in reversed(stationary[:6])],
+                          *_SUBDIAGONAL])
 
     best_w, best_r = 0.0, _ratio(p0, ptilde, 0.0)
     for root in np.linalg.eigvals(companion).tolist():
@@ -331,28 +357,35 @@ def hinf_ratio_sweep(params: ModelParams,
 
 
 def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
-    """Stability reports for the disease-free and (if present) endemic points."""
-    reports: list[StabilityReport] = []
+    """Stability reports for the disease-free and (if present) endemic points.
 
+    With an endemic point both Jacobians go to one `eigenvalues` call as
+    a (2, 4, 4) stack, so numpy's `eigvals` wrapper runs once per point.
+    A point is locally stable when the first (largest) real part of its
+    sorted spectrum is negative. With `sweep` and mu > 0 the endemic
+    report carries the `hinf_ratio_sweep` peak and its verdict.
+    """
     x1 = disease_free_equilibrium(params)
     j1 = jacobian_at(x1.state, params)
-    spec1 = eigenvalues(j1)
-    reports.append(StabilityReport(
-        point=x1, jacobian=j1, spectrum=spec1,
-        closed_form_zeros=char_zeros_x1(params).zeros,
-        locally_stable=bool(np.all(spec1.real < 0.0))))
-
+    zeros = char_zeros_x1(params).zeros
     x2 = endemic_equilibrium(params)
-    if x2 is not None:
+    if x2 is None:
+        spec1 = eigenvalues(j1)
+    else:
         j2 = jacobian_at(x2.state, params)
-        spec2 = eigenvalues(j2)
+        spec1, spec2 = eigenvalues((j1, j2))
+    reports = [StabilityReport(
+        point=x1, jacobian=j1, spectrum=spec1, closed_form_zeros=zeros,
+        locally_stable=bool(spec1[0].real < 0.0))]
+
+    if x2 is not None:
         hinf_ratio = hinf_condition = None
         if sweep and params.mu > 0.0:
             res = hinf_ratio_sweep(params, x2)
             hinf_ratio, hinf_condition = res.max_ratio, res.condition_holds
         reports.append(StabilityReport(
             point=x2, jacobian=j2, spectrum=spec2, closed_form_zeros=None,
-            locally_stable=bool(np.all(spec2.real < 0.0)),
+            locally_stable=bool(spec2[0].real < 0.0),
             hinf_ratio=hinf_ratio, hinf_condition_holds=hinf_condition))
 
     return reports

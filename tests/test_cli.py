@@ -564,6 +564,9 @@ MALFORMED_INPUTS = {
     "zerodyn --t-end 1e300 --dt 1e-10": (lambda d: _zerodyn_argv(
         d, "--t-end", "1e300", "--dt", "1e-10"),
         "above the step bound MAX_STEPS = 100000000"),
+    "zerodyn --mu 1e9 --t-end 1 (stiff)": (lambda d: _zerodyn_argv(
+        d, "--mu", "1e9", "--t-end", "1"),
+        "stiff problem beyond the step bound MAX_STEPS = 100000000"),
     "off-grid scenario dt": (lambda d: _simulate_argv(
         d, integrator="[integrator]\nt_end = 1200\ndt = 5000\n"),
         "does not divide"),

@@ -204,6 +204,54 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @staticmethod
+    def _assert_same_spectrum(got, want):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_stack_rows_are_lone_calls(self, n):
+        # General matrices (mostly complex spectra), symmetric ones and
+        # triangular ones (real spectra) shuffled into one stack: every row
+        # is bitwise the lone call's spectrum, float64 where that one is.
+        rng = np.random.default_rng(1103 + n)
+        general = rng.normal(size=(8, n, n))
+        symmetric = general + general.transpose(0, 2, 1)
+        triangular = np.triu(rng.normal(size=(8, n, n)))
+        stack = rng.permutation(np.concatenate((general, symmetric, triangular)))
+        rows = eigenvalues(stack)
+        assert len(rows) == len(stack)
+        assert {row.dtype for row in rows} == {np.dtype(float), np.dtype(complex)}
+        for matrix, row in zip(stack, rows):
+            self._assert_same_spectrum(row, eigenvalues(matrix))
+        # Leading axes beyond one are flattened in C order.
+        nested = eigenvalues(stack.reshape(4, 6, n, n))
+        for row, want in zip(nested, rows):
+            self._assert_same_spectrum(row, want)
+
+    def test_stacked_double_root_stays_float(self):
+        # beta = 0: a real double root at -(mu+sigma), stacked with the P1
+        # endemic Jacobian, whose spectrum is complex.
+        p = _params(beta=0.0)
+        j1 = jacobian_at(SeirState(p.N, 0.0, 0.0, 0.0), p)
+        p1 = _params()
+        j2 = jacobian_at(endemic_equilibrium(p1).state, p1)
+        spec1, spec2 = eigenvalues((j1, j2))
+        self._assert_same_spectrum(spec1, eigenvalues(j1))
+        self._assert_same_spectrum(spec2, eigenvalues(j2))
+        assert spec1.dtype == np.dtype(float) and spec1[2] == spec1[3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stack_rejects_non_finite_anywhere(self, bad):
+        rng = np.random.default_rng(17)
+        for shape in ((3, 4, 4), (5, 6, 6)):
+            stack = rng.normal(size=shape)
+            for index in (0, stack.size // 2, stack.size - 1):
+                spoiled = stack.copy()
+                spoiled.flat[index] = bad
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    eigenvalues(spoiled)
+
 
 class TestSweep:
     def test_example_parameter_set(self):
@@ -308,6 +356,18 @@ class TestAnalyze:
         assert x1.point.kind == "disease_free" and not x1.locally_stable
         assert x2.point.kind == "endemic" and x2.locally_stable
         assert x2.hinf_ratio is not None
+
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.25, 0.9])
+    @pytest.mark.parametrize("mu", [0.0, 0.01])
+    def test_spectra_match_lone_calls(self, mu, beta):
+        # analyze stacks the two Jacobians in one call; each report's
+        # spectrum, dtype included, is the lone call's, and its verdict is
+        # the sign of every real part.
+        for rep in analyze(_params(mu=mu, beta=beta)):
+            want = eigenvalues(rep.jacobian)
+            assert rep.spectrum.dtype == want.dtype
+            assert rep.spectrum.tobytes() == want.tobytes()
+            assert rep.locally_stable == bool(np.all(want.real < 0.0))
 
     def test_feasibility_expression(self, p1):
         value, holds = a11_feasibility(p1)

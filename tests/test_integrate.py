@@ -167,6 +167,26 @@ class TestBasics:
         monkeypatch.undo()
         integrate(mixed_state, p1, ImmuneFeedback(0.01, 0.05), cfg)
 
+    def test_stiff_run_refused_before_step_bound(self, monkeypatch):
+        # mu = 1e5 holds the explicit pair near h = 3/mu, about 3e4 steps
+        # on [0, 1]: under a bound of 1e4 the stiffness test refuses the run
+        # from its first tests, after about 1e3 accepted steps, instead of
+        # running into the bound.
+        p = ModelParams(N=1000.0, mu=1e5, omega=0.02, beta=0.9, sigma=0.2,
+                        gamma=0.2)
+        cfg = IntegratorConfig(t_end=1.0, dt=1e-2, adaptive=True, dense=True)
+        monkeypatch.setattr(importlib.import_module("seirvax.integrate"),
+                            "MAX_STEPS", 10**4)
+        with pytest.raises(ValueError, match="stiff problem beyond the step "
+                           "bound MAX_STEPS = 10000: at t = ") as err:
+            integrate_zero_dynamics((300.0, 400.0, 300.0), p, cfg)
+        left = int(str(err.value).split("more than the ")[1].split()[0])
+        assert 10**4 - 2000 < left < 10**4
+        # Within the bound the same stiff run completes.
+        monkeypatch.undo()
+        traj = integrate_zero_dynamics((300.0, 400.0, 300.0), p, cfg)
+        assert traj.t[-1] == 1.0
+
     @pytest.mark.parametrize("stride", [2.7, 2.0, 0, -1])
     def test_config_rejects_non_integer_stride(self, stride):
         with pytest.raises(ValueError, match="sampling_stride"):
