@@ -36,7 +36,6 @@ from .laws import (
     SusceptiblePlusExposed,
     ZeroVax,
     corollary1_upper_bound,
-    evaluate,
     predicted_limits,
 )
 from .integrate import (

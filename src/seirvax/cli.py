@@ -222,10 +222,6 @@ def _fmt_complex(z: complex) -> str:
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    if params.sigma != params.gamma:
-        print("error: endemic analysis requires sigma == gamma", file=sys.stderr)
-        return _USAGE_ERROR
-
     reports = analyze(params, sweep=not args.no_sweep)
     payload: dict = {"params": dataclasses.asdict(params), "equilibria": []}
     lines = [f"seirvax {__version__} equilibrium report",
@@ -274,9 +270,7 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     z0 = (args.z2, args.z3, args.z4)
     if min(z0) < 0.0:
-        print("error: initial zero-dynamics state must be nonnegative",
-              file=sys.stderr)
-        return _USAGE_ERROR
+        raise ValueError("initial zero-dynamics state must be nonnegative")
     # the adaptive pair's dense output on the fixed grid's sample times,
     # at the library's default tolerances
     config = IntegratorConfig(t_end=args.t_end, dt=args.dt,
@@ -313,9 +307,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     data = read_trajectory_csv(args.csv)
     t = data["t"]
     if not np.all(np.diff(t) > 0.0):
-        print("error: CSV time column must be strictly increasing",
-              file=sys.stderr)
-        return _USAGE_ERROR
+        raise ScenarioError("CSV time column must be strictly increasing")
     traj = Trajectory(
         t=t, S=data["S"], E=data["E"], I=data["I"], R=data["R"],
         V=data["V"], u=data["u"], params=scenario.params, law=scenario.law,

@@ -139,7 +139,7 @@ def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
 
 def _require_sigma_equals_gamma(params: ModelParams) -> None:
     if params.sigma != params.gamma:
-        raise ValueError("appendix requires sigma equals gamma")
+        raise ValueError("endemic analysis requires sigma == gamma")
 
 
 def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:

@@ -16,7 +16,7 @@ Each is compiled lazily, on first use, and cached per field and law
 shape: gains and parameters are arguments of the generated code, so a
 new parameter draw reuses the compiled kernel. The closure and the
 kernels evaluate the same text with the same constants, so V from
-`laws.evaluate` and V recorded by an integrator are bitwise equal.
+`laws.compile_law` and V recorded by an integrator are bitwise equal.
 
 Template syntax (see `integrate._RK4` and `integrate._DOPRI`):
 

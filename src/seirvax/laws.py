@@ -22,13 +22,14 @@ expression and list it in `SCENARIO_LAWS`: the integrators inline that
 expression at every stage of their generated kernels (`kernels`), and
 `compile_law` builds the V closure from the same text.
 
-Four module functions are the gated entry points: `law_program` is the
-one gain gate (it refuses a failed required clause) and returns the law's
+Three module functions are the gated entry points, and one gain gate
+(`_gated`: a failed required clause, of the law or of its canonical
+form, is refused) stands before each: `law_program` returns the law's
 shape and constants, which the integrators compile into their kernels;
 `compile_law` returns the V(S, E, I, R, t) closure of the same program,
-so a law evaluates bitwise-identically wherever it is used; `evaluate`
-calls that closure at a state; `predicted_limits` refuses mu <= 0 and
-limits outside the population range.
+so a law evaluates bitwise-identically wherever it is used;
+`predicted_limits` also refuses mu <= 0 and limits outside the
+population range.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "AsymptoticPrediction",
     "law_program",
     "compile_law",
-    "evaluate",
     "predicted_limits",
     "corollary1_upper_bound",
 ]
@@ -201,8 +201,6 @@ class SusceptibleLinear(ControlLaw):
                 "muN": _require_channel(params)}
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
-        if not self.g >= 0.0:
-            raise _refuse("g >= 0")
         mu, N = params.mu, params.N
         return AsymptoticPrediction(
             s_inf=0.0, e_inf=0.0, i_inf=0.0, r_inf=N,
@@ -229,8 +227,6 @@ class SusceptiblePlusExposed(ControlLaw):
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         g, mu, N = self.g, params.mu, params.N
-        if not g >= 0.0:
-            raise _refuse("g >= 0")
         kwargs = dict(
             s_plus_e_inf=mu * N / (mu + g),
             i_plus_r_inf=g * N / (mu + g),
@@ -268,8 +264,6 @@ class ImmuneFeedback(ControlLaw):
         mu, om, N = params.mu, params.omega, params.N
         g, g1 = self.g, self.g1
         lam = mu + om + g
-        if not g > -(mu + om):
-            raise _refuse("g > -(mu+omega)")
         if g1 > lam and math.fsum((mu, om, g, -g1)) >= 0.0:
             # g1 meets the clause exactly; only the rounded sum falls below it.
             lam = g1
@@ -293,7 +287,9 @@ class _ImmuneFamily(ControlLaw):
         return law_program(self.canonical(params), params)
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
-        return self.canonical(params)._predict(params)
+        canonical = self.canonical(params)
+        _gated(canonical, params, PredictionError)
+        return canonical._predict(params)
 
 
 @dataclass(frozen=True)
@@ -339,11 +335,6 @@ class Linearizing(_ImmuneFamily):
             GainCheck("g_prime > 0", self.g_prime > 0.0, True),
             GainCheck("g1 >= 0", self.g1 >= 0.0, True),
         ]
-
-    def _predict(self, params: ModelParams) -> AsymptoticPrediction:
-        if not self.g_prime > 0.0:
-            raise _refuse("g_prime > 0")
-        return super()._predict(params)
 
 
 @dataclass(frozen=True)
@@ -404,23 +395,27 @@ def _require_law(law: object) -> None:
         raise TypeError(f"not a control law: {law!r}")
 
 
+def _gated(law: ControlLaw, params: ModelParams, error: type[Exception]) -> None:
+    """The one gain gate: a failed required gain constraint raises `error`
+    naming every failed clause."""
+    failed = [c.name for c in law.gain_checks(params)
+              if c.required and not c.holds]
+    if failed:
+        raise error(f"law {law.label} fails required gain constraint(s): "
+                    + ", ".join(failed))
+
+
 def law_program(law: ControlLaw, params: ModelParams) -> tuple[Shape, tuple[float, ...]]:
     """Bind a law to parameters: (shape, constant values).
 
     The shape is the law's V expression with the names of its constants
     (wrapped once per clip); the integrators compile one kernel per shape
-    and pass the values as arguments. This is the one gain gate: a failed
-    required gain constraint raises GainConstraintError naming every
-    failed clause (and mu*N = 0 raises VaccinationChannelError when the
-    law needs the channel).
+    and pass the values as arguments. A failed required gain constraint
+    raises GainConstraintError (and mu*N = 0 raises
+    VaccinationChannelError when the law needs the channel).
     """
     _require_law(law)
-    failed = [c.name for c in law.gain_checks(params)
-              if c.required and not c.holds]
-    if failed:
-        raise GainConstraintError(
-            f"law {law.label} fails required gain constraint(s): "
-            + ", ".join(failed))
+    _gated(law, params, GainConstraintError)
     return law._program(params)
 
 
@@ -434,17 +429,6 @@ def compile_law(law: ControlLaw, params: ModelParams) -> LawFn:
     """
     shape, values = law_program(law, params)
     return law_function(shape)(*values)
-
-
-def evaluate(law: ControlLaw, state: SeirState, params: ModelParams,
-             t: float = 0.0) -> float:
-    """Evaluate the law's vaccination fraction at a state.
-
-    States are taken as given: no clamping of negative inputs happens
-    here, so garbage in is surfaced rather than hidden.
-    """
-    fn = compile_law(law, params)
-    return fn(state.S, state.E, state.I, state.R, t)
 
 
 def _check_population_limits(pred: AsymptoticPrediction, N: float) -> None:
@@ -466,12 +450,14 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
     """Closed-form asymptotic limits the convergence results attach to a law.
 
     Raises PredictionError naming the failing clause when the gains
-    violate a condition the limit formulas rely on, and for laws with no
-    closed-form asymptotics (zero/constant/saturated/output-zeroing).
+    violate a condition the limit formulas rely on (first the gain gate
+    of `law_program`, on the law and on its canonical form), and for laws
+    with no closed-form asymptotics (zero/constant/saturated/output-zeroing).
     """
     _require_law(law)
     if params.mu <= 0.0:
         raise _refuse("mu > 0")
+    _gated(law, params, PredictionError)
     pred = law._predict(params)
     _check_population_limits(pred, params.N)
     return pred

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 from .kernels import FieldSource, function
 
@@ -33,16 +31,12 @@ __all__ = [
     "SeirState",
     "CONSERVATION_RTOL",
     "SEIR_SOURCE",
-    "seir_field",
     "derivative",
     "check_assumption1",
     "coupling_control",
 ]
 
-# A 4-component rate tuple, and a vector field (y0, y1, y2, y3, V) -> rates
-# at the vaccination fraction V the caller gives.
 Rates = tuple[float, float, float, float]
-Field = Callable[[float, float, float, float, float], Rates]
 
 # Relative tolerance (of the conserved total) of the conservation checks.
 # RK4 drift over desk-scale horizons stays well under this.
@@ -135,21 +129,14 @@ SEIR_SOURCE = FieldSource(
 )
 
 
-@lru_cache(maxsize=256)
-def seir_field(params: ModelParams) -> Field:
-    """The SEIR vector field bound to `params`: (S, E, I, R, V) -> rates.
+def derivative(state: SeirState, params: ModelParams, V: float) -> Rates:
+    """Right-hand side (dS, dE, dI, dR) of the SEIR equations at V.
 
     Generated from `SEIR_SOURCE`, the source the integrators inline, so
     `derivative` and the steppers evaluate the same arithmetic. V carries
     no sign or range restriction here: feedback laws may command V > 1
     (range enforcement belongs to the controllers and the verification
     layer).
-    """
-    return function(SEIR_SOURCE)(*_seir_constants(params))
-
-
-def derivative(state: SeirState, params: ModelParams, V: float) -> Rates:
-    """Right-hand side (dS, dE, dI, dR) of the SEIR equations at V.
 
     Raises:
         ValueError: if any input component or V is not finite.
@@ -158,7 +145,7 @@ def derivative(state: SeirState, params: ModelParams, V: float) -> Rates:
     if not (math.isfinite(S) and math.isfinite(E) and math.isfinite(I)
             and math.isfinite(R) and math.isfinite(V)):
         raise ValueError("derivative: non-finite state or V")
-    return seir_field(params)(S, E, I, R, V)
+    return function(SEIR_SOURCE)(*_seir_constants(params))(S, E, I, R, V)
 
 
 def check_assumption1(state0: SeirState, params: ModelParams) -> tuple[str, ...]:

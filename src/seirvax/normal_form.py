@@ -21,7 +21,8 @@ The z4 equation uses -(mu+gamma)*z4: the transform leaves the infectious
 equation untouched, so gamma (not omega) is the only coefficient
 consistent with the plant.
 
-Both fields are written once, as source (`NORMAL_SOURCE`, `ZERO_SOURCE`):
+The normal form is written once, as source (`NORMAL_SOURCE`), and the
+zero dynamics (`ZERO_SOURCE`) is derived from it with dz1 set to 0:
 `integrate_normal` and `integrate_zero_dynamics` run the stepper the
 config selects, as `integrate` does (fixed-step RK4, or the adaptive
 Dormand-Prince pair with or without dense output), from the same
@@ -32,7 +33,7 @@ stage) inlined; see `kernels`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,22 +99,13 @@ NORMAL_SOURCE = FieldSource(
     bind=_normal_constants,
 )
 
-# The zero dynamics (output held at z1 = 0) in the normal-form shape: dz1
-# is 0 and V is ignored, so z1 stays exactly 0 and the shared 4-component
-# stepper integrates (z2, z3, z4). The sum obeys
-# d(z2+z3+z4)/dt = mu*(N - (z2+z3+z4)): constant on the sum = N manifold.
-ZERO_SOURCE = FieldSource(
-    name="zero_dynamics",
-    state=("z1", "z2", "z3", "z4"),
-    consts=_NORMAL_CONSTS,
-    body=("f = bp * (z2 * z4)",),
-    rates=("0.0",
-           "nmu * z2 + ga * z4 - f + muN",
-           "f - mu_si * z3",
-           "nmu_ga * z4 + si * z3"),
-    law_state=("z2 - z1", "z3", "z4", "z1"),
-    bind=_normal_constants,
-)
+# The zero dynamics (output held at z1 = 0): the normal form with dz1 = 0.
+# z1 starts at 0.0 and stays exactly 0.0, so z2 - z1 is z2 bitwise and V
+# (ignored) changes nothing; the shared 4-component stepper integrates
+# (z2, z3, z4). The sum obeys d(z2+z3+z4)/dt = mu*(N - (z2+z3+z4)):
+# constant on the sum = N manifold.
+ZERO_SOURCE = replace(NORMAL_SOURCE, name="zero_dynamics",
+                      rates=("0.0", *NORMAL_SOURCE.rates[1:]))
 
 
 @dataclass(frozen=True)
@@ -132,9 +124,6 @@ class NormalTrajectory:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def states(self) -> np.ndarray:
-        return np.column_stack((self.z1, self.z2, self.z3, self.z4))
 
 
 @dataclass(frozen=True)

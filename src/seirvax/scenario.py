@@ -5,8 +5,9 @@ Sections [params], [initial], [law] and [integrator], plus optional
 holds the full grammar and an example. The keys of [params], [initial]
 and [integrator] are the fields of ModelParams, SeirState and
 IntegratorConfig, each read by its field's type, and the options of each
-[checks.<name>] section are listed in CHECK_NAMES. Any other section,
-key or option is rejected. Numbers are decimal doubles.
+[checks.<name>] section are listed in CHECK_NAMES; such a section needs
+its check on in [checks]. Any other section, key or option is rejected.
+Numbers are decimal doubles.
 """
 
 from __future__ import annotations
@@ -206,13 +207,15 @@ def load_scenario(path: str | Path) -> Scenario:
     for name, options in CHECK_NAMES.items():
         where = f"checks.{name}"
         if parser.has_section(where):
+            if name not in checks:
+                raise ScenarioError(f"section [{where}] has no effect: "
+                                    f"check {name!r} is not on in [checks]")
             sec = parser[where]
             _reject_unknown(sec, options, where, "option")
             opts = {key: _value(sec, key, where, options[key]) for key in sec}
             if name == "positivity":
                 _check_positivity_options(opts)
-            if name in checks:
-                checks[name] = opts
+            checks[name] = opts
     if config.adaptive and "identities" in checks:
         raise ScenarioError("check 'identities' in [checks] cannot run with "
                             "adaptive = on in [integrator]: its tolerance "

@@ -614,6 +614,10 @@ MALFORMED_INPUTS = {
                  "bounds = corollary1\nv_hi = 0.5\n"),
         "option 'v_hi' in [checks.positivity] has no effect with "
         "bounds = corollary1"),
+    "positivity options with the check off": (lambda d: _simulate_argv(
+        d, extra="[checks.positivity]\nv_hi = 0.5\n"),
+        "section [checks.positivity] has no effect: check 'positivity' is "
+        "not on in [checks]"),
     "alpha without bounds": (lambda d: _simulate_argv(
         d, extra="[checks]\npositivity = on\n\n[checks.positivity]\n"
                  "alpha = 0.9\n"),

@@ -96,7 +96,7 @@ class TestEndemic:
         assert found >= 300
 
     def test_requires_sigma_equals_gamma(self):
-        with pytest.raises(ValueError, match="sigma equals gamma"):
+        with pytest.raises(ValueError, match="sigma == gamma"):
             endemic_equilibrium(_params(gamma=0.25))
 
     def test_sigma_zero_undefined(self):

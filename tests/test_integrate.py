@@ -35,7 +35,7 @@ from seirvax import (
 from seirvax.integrate import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
                                _run_dopri45, rk4)
 from seirvax.laws import ControlLaw, compile_law
-from seirvax.model import SEIR_SOURCE, seir_field
+from seirvax.model import SEIR_SOURCE
 from seirvax.kernels import function
 from seirvax.normal_form import NORMAL_SOURCE, ZERO_SOURCE
 from seirvax.scenario import load_scenario
@@ -329,12 +329,12 @@ class TestInvariants:
         assert np.array_equal(u, tr.u)
 
     def test_stored_v_matches_law(self, p1, mixed_state):
-        from seirvax import evaluate
         cfg = IntegratorConfig(t_end=5.0, dt=1e-2, sampling_stride=11)
         law = ImmuneFeedback(0.01, 0.05)
         tr = integrate(mixed_state, p1, law, cfg)
+        fn = compile_law(law, p1)
         for i, row in enumerate(tr.states().tolist()):
-            assert tr.V[i] == evaluate(law, SeirState(*row), p1, float(tr.t[i]))
+            assert tr.V[i] == fn(*row, float(tr.t[i]))
 
 
 class TestPositivity:
@@ -545,7 +545,8 @@ RK4_CONFIGS = {
 def _x_space(params, law):
     """The x-space field and the law at an x-space state."""
     fn = compile_law(law, params)
-    return seir_field(params), lambda y, t: fn(*y, t)
+    return (function(SEIR_SOURCE)(*SEIR_SOURCE.bind(params)),
+            lambda y, t: fn(*y, t))
 
 
 def _kernel_and_reference(state, params, law, config):

@@ -23,13 +23,12 @@ from seirvax import (
     VaccinationChannelError,
     ZeroVax,
     corollary1_upper_bound,
-    evaluate,
     ScenarioError,
     predicted_limits,
 )
 
 from conftest import random_conserved_state
-from seirvax.laws import SCENARIO_LAWS, compile_law
+from seirvax.laws import SCENARIO_LAWS, compile_law, law_program
 from seirvax.scenario import build_law
 
 # One instance of every scenario law.
@@ -42,46 +41,45 @@ CATALOGUE = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
 class TestEvaluate:
     def test_immune_feedback_at_fully_immune(self, p1):
         # (g1*N - g*R - gamma*I)/(mu*N) = 0.03*1000/10 = 3.0
-        v = evaluate(ImmuneFeedback(0.0, 0.03), SeirState(0, 0, 0, 1000), p1)
+        v = compile_law(ImmuneFeedback(0.0, 0.03), p1)(0, 0, 0, 1000, 0.0)
         assert v == pytest.approx(3.0, rel=1e-15)
 
     def test_susceptible_linear_vanishing_s(self, p1):
         state = SeirState(0.0, 100.0, 100.0, 800.0)
-        v = evaluate(SusceptibleLinear(0.1), state, p1)
+        v = compile_law(SusceptibleLinear(0.1), p1)(*state.as_tuple(), 0.0)
         assert v == pytest.approx(1.0 + p1.omega * 800.0 / (p1.mu * p1.N))
 
     def test_susceptible_plus_exposed_zero_gain(self, p1, mixed_state):
-        v = evaluate(SusceptiblePlusExposed(0.0), mixed_state, p1)
+        v = compile_law(SusceptiblePlusExposed(0.0), p1)(*mixed_state.as_tuple(), 0.0)
         expected = (p1.omega * mixed_state.R - p1.sigma * mixed_state.E) / (
             p1.mu * p1.N)
         assert v == pytest.approx(expected, rel=1e-15)
 
     def test_zero_and_constant(self, p1, mixed_state):
-        assert evaluate(ZeroVax(), mixed_state, p1) == 0.0
-        assert evaluate(ConstantVax(0.37), mixed_state, p1) == 0.37
+        assert compile_law(ZeroVax(), p1)(*mixed_state.as_tuple(), 0.0) == 0.0
+        assert compile_law(ConstantVax(0.37), p1)(*mixed_state.as_tuple(), 0.0) == 0.37
 
     def test_output_zeroing(self, p1):
         # -gamma*I/(mu*N) = -0.2*50/10 = -1.0 (the sign that cancels
         # gamma*I in the immune equation)
-        assert evaluate(OutputZeroing(), SeirState(700, 100, 50, 150),
-                        p1) == pytest.approx(-1.0)
+        assert compile_law(OutputZeroing(), p1)(700, 100, 50, 150, 0.0) \
+            == pytest.approx(-1.0)
 
     def test_saturated_clips(self, p1):
         law = Saturated(ImmuneFeedback(0.0, 0.03), 0.0, 1.0)
-        assert evaluate(law, SeirState(0, 0, 0, 1000), p1) == 1.0
+        assert compile_law(law, p1)(0, 0, 0, 1000, 0.0) == 1.0
 
     def test_channel_gain_zero(self, mixed_state):
         p = ModelParams(N=1000.0, mu=0.0, omega=0.02, beta=0.9,
                         sigma=0.2, gamma=0.2)
         with pytest.raises(VaccinationChannelError):
-            evaluate(SusceptibleLinear(0.1), mixed_state, p)
+            compile_law(SusceptibleLinear(0.1), p)
 
     def test_bind_time_constraints(self, p1):
         with pytest.raises(GainConstraintError):
-            evaluate(ImmuneFeedback(-(p1.mu + p1.omega), 0.03),
-                     SeirState(0, 0, 0, 1000), p1)
+            compile_law(ImmuneFeedback(-(p1.mu + p1.omega), 0.03), p1)
         with pytest.raises(GainConstraintError):
-            evaluate(SusceptibleLinear(-0.1), SeirState(0, 0, 0, 1000), p1)
+            compile_law(SusceptibleLinear(-0.1), p1)
 
     def test_gain_error_lists_every_failed_required_clause(self, p1):
         with pytest.raises(GainConstraintError,
@@ -106,8 +104,8 @@ class TestValidateGains:
         assert checks["g < 0"]
         # derived g1 = mu+omega+g = 0.55
         law = ConstrainedImmuneFeedback(-0.05)
-        v_con = evaluate(law, SeirState(0, 0, 0, 1000), p)
-        v_imm = evaluate(ImmuneFeedback(-0.05, 0.55), SeirState(0, 0, 0, 1000), p)
+        v_con = compile_law(law, p)(0, 0, 0, 1000, 0.0)
+        v_imm = compile_law(ImmuneFeedback(-0.05, 0.55), p)(0, 0, 0, 1000, 0.0)
         assert v_con == pytest.approx(v_imm, rel=1e-15)
 
     def test_immune_feedback_boundary_fails(self, p1):
@@ -226,9 +224,10 @@ class TestLawProperties:
         # gamma*I + mu*N*V == -g*R + g1*N on conserved states, to 4 ulps.
         rng = np.random.default_rng(7)
         law = ImmuneFeedback(0.01, 0.05)
+        fn = compile_law(law, p1)
         for _ in range(500):
             s = random_conserved_state(rng, p1.N)
-            v = evaluate(law, s, p1)
+            v = fn(*s.as_tuple(), 0.0)
             lhs = p1.gamma * s.I + p1.mu * p1.N * v
             rhs = -law.g * s.R + law.g1 * p1.N
             scale = max(abs(law.g1 * p1.N), abs(law.g * s.R),
@@ -241,10 +240,10 @@ class TestLawProperties:
         rng = np.random.default_rng(11)
         g = 0.25
         g1 = p1.mu + p1.omega + g   # 0.28 >= gamma = 0.2
-        law = ImmuneFeedback(g, g1)
+        fn = compile_law(ImmuneFeedback(g, g1), p1)
         states = rng.dirichlet((1, 1, 1, 1), size=10_000) * p1.N
         for row in states:
-            v = evaluate(law, SeirState(*map(float, row)), p1)
+            v = fn(*map(float, row), 0.0)
             assert v >= -1e-13
 
     def test_theorem4_range(self):
@@ -256,38 +255,38 @@ class TestLawProperties:
         gate = [c for c in law.gain_checks(p) if c.required]
         assert all(c.holds for c in gate)
         rng = np.random.default_rng(13)
+        fn = compile_law(law, p)
         states = rng.dirichlet((1, 1, 1, 1), size=10_000) * p.N
         for row in states:
-            v = evaluate(law, SeirState(*map(float, row)), p)
+            v = fn(*map(float, row), 0.0)
             assert -1e-12 <= v <= 1.0 + 1e-12
         # the range is tight at the R = N corner
-        assert evaluate(law, SeirState(0.0, 0.0, 0.0, p.N), p) \
-            == pytest.approx(1.0, abs=1e-12)
+        assert fn(0.0, 0.0, 0.0, p.N, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_saturated_always_in_range(self, p1):
         rng = np.random.default_rng(17)
-        law = Saturated(ImmuneFeedback(0.0, 0.3), 0.0, 1.0)
+        fn = compile_law(Saturated(ImmuneFeedback(0.0, 0.3), 0.0, 1.0), p1)
         for _ in range(200):
             s = random_conserved_state(rng, p1.N)
-            assert 0.0 <= evaluate(law, s, p1) <= 1.0
+            assert 0.0 <= fn(*s.as_tuple(), 0.0) <= 1.0
 
     def test_linearizing_equals_immune_feedback(self, p1):
         # Identical V on all states, not merely close.
         g_prime, g1 = 0.07, 0.05
-        lin = Linearizing(g_prime, g1)
-        imm = ImmuneFeedback(g_prime - (p1.mu + p1.omega), g1)
+        lin = compile_law(Linearizing(g_prime, g1), p1)
+        imm = compile_law(ImmuneFeedback(g_prime - (p1.mu + p1.omega), g1), p1)
         rng = np.random.default_rng(19)
         for _ in range(300):
             s = random_conserved_state(rng, p1.N)
-            assert evaluate(lin, s, p1) == evaluate(imm, s, p1)
+            assert lin(*s.as_tuple(), 0.0) == imm(*s.as_tuple(), 0.0)
 
     def test_spe_alternate_form_under_conservation(self, p1):
         rng = np.random.default_rng(23)
         g = 0.004
-        law = SusceptiblePlusExposed(g)
+        fn = compile_law(SusceptiblePlusExposed(g), p1)
         for _ in range(300):
             s = random_conserved_state(rng, p1.N)
-            v1 = evaluate(law, s, p1)
+            v1 = fn(*s.as_tuple(), 0.0)
             # regrouped with S + E = N - I - R
             v2 = (g * (p1.N - s.I) - p1.sigma * s.E
                   + (p1.omega - g) * s.R) / (p1.mu * p1.N)
@@ -334,11 +333,62 @@ class TestLawProtocol:
         for law in CATALOGUE[:5] + (OutputZeroing(), Saturated(ZeroVax())):
             assert law.canonical(p1) is law
 
-    @pytest.mark.parametrize("call", [
-        compile_law,
-        lambda law, p: evaluate(law, SeirState(700.0, 200.0, 100.0, 0.0), p),
-        predicted_limits,
-    ], ids=["compile_law", "evaluate", "predicted_limits"])
+    @pytest.mark.parametrize("call", [compile_law, predicted_limits],
+                             ids=["compile_law", "predicted_limits"])
     def test_non_laws_raise_type_error(self, call, p1):
         with pytest.raises(TypeError, match="not a control law"):
             call("immune_feedback", p1)
+
+
+
+def _gate_refusals(law, p):
+    """The gain-gate refusals of `law_program` and `predicted_limits`, as
+    messages (None where the gate admits the law)."""
+    try:
+        law_program(law, p)
+        program = None
+    except GainConstraintError as exc:
+        program = str(exc)
+    try:
+        predicted_limits(law, p)
+        prediction = None
+    except PredictionError as exc:
+        prediction = str(exc) if "required gain constraint" in str(exc) else None
+    return program, prediction
+
+
+def test_program_and_prediction_refuse_together(p1):
+    # Two edges: g = 0.05 fails the constrained law's "g < 0", though its
+    # canonical ImmuneFeedback(0.05, 0.55) alone has limits; g_prime =
+    # 1e-20 > 0 holds, but the canonical g = g_prime - (mu+omega) rounds
+    # onto -(mu+omega), which the canonical law refuses.
+    p_gated = ModelParams(N=1000.0, mu=0.5, omega=0.0, beta=0.9,
+                          sigma=0.2, gamma=0.2)
+    assert Linearizing(1e-20, 0.0).canonical(p1).g == -(p1.mu + p1.omega)
+    for law, p, clause in ((ConstrainedImmuneFeedback(0.05), p_gated, "g < 0"),
+                           (Linearizing(1e-20, 0.0), p1, "g > -(mu+omega)")):
+        program, prediction = _gate_refusals(law, p)
+        assert program == prediction and program.endswith(clause)
+    # Seeded random gains of both signs for every catalogue law, bare and
+    # saturated, at mu > 0: the two entry points refuse exactly the same
+    # draws, with the same message.
+    rng = np.random.default_rng(20111103)
+    refused = dict.fromkeys(SCENARIO_LAWS, 0)
+    draws = 150
+    for name, cls in SCENARIO_LAWS.items():
+        for _ in range(draws):
+            p = ModelParams(
+                N=1000.0, mu=rng.uniform(1e-3, 1.0),
+                omega=0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.3),
+                beta=0.9, sigma=rng.uniform(0.01, 0.5),
+                gamma=rng.uniform(0.01, 0.5))
+            law = cls(**{f.name: rng.uniform(-1.0, 1.0)
+                         for f in dataclasses.fields(cls)})
+            for each in (law, Saturated(law, -0.5, 1.5)):
+                program, prediction = _gate_refusals(each, p)
+                assert program == prediction, (each, p)
+            refused[name] += program is not None
+    gated = {"susceptible_linear", "susceptible_plus_exposed",
+             "immune_feedback", "constrained_immune_feedback", "linearizing"}
+    assert {name for name, n in refused.items() if n} == gated
+    assert all(refused[name] < draws for name in gated)

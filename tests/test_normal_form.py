@@ -17,7 +17,6 @@ from seirvax import (
     VaccinationChannelError,
     ZeroVax,
     derivative,
-    evaluate,
     from_normal,
     integrate,
     integrate_normal,
@@ -43,7 +42,7 @@ def zero_rates(z2, z3, z4, params):
 
 def zeroing_input(z4, params):
     """The output-zeroing law's V at a state with z4 = I and z1 = R = 0."""
-    return evaluate(OutputZeroing(), SeirState(0.0, 0.0, z4, 0.0), params)
+    return compile_law(OutputZeroing(), params)(0.0, 0.0, z4, 0.0, 0.0)
 
 
 class TestTransform:
