@@ -82,14 +82,12 @@ def _normal_constants(params: ModelParams) -> tuple[float, ...]:
             params.sigma, params.beta_prime, mu * params.N)
 
 
-_NORMAL_CONSTS = ("nmu", "nmu_om", "nmu_ga", "mu_si", "ga", "si", "bp", "muN")
-
 # The normal-form field (z1, z2, z3, z4, V) -> rates; V enters only dz1.
 # A law reads the back-transformed state (S, E, I, R) = (z2 - z1, z3, z4, z1).
 NORMAL_SOURCE = FieldSource(
     name="normal",
     state=("z1", "z2", "z3", "z4"),
-    consts=_NORMAL_CONSTS,
+    consts=("nmu", "nmu_om", "nmu_ga", "mu_si", "ga", "si", "bp", "muN"),
     body=("f = bp * ((z2 - z1) * z4)",),
     rates=("nmu_om * z1 + ga * z4 + muN * V",
            "nmu * z2 + ga * z4 - f + muN",
