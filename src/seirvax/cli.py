@@ -16,31 +16,40 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .checks import (
-    VerificationReport,
-    check_asymptotics,
-    check_identity_suite,
-    check_integral_limit,
-    monitor_conservation,
-    monitor_positivity,
-)
-# perfbench/layers.py wraps cli.endemic_equilibrium by name; keep it here.
-from .equilibria import analyze, endemic_equilibrium  # noqa: F401
+from . import _MODULE_OF, __version__
 from .exceptions import NonFiniteStateError, ScenarioError
-from .integrate import IntegratorConfig, Trajectory, integrate
-from .laws import predicted_limits
-from .model import (CONSERVATION_RTOL, ModelParams, SeirState,
-                    check_assumption1, coupling_control)
-from .normal_form import integrate_zero_dynamics
-from .scenario import Scenario, load_scenario
-from .svgplot import write_line_chart
+
+# The module of each name the commands call from another layer: the
+# package's exports, and two it does not export. A function binds the
+# names it calls with `_bind` first, so a process imports only the layers
+# its command runs; `getattr` on this module binds a name too. A bound
+# name is left as it is, so a replacement set on this module from outside
+# (perfbench/layers.py wraps the commands' calls by name) is what the
+# commands call.
+_LAYER_OF = {**_MODULE_OF, "load_scenario": "scenario",
+             "write_line_chart": "svgplot"}
+
+
+def _bind(*names: str) -> None:
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            layer = importlib.import_module(f".{_LAYER_OF[name]}", __package__)
+            scope[name] = getattr(layer, name)
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
+
 
 CSV_HEADER = "t,S,E,I,R,V,u"
 ZERODYN_HEADER = "t,z2,z3,z4,sum"
@@ -139,6 +148,9 @@ _CHECK_CALLS = {
 
 def run_checks(traj: Trajectory, scenario: Scenario) -> VerificationReport:
     """Run the scenario's requested checks against a trajectory."""
+    _bind("VerificationReport", "monitor_conservation", "monitor_positivity",
+          "check_identity_suite", "check_asymptotics", "predicted_limits",
+          "check_integral_limit")
     return VerificationReport(checks=tuple(
         _CHECK_CALLS[name](traj, scenario, **opts)
         for name, opts in scenario.checks.items()))
@@ -174,6 +186,7 @@ def _report_text(scenario: Scenario, traj: Trajectory,
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _bind("load_scenario", "check_assumption1", "integrate", "write_line_chart")
     scenario = load_scenario(args.scenario)
     config = scenario.config
     overrides = {}
@@ -212,6 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _params_from_args(args: argparse.Namespace) -> ModelParams:
+    _bind("ModelParams")
     return ModelParams(N=args.N, mu=args.mu, omega=args.omega,
                        beta=args.beta, sigma=args.sigma, gamma=args.gamma)
 
@@ -221,6 +235,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
+    _bind("analyze")
     params = _params_from_args(args)
     reports = analyze(params, sweep=not args.no_sweep)
     payload: dict = {"params": dataclasses.asdict(params), "equilibria": []}
@@ -262,11 +277,13 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
 
     print("\n".join(lines))
     if args.json:
+        import json
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
 def cmd_zerodyn(args: argparse.Namespace) -> int:
+    _bind("IntegratorConfig", "integrate_zero_dynamics", "CONSERVATION_RTOL")
     params = _params_from_args(args)
     z0 = (args.z2, args.z3, args.z4)
     if min(z0) < 0.0:
@@ -303,6 +320,7 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _bind("load_scenario", "Trajectory", "SeirState", "coupling_control")
     scenario = load_scenario(args.scenario)
     data = read_trajectory_csv(args.csv)
     t = data["t"]
@@ -341,8 +359,15 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
                      help="inverse infective period")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: main's one `error:` line, exit 1."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seirvax",
         description="SEIR epidemic simulation under feedback vaccination control")
     parser.add_argument("--version", action="version", version=__version__)
@@ -389,9 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, NonFiniteStateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

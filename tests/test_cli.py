@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+import seirvax.cli as cli
 from seirvax import ImmuneFeedback, Saturated, ScenarioError, integrate
 from seirvax.cli import (CSV_HEADER, _write_csv, main, read_trajectory_csv,
                          run_checks, write_trajectory_csv)
@@ -677,6 +679,17 @@ MALFORMED_INPUTS = {
     "equilibria --N 1e308 --beta 100": (
         lambda d: ["equilibria", "--N", "1e308", "--beta", "100"],
         "equilibrium residual inf exceeds gate"),
+    # usage errors, which argparse alone reports with exit 2
+    "equilibria --beta abc": (lambda d: ["equilibria", "--beta", "abc"],
+                              "argument --beta: invalid float value: 'abc'"),
+    "zerodyn --z2 1": (lambda d: ["zerodyn", "--z2", "1"],
+                       "the following arguments are required: --z3, --z4"),
+    "unknown subcommand": (lambda d: ["frobnicate"],
+                           "argument command: invalid choice: 'frobnicate'"),
+    "no subcommand": (lambda d: [],
+                      "the following arguments are required: command"),
+    "equilibria --bogus 1": (lambda d: ["equilibria", "--bogus", "1"],
+                             "unrecognized arguments: --bogus 1"),
 }
 
 
@@ -689,6 +702,75 @@ def test_malformed_input_exits_one_with_one_line(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert fragment in err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"],
+                                  ["equilibria", "--help"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+# -- the names perfbench/layers.py wraps on seirvax.cli --------------------
+
+# Each wrapped name, by the module that defines it.
+WRAPPED = {
+    "load_scenario": "scenario", "integrate": "integrate",
+    "run_checks": "cli", "write_trajectory_csv": "cli",
+    "read_trajectory_csv": "cli", "write_line_chart": "svgplot",
+    "analyze": "equilibria", "endemic_equilibrium": "equilibria",
+    "integrate_zero_dynamics": "normal_form",
+    "monitor_conservation": "checks", "monitor_positivity": "checks",
+    "check_identity_suite": "checks", "check_asymptotics": "checks",
+    "check_integral_limit": "checks",
+}
+_CHECK_FUNCTIONS = ("run_checks", "monitor_conservation", "monitor_positivity",
+                    "check_identity_suite", "check_asymptotics",
+                    "check_integral_limit")
+# The wrapped names each command calls.
+COMMAND_CALLS = {
+    "simulate": ("load_scenario", "integrate", "write_trajectory_csv",
+                 "write_line_chart", *_CHECK_FUNCTIONS),
+    "equilibria": ("analyze",),
+    "zerodyn": ("integrate_zero_dynamics",),
+    "verify": ("load_scenario", "read_trajectory_csv", *_CHECK_FUNCTIONS),
+}
+
+
+@pytest.mark.parametrize("name", list(WRAPPED))
+def test_wrapped_name_resolves_to_the_library_function(name):
+    module = importlib.import_module(f"seirvax.{WRAPPED[name]}")
+    assert getattr(cli, name) is getattr(module, name)
+
+
+def _recorder(calls: list, name: str, original):
+    def record(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    return record
+
+
+@pytest.mark.parametrize("command", list(COMMAND_CALLS))
+def test_commands_call_what_is_bound_on_the_module(command, tmp_path,
+                                                   monkeypatch, capsys):
+    """A replacement set on seirvax.cli, as a tracing wrapper is, is what
+    the command calls, also after an earlier run bound the names."""
+    scenario = write_scenario(tmp_path / "s.ini", **dict(
+        ALL_CHECKS_SCENARIO, extra=ALL_CHECKS_SCENARIO["extra"]
+        + "\n[outputs]\ncsv = t.csv\nsvg = t.svg\n"))
+    argv = {"simulate": ["simulate", scenario, "--out-dir", str(tmp_path)],
+            "equilibria": ["equilibria", "--beta", "0.25"],
+            "zerodyn": _zerodyn_argv(tmp_path, "--t-end", "10"),
+            "verify": ["verify", str(tmp_path / "t.csv"), scenario]}
+    assert main(argv["simulate"]) == 0
+    calls: list[str] = []
+    for name in COMMAND_CALLS[command]:
+        monkeypatch.setattr(cli, name,
+                            _recorder(calls, name, getattr(cli, name)))
+    assert main(argv[command]) == 0, capsys.readouterr().err
+    assert sorted(set(calls)) == sorted(COMMAND_CALLS[command])
 
 
 # -- fuzzing the numeric flags of equilibria and zerodyn -------------------
@@ -716,10 +798,7 @@ def _run_in_process(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse's own usage errors
-            code = exc.code
+        code = main(argv)
     return code, err.getvalue()
 
 
