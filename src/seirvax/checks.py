@@ -2,8 +2,8 @@
 
 Checks are deterministic, read-only and idempotent over immutable
 trajectories. Each returns a Check with the worst residual, its
-location, the tolerance applied, and a pass verdict defined as
-worst <= tolerance.
+location and the tolerance applied; the Check derives its verdict,
+worst <= tolerance, so a NaN that reaches the worst value fails.
 """
 
 from __future__ import annotations
@@ -40,14 +40,17 @@ _EPS_POS_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class Check:
-    """One named verification outcome; passed iff worst <= tolerance."""
+    """One named verification outcome; passed iff worst <= tolerance (NaN fails)."""
 
     name: str
-    passed: bool
     worst: float
     tolerance: float
     location_t: Optional[float] = None
     details: dict = field(default_factory=dict)
+    passed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", bool(self.worst <= self.tolerance))
 
 
 @dataclass(frozen=True)
@@ -74,9 +77,13 @@ def monitor_conservation(traj: Trajectory) -> Check:
     N = traj.params.N
     drift = np.abs(traj.S + traj.E + traj.I + traj.R - N)
     k = int(np.argmax(drift))
-    worst = float(drift[k])
-    tol = CONSERVATION_RTOL * N
-    return Check("conservation", worst <= tol, worst, tol, float(traj.t[k]))
+    return Check("conservation", float(drift[k]), CONSERVATION_RTOL * N,
+                 float(traj.t[k]))
+
+
+def _excess(x: float) -> float:
+    """max(0, x), with a NaN kept as NaN."""
+    return 0.0 if x <= 0.0 else float(x)
 
 
 def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
@@ -98,13 +105,13 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
 
     low = functools.reduce(np.minimum, components)
     k_low = int(np.argmin(low))
-    lower = Check("components >= 0", bool(low[k_low] >= -eps),
-                  max(0.0, -float(low[k_low])), eps, float(traj.t[k_low]))
+    lower = Check("components >= 0", _excess(-low[k_low]), eps,
+                  float(traj.t[k_low]))
 
     high = functools.reduce(np.maximum, components)
     k_high = int(np.argmax(high))
-    upper = Check("components <= N", bool(high[k_high] <= N + eps),
-                  max(0.0, float(high[k_high]) - N), eps, float(traj.t[k_high]))
+    upper = Check("components <= N", _excess(high[k_high] - N), eps,
+                  float(traj.t[k_high]))
 
     if bounds == "corollary1":
         hi = corollary1_upper_bound(
@@ -123,15 +130,14 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
     slack = 1e-12 * max(1.0, float(finite.max()) if finite.size else 1.0)
     excess = np.maximum(lo - traj.V, traj.V - hi)
     k_v = int(np.argmax(excess))
-    vrange = Check(bound_name, bool(excess[k_v] <= slack),
-                   max(0.0, float(excess[k_v])), slack, float(traj.t[k_v]))
+    vrange = Check(bound_name, _excess(excess[k_v]), slack, float(traj.t[k_v]))
 
+    # a failed sub-check first, so the composite fails whenever one does
     subs = (lower, upper, vrange)
-    worst_sub = max(subs, key=lambda c: c.worst / max(c.tolerance, 1e-300))
-    return Check(
-        "positivity", all(c.passed for c in subs), worst_sub.worst,
-        worst_sub.tolerance, worst_sub.location_t,
-        details={c.name: c for c in subs})
+    worst_sub = max(subs, key=lambda c: (
+        not c.passed, c.worst / max(c.tolerance, 1e-300)))
+    return Check("positivity", worst_sub.worst, worst_sub.tolerance,
+                 worst_sub.location_t, details={c.name: c for c in subs})
 
 
 def _identity_tolerance(params: ModelParams, law: ControlLaw, dt: float) -> float:
@@ -221,14 +227,13 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
     details: dict[str, float] = {"kink windows skipped": int(skipped.size)}
     for name, res in residuals.items():
         mag = np.abs(res)
-        mag[skipped] = -1.0
+        mag[skipped] = np.minimum(mag[skipped], -1.0)   # a NaN stays
         k = int(np.argmax(mag))
         details[name] = float(mag[k])
-        if mag[k] > worst:
+        if mag[k] > worst or math.isnan(mag[k]):
             worst = float(mag[k])
             worst_t = float(t[1 + k])
-    return Check("identity_suite", worst <= tol, worst, tol, worst_t,
-                 details=details)
+    return Check("identity_suite", worst, tol, worst_t, details=details)
 
 
 _SIGNALS = {
@@ -268,7 +273,6 @@ def check_asymptotics(traj: Trajectory, prediction: AsymptoticPrediction,
     m = max(1, int(math.ceil(tail_fraction * n)))
     N = traj.params.N
 
-    worst_norm = -1.0
     details: dict[str, tuple[float, float, float]] = {}
     for fname, signal in _SIGNALS.items():
         limit = getattr(prediction, fname)
@@ -278,11 +282,10 @@ def check_asymptotics(traj: Trajectory, prediction: AsymptoticPrediction,
         scale = abs(limit) if limit != 0.0 else (1.0 if fname == "v_inf" else N)
         err = abs(mean - limit)
         details[fname] = (mean, limit, err / scale)
-        worst_norm = max(worst_norm, err / scale)
-    if worst_norm < 0.0:
+    if not details:
         raise ValueError("prediction contains no checkable limits")
-    return Check("asymptotics", worst_norm <= rel_tol, worst_norm, rel_tol,
-                 t_end, details=details)
+    worst_norm = float(np.max([d[2] for d in details.values()]))
+    return Check("asymptotics", worst_norm, rel_tol, t_end, details=details)
 
 
 @dataclass(frozen=True)
@@ -343,6 +346,5 @@ def check_integral_limit(traj: Trajectory, rel_tol: float = 0.01) -> Check:
     integral = float(np.sum(0.5 * dt * (weight[1:] + weight[:-1])))
     scale = abs(limit) if limit != 0.0 else params.N
     err = abs(integral - limit)
-    return Check("integral_limit", err <= rel_tol * scale, err,
-                 rel_tol * scale, t_end,
+    return Check("integral_limit", err, rel_tol * scale, t_end,
                  details={"integral": integral, "limit": limit})

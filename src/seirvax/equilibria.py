@@ -105,9 +105,9 @@ def _residual_gate(state: SeirState, params: ModelParams) -> float:
 
 def _check_residual(point: EquilibriumPoint, params: ModelParams) -> EquilibriumPoint:
     """The point, refused with a ValueError where its residual exceeds the
-    gate (parameters whose closed form double precision cannot hold)."""
+    gate or is NaN (parameters whose closed form double precision cannot hold)."""
     gate = _residual_gate(point.state, params)
-    if point.residual > gate:
+    if not point.residual <= gate:
         raise ValueError(
             f"equilibrium residual {point.residual} exceeds gate "
             f"{gate} for {point.kind}")

@@ -406,3 +406,66 @@ class TestTheorem2iAsymptoticsSweep:
             chk = check_asymptotics(tr, predicted_limits(SL(g), p),
                                     rel_tol=1e-3)
             assert chk.passed, (g, chk.details)
+
+
+# -- one verdict rule: passed iff worst <= tolerance, and a NaN fails -------
+
+@pytest.fixture(scope="module")
+def nan_target():
+    """A run that passes all five checks, and each check with the columns
+    it reads and the first sample it reads them at. The immune-feedback
+    prediction has no V limit, and asymptotics reads the last 10% of the
+    samples; the identity suite reads V at interior samples only."""
+    p = ModelParams(N=1000.0, mu=0.01, omega=0.02, beta=0.9,
+                    sigma=0.2, gamma=0.2)
+    law = ImmuneFeedback(0.0, 0.03)
+    tr = integrate(SeirState(700.0, 100.0, 50.0, 150.0), p, law,
+                   IntegratorConfig(t_end=1000.0, dt=1e-2, sampling_stride=10))
+    pred = predicted_limits(law, p)
+    return tr, {
+        "conservation": (monitor_conservation, "SEIR", 0),
+        "positivity": (lambda tr: monitor_positivity(
+            tr, v_lo=-np.inf, v_hi=np.inf), "SEIRV", 0),
+        "identity_suite": (lambda tr: check_identity_suite(tr, p), "SEIRV", 1),
+        "asymptotics": (lambda tr: check_asymptotics(tr, pred), "SEIR",
+                        len(tr) - len(tr) // 10),
+        "integral_limit": (check_integral_limit, "R", 0),
+    }
+
+
+def _checks_within(chk) -> list:
+    """The check and the sub-checks in its details."""
+    return [chk, *(c for c in chk.details.values() if hasattr(c, "passed"))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("check", ["conservation", "positivity",
+                                   "identity_suite", "asymptotics",
+                                   "integral_limit"])
+def test_nan_in_a_read_column_fails(nan_target, check, seed):
+    tr, calls = nan_target
+    run, columns, first = calls[check]
+    clean = run(tr)
+    assert clean.passed and clean.name == check
+    rng = np.random.default_rng(seed)
+    for name in columns:
+        col = getattr(tr, name).copy()
+        col[int(rng.integers(first, len(tr) - 1))] = np.nan
+        chk = run(dataclasses.replace(tr, **{name: col}))
+        assert not chk.passed and np.isnan(chk.worst), (check, name)
+        for c in _checks_within(clean) + _checks_within(chk):
+            assert c.passed == (c.worst <= c.tolerance), c
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nan_v_between_clip_switches_fails(p1, mixed_state, seed):
+    # A NaN V has no clip state, so the windows around it look like clip
+    # switches; the NaN residual of its own window still fails the suite.
+    law = Saturated(SusceptibleLinear(0.05), 0.0, 1.0)
+    tr = integrate(mixed_state, p1, law, IntegratorConfig(t_end=100.0, dt=0.01))
+    interior = np.flatnonzero((tr.V > 0.0) & (tr.V < 1.0))
+    V = tr.V.copy()
+    V[np.random.default_rng(seed).choice(interior[1:-1])] = np.nan
+    chk = check_identity_suite(dataclasses.replace(tr, V=V), p1)
+    assert not chk.passed and np.isnan(chk.worst)
+    assert chk.details["kink windows skipped"] > 8

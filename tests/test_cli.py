@@ -366,6 +366,27 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "t.csv"), path]) == 0
         assert "PASS  identity_suite" in capsys.readouterr().out
 
+    def test_nan_tail_fails_asymptotics(self, tmp_path, capsys):
+        # The shipped run with its last 100 I values NaN, judged by the
+        # asymptotics check alone: the NaN reaches its worst value.
+        assert main(["simulate", str(SHIPPED), "--out-dir", str(tmp_path)]) == 0
+        csv_path = tmp_path / "full_immunization.csv"
+        lines = csv_path.read_text().splitlines()
+        for k in range(len(lines) - 100, len(lines)):
+            parts = lines[k].split(",")
+            parts[3] = "nan"   # I column
+            lines[k] = ",".join(parts)
+        csv_path.write_text("\n".join(lines) + "\n")
+        scenario = SHIPPED.read_text().replace(
+            "conservation = on\nasymptotics = on\nintegral_limit = on\n",
+            "asymptotics = on\n")
+        assert scenario.count("= on") == 3   # adaptive, dense, asymptotics
+        (tmp_path / "s.ini").write_text(scenario)
+        capsys.readouterr()
+        assert main(["verify", str(csv_path), str(tmp_path / "s.ini")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL  asymptotics: worst=nan tol=0.001 at t=1200", "overall: FAIL"]
+
 
 class TestEquilibriaCommand:
     def test_p1_report(self, tmp_path, capsys):
@@ -433,6 +454,10 @@ class TestZerodynCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == ("scheme: adaptive rel_tol=1e-08 abs_tol=1e-10 "
                             "dense, samples=1001")
+        # the verdicts print as checks do: worst value against tolerance
+        assert lines[2].startswith("PASS  sum conservation: worst=")
+        assert lines[2].endswith(" tol=1e-06")
+        assert lines[3] == "PASS  boundedness in [0, C]: worst=0 tol=1e-06"
         t = np.loadtxt(tmp_path / "zerodyn.csv", delimiter=",", skiprows=1,
                        usecols=0)
         assert t.tobytes() == (0.01 * np.arange(0, 100001, 100)).tobytes()
@@ -679,6 +704,8 @@ MALFORMED_INPUTS = {
     "equilibria --N 1e308 --beta 100": (
         lambda d: ["equilibria", "--N", "1e308", "--beta", "100"],
         "equilibrium residual inf exceeds gate"),
+    "equilibria --N 1e-320": (lambda d: ["equilibria", "--N", "1e-320"],
+                              "equilibrium residual nan exceeds gate"),
     # usage errors, which argparse alone reports with exit 2
     "equilibria --beta abc": (lambda d: ["equilibria", "--beta", "abc"],
                               "argument --beta: invalid float value: 'abc'"),

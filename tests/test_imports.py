@@ -64,7 +64,7 @@ COMMANDS = {
     "zerodyn": (lambda out, csv: ["zerodyn", "--z2", "300", "--z3", "400",
                                   "--z4", "300", "--t-end", "1000",
                                   "--out-dir", out],
-                {"equilibria", "checks", "scenario", "svgplot"}),
+                {"equilibria", "scenario", "svgplot"}),
     "verify": (lambda out, csv: ["verify", str(csv), str(SHIPPED)],
                {"equilibria", "normal_form", "svgplot"}),
 }
