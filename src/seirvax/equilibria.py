@@ -1,7 +1,9 @@
 """Vaccination-free equilibria, linearized stability and the frequency sweep.
 
-All results here assume sigma = gamma (the discussion-simplicity tie);
-operations needing the endemic branch refuse other parameter sets.
+The endemic closed form, its feasibility expression and the sweep assume
+sigma = gamma (the discussion-simplicity tie) and refuse other parameter
+sets; the closed-form zeros at x1 assume it too. The disease-free point
+and the Jacobians hold for any sigma, gamma.
 
 The disease-free point is x1 = (N, 0, 0, 0). The endemic point exists
 when (mu+sigma)^2/(sigma*beta) < 1 and is given in closed form; with
@@ -23,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams, SeirState, derivative
+from .kernels import jacobian
+from .model import SEIR_SOURCE, ModelParams, SeirState, derivative
 
 __all__ = [
     "EquilibriumPoint",
@@ -104,10 +107,14 @@ def _residual_gate(state: SeirState, params: ModelParams) -> float:
 
 
 def _check_residual(point: EquilibriumPoint, params: ModelParams) -> EquilibriumPoint:
-    """The point, refused with a ValueError where its residual exceeds the
-    gate or is NaN (parameters whose closed form double precision cannot hold)."""
-    gate = _residual_gate(point.state, params)
-    if not point.residual <= gate:
+    """The point, refused with a ValueError where its residual is not
+    finite, the gate underflows to 0 or the residual exceeds the gate
+    (parameters whose closed form double precision cannot hold)."""
+    gate = _nonzero(_residual_gate(point.state, params), "equilibrium residual gate")
+    if not math.isfinite(point.residual):
+        raise ValueError(f"equilibrium residual {point.residual} for {point.kind}: "
+                         "the vector field overflows double precision")
+    if point.residual > gate:
         raise ValueError(
             f"equilibrium residual {point.residual} exceeds gate "
             f"{gate} for {point.kind}")
@@ -206,20 +213,13 @@ def a11_feasibility(params: ModelParams) -> tuple[float, bool]:
 
 
 def jacobian_at(point: SeirState, params: ModelParams) -> np.ndarray:
-    """Linearization of the vaccination-free plant at a point (sigma = gamma).
+    """Linearization of the vaccination-free plant at a point: the Jacobian
+    `kernels.jacobian` derives from `SEIR_SOURCE` under the zero law.
 
     Every column sums to -mu.
     """
-    _require_sigma_equals_gamma(params)
-    mu, om, si = params.mu, params.omega, params.sigma
-    bI = params.beta_prime * point.I
-    bS = params.beta_prime * point.S
-    return np.array([
-        [-mu - bI, 0.0, -bS, om],
-        [bI, -(mu + si), bS, 0.0],
-        [0.0, si, -(mu + si), 0.0],
-        [0.0, 0.0, si, -(mu + om)],
-    ])
+    make = jacobian(SEIR_SOURCE, ("expr", "0.0", ()))
+    return np.array(make(*SEIR_SOURCE.bind(params))(*point.as_tuple(), 0.0))
 
 
 def char_zeros_x1(params: ModelParams) -> CharZerosX1:

@@ -10,7 +10,9 @@ layer. From these pieces this module writes:
   - `law_function(shape)`: the law as a V(S, E, I, R, t) closure;
   - `kernel(template, field, shape)`: a stepper template with the field
     and the law inlined at every stage, so that a step makes no Python
-    call per stage.
+    call per stage;
+  - `jacobian(field, shape)`: the closed loop's Jacobian, differentiated
+    in forward mode from the same statements the kernels inline.
 
 Each is compiled lazily, on first use, and cached per field and law
 shape: gains and parameters are arguments of the generated code, so a
@@ -29,6 +31,7 @@ Template syntax (see `integrate._RK4` and `integrate._DOPRI`):
 
 from __future__ import annotations
 
+import ast
 import linecache
 import math
 import re
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-__all__ = ["FieldSource", "function", "law_function", "kernel"]
+__all__ = ["FieldSource", "function", "law_function", "kernel", "jacobian"]
 
 _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 _DIRECTIVE = re.compile(r"^(\s*)@(\w+) = (law|field)\((\w+), (.+)\)$")
@@ -120,29 +123,31 @@ def _compile(source: str, name: str, label: str) -> Callable:
     return namespace[name]
 
 
+def _make(inner: str, args: list[str], params: str, body: list[str],
+          result: str, label: str) -> Callable[..., Callable]:
+    """make(*args) -> the function `inner`(params) that runs the statements
+    `body` and returns `result`."""
+    return _compile("\n".join([
+        f"def make({', '.join(args)}):",
+        f"    def {inner}({params}):",
+        *("        " + line for line in body),
+        f"        return {result}",
+        f"    return {inner}", ""]), "make", label)
+
+
 @lru_cache(maxsize=None)
 def function(field: FieldSource) -> Callable[..., Callable]:
     """make(*field constants) -> the field as f(y0, y1, y2, y3, V) -> rates."""
-    body = field.lines(field.state, "V", "r")
-    source = "\n".join([
-        f"def make({', '.join(field.args())}):",
-        f"    def field({', '.join(field.state)}, V):",
-        *("        " + line for line in body),
-        "        return (r_0, r_1, r_2, r_3)",
-        "    return field", ""])
-    return _compile(source, "make", f"field {field.name}")
+    return _make("field", field.args(), ", ".join((*field.state, "V")),
+                 field.lines(field.state, "V", "r"), "(r_0, r_1, r_2, r_3)",
+                 f"field {field.name}")
 
 
 @lru_cache(maxsize=256)
 def law_function(shape: Shape) -> Callable[..., Callable]:
     """make(*law constants) -> the law as V(S, E, I, R, t)."""
-    source = "\n".join([
-        f"def make({', '.join(_law_args(shape))}):",
-        "    def law(S, E, I, R, t):",
-        *("        " + line for line in _law_lines(shape, "V", tuple("SEIR"), "t")),
-        "        return V",
-        "    return law", ""])
-    return _compile(source, "make", f"law {shape!r}")
+    return _make("law", _law_args(shape), "S, E, I, R, t",
+                 _law_lines(shape, "V", tuple("SEIR"), "t"), "V", f"law {shape!r}")
 
 
 @lru_cache(maxsize=256)
@@ -174,3 +179,57 @@ def kernel(template: str, field: FieldSource, shape: Shape) -> Callable:
     source = "\n".join(lines) + "\n"
     name = template.split("(", 1)[0].split()[-1]
     return _compile(source, name, f"{name} {field.name} {shape!r}")
+
+
+@lru_cache(maxsize=256)
+def jacobian(field: FieldSource, shape: Shape) -> Callable[..., Callable]:
+    """make(*field constants, *law constants) -> J(y0, y1, y2, y3, t), the
+    Jacobian of `field` under the law `shape` as four row tuples.
+
+    Forward mode (Griewank & Walther, Evaluating Derivatives, 2008) over
+    the statements `kernel` inlines, parsed once. Anything but + - * /
+    (by state-free divisors) and unary minus, such as a `Saturated` clip's
+    `if`, raises ValueError.
+    """
+    grads = {y: tuple("1.0" if c == k else None for c in _COMPONENTS)
+             for k, y in enumerate(field.state)}
+    lines = (_law_lines(shape, "V", field.law_state, "t")
+             + field.lines(field.state, "V", "r"))
+    for stmt in ast.parse("\n".join(lines)).body:
+        if not isinstance(stmt, ast.Assign):
+            raise ValueError(f"cannot differentiate {ast.unparse(stmt)!r}")
+        grads[stmt.targets[0].id] = _tangent(stmt.value, grads)
+    rows = ", ".join("(" + ", ".join(d or "0.0" for d in grads[f"r_{c}"]) + ")"
+                     for c in _COMPONENTS)
+    return _make("jacobian", field.args() + _law_args(shape),
+                 ", ".join((*field.state, "t")), lines[:-4], f"({rows})",
+                 f"jacobian {field.name} {shape!r}")
+
+
+def _tangent(node: ast.expr, grads: dict) -> tuple:
+    """The four partials of an expression as text, None where zero."""
+    if isinstance(node, (ast.Constant, ast.Name)):
+        return grads.get(getattr(node, "id", None), (None,) * 4)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return tuple(_join(None, "-", d) for d in _tangent(node.operand, grads))
+    op = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}.get(
+        type(getattr(node, "op", None)))
+    if op:
+        da, db = _tangent(node.left, grads), _tangent(node.right, grads)
+        a, b = (f"({ast.unparse(n)})" for n in (node.left, node.right))
+        if op == "*":   # x*b + a*y, a unit partial dropped
+            return tuple(_join(x and (b if x == "1.0" else f"({x} * {b})"), "+",
+                               y and (a if y == "1.0" else f"({a} * {y})"))
+                         for x, y in zip(da, db))
+        if op in "+-":
+            return tuple(_join(x, op, y) for x, y in zip(da, db))
+        if not any(db):
+            return tuple(x and f"({x} / {b})" for x in da)
+    raise ValueError(f"cannot differentiate {ast.unparse(node)!r}")
+
+
+def _join(x, op: str, y):
+    """The partial x op y (op + or -) as text, None standing for zero."""
+    if y is None:
+        return x
+    return (y if op == "+" else f"(-{y})") if x is None else f"({x} {op} {y})"

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple, Optional
 
@@ -86,7 +86,10 @@ class AsymptoticPrediction:
     """Closed-form limits for a law; fields are None where no limit is claimed.
 
     `decay_rate` is the exponential rate at which the predicted limits
-    are approached (an upper bound on the dominant time constant's rate).
+    are approached. Where all four component limits are claimed, it is
+    the rate of the slowest mode of the closed loop linearized there,
+    within the simplex S+E+I+R = N (minus its tangent spectral abscissa);
+    where only sums are claimed, the rate of the linear equation they obey.
     `integral_limit` is the limit of the convolution
     int_0^t exp(-mu*(t-tau)) * (omega+g) * R(tau) dtau.
     """
@@ -105,6 +108,14 @@ class AsymptoticPrediction:
 
 def _refuse(clause: str) -> PredictionError:
     return PredictionError(f"prediction refused, failing clause: {clause}")
+
+
+def _infection_decay(params: ModelParams, s: float) -> float:
+    """Rate of the slowest (E, I) mode at E = I = 0 and S = s*N: mu +
+    min(sigma, gamma) at s = 0, negative where the infection grows."""
+    mu, si, ga = params.mu, params.sigma, params.gamma
+    return (2.0 * mu + si + ga - math.sqrt(
+        (si - ga) * (si - ga) + 4.0 * si * params.beta * s)) / 2.0
 
 
 def _require_channel(params: ModelParams) -> float:
@@ -232,7 +243,7 @@ class SusceptiblePlusExposed(ControlLaw):
             i_plus_r_inf=g * N / (mu + g),
             decay_rate=mu + g,
         )
-        if g == 0.0:
+        if g == 0.0 and _infection_decay(params, 1.0) > 0.0:   # N attracts
             kwargs.update(s_inf=N, e_inf=0.0, i_inf=0.0, r_inf=0.0, v_inf=0.0)
         return AsymptoticPrediction(**kwargs)
 
@@ -459,6 +470,9 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
         raise _refuse("mu > 0")
     _gated(law, params, PredictionError)
     pred = law._predict(params)
+    if pred.s_inf is not None:   # the (E, I) modes bound the rate
+        pred = replace(pred, decay_rate=min(
+            pred.decay_rate, _infection_decay(params, pred.s_inf / params.N)))
     _check_population_limits(pred, params.N)
     return pred
 

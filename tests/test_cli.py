@@ -703,9 +703,15 @@ MALFORMED_INPUTS = {
                                  "(mu+omega)^2 overflows double precision"),
     "equilibria --N 1e308 --beta 100": (
         lambda d: ["equilibria", "--N", "1e308", "--beta", "100"],
-        "equilibrium residual inf exceeds gate"),
+        "equilibrium residual inf for endemic: the vector field overflows"),
+    # beta/N overflows: a NaN residual, named as such, and at a smaller N
+    # a residual gate that underflows to 0
+    "equilibria --N 1e-310": (lambda d: ["equilibria", "--N", "1e-310"],
+                              "equilibrium residual nan for disease_free: "
+                              "the vector field overflows double precision"),
     "equilibria --N 1e-320": (lambda d: ["equilibria", "--N", "1e-320"],
-                              "equilibrium residual nan exceeds gate"),
+                              "equilibrium residual gate underflows double "
+                              "precision"),
     # usage errors, which argparse alone reports with exit 2
     "equilibria --beta abc": (lambda d: ["equilibria", "--beta", "abc"],
                               "argument --beta: invalid float value: 'abc'"),

@@ -21,6 +21,8 @@ from seirvax import (
     analyze,
 )
 
+from conftest import map_params, random_conserved_state
+
 
 def _params(N=1000.0, mu=0.01, omega=0.02, beta=0.9, sigma=0.2, gamma=None):
     return ModelParams(N=N, mu=mu, omega=omega, beta=beta, sigma=sigma,
@@ -138,22 +140,66 @@ class TestJacobian:
 
     def test_matches_finite_differences(self, p1):
         # The vector field is quadratic, so central differences of the
-        # V = 0 field reproduce the Jacobian to roundoff.
-        st = SeirState(245.0, 90.946, 86.616, 577.438)
-        j = jacobian_at(st, p1)
+        # V = 0 field reproduce the Jacobian to roundoff: at a P1 state,
+        # and at seeded draws with sigma != gamma, where the Jacobian
+        # derived from the field's source holds too.
+        rng = np.random.default_rng(1104)
+        cases = [(SeirState(245.0, 90.946, 86.616, 577.438), p1)]
+        for _ in range(50):
+            p = _params(mu=float(rng.uniform(0.001, 0.1)),
+                        omega=float(rng.uniform(0.0, 0.1)),
+                        beta=float(rng.uniform(0.0, 2.0)),
+                        sigma=float(rng.uniform(0.05, 0.5)),
+                        gamma=float(rng.uniform(0.05, 0.5)))
+            cases.append((random_conserved_state(rng, p.N), p))
         eps = 1e-4
-        fd = np.zeros((4, 4))
-        for k in range(4):
-            up = list(st.as_tuple()); up[k] += eps
-            dn = list(st.as_tuple()); dn[k] -= eps
-            du = derivative(SeirState(*up), p1, 0.0)
-            dd = derivative(SeirState(*dn), p1, 0.0)
-            fd[:, k] = (np.array(du) - np.array(dd)) / (2.0 * eps)
-        assert np.max(np.abs(fd - j)) <= 1e-6 * np.max(np.abs(j))
+        for st, p in cases:
+            j = jacobian_at(st, p)
+            fd = np.zeros((4, 4))
+            for k in range(4):
+                up = list(st.as_tuple()); up[k] += eps
+                dn = list(st.as_tuple()); dn[k] -= eps
+                du = derivative(SeirState(*up), p, 0.0)
+                dd = derivative(SeirState(*dn), p, 0.0)
+                fd[:, k] = (np.array(du) - np.array(dd)) / (2.0 * eps)
+            assert np.max(np.abs(fd - j)) <= 1e-6 * np.max(np.abs(j))
 
-    def test_requires_sigma_equals_gamma(self, p1):
-        with pytest.raises(ValueError):
-            jacobian_at(SeirState(1000.0, 0.0, 0.0, 0.0), _params(gamma=0.3))
+    @staticmethod
+    def _hand_written(point, params):
+        """The matrix `jacobian_at` returned when it was written by hand,
+        before it was derived from the field's source (sigma = gamma only)."""
+        mu, om, si = params.mu, params.omega, params.sigma
+        bI = params.beta_prime * point.I
+        bS = params.beta_prime * point.S
+        return np.array([
+            [-mu - bI, 0.0, -bS, om],
+            [bI, -(mu + si), bS, 0.0],
+            [0.0, si, -(mu + si), 0.0],
+            [0.0, 0.0, si, -(mu + om)],
+        ])
+
+    def test_bitwise_the_hand_written_matrix(self):
+        # The disease-free, endemic and a random state at every map point,
+        # then seeded sigma = gamma draws over many orders of magnitude.
+        rng = np.random.default_rng(1105)
+        cases = []
+        for p in map_params():
+            endemic = endemic_equilibrium(p)
+            cases += [(SeirState(p.N, 0.0, 0.0, 0.0), p),
+                      (random_conserved_state(rng, p.N), p)]
+            if endemic is not None:
+                cases.append((endemic.state, p))
+        for _ in range(3000):
+            sigma = 10.0 ** rng.uniform(-3.0, 0.5)
+            p = _params(N=10.0 ** rng.uniform(0.0, 9.0),
+                        mu=10.0 ** rng.uniform(-6.0, 0.0),
+                        omega=float(rng.uniform(0.0, 1.0)),
+                        beta=10.0 ** rng.uniform(-3.0, 1.5), sigma=sigma)
+            cases.append((random_conserved_state(rng, p.N), p))
+        assert len(cases) == 2 * 648 + 513 + 3000
+        for st, p in cases:
+            assert (jacobian_at(st, p).tobytes()
+                    == self._hand_written(st, p).tobytes()), (st, p)
 
 
 class TestCharZeros:

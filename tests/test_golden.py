@@ -42,6 +42,7 @@ from seirvax import (
     integrate_zero_dynamics,
     to_normal,
 )
+from conftest import map_params
 from seirvax.cli import main
 from seirvax.scenario import load_scenario
 
@@ -114,23 +115,10 @@ def _zero_dynamics():
     return _digest(traj, ("t", "z2", "z3", "z4"))
 
 
-def _map_params():
-    """The 648-point map: mu x omega x sigma = gamma x 24 beta from 0.25 to
-    4 times the threshold (mu+sigma)^2/sigma."""
-    for mu in (0.005, 0.01, 0.02):
-        for omega in (0.0, 0.02, 0.05):
-            for sigma in (0.1, 0.2, 0.3):
-                beta_star = (mu + sigma) ** 2 / sigma
-                for factor in np.linspace(0.25, 4.0, 24):
-                    yield ModelParams(N=1000.0, mu=mu, omega=omega,
-                                      beta=float(factor * beta_star),
-                                      sigma=sigma, gamma=sigma)
-
-
 def _map_sweeps():
     """The `SweepResult` at every endemic point of the map."""
     results = []
-    for p in _map_params():
+    for p in map_params():
         endemic = endemic_equilibrium(p)
         if endemic is not None:
             results.append(hinf_ratio_sweep(p, endemic))
@@ -160,7 +148,7 @@ def _map_reports():
     closed-form zeros."""
     h = hashlib.sha256()
     count = 0
-    for p in _map_params():
+    for p in map_params():
         for rep in analyze(p):
             count += 1
             zeros = rep.closed_form_zeros

@@ -28,7 +28,9 @@ from seirvax import (
 )
 
 from conftest import random_conserved_state
+from seirvax.kernels import jacobian
 from seirvax.laws import SCENARIO_LAWS, compile_law, law_program
+from seirvax.model import SEIR_SOURCE
 from seirvax.scenario import build_law
 
 # One instance of every scenario law.
@@ -142,9 +144,18 @@ class TestPredictedLimits:
         assert pred.i_plus_r_inf == pytest.approx(1000.0 * 0.005 / 0.015)
 
     def test_spe_zero_gain_all_susceptible(self, p1):
-        pred = predicted_limits(SusceptiblePlusExposed(0.0), p1)
+        # All susceptible only below the threshold sigma*beta =
+        # (mu+sigma)*(mu+gamma); P1 (beta = 0.9) is above it, where the
+        # disease-free point repels and only the sums are claimed.
+        below = dataclasses.replace(p1, beta=0.1)
+        pred = predicted_limits(SusceptiblePlusExposed(0.0), below)
         assert pred.s_inf == 1000.0 and pred.v_inf == 0.0
         assert pred.e_inf == 0.0 and pred.i_inf == 0.0 and pred.r_inf == 0.0
+        assert pred.decay_rate == 0.01
+        pred = predicted_limits(SusceptiblePlusExposed(0.0), p1)
+        assert (pred.s_plus_e_inf, pred.i_plus_r_inf) == (1000.0, 0.0)
+        assert pred.s_inf is None and pred.e_inf is None and pred.v_inf is None
+        assert pred.decay_rate == 0.01
 
     def test_susceptible_linear_v_limit(self, p1):
         pred = predicted_limits(SusceptibleLinear(0.1), p1)
@@ -392,3 +403,72 @@ def test_program_and_prediction_refuse_together(p1):
              "immune_feedback", "constrained_immune_feedback", "linearizing"}
     assert {name for name, n in refused.items() if n} == gated
     assert all(refused[name] < draws for name in gated)
+
+
+def _tangent_abscissa(j) -> float:
+    """The largest real part of j's spectrum on the simplex's tangent space
+    (sum = 0), which j maps into itself: its columns sum to -mu."""
+    basis = np.linalg.qr(np.eye(4, 3) - np.eye(4, 3, k=-1))[0]
+    return float(max(np.linalg.eigvals(basis.T @ j @ basis).real))
+
+
+def _draw_law(name: str, rng, p: ModelParams):
+    """A random law of the scenario name `name` under p; an immune-family
+    law reaches its all-immune limit (g1 = mu+omega+g) half the time."""
+    u = float(rng.uniform(0.0, 1.0))
+    full = rng.uniform() < 0.5
+    if name == "susceptible_linear":
+        return SusceptibleLinear(u)
+    if name == "susceptible_plus_exposed":
+        return SusceptiblePlusExposed(0.0 if full else 0.1 * u)
+    if name == "immune_feedback":
+        g = u - (p.mu + p.omega) * float(rng.uniform(0.0, 1.0))
+        lam = p.mu + p.omega + g
+        return ImmuneFeedback(g, lam if full else lam * float(rng.uniform()))
+    if name == "constrained_immune_feedback":
+        return ConstrainedImmuneFeedback(-u * (p.mu + p.omega))
+    if name == "linearizing":
+        return Linearizing(u, u if full else u * float(rng.uniform()))
+    return {"zero": ZeroVax(), "constant": ConstantVax(u),
+            "output_zeroing": OutputZeroing()}[name]
+
+
+def test_decay_rate_is_the_closed_loops_slowest_mode():
+    # Wherever all four component limits are predicted, decay_rate is the
+    # slowest rate of the closed loop linearized at the predicted point,
+    # within the simplex; SusceptiblePlusExposed(0) predicts them exactly
+    # where that point attracts. Draws straddle the threshold sigma*beta =
+    # (mu+sigma)*(mu+gamma); sigma != gamma in half of them. At sigma =
+    # gamma and S = 0 the (E, I) eigenvalue is defective, which the
+    # relative tolerance covers.
+    rng = np.random.default_rng(1106)
+    compared = dict.fromkeys(SCENARIO_LAWS, 0)
+    spe_sides = set()
+    for _ in range(300):
+        mu, sigma = float(rng.uniform(0.001, 0.2)), float(rng.uniform(0.05, 0.5))
+        gamma = sigma if rng.uniform() < 0.5 else float(rng.uniform(0.05, 0.5))
+        threshold = (mu + sigma) * (mu + gamma) / sigma
+        p = ModelParams(N=1000.0, mu=mu, omega=float(rng.uniform(0.0, 0.2)),
+                        beta=threshold * float(rng.uniform(0.3, 3.0)),
+                        sigma=sigma, gamma=gamma)
+        for name in SCENARIO_LAWS:
+            law = _draw_law(name, rng, p)
+            try:
+                pred = predicted_limits(law, p)
+            except PredictionError:
+                continue
+            shape, values = law_program(law, p)
+            jac = jacobian(SEIR_SOURCE, shape)(*SEIR_SOURCE.bind(p), *values)
+            limits = (pred.s_inf, pred.e_inf, pred.i_inf, pred.r_inf)
+            if isinstance(law, SusceptiblePlusExposed) and law.g == 0.0:
+                abscissa = _tangent_abscissa(np.array(jac(p.N, 0.0, 0.0, 0.0, 0.0)))
+                assert (pred.s_inf is not None) == (abscissa < 0.0)
+                spe_sides.add(abscissa < 0.0)
+            if None in limits:
+                continue
+            abscissa = _tangent_abscissa(np.array(jac(*limits, 0.0)))
+            assert pred.decay_rate == pytest.approx(-abscissa, rel=1e-6), (law, p)
+            compared[name] += 1
+    assert spe_sides == {True, False}
+    assert [name for name, n in compared.items() if n == 0] == [
+        "zero", "constant", "output_zeroing"]   # no closed-form limits
