@@ -19,7 +19,7 @@ from .exceptions import HorizonError
 from .integrate import Trajectory
 from .laws import (AsymptoticPrediction, ControlLaw, ImmuneFeedback, Saturated,
                    corollary1_upper_bound, predicted_limits)
-from .model import CONSERVATION_RTOL, ModelParams, SeirState
+from .model import CONSERVATION_RTOL, ModelParams, SeirState, coupling_control
 
 __all__ = [
     "Check",
@@ -188,7 +188,7 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
         return (x[2:] - x[:-2]) / (2.0 * h)
 
     Sm, Em, Im, Rm, Vm = S[1:-1], E[1:-1], I[1:-1], R[1:-1], V[1:-1]
-    um = om * Rm - si * Em - muN * Vm
+    um = coupling_control(SeirState(Sm, Em, Im, Rm), p, Vm)
 
     d_ei = cdiff(E + I)
     d_se = cdiff(S + E)

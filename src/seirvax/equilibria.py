@@ -2,8 +2,8 @@
 
 The endemic closed form, its feasibility expression and the sweep assume
 sigma = gamma (the discussion-simplicity tie) and refuse other parameter
-sets; the closed-form zeros at x1 assume it too. The disease-free point
-and the Jacobians hold for any sigma, gamma.
+sets. The disease-free point, its closed-form characteristic zeros and
+the Jacobians hold for any sigma, gamma.
 
 The disease-free point is x1 = (N, 0, 0, 0). The endemic point exists
 when (mu+sigma)^2/(sigma*beta) < 1 and is given in closed form; with
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import jacobian
-from .model import SEIR_SOURCE, ModelParams, SeirState, derivative
+from .model import SEIR_SOURCE, ModelParams, SeirState, derivative, infection_modes
 
 __all__ = [
     "EquilibriumPoint",
@@ -223,17 +223,13 @@ def jacobian_at(point: SeirState, params: ModelParams) -> np.ndarray:
 
 
 def char_zeros_x1(params: ModelParams) -> CharZerosX1:
-    """Closed-form characteristic zeros at the disease-free point.
-
-    Zeros: -mu, -(mu+omega), -(mu+sigma) +/- sqrt(sigma*beta). All are
-    negative iff mu > 0, omega > -mu and 0 <= beta < (mu+sigma)^2/sigma.
-    """
-    mu, om, be, si = params.mu, params.omega, params.beta, params.sigma
-    root = math.sqrt(si * be)
-    zeros = (-mu, -(mu + om), -(mu + si) + root, -(mu + si) - root)
-    threshold = _square(mu + si, "mu+sigma") / si if si > 0.0 else math.inf
-    stable = mu > 0.0 and om > -mu and 0.0 <= be < threshold
-    return CharZerosX1(zeros=zeros, locally_stable=stable)
+    """Closed-form characteristic zeros at the disease-free point, for any
+    sigma, gamma: -mu, -(mu+omega) and the (E, I) modes at S = N, which are
+    -(mu+sigma) +/- sqrt(sigma*beta) at sigma = gamma. Locally stable iff all
+    four are negative; at sigma = gamma, iff mu > 0, omega > -mu and
+    beta < (mu+sigma)^2/sigma."""
+    zeros = (-params.mu, -(params.mu + params.omega), *infection_modes(params, 1.0))
+    return CharZerosX1(zeros=zeros, locally_stable=all(z < 0.0 for z in zeros))
 
 
 def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:

@@ -32,8 +32,9 @@ Every sample records the applied V and the auxiliary control
 u = omega*R - sigma*E - mu*N*V, computed by `model.coupling_control` so
 recomputation reproduces stored values bitwise.
 
-`_solve` chooses the scheme, once for every field: `integrate` runs it
-on the x-space field and `normal_form` on the normal-form and
+`_solve` is the one runner: it binds the law, opens the sample buffer
+and calls the config's kernel, for every field. `integrate` runs it on
+the x-space field and `normal_form` on the normal-form and
 zero-dynamics fields, so each of them runs fixed, adaptive or dense.
 """
 
@@ -55,7 +56,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "integrate",
-    "rk4",
     "MAX_STEPS",
 ]
 
@@ -175,10 +175,47 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
 
 def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,
            y0: tuple, config: IntegratorConfig) -> Samples:
-    """Integrate `field` closed under `law` with the config's scheme: the
-    Dormand-Prince pair when `adaptive`, else `rk4`."""
-    return (_run_dopri45 if config.adaptive else rk4)(field, law, params, y0,
-                                                      config)
+    """Integrate `field` closed under `law` with the config's scheme, the
+    law evaluated at every stage's state (at `field.law_state`, its S, E,
+    I, R in the field's coordinates).
+
+    Fixed-step: classic RK4 on the grid, sampled at t0, every
+    `sampling_stride` steps and at the last step. Adaptive: the embedded
+    Dormand-Prince 5(4) pair with local extrapolation (the 5th-order
+    solution is kept), an RMS error norm over the four components and the
+    step controller h *= clip(0.9 * norm^-1/5) within [0.2, 5] (within
+    [0.2, 1] after a rejection). The first trial step is
+    min(dt, t_end - t0); a step that would pass t_end is shortened to end
+    exactly on it. More than `MAX_STEPS` attempted steps raise ValueError,
+    and so does a stiff run (the stiffness test of Hairer & Wanner, Solving
+    ODEs II, IV.2, from stages the pair already computed) as soon as the
+    steps it has left at the current step size exceed the attempts left
+    under the bound: `zerodyn` at mu = 1e9 exits in about 0.02 s on a
+    2-core x86 host, not after 1e8 steps. Samples are recorded at t0 and
+    t_end and, in between, every `sampling_stride` accepted steps or, with
+    `dense`, at the fixed grid's times t0 + k*dt (k a multiple of
+    `sampling_stride` below `n_steps`), each from the 4th-order continuous
+    extension of the step that covers it; the stepping is the same.
+    """
+    shape, values = law_program(law, params)
+    samples = Samples()
+    stride, times = config.sampling_stride, iter(())
+    if config.dense:   # adaptive only; no run accepts MAX_STEPS + 1
+        # steps, so only t0 and t_end are recorded at step ends
+        stride = MAX_STEPS + 1
+        times = (config.t0 + k * config.dt
+                 for k in range(config.sampling_stride, config.n_steps,
+                                config.sampling_stride))
+    if config.adaptive:
+        template, lead = _DOPRI, (
+            config.t0, config.t_end, min(config.dt, config.t_end - config.t0),
+            config.rel_tol, config.abs_tol, stride, times, samples.rows,
+            samples.non_finite, MAX_STEPS)
+    else:
+        template, lead = _RK4, (config.t0, config.dt, config.n_steps, stride,
+                                samples.rows)
+    kernel(template, field, shape)(*y0, *lead, *field.bind(params), *values)
+    return samples
 
 
 class Samples:
@@ -247,22 +284,6 @@ def rk4(y0, y1, y2, y3, t0, h, n, stride, out, {args}):
         if k % stride == 0 or k == n:
             record(row(t, y0, y1, y2, y3, V))
 """
-
-
-def rk4(field: FieldSource, law: ControlLaw, params: ModelParams, y0: tuple,
-        config: IntegratorConfig) -> Samples:
-    """Classic fixed-step RK4 of `field` closed under `law` on the config's grid.
-
-    The law is evaluated at the state of every stage (at `field.law_state`,
-    its S, E, I, R in the field's coordinates). Samples are recorded at
-    t0, every `sampling_stride` steps and at the last step.
-    """
-    shape, values = law_program(law, params)
-    samples = Samples()
-    kernel(_RK4, field, shape)(
-        *y0, config.t0, config.dt, config.n_steps, config.sampling_stride,
-        samples.rows, *field.bind(params), *values)
-    return samples
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980): the stage rows of A,
@@ -447,42 +468,3 @@ def dopri(y0, y1, y2, y3, t, t_end, h, rtol, atol, stride, times, out, fail,
             record(row(t, y0, y1, y2, y3, V))
         h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
 """)
-
-
-def _run_dopri45(field: FieldSource, law: ControlLaw, params: ModelParams,
-                 y0: tuple, config: IntegratorConfig) -> Samples:
-    """Embedded Dormand-Prince 5(4) of `field` closed under `law`.
-
-    Local extrapolation (the 5th-order solution is kept), an RMS error
-    norm over the four components, and the step controller
-    h *= clip(0.9 * norm^-1/5) within [0.2, 5] (within [0.2, 1] after a
-    rejection). The first trial step is min(dt, t_end - t0); a step that
-    would pass t_end is shortened to end exactly on it. More than
-    `MAX_STEPS` attempted steps raise ValueError, and so does a stiff run
-    (the stiffness test of Hairer & Wanner, Solving ODEs II, IV.2, from
-    stages the pair already computed) as soon as the steps it has left
-    at the current step size exceed the attempts left under the bound:
-    `zerodyn` at mu = 1e9 exits in about 0.02 s on a 2-core x86 host,
-    not after 1e8 steps.
-
-    Samples are recorded at t0 and t_end and, in between, every
-    `sampling_stride` accepted steps or, with `dense`, at the fixed
-    grid's sample times t0 + k*dt (k a multiple of `sampling_stride`
-    below `n_steps`), each from the 4th-order continuous extension of the
-    step that covers it. The stepping is the same either way.
-    """
-    shape, values = law_program(law, params)
-    samples = Samples()
-    stride, times = config.sampling_stride, iter(())
-    if config.dense:
-        # no run accepts MAX_STEPS + 1 steps: only t0 and t_end are
-        # recorded at step ends
-        stride = MAX_STEPS + 1
-        times = (config.t0 + k * config.dt
-                 for k in range(config.sampling_stride, config.n_steps,
-                                config.sampling_stride))
-    kernel(_DOPRI, field, shape)(
-        *y0, config.t0, config.t_end, min(config.dt, config.t_end - config.t0),
-        config.rel_tol, config.abs_tol, stride, times, samples.rows,
-        samples.non_finite, MAX_STEPS, *field.bind(params), *values)
-    return samples

@@ -53,7 +53,7 @@ _ROW = struct.Struct("6d")
 Shape = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSource:
     """A 4-component vector field (state, V) -> rates, written once as source.
 
@@ -61,6 +61,7 @@ class FieldSource:
     both in the names `state`, the input `V` and the constants `consts`,
     whose values `bind(params)` gives in the same order. `law_state` is
     (S, E, I, R) as expressions in `state`: where a law reads the state.
+    It hashes by identity, cheaply: each field is one module constant.
     """
 
     name: str

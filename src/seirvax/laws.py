@@ -44,7 +44,7 @@ import numpy as np
 
 from .exceptions import GainConstraintError, PredictionError, VaccinationChannelError
 from .kernels import Shape, law_function
-from .model import ModelParams, SeirState
+from .model import ModelParams, SeirState, infection_modes
 
 __all__ = [
     "ZeroVax",
@@ -108,14 +108,6 @@ class AsymptoticPrediction:
 
 def _refuse(clause: str) -> PredictionError:
     return PredictionError(f"prediction refused, failing clause: {clause}")
-
-
-def _infection_decay(params: ModelParams, s: float) -> float:
-    """Rate of the slowest (E, I) mode at E = I = 0 and S = s*N: mu +
-    min(sigma, gamma) at s = 0, negative where the infection grows."""
-    mu, si, ga = params.mu, params.sigma, params.gamma
-    return (2.0 * mu + si + ga - math.sqrt(
-        (si - ga) * (si - ga) + 4.0 * si * params.beta * s)) / 2.0
 
 
 def _require_channel(params: ModelParams) -> float:
@@ -243,7 +235,7 @@ class SusceptiblePlusExposed(ControlLaw):
             i_plus_r_inf=g * N / (mu + g),
             decay_rate=mu + g,
         )
-        if g == 0.0 and _infection_decay(params, 1.0) > 0.0:   # N attracts
+        if g == 0.0 and infection_modes(params, 1.0)[0] < 0.0:   # N attracts
             kwargs.update(s_inf=N, e_inf=0.0, i_inf=0.0, r_inf=0.0, v_inf=0.0)
         return AsymptoticPrediction(**kwargs)
 
@@ -472,7 +464,7 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
     pred = law._predict(params)
     if pred.s_inf is not None:   # the (E, I) modes bound the rate
         pred = replace(pred, decay_rate=min(
-            pred.decay_rate, _infection_decay(params, pred.s_inf / params.N)))
+            pred.decay_rate, -infection_modes(params, pred.s_inf / params.N)[0]))
     _check_population_limits(pred, params.N)
     return pred
 

@@ -14,7 +14,7 @@ This module holds the parameter/state types, the vector field, the
 admissibility check on initial conditions (Assumption 1, which
 `seirvax simulate` reports as an advisory), and the algebraic coupling
 u = omega*R - sigma*E - mu*N*V between the vaccination fraction V and
-the auxiliary control u.
+the auxiliary control u, and the two (E, I) modes at E = I = 0.
 
 All operations are pure functions of their inputs.
 """
@@ -34,6 +34,7 @@ __all__ = [
     "derivative",
     "check_assumption1",
     "coupling_control",
+    "infection_modes",
 ]
 
 Rates = tuple[float, float, float, float]
@@ -190,3 +191,13 @@ def coupling_control(state: SeirState, params: ModelParams, V: float) -> float:
     bits per sample as the scalar expression.
     """
     return params.omega * state.R - params.sigma * state.E - params.mu * params.N * V
+
+
+def infection_modes(params: ModelParams, s: float) -> tuple[float, float]:
+    """The (E, I) eigenvalues -m + d >= -m - d at E = I = 0 and S = s*N, for
+    any sigma, gamma: m = mu + (sigma+gamma)/2, d = sqrt(h*h + sigma*beta*s)
+    and h = (sigma-gamma)/2."""
+    p = params
+    m, h = p.mu + (p.sigma + p.gamma) / 2.0, (p.sigma - p.gamma) / 2.0
+    d = math.sqrt(h * h + p.sigma * p.beta * s)
+    return -m + d, -m - d

@@ -232,6 +232,24 @@ class TestCharZeros:
                                               dtype=complex))
             assert np.max(np.abs(spec - closed)) < 1e-9
 
+    def test_matches_numeric_spectrum_for_any_sigma_and_gamma(self):
+        # sigma != gamma, and sigma = 0: the (E, I) modes are -(mu+sigma)
+        # and -(mu+gamma), not -(mu+sigma) +/- sqrt(sigma*beta).
+        rng = np.random.default_rng(53)
+        for k in range(40):
+            p = _params(mu=float(rng.uniform(0.001, 0.5)),
+                        omega=float(rng.uniform(0.0, 0.5)),
+                        beta=float(rng.uniform(0.0, 1.5)),
+                        sigma=0.0 if k % 4 == 0 else float(rng.uniform(0.01, 0.5)),
+                        gamma=float(rng.uniform(0.01, 0.5)))
+            assert p.sigma != p.gamma
+            spec = np.sort_complex(eigenvalues(
+                jacobian_at(SeirState(p.N, 0.0, 0.0, 0.0), p)))
+            cz = char_zeros_x1(p)
+            closed = np.sort_complex(np.array(cz.zeros, dtype=complex))
+            assert np.max(np.abs(spec - closed)) < 1e-12, p
+            assert cz.locally_stable == bool(np.all(spec.real < 0.0)), p
+
 
 class TestEigenvalues:
     def test_diagonal(self):

@@ -33,7 +33,7 @@ from seirvax import (
     to_normal,
 )
 from seirvax.integrate import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
-                               _run_dopri45, rk4)
+                               _solve)
 from seirvax.laws import ControlLaw, compile_law
 from seirvax.model import SEIR_SOURCE
 from seirvax.kernels import function
@@ -551,10 +551,9 @@ def _x_space(params, law):
 
 def _kernel_and_reference(state, params, law, config):
     f, law_at = _x_space(params, law)
+    got = _solve(SEIR_SOURCE, law, params, state.as_tuple(), config)
     if config.adaptive:
-        got = _run_dopri45(SEIR_SOURCE, law, params, state.as_tuple(), config)
         return got, _reference_dopri45(f, law_at, state.as_tuple(), config)
-    got = rk4(SEIR_SOURCE, law, params, state.as_tuple(), config)
     return got, (_reference_rk4(f, law_at, state.as_tuple(), config), {})
 
 
@@ -599,7 +598,7 @@ class TestRk4Kernel:
         config = RK4_CONFIGS["stride3_t0_project"]
         fn = compile_law(law, KERNEL_PARAMS)
         z0 = to_normal(mixed_state).as_tuple()
-        got = rk4(NORMAL_SOURCE, law, KERNEL_PARAMS, z0, config)
+        got = _solve(NORMAL_SOURCE, law, KERNEL_PARAMS, z0, config)
         field = function(NORMAL_SOURCE)(*NORMAL_SOURCE.bind(KERNEL_PARAMS))
         want = _reference_rk4(field,
                               lambda z, t: fn(z[1] - z[0], z[2], z[3], z[0], t),
@@ -642,11 +641,10 @@ class TestDense:
         # step ends on t0 + dt).
         law = ImmuneFeedback(0.01, 0.05)
         cfg = dataclasses.replace(DENSE_CONFIG, sampling_stride=1)
-        dense = _run_dopri45(SEIR_SOURCE, law, KERNEL_PARAMS,
-                             mixed_state.as_tuple(), cfg).columns()
-        steps = _run_dopri45(SEIR_SOURCE, law, KERNEL_PARAMS,
-                             mixed_state.as_tuple(),
-                             dataclasses.replace(cfg, dense=False)).columns()
+        dense = _solve(SEIR_SOURCE, law, KERNEL_PARAMS, mixed_state.as_tuple(),
+                       cfg).columns()
+        steps = _solve(SEIR_SOURCE, law, KERNEL_PARAMS, mixed_state.as_tuple(),
+                       dataclasses.replace(cfg, dense=False)).columns()
         assert steps[0, 1] == cfg.t0 + cfg.dt
         assert dense[:, -1].tobytes() == steps[:, -1].tobytes()
         assert dense[:, 1].tobytes() == steps[:, 1].tobytes()
@@ -663,8 +661,8 @@ class TestDense:
         _, stats = _reference_dopri45(f, law_at, mixed_state.as_tuple(),
                                       dataclasses.replace(DENSE_CONFIG,
                                                           dense=False))
-        got = _run_dopri45(SEIR_SOURCE, law, KERNEL_PARAMS,
-                           mixed_state.as_tuple(), DENSE_CONFIG).columns()
+        got = _solve(SEIR_SOURCE, law, KERNEL_PARAMS, mixed_state.as_tuple(),
+                     DENSE_CONFIG).columns()
         starts = np.array([t for t, *_ in stats["steps"]])
         for tau, *state in got.T[1:-1, :5]:
             t, h, y, ks = stats["steps"][np.searchsorted(starts, tau, "right") - 1]
@@ -713,7 +711,7 @@ class TestDense:
             z0, p1, dataclasses.replace(cfg, adaptive=False, dense=False))
         assert len(tr) == 1001
         assert tr.t.tobytes() == fixed.t.tobytes()
-        z1 = _run_dopri45(ZERO_SOURCE, ZeroVax(), p1, (0.0, *z0), cfg).columns()[1]
+        z1 = _solve(ZERO_SOURCE, ZeroVax(), p1, (0.0, *z0), cfg).columns()[1]
         assert z1.tobytes() == np.zeros(len(tr)).tobytes()
         sol = _dop853_zero_dynamics(p1, z0, cfg.t_end)
         dev = np.max(np.abs(np.vstack((tr.z2, tr.z3, tr.z4)) - sol(tr.t)))
