@@ -14,13 +14,19 @@ Hurwitz, and sup_w |ptilde(iw)/p0(iw)| < 1/beta certifies stability
 (Rouche argument on the left half-plane). The supremum is computed
 exactly from the stationary points of the squared magnitude, the
 single-input case of the L-infinity norm computation of Bruinsma and
-Steinbuch (Syst. Control Lett. 14, 1990).
+Steinbuch (Syst. Control Lett. 14, 1990). The sweep's polynomials have
+fixed degrees, so their products are written out as straight-line code
+that sums each coefficient from 0.0 in the order a product loop would
+(left factor's index ascending): the same accumulation order gives the
+same bits, without the loop's interpreter cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -193,7 +199,7 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
         R=si * excess / denom * N,
     )
     point = EquilibriumPoint(state, "endemic", _residual(state, params),
-                             feasibility_a11=a11_feasibility(params)[1])
+                             feasibility_a11=_a11(mu, om, si, excess, denom) <= 1.0)
     return _check_residual(point, params)
 
 
@@ -208,8 +214,14 @@ def a11_feasibility(params: ModelParams) -> tuple[float, bool]:
         raise ValueError("feasibility expression undefined for sigma = 0 or beta = 0")
     ms2 = _square(mu + si, "mu+sigma")
     denom = _nonzero(be * (ms2 + om * (mu + 2.0 * si)), "feasibility expression")
-    value = (si * be - ms2) / denom * max(si, (1.0 + mu / si) * (mu + om))
+    value = _a11(mu, om, si, si * be - ms2, denom)
     return value, value <= 1.0
+
+
+def _a11(mu: float, om: float, si: float, excess: float, denom: float) -> float:
+    """The feasibility expression from sigma*beta - (mu+sigma)^2 and the
+    endemic denominator beta*((mu+sigma)^2 + omega*(mu+2*sigma))."""
+    return excess / denom * max(si, (1.0 + mu / si) * (mu + om))
 
 
 def jacobian_at(point: SeirState, params: ModelParams) -> np.ndarray:
@@ -218,8 +230,13 @@ def jacobian_at(point: SeirState, params: ModelParams) -> np.ndarray:
 
     Every column sums to -mu.
     """
-    make = jacobian(SEIR_SOURCE, ("expr", "0.0", ()))
-    return np.array(make(*SEIR_SOURCE.bind(params))(*point.as_tuple(), 0.0))
+    return np.array(_plant_jacobian(params)(*point.as_tuple(), 0.0))
+
+
+def _plant_jacobian(params: ModelParams):
+    """The plant's Jacobian J(S, E, I, R, t) -> four row tuples, with
+    `SEIR_SOURCE`'s constants bound to params."""
+    return jacobian(SEIR_SOURCE, ("expr", "0.0", ()))(*SEIR_SOURCE.bind(params))
 
 
 def char_zeros_x1(params: ModelParams) -> CharZerosX1:
@@ -227,50 +244,59 @@ def char_zeros_x1(params: ModelParams) -> CharZerosX1:
     sigma, gamma: -mu, -(mu+omega) and the (E, I) modes at S = N, which are
     -(mu+sigma) +/- sqrt(sigma*beta) at sigma = gamma. Locally stable iff all
     four are negative; at sigma = gamma, iff mu > 0, omega > -mu and
-    beta < (mu+sigma)^2/sigma."""
-    zeros = (-params.mu, -(params.mu + params.omega), *infection_modes(params, 1.0))
+    beta < (mu+sigma)^2/sigma. Rates whose (E, I) modes overflow double
+    precision are refused with a ValueError."""
+    zeros = _x1_zeros(params)
     return CharZerosX1(zeros=zeros, locally_stable=all(z < 0.0 for z in zeros))
+
+
+def _x1_zeros(params: ModelParams) -> tuple[float, float, float, float]:
+    """The closed-form characteristic zeros at the disease-free point."""
+    return (-params.mu, -(params.mu + params.omega), *infection_modes(params, 1.0))
 
 
 def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
     """Spectrum of a real (n, n) matrix, or a list of the spectra of a
     (..., n, n) stack in C order of the leading axes.
 
-    One finiteness check and one `np.linalg.eigvals` call cover the whole
-    stack. Each spectrum is sorted by real part descending, then by
-    imaginary part descending, and is float64 when no imaginary part is
-    nonzero (complex128 otherwise), so a stack row is bitwise the
-    spectrum of a lone call on its matrix.
+    One `np.linalg.eigvals` call covers the whole stack; its finiteness
+    check stands in for ours, so only a stack it refuses is scanned again
+    to refuse non-finite entries in our words. Each spectrum is sorted by
+    real part descending, then by imaginary part descending, and is
+    float64 when no imaginary part is nonzero (complex128 otherwise), so
+    a stack row is bitwise the spectrum of a lone call on its matrix.
     """
     m = np.asarray(matrix, dtype=float)
-    if not np.isfinite(m).all():
-        raise ValueError("eigenvalues: non-finite entries")
-    vals = np.linalg.eigvals(m)
+    try:
+        vals = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError:
+        if not np.isfinite(m).all():
+            raise ValueError("eigenvalues: non-finite entries") from None
+        raise
+    real = vals.dtype != complex   # no imaginary part anywhere in the stack
     if vals.ndim == 1:
-        return _sorted_spectrum(vals.tolist())
-    return [_sorted_spectrum(row)
+        return _sorted_spectrum(vals.tolist(), real)
+    return [_sorted_spectrum(row, real)
             for row in vals.reshape(-1, vals.shape[-1]).tolist()]
 
 
-def _sorted_spectrum(values: list) -> np.ndarray:
-    """Eigenvalues in Python numbers as a sorted float64 or complex array."""
-    values.sort(key=_descending)
-    if any(v.imag for v in values):
-        return np.array(values, dtype=complex)
-    return np.array([v.real for v in values])
+_PARTS = attrgetter("real", "imag")
 
 
-def _descending(v: complex) -> tuple[float, float]:
-    return -v.real, -v.imag
+def _sorted_spectrum(values: list, real: bool) -> np.ndarray:
+    """Eigenvalues in Python numbers (floats where `real`) as a sorted
+    float64 or complex array.
 
-
-def _polymul(a: list[float], b: list[float]) -> list[float]:
-    """Product of two coefficient lists, both highest or both lowest degree first."""
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    A stable descending sort by (real, imag) orders ties as an ascending
+    one by (-real, -imag) does; with no imaginary part, by real alone.
+    """
+    if not real:
+        if any(v.imag for v in values):
+            values.sort(key=_PARTS, reverse=True)
+            return np.array(values, dtype=complex)
+        values = [v.real for v in values]
+    values.sort(reverse=True)
+    return np.array(values)
 
 
 def _sweep_polynomials(params: ModelParams, endemic: EquilibriumPoint):
@@ -278,29 +304,37 @@ def _sweep_polynomials(params: ModelParams, endemic: EquilibriumPoint):
     mu, om, si, N = params.mu, params.omega, params.sigma, params.N
     s_frac = endemic.state.S / N
     i_frac = endemic.state.I / N
-    c = mu + si
-    cubic = _polymul([1.0, 2.0 * c, c * c], [1.0, mu + om])   # (s+c)^2 (s+mu+om)
-    p0 = _polymul(cubic, [1.0, mu])
-    # ptilde = i_frac*(cubic - om*si^2) - si*s_frac*(s+mu)(s+mu+om)
-    shifted = cubic[:3] + [cubic[3] - om * _square(si, "sigma")]
-    quad = [0.0] + _polymul([1.0, mu], [1.0, mu + om])
-    ptilde = [i_frac * u - si * s_frac * v for u, v in zip(shifted, quad)]
+    # (s+c)^2 (s+mu+om) = s^3 + k1 s^2 + k2 s + k3 with c = mu+si, and
+    # p0 = that cubic times (s+mu).
+    c, l = mu + si, mu + om
+    k1 = 0.0 + l + 2.0 * c
+    k2 = 0.0 + 2.0 * c * l + c * c
+    k3 = 0.0 + c * c * l
+    p0 = [1.0, 0.0 + mu + k1, 0.0 + k1 * mu + k2, 0.0 + k2 * mu + k3, 0.0 + k3 * mu]
+    # ptilde = i_frac*(cubic - om*si^2) - si*s_frac*(0, 1, q1, q2), where
+    # (s+mu)(s+mu+om) = s^2 + q1 s + q2; the product with its leading 0
+    # stays, as a product loop makes it.
+    shifted = k3 - om * _square(si, "sigma")
+    q1, q2 = 0.0 + l + mu, 0.0 + mu * l
+    ss = si * s_frac
+    ptilde = [i_frac - ss * 0.0, i_frac * k1 - ss,
+              i_frac * k2 - ss * q1, i_frac * shifted - ss * q2]
     return p0, ptilde
 
 
 def _ratio(p0: list[float], ptilde: list[float], w: float) -> float:
-    """|ptilde(iw)/p0(iw)| by complex Horner in Python floats."""
+    """|ptilde(iw)/p0(iw)| by complex Horner in Python floats, unrolled
+    from 0j as the loop over the coefficients runs it."""
     s = complex(0.0, w)
-    num = den = 0j
-    for c in ptilde:
-        num = num * s + c
-    for c in p0:
-        den = den * s + c
+    c3, c2, c1, c0 = ptilde
+    q0, q1, q2, q3, q4 = p0
+    num = (((0j * s + c3) * s + c2) * s + c1) * s + c0
+    den = ((((0j * s + q0) * s + q1) * s + q2) * s + q3) * s + q4
     return abs(num) / abs(den)
 
 
-# Rows 1-5 of a 6x6 companion matrix: ones on the subdiagonal.
-_SUBDIAGONAL = tuple(tuple(row) for row in np.eye(6, k=-1)[1:].tolist())
+# A 6x6 companion matrix with its first row to fill: ones on the subdiagonal.
+_COMPANION = np.eye(6, k=-1)
 
 
 def hinf_ratio_sweep(params: ModelParams,
@@ -316,6 +350,12 @@ def hinf_ratio_sweep(params: ModelParams,
     ratio is strictly proper, so w -> inf never is. Requires mu > 0 (p0
     strictly Hurwitz) and an existing endemic point: `endemic` is
     `endemic_equilibrium(params)`, None where there is none.
+
+    Every product of two coefficient lists is written out: coefficient k
+    is 0.0 + a_0*b_k + a_1*b_(k-1) + ..., summed left to right as a
+    product loop accumulates it, with factors of 1.0 left out (x*1.0 is
+    x). The same accumulation order keeps the bits of the coefficients,
+    the companion matrix, its roots and the peak.
     """
     if params.mu == 0.0:
         raise ValueError("sweep refused: p0 has a root on the imaginary axis (mu = 0)")
@@ -325,19 +365,32 @@ def hinf_ratio_sweep(params: ModelParams,
     p0, ptilde = _sweep_polynomials(params, endemic)
     c3, c2, c1, c0 = ptilde
     # ptilde(iw) = (c0 - c2 x) + iw (c1 - c3 x); A and B lowest degree first.
-    a = [c0 * c0, c1 * c1 - 2.0 * c0 * c2, c2 * c2 - 2.0 * c1 * c3, c3 * c3]
+    a0, a1, a2, a3 = c0 * c0, c1 * c1 - 2.0 * c0 * c2, c2 * c2 - 2.0 * c1 * c3, c3 * c3
     mu, om, si = params.mu, params.omega, params.sigma
     ms2 = _square(mu + si, "mu+sigma")
-    b = _polymul(_polymul([mu * mu, 1.0], [_square(mu + om, "mu+omega"), 1.0]),
-                 _polymul([ms2, 1.0], [ms2, 1.0]))
-    da = [k * v for k, v in enumerate(a)][1:]
-    db = [k * v for k, v in enumerate(b)][1:]
-    stationary = [u - v for u, v in zip(_polymul(da, b), _polymul(a, db))]
-    if p0[-1] == 0.0 or stationary[6] == 0.0:
+    # B = L M: L = (mu^2 + x)((mu+om)^2 + x), M = ((mu+si)^2 + x)^2.
+    mm, lo2 = mu * mu, _square(mu + om, "mu+omega")
+    L0, L1 = 0.0 + mm * lo2, 0.0 + mm + lo2
+    M0, M1 = 0.0 + ms2 * ms2, 0.0 + ms2 + ms2
+    b0, b1 = 0.0 + L0 * M0, 0.0 + L0 * M1 + L1 * M0
+    b2, b3 = 0.0 + L0 + L1 * M1 + M0, 0.0 + L1 + M1
+    # The stationary points of A/B: roots of A'B - AB', with b4 = 1,
+    # A' = (d0, d1, d2) and B' = (e0, e1, e2, 4).
+    d0, d1, d2 = a1, 2 * a2, 3 * a3
+    e0, e1, e2 = b1, 2 * b2, 3 * b3
+    s0 = 0.0 + d0 * b0 - (0.0 + a0 * e0)
+    s1 = 0.0 + d0 * b1 + d1 * b0 - (0.0 + a0 * e1 + a1 * e0)
+    s2 = 0.0 + d0 * b2 + d1 * b1 + d2 * b0 - (0.0 + a0 * e2 + a1 * e1 + a2 * e0)
+    s3 = (0.0 + d0 * b3 + d1 * b2 + d2 * b1
+          - (0.0 + a0 * 4.0 + a1 * e2 + a2 * e1 + a3 * e0))
+    s4 = 0.0 + d0 + d1 * b3 + d2 * b2 - (0.0 + a1 * 4.0 + a2 * e2 + a3 * e1)
+    s5 = 0.0 + d1 + d2 * b3 - (0.0 + a2 * 4.0 + a3 * e2)
+    s6 = 0.0 + d2 - (0.0 + a3 * 4.0)
+    if p0[4] == 0.0 or s6 == 0.0:
         raise ValueError("sweep refused: the rates span too many orders of "
                          "magnitude for double precision")
-    companion = np.array([[-v / stationary[6] for v in reversed(stationary[:6])],
-                          *_SUBDIAGONAL])
+    companion = _COMPANION.copy()
+    companion[0] = (-s5 / s6, -s4 / s6, -s3 / s6, -s2 / s6, -s1 / s6, -s0 / s6)
 
     best_w, best_r = 0.0, _ratio(p0, ptilde, 0.0)
     for root in np.linalg.eigvals(companion).tolist():
@@ -355,24 +408,29 @@ def hinf_ratio_sweep(params: ModelParams,
 def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
     """Stability reports for the disease-free and (if present) endemic points.
 
-    With an endemic point both Jacobians go to one `eigenvalues` call as
-    a (2, 4, 4) stack, so numpy's `eigvals` wrapper runs once per point.
-    A point is locally stable when the first (largest) real part of its
-    sorted spectrum is negative. With `sweep` and mu > 0 the endemic
-    report carries the `hinf_ratio_sweep` peak and its verdict.
+    The plant's Jacobian is bound to params once. With an endemic point
+    both linearizations go to one `eigenvalues` call as a (2, 4, 4)
+    stack, built by one numpy call, so numpy's `eigvals` wrapper runs
+    once per point. A point is locally stable when the first (largest)
+    real part of its sorted spectrum is negative. With `sweep` and mu > 0
+    the endemic report carries the `hinf_ratio_sweep` peak and its verdict.
     """
     x1 = disease_free_equilibrium(params)
-    j1 = jacobian_at(x1.state, params)
-    zeros = char_zeros_x1(params).zeros
+    zeros = _x1_zeros(params)
     x2 = endemic_equilibrium(params)
+    jac = _plant_jacobian(params)
     if x2 is None:
+        j1 = np.array(jac(*x1.state.as_tuple(), 0.0))
         spec1 = eigenvalues(j1)
     else:
-        j2 = jacobian_at(x2.state, params)
-        spec1, spec2 = eigenvalues((j1, j2))
+        stack = np.fromiter(chain(*jac(*x1.state.as_tuple(), 0.0),
+                                  *jac(*x2.state.as_tuple(), 0.0)),
+                            float, 32).reshape(2, 4, 4)
+        spec1, spec2 = eigenvalues(stack)
+        j1, j2 = stack
     reports = [StabilityReport(
         point=x1, jacobian=j1, spectrum=spec1, closed_form_zeros=zeros,
-        locally_stable=bool(spec1[0].real < 0.0))]
+        locally_stable=spec1.item(0).real < 0.0)]
 
     if x2 is not None:
         hinf_ratio = hinf_condition = None
@@ -381,7 +439,7 @@ def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
             hinf_ratio, hinf_condition = res.max_ratio, res.condition_holds
         reports.append(StabilityReport(
             point=x2, jacobian=j2, spectrum=spec2, closed_form_zeros=None,
-            locally_stable=bool(spec2[0].real < 0.0),
+            locally_stable=spec2.item(0).real < 0.0,
             hinf_ratio=hinf_ratio, hinf_condition_holds=hinf_condition))
 
     return reports

@@ -110,6 +110,15 @@ def _refuse(clause: str) -> PredictionError:
     return PredictionError(f"prediction refused, failing clause: {clause}")
 
 
+def _modes(params: ModelParams, s: float) -> tuple[float, float]:
+    """`infection_modes`, with its refusal of overflowing rates raised as a
+    PredictionError."""
+    try:
+        return infection_modes(params, s)
+    except ValueError as exc:
+        raise PredictionError(f"prediction refused: {exc}") from None
+
+
 def _require_channel(params: ModelParams) -> float:
     muN = params.mu * params.N
     if muN == 0.0:
@@ -235,7 +244,7 @@ class SusceptiblePlusExposed(ControlLaw):
             i_plus_r_inf=g * N / (mu + g),
             decay_rate=mu + g,
         )
-        if g == 0.0 and infection_modes(params, 1.0)[0] < 0.0:   # N attracts
+        if g == 0.0 and _modes(params, 1.0)[0] < 0.0:   # N attracts
             kwargs.update(s_inf=N, e_inf=0.0, i_inf=0.0, r_inf=0.0, v_inf=0.0)
         return AsymptoticPrediction(**kwargs)
 
@@ -455,7 +464,8 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
     Raises PredictionError naming the failing clause when the gains
     violate a condition the limit formulas rely on (first the gain gate
     of `law_program`, on the law and on its canonical form), and for laws
-    with no closed-form asymptotics (zero/constant/saturated/output-zeroing).
+    with no closed-form asymptotics (zero/constant/saturated/output-zeroing),
+    and where the (E, I) modes overflow double precision.
     """
     _require_law(law)
     if params.mu <= 0.0:
@@ -464,7 +474,7 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
     pred = law._predict(params)
     if pred.s_inf is not None:   # the (E, I) modes bound the rate
         pred = replace(pred, decay_rate=min(
-            pred.decay_rate, -infection_modes(params, pred.s_inf / params.N)[0]))
+            pred.decay_rate, -_modes(params, pred.s_inf / params.N)[0]))
     _check_population_limits(pred, params.N)
     return pred
 

@@ -196,8 +196,15 @@ def coupling_control(state: SeirState, params: ModelParams, V: float) -> float:
 def infection_modes(params: ModelParams, s: float) -> tuple[float, float]:
     """The (E, I) eigenvalues -m + d >= -m - d at E = I = 0 and S = s*N, for
     any sigma, gamma: m = mu + (sigma+gamma)/2, d = sqrt(h*h + sigma*beta*s)
-    and h = (sigma-gamma)/2."""
+    and h = (sigma-gamma)/2.
+
+    Raises:
+        ValueError: if m or d overflows double precision.
+    """
     p = params
     m, h = p.mu + (p.sigma + p.gamma) / 2.0, (p.sigma - p.gamma) / 2.0
     d = math.sqrt(h * h + p.sigma * p.beta * s)
+    if not (math.isfinite(m) and math.isfinite(d)):
+        raise ValueError(f"infection modes overflow double precision at mu = {p.mu!r}, "
+                         f"sigma = {p.sigma!r}, gamma = {p.gamma!r}, beta = {p.beta!r}")
     return -m + d, -m - d

@@ -699,6 +699,11 @@ MALFORMED_INPUTS = {
     "equilibria --sigma 1e200 --gamma 1e200": (
         lambda d: ["equilibria", "--sigma", "1e200", "--gamma", "1e200"],
         "(mu+sigma)^2 overflows double precision"),
+    "equilibria --sigma 1e308 --gamma 1e308 --beta 1e200": (
+        lambda d: ["equilibria", "--sigma", "1e308", "--gamma", "1e308",
+                   "--beta", "1e200"],
+        "infection modes overflow double precision at mu = 0.01, "
+        "sigma = 1e+308, gamma = 1e+308, beta = 1e+200"),
     "equilibria --omega 1e308": (lambda d: ["equilibria", "--omega", "1e308"],
                                  "(mu+omega)^2 overflows double precision"),
     "equilibria --N 1e308 --beta 100": (

@@ -251,6 +251,31 @@ class TestCharZeros:
             assert cz.locally_stable == bool(np.all(spec.real < 0.0)), p
 
 
+    @pytest.mark.parametrize("sigma, gamma, beta", [
+        (1e308, 1e308, 1e200),    # m = mu + (sigma+gamma)/2 overflows
+        (1e307, 1e307, 1e200),    # m is finite, d = sqrt(sigma*beta) is not
+        (1e308, 1e307, 1e200),    # h*h overflows: the first mode read +inf
+        (1e300, 1e-215, 1e100),   # h*h overflows, so d does
+    ])
+    def test_overflowing_modes_refused(self, sigma, gamma, beta):
+        # The modes read (nan, -inf) or +inf with a wrong verdict before
+        # they were refused.
+        p = _params(sigma=sigma, gamma=gamma, beta=beta)
+        for call in (char_zeros_x1, analyze):
+            with pytest.raises(ValueError, match="infection modes overflow") as info:
+                call(p)
+            message = str(info.value)
+            assert "\n" not in message
+            assert all(f"{name} = {getattr(p, name)!r}" in message
+                       for name in ("mu", "sigma", "gamma", "beta"))
+
+    def test_overflowing_modes_refused_as_predictions(self):
+        from seirvax import PredictionError, SusceptiblePlusExposed, predicted_limits
+        p = _params(sigma=1e308, beta=1e200)
+        with pytest.raises(PredictionError, match="infection modes overflow"):
+            predicted_limits(SusceptiblePlusExposed(0.0), p)
+
+
 class TestEigenvalues:
     def test_diagonal(self):
         vals = eigenvalues(np.diag([3.0, -1.0, 2.0, 0.5]))
@@ -376,6 +401,90 @@ class TestSweep:
         dc = 0.2 / (1e-12 + 0.2) ** 2 - 2.0 / 0.9
         assert res.max_ratio == pytest.approx(dc, rel=1e-9)
 
+    def test_straight_line_products_match_the_loop(self):
+        # The sweep's written-out products against a product loop, with
+        # the companion, its eigvals and the Horner loop as they were
+        # before: every field bit for bit, and every refusal word for
+        # word, over draws spanning many orders of magnitude.
+        from seirvax.equilibria import _sweep_polynomials
+
+        def polymul(a, b):
+            out = [0.0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        def ratio(p0, pt, w):
+            s = complex(0.0, w)
+            num = den = 0j
+            for c in pt:
+                num = num * s + c
+            for c in p0:
+                den = den * s + c
+            return abs(num) / abs(den)
+
+        def loop_sweep(p, eq):
+            mu, om, si = p.mu, p.omega, p.sigma
+            s_frac, i_frac = eq.state.S / p.N, eq.state.I / p.N
+            c = mu + si
+            cubic = polymul([1.0, 2.0 * c, c * c], [1.0, mu + om])
+            p0 = polymul(cubic, [1.0, mu])
+            shifted = cubic[:3] + [cubic[3] - om * si ** 2]
+            quad = [0.0] + polymul([1.0, mu], [1.0, mu + om])
+            pt = [i_frac * u - si * s_frac * v for u, v in zip(shifted, quad)]
+            got_p0, got_pt = _sweep_polynomials(p, eq)
+            assert np.array(got_p0 + got_pt).tobytes() == np.array(p0 + pt).tobytes()
+            c3, c2, c1, c0 = pt
+            a = [c0 * c0, c1 * c1 - 2.0 * c0 * c2, c2 * c2 - 2.0 * c1 * c3, c3 * c3]
+            ms2 = (mu + si) ** 2
+            b = polymul(polymul([mu * mu, 1.0], [(mu + om) ** 2, 1.0]),
+                        polymul([ms2, 1.0], [ms2, 1.0]))
+            da = [k * v for k, v in enumerate(a)][1:]
+            db = [k * v for k, v in enumerate(b)][1:]
+            st = [u - v for u, v in zip(polymul(da, b), polymul(a, db))]
+            if p0[-1] == 0.0 or st[6] == 0.0:
+                raise ValueError("sweep refused: the rates span too many orders "
+                                 "of magnitude for double precision")
+            companion = np.array([[-v / st[6] for v in reversed(st[:6])],
+                                  *np.eye(6, k=-1)[1:].tolist()])
+            best_w, best_r = 0.0, ratio(p0, pt, 0.0)
+            for root in np.linalg.eigvals(companion).tolist():
+                if root.real > 0.0:
+                    w = math.sqrt(root.real)
+                    r = ratio(p0, pt, w)
+                    if r > best_r:
+                        best_w, best_r = w, r
+            return np.array((best_r, best_w)).tobytes()
+
+        def written_out_sweep(p, eq):
+            res = hinf_ratio_sweep(p, eq)
+            return np.array((res.max_ratio, res.argmax_freq)).tobytes()
+
+        def outcome(sweep, p, eq):
+            try:
+                return sweep(p, eq)
+            except ValueError as exc:   # numpy's LinAlgError included
+                return type(exc), str(exc)
+
+        rng = np.random.default_rng(2020)
+        refused = compared = 0
+        while compared < 1500:
+            mu, om, si = (float(10.0 ** e) for e in rng.uniform(-180.0, 3.0, 3))
+            beta = (mu + si) ** 2 / si * float(10.0 ** rng.uniform(-0.5, 4.0))
+            p = _params(mu=mu, omega=om, sigma=si, beta=beta)
+            try:
+                eq = endemic_equilibrium(p)
+            except ValueError:   # a closed form double precision cannot hold
+                continue
+            if eq is None:
+                continue
+            compared += 1
+            want = outcome(loop_sweep, p, eq)
+            assert outcome(written_out_sweep, p, eq) == want, p
+            refused += isinstance(want, tuple)
+        assert 0 < refused < compared, refused
+
     def test_peak_is_attained_and_not_below_a_dense_grid(self):
         # 2000 endemic draws over wide rates, beta log-uniform in
         # (beta*, 100 beta*]. The peak must be the evaluator's value at
@@ -432,6 +541,25 @@ class TestAnalyze:
             assert rep.spectrum.dtype == want.dtype
             assert rep.spectrum.tobytes() == want.tobytes()
             assert rep.locally_stable == bool(np.all(want.real < 0.0))
+
+    def test_reaches_the_wrapped_names(self, monkeypatch):
+        # The benchmark times endemic_equilibrium, eigenvalues and
+        # hinf_ratio_sweep by wrapping them in the module: analyze must
+        # look each up there, once per point, and skip the sweep where no
+        # endemic point exists.
+        import seirvax.equilibria as eq
+        calls = {}
+        for name in ("endemic_equilibrium", "eigenvalues", "hinf_ratio_sweep"):
+            def counted(*args, _fn=getattr(eq, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(eq, name, counted)
+        assert len(analyze(_params(beta=0.9))) == 2
+        assert calls == {"endemic_equilibrium": 1, "eigenvalues": 1,
+                         "hinf_ratio_sweep": 1}
+        calls.clear()
+        assert len(analyze(_params(beta=0.2))) == 1
+        assert calls == {"endemic_equilibrium": 1, "eigenvalues": 1}
 
     def test_feasibility_expression(self, p1):
         value, holds = a11_feasibility(p1)

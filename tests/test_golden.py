@@ -4,7 +4,7 @@ Each integrator case integrates a fixed input and hashes the raw
 little-endian float64 bytes of every sample column. The sweep cases hash every endemic point's
 `SweepResult` over a fixed parameter map, the map's `condition_holds`
 verdicts alone, every `analyze` report's spectrum and verdicts over the
-same map, and the bytes of the `equilibria --json` report; the
+same map and over seeded draws off it, and the bytes of the `equilibria --json` report; the
 last case hashes the bytes of the README's `zerodyn` CSV. The digests pin the exact arithmetic of the steppers, vector fields and
 sweep: a refactor that reorders one floating-point operation changes
 them. Regenerate a digest only for a deliberate change of the numbers,
@@ -161,6 +161,52 @@ def _map_reports():
     return h.hexdigest()
 
 
+def _draw_params(count: int = 1500, seed: int = 20):
+    """Seeded draws off the map: sigma = gamma log-uniform in [0.01, 2], mu
+    log-uniform in [1e-4, 0.5], omega uniform in [0, 1] and beta
+    log-uniform in [0.25, 50] times the threshold (mu+sigma)^2/sigma."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        mu, sigma, factor = np.exp(rng.uniform(np.log([1e-4, 0.01, 0.25]),
+                                               np.log([0.5, 2.0, 50.0])))
+        omega = rng.uniform(0.0, 1.0)
+        beta = factor * (mu + sigma) ** 2 / sigma
+        yield ModelParams(N=1000.0, mu=float(mu), omega=float(omega),
+                          beta=float(beta), sigma=float(sigma), gamma=float(sigma))
+
+
+def _opt(fmt: str, value) -> bytes:
+    return b"-" if value is None else struct.pack(fmt, value)
+
+
+def _analyze_draws():
+    """Every `analyze` report over the draws: the point's kind, state,
+    residual and feasibility flag, the Jacobian's bytes, the spectrum's
+    bytes and dtype, the closed-form zeros, `locally_stable` and the sweep
+    fields, then each endemic draw's whole `SweepResult`."""
+    h = hashlib.sha256()
+    endemic = 0
+    for p in _draw_params():
+        for rep in analyze(p):
+            pt = rep.point
+            h.update(pt.kind.encode())
+            h.update(struct.pack("<5d", *pt.state.as_tuple(), pt.residual))
+            h.update(_opt("<?", pt.feasibility_a11))
+            h.update(np.ascontiguousarray(rep.jacobian, dtype="<f8").tobytes())
+            h.update(rep.spectrum.tobytes() + rep.spectrum.dtype.char.encode())
+            h.update(b"-" if rep.closed_form_zeros is None
+                     else struct.pack("<4d", *rep.closed_form_zeros))
+            h.update(struct.pack("<?", rep.locally_stable))
+            h.update(_opt("<d", rep.hinf_ratio) + _opt("<?", rep.hinf_condition_holds))
+            if rep.hinf_ratio is not None:
+                endemic += 1
+                res = hinf_ratio_sweep(p, pt)
+                h.update(struct.pack("<ddd?", res.max_ratio, res.argmax_freq,
+                                     res.threshold, res.condition_holds))
+    assert endemic >= 1000
+    return h.hexdigest()
+
+
 def _equilibria_json():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "eq.json"
@@ -195,6 +241,7 @@ CASES = {
     "sweep_map": _sweep_map,
     "sweep_verdicts": _sweep_verdicts,
     "map_reports": _map_reports,
+    "analyze_draws": _analyze_draws,
     "equilibria_json": _equilibria_json,
     "zerodyn_cli": _zerodyn_cli,
 }
@@ -226,6 +273,8 @@ GOLDEN = {
         "6fd7ed7693121972588e2c7797321cdd8cea38e15540c2d2bf9006c762f4cb05",
     "map_reports":
         "0f77a5011612b901aa72c15a350f0c6071c421e460cd27640d3b7c99d72f85f9",
+    "analyze_draws":
+        "d39a6a7212abe0aeb09c1c16fa42a94837ae6fa0b37871193db5c6b2aaadc7e6",
     "equilibria_json":
         "cb4f54023252fe98f215b702018773e4eb3fbad4f18220644861afb534c8c290",
     "zerodyn_cli":
