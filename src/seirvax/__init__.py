@@ -35,13 +35,13 @@ _EXPORTS = {
         "NormalState", "NormalTrajectory", "ZeroDynTrajectory", "from_normal",
         "integrate_normal", "integrate_zero_dynamics", "to_normal"),
     "equilibria": (
-        "CharZerosX1", "EquilibriumPoint", "StabilityReport", "SweepResult",
+        "EquilibriumPoint", "StabilityReport", "SweepResult",
         "a11_feasibility", "analyze", "char_zeros_x1",
         "disease_free_equilibrium", "eigenvalues", "endemic_equilibrium",
-        "hinf_ratio_sweep", "jacobian_at"),
+        "hinf_ratio_sweep"),
     "checks": (
-        "Check", "DecayFit", "VerificationReport", "check_asymptotics",
-        "check_identity_suite", "check_integral_limit", "estimate_decay_rate",
+        "Check", "VerificationReport", "check_asymptotics",
+        "check_identity_suite", "check_integral_limit",
         "monitor_conservation", "monitor_positivity"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

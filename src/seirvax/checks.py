@@ -24,12 +24,10 @@ from .model import CONSERVATION_RTOL, ModelParams, SeirState, coupling_control
 __all__ = [
     "Check",
     "VerificationReport",
-    "DecayFit",
     "monitor_conservation",
     "monitor_positivity",
     "check_identity_suite",
     "check_asymptotics",
-    "estimate_decay_rate",
     "check_integral_limit",
 ]
 
@@ -286,35 +284,6 @@ def check_asymptotics(traj: Trajectory, prediction: AsymptoticPrediction,
         raise ValueError("prediction contains no checkable limits")
     worst_norm = float(np.max([d[2] for d in details.values()]))
     return Check("asymptotics", worst_norm, rel_tol, t_end, details=details)
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares exponential rate of a positive signal."""
-
-    rate: float
-    r_squared: float
-
-
-def estimate_decay_rate(t: np.ndarray, values: np.ndarray) -> DecayFit:
-    """Fit values ~ C*exp(-rate*t) by least squares on log(values).
-
-    Refuses windows containing nonpositive values.
-    """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t.shape != values.shape or t.size < 2:
-        raise ValueError("need matching t/value arrays with at least 2 points")
-    if np.any(values <= 0.0):
-        raise ValueError("decay fit refused: nonpositive values in window")
-    logv = np.log(values)
-    slope, intercept = np.polyfit(t, logv, 1)
-    fitted = slope * t + intercept
-    ss_res = float(np.sum((logv - fitted) ** 2))
-    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else (
-        0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot)
-    return DecayFit(rate=-float(slope), r_squared=r2)
 
 
 def check_integral_limit(traj: Trajectory, rel_tol: float = 0.01) -> Check:

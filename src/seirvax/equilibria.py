@@ -36,13 +36,11 @@ from .model import SEIR_SOURCE, ModelParams, SeirState, derivative, infection_mo
 
 __all__ = [
     "EquilibriumPoint",
-    "CharZerosX1",
     "SweepResult",
     "StabilityReport",
     "disease_free_equilibrium",
     "endemic_equilibrium",
     "a11_feasibility",
-    "jacobian_at",
     "char_zeros_x1",
     "eigenvalues",
     "hinf_ratio_sweep",
@@ -67,14 +65,6 @@ class EquilibriumPoint:
     kind: str
     residual: float
     feasibility_a11: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class CharZerosX1:
-    """Closed-form characteristic zeros at the disease-free point."""
-
-    zeros: tuple[float, float, float, float]
-    locally_stable: bool
 
 
 @dataclass(frozen=True)
@@ -143,6 +133,22 @@ def _nonzero(value: float, what: str) -> float:
     return value
 
 
+def _finite(value: float, what: str) -> float:
+    """value, refused with a ValueError where it is inf or NaN (an
+    overflow, or inf*0 and inf-inf after one)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows double precision ({value!r})")
+    return value
+
+
+def _endemic_state(S: float, E: float, I: float, R: float) -> SeirState:
+    """The endemic closed form's state, refused with a ValueError where a
+    component overflowed, before the residual reads it."""
+    for value in (S, E, I, R):
+        _finite(value, "endemic closed form")
+    return SeirState(S, E, I, R)
+
+
 def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
     """The whole-population-susceptible point (N, 0, 0, 0)."""
     state = SeirState(params.N, 0.0, 0.0, 0.0)
@@ -172,7 +178,7 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
         if not si < be:
             return None
         denom = _nonzero(be * (2.0 * om + si), "endemic closed form")
-        state = SeirState(
+        state = _endemic_state(
             S=si * N / be,
             E=(be - si) * om * N / denom,
             I=(be - si) * om * N / denom,
@@ -192,7 +198,7 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
     excess = si * be - ms2
     denom = be * (ms2 + om * (mu + 2.0 * si))
     _nonzero(si * denom, "endemic closed form")
-    state = SeirState(
+    state = _endemic_state(
         S=ms2 / (si * be) * N,
         E=(mu + om) * (mu + si) * excess / (si * denom) * N,
         I=(mu + om) * excess / denom * N,
@@ -206,7 +212,8 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
 def a11_feasibility(params: ModelParams) -> tuple[float, bool]:
     """The printed endemic feasibility expression and whether it is <= 1.
 
-    Reported as a named condition only; nothing enforces it.
+    Reported as a named condition only; nothing enforces it. An expression
+    that overflows double precision is refused with a ValueError.
     """
     _require_sigma_equals_gamma(params)
     mu, om, be, si, N = params.mu, params.omega, params.beta, params.sigma, params.N
@@ -220,39 +227,28 @@ def a11_feasibility(params: ModelParams) -> tuple[float, bool]:
 
 def _a11(mu: float, om: float, si: float, excess: float, denom: float) -> float:
     """The feasibility expression from sigma*beta - (mu+sigma)^2 and the
-    endemic denominator beta*((mu+sigma)^2 + omega*(mu+2*sigma))."""
-    return excess / denom * max(si, (1.0 + mu / si) * (mu + om))
-
-
-def jacobian_at(point: SeirState, params: ModelParams) -> np.ndarray:
-    """Linearization of the vaccination-free plant at a point: the Jacobian
-    `kernels.jacobian` derives from `SEIR_SOURCE` under the zero law.
-
-    Every column sums to -mu.
-    """
-    return np.array(_plant_jacobian(params)(*point.as_tuple(), 0.0))
+    endemic denominator beta*((mu+sigma)^2 + omega*(mu+2*sigma)),
+    refused where it is not finite."""
+    return _finite(excess / denom * max(si, (1.0 + mu / si) * (mu + om)),
+                   "feasibility expression")
 
 
 def _plant_jacobian(params: ModelParams):
-    """The plant's Jacobian J(S, E, I, R, t) -> four row tuples, with
-    `SEIR_SOURCE`'s constants bound to params."""
+    """The vaccination-free plant's Jacobian J(S, E, I, R, t) -> four row
+    tuples: the one `kernels.jacobian` derives from `SEIR_SOURCE` under
+    the zero law, with the source's constants bound to params."""
     return jacobian(SEIR_SOURCE, ("expr", "0.0", ()))(*SEIR_SOURCE.bind(params))
 
 
-def char_zeros_x1(params: ModelParams) -> CharZerosX1:
+def char_zeros_x1(params: ModelParams) -> tuple[float, float, float, float]:
     """Closed-form characteristic zeros at the disease-free point, for any
     sigma, gamma: -mu, -(mu+omega) and the (E, I) modes at S = N, which are
-    -(mu+sigma) +/- sqrt(sigma*beta) at sigma = gamma. Locally stable iff all
-    four are negative; at sigma = gamma, iff mu > 0, omega > -mu and
-    beta < (mu+sigma)^2/sigma. Rates whose (E, I) modes overflow double
-    precision are refused with a ValueError."""
-    zeros = _x1_zeros(params)
-    return CharZerosX1(zeros=zeros, locally_stable=all(z < 0.0 for z in zeros))
-
-
-def _x1_zeros(params: ModelParams) -> tuple[float, float, float, float]:
-    """The closed-form characteristic zeros at the disease-free point."""
-    return (-params.mu, -(params.mu + params.omega), *infection_modes(params, 1.0))
+    -(mu+sigma) +/- sqrt(sigma*beta) at sigma = gamma. The point is locally
+    stable iff all four are negative; at sigma = gamma, iff mu > 0,
+    omega > -mu and beta < (mu+sigma)^2/sigma. Rates whose zeros overflow
+    double precision are refused with a ValueError."""
+    return (-params.mu, -_finite(params.mu + params.omega, "mu+omega"),
+            *infection_modes(params, 1.0))
 
 
 def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
@@ -416,7 +412,7 @@ def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
     the endemic report carries the `hinf_ratio_sweep` peak and its verdict.
     """
     x1 = disease_free_equilibrium(params)
-    zeros = _x1_zeros(params)
+    zeros = char_zeros_x1(params)
     x2 = endemic_equilibrium(params)
     jac = _plant_jacobian(params)
     if x2 is None:

@@ -2,8 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from seirvax import ModelParams, SeirState
+from seirvax import ModelParams, SeirState, ZeroVax
+from seirvax.kernels import jacobian
+from seirvax.laws import law_program
+from seirvax.model import SEIR_SOURCE
+
+# One derandomized profile: every property test draws the same examples on
+# every run and machine. A test's own @settings fields and @seed still apply.
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture
@@ -35,3 +45,25 @@ def map_params():
                     yield ModelParams(N=1000.0, mu=mu, omega=omega,
                                       beta=float(factor * beta_star),
                                       sigma=sigma, gamma=sigma)
+
+
+def closed_loop_jacobian(field, law, params: ModelParams, state, t=0.0) -> np.ndarray:
+    """The Jacobian `kernels.jacobian` derives from a field's source under a
+    law, at a state tuple and time t."""
+    shape, values = law_program(law, params)
+    make = jacobian(field, shape)
+    return np.array(make(*field.bind(params), *values)(*state, t))
+
+
+def plant_jacobian(state: SeirState, params: ModelParams) -> np.ndarray:
+    """The vaccination-free plant's Jacobian at a state: the closed loop of
+    `SEIR_SOURCE` under the zero law, the matrix `analyze` reports."""
+    return closed_loop_jacobian(SEIR_SOURCE, ZeroVax(), params, state.as_tuple())
+
+
+def log_linear_rate(t, values) -> tuple[float, float]:
+    """(rate, r^2) of a least-squares fit of log(values) against t, for
+    values ~ C*exp(-rate*t) > 0."""
+    logv = np.log(values)
+    slope = np.polyfit(t, logv, 1)[0]
+    return -float(slope), float(np.corrcoef(t, logv)[0, 1] ** 2)

@@ -32,15 +32,14 @@ from seirvax import (
     disease_free_equilibrium,
     eigenvalues,
     endemic_equilibrium,
-    estimate_decay_rate,
     from_normal,
     hinf_ratio_sweep,
     integrate,
     integrate_normal,
     integrate_zero_dynamics,
-    jacobian_at,
     to_normal,
 )
+from conftest import log_linear_rate, plant_jacobian
 
 P1 = ModelParams(N=1000.0, mu=0.01, omega=0.02, beta=0.9, sigma=0.2, gamma=0.2)
 
@@ -161,8 +160,8 @@ def test_criterion_03_theorem2i_closed_form(shared):
         tr = integrate(initial, P1, SusceptibleLinear(g), cfg)
         closed = 500.0 * np.exp(-(P1.mu + g) * tr.t)
         worst_rel = max(worst_rel, float(np.max(np.abs(tr.S - closed) / closed)))
-        fit = estimate_decay_rate(tr.t, tr.S)
-        worst_rate = max(worst_rate, abs(fit.rate - (P1.mu + g)) / (P1.mu + g))
+        rate, _ = log_linear_rate(tr.t, tr.S)
+        worst_rate = max(worst_rate, abs(rate - (P1.mu + g)) / (P1.mu + g))
         _note_identity(shared, tr, P1)
     ok = worst_rel <= 1e-3 and worst_rate <= 0.01
     _report(3, ok, f"10 gain draws: worst rel error vs exp(-(mu+g)t)S0 = "
@@ -215,8 +214,8 @@ def test_criterion_06_theorem3_limits(shared):
         worst_r = max(worst_r,
                       abs(float(np.mean(tr.R[-n_tail:])) - P1.N) / P1.N)
         fit_win = tr.t <= 10.0 / lam
-        fit = estimate_decay_rate(tr.t[fit_win], (P1.N - tr.R)[fit_win])
-        worst_rate = max(worst_rate, abs(fit.rate - lam) / lam)
+        rate, _ = log_linear_rate(tr.t[fit_win], (P1.N - tr.R)[fit_win])
+        worst_rate = max(worst_rate, abs(rate - lam) / lam)
         chk_int = check_integral_limit(tr, rel_tol=0.01)
         worst_int = max(worst_int, chk_int.worst / chk_int.tolerance * 0.01)
         _note_identity(shared, tr, P1)
@@ -347,16 +346,16 @@ def test_criterion_11_spectrum_cross_check():
             gamma=s,
         )
         numeric = np.sort_complex(eigenvalues(
-            jacobian_at(SeirState(p.N, 0.0, 0.0, 0.0), p)))
-        closed = np.sort_complex(np.array(char_zeros_x1(p).zeros,
-                                          dtype=complex))
+            plant_jacobian(SeirState(p.N, 0.0, 0.0, 0.0), p)))
+        closed = np.sort_complex(np.array(char_zeros_x1(p), dtype=complex))
         worst = max(worst, float(np.max(np.abs(numeric - closed))))
 
     # verdict flips at beta* = (mu+sigma)^2/sigma within 1e-4 resolution
     beta_star = (P1.mu + P1.sigma) ** 2 / P1.sigma
     grid = np.arange(beta_star - 20e-4, beta_star + 20e-4, 1e-4)
-    verdicts = [char_zeros_x1(dataclasses.replace(P1, beta=float(b)))
-                .locally_stable for b in grid]
+    verdicts = [all(z < 0.0 for z in
+                    char_zeros_x1(dataclasses.replace(P1, beta=float(b))))
+                for b in grid]
     flips = [k for k in range(1, len(verdicts))
              if verdicts[k] != verdicts[k - 1]]
     flip_ok = (len(flips) == 1
@@ -374,7 +373,7 @@ def test_criterion_12_sweep_implies_stability():
     p = dataclasses.replace(P1, beta=0.25)
     eq = endemic_equilibrium(p)
     res = hinf_ratio_sweep(p, eq)
-    spec = eigenvalues(jacobian_at(eq.state, p))
+    spec = eigenvalues(plant_jacobian(eq.state, p))
     base_ok = res.condition_holds and bool(np.all(spec.real < 0.0))
 
     rng = np.random.default_rng(4321)
@@ -396,7 +395,7 @@ def test_criterion_12_sweep_implies_stability():
         if not res.condition_holds:
             continue
         satisfied += 1
-        spec = eigenvalues(jacobian_at(eq.state, p))
+        spec = eigenvalues(plant_jacobian(eq.state, p))
         if not np.all(spec.real < 0.0):
             counterexamples += 1
     ok = base_ok and satisfied == 50 and counterexamples == 0

@@ -21,12 +21,12 @@ from seirvax import (
     check_asymptotics,
     check_identity_suite,
     check_integral_limit,
-    estimate_decay_rate,
     integrate,
     monitor_conservation,
     monitor_positivity,
     predicted_limits,
 )
+from conftest import log_linear_rate
 
 
 @pytest.fixture
@@ -317,30 +317,19 @@ class TestAsymptotics:
 
 
 class TestDecayRate:
-    def test_exact_exponential(self):
-        t = np.linspace(0.0, 50.0, 400)
-        fit = estimate_decay_rate(t, np.exp(-0.11 * t))
-        assert fit.rate == pytest.approx(0.11, rel=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
     def test_theorem2i_susceptible_rate(self, p1):
         cfg = IntegratorConfig(t_end=50.0, dt=1e-3, sampling_stride=100)
         tr = integrate(SeirState(500.0, 200.0, 100.0, 200.0), p1,
                        SusceptibleLinear(0.1), cfg)
-        fit = estimate_decay_rate(tr.t, tr.S)
-        assert fit.rate == pytest.approx(0.11, rel=0.01)
-        assert fit.r_squared > 0.9999
+        rate, r_squared = log_linear_rate(tr.t, tr.S)
+        assert rate == pytest.approx(0.11, rel=0.01)
+        assert r_squared > 0.9999
 
     def test_theorem3_immunity_gap_rate(self, p1, mixed_state):
         cfg = IntegratorConfig(t_end=300.0, dt=1e-2, sampling_stride=10)
         tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), cfg)
-        fit = estimate_decay_rate(tr.t, p1.N - tr.R)
-        assert fit.rate == pytest.approx(0.03, rel=0.01)
-
-    def test_refuses_nonpositive(self):
-        with pytest.raises(ValueError, match="nonpositive"):
-            estimate_decay_rate(np.array([0.0, 1.0, 2.0]),
-                                np.array([1.0, 0.0, 1.0]))
+        rate, _ = log_linear_rate(tr.t, p1.N - tr.R)
+        assert rate == pytest.approx(0.03, rel=0.01)
 
 
 class TestIntegralLimit:

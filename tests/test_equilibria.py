@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seirvax import (
     ModelParams,
@@ -16,12 +18,11 @@ from seirvax import (
     eigenvalues,
     endemic_equilibrium,
     hinf_ratio_sweep,
-    jacobian_at,
     a11_feasibility,
     analyze,
 )
 
-from conftest import map_params, random_conserved_state
+from conftest import map_params, plant_jacobian, random_conserved_state
 
 
 def _params(N=1000.0, mu=0.01, omega=0.02, beta=0.9, sigma=0.2, gamma=None):
@@ -117,10 +118,32 @@ class TestEndemic:
         # no special branch when sigma >= beta
         assert endemic_equilibrium(_params(mu=0.0, beta=0.15, sigma=0.2)) is None
 
+    def test_overflowed_closed_form_refused(self):
+        # sigma*beta and the denominator overflow to inf, so E = inf/inf is
+        # NaN: refused in the closed form's name before the residual reads
+        # the state.
+        p = _params(N=7.66322363098858e+254, mu=2.096559642383887e-230,
+                    omega=2.4414366788173833e-248, beta=5.5311494056769e+285,
+                    sigma=2.473047509309742e+41)
+        with pytest.raises(ValueError, match="endemic closed form overflows "
+                                             "double precision") as info:
+            endemic_equilibrium(p)
+        assert "\n" not in str(info.value)
+
+    def test_non_finite_feasibility_refused(self):
+        # A finite endemic point whose feasibility expression is NaN, which
+        # would read as feasibility_a11 = False, "violated".
+        p = _params(N=5.717158632157619e+90, mu=3.9979842973327507e-153,
+                    omega=2.295043506579407e+251, beta=6.7546617839112e+31,
+                    sigma=1.6651415187685387e-257)
+        with pytest.raises(ValueError, match="feasibility expression overflows "
+                                             "double precision"):
+            endemic_equilibrium(p)
+
 
 class TestJacobian:
     def test_reduces_at_disease_free(self, p1):
-        j = jacobian_at(SeirState(1000.0, 0.0, 0.0, 0.0), p1)
+        j = plant_jacobian(SeirState(1000.0, 0.0, 0.0, 0.0), p1)
         expected = np.array([
             [-0.01, 0.0, -0.9, 0.02],
             [0.0, -0.21, 0.9, 0.0],
@@ -133,7 +156,7 @@ class TestJacobian:
         rng = np.random.default_rng(31)
         for _ in range(50):
             st = SeirState(*map(float, rng.dirichlet((1, 1, 1, 1)) * p1.N))
-            j = jacobian_at(st, p1)
+            j = plant_jacobian(st, p1)
             sums = j.sum(axis=0)
             assert np.allclose(sums, -p1.mu, rtol=0,
                                atol=8 * np.spacing(p1.beta))
@@ -154,7 +177,7 @@ class TestJacobian:
             cases.append((random_conserved_state(rng, p.N), p))
         eps = 1e-4
         for st, p in cases:
-            j = jacobian_at(st, p)
+            j = plant_jacobian(st, p)
             fd = np.zeros((4, 4))
             for k in range(4):
                 up = list(st.as_tuple()); up[k] += eps
@@ -166,8 +189,8 @@ class TestJacobian:
 
     @staticmethod
     def _hand_written(point, params):
-        """The matrix `jacobian_at` returned when it was written by hand,
-        before it was derived from the field's source (sigma = gamma only)."""
+        """The plant's Jacobian as it was written by hand, before it was
+        derived from the field's source (sigma = gamma only)."""
         mu, om, si = params.mu, params.omega, params.sigma
         bI = params.beta_prime * point.I
         bS = params.beta_prime * point.S
@@ -198,26 +221,26 @@ class TestJacobian:
             cases.append((random_conserved_state(rng, p.N), p))
         assert len(cases) == 2 * 648 + 513 + 3000
         for st, p in cases:
-            assert (jacobian_at(st, p).tobytes()
+            assert (plant_jacobian(st, p).tobytes()
                     == self._hand_written(st, p).tobytes()), (st, p)
 
 
 class TestCharZeros:
     def test_p1_unstable(self, p1):
-        cz = char_zeros_x1(p1)
+        zeros = char_zeros_x1(p1)
         root = math.sqrt(0.18)
-        assert cz.zeros == pytest.approx((-0.01, -0.03, -0.21 + root,
-                                          -0.21 - root), rel=1e-12)
-        assert not cz.locally_stable  # 0.9 > 0.2205
+        assert zeros == pytest.approx((-0.01, -0.03, -0.21 + root,
+                                       -0.21 - root), rel=1e-12)
+        assert not all(z < 0.0 for z in zeros)  # 0.9 > 0.2205
 
     def test_low_beta_stable(self):
-        cz = char_zeros_x1(_params(beta=0.2))
-        assert cz.zeros == pytest.approx((-0.01, -0.03, -0.01, -0.41), rel=1e-12)
-        assert cz.locally_stable
+        zeros = char_zeros_x1(_params(beta=0.2))
+        assert zeros == pytest.approx((-0.01, -0.03, -0.01, -0.41), rel=1e-12)
+        assert all(z < 0.0 for z in zeros)
 
     def test_beta_zero_double_root(self):
-        cz = char_zeros_x1(_params(beta=0.0))
-        assert cz.zeros[2] == cz.zeros[3] == pytest.approx(-0.21)
+        zeros = char_zeros_x1(_params(beta=0.0))
+        assert zeros[2] == zeros[3] == pytest.approx(-0.21)
 
     def test_matches_numeric_spectrum(self):
         rng = np.random.default_rng(37)
@@ -226,10 +249,9 @@ class TestCharZeros:
                         omega=float(rng.uniform(0.0, 0.5)),
                         beta=float(rng.uniform(0.0, 1.5)),
                         sigma=float(rng.uniform(0.01, 0.5)))
-            j = jacobian_at(SeirState(p.N, 0.0, 0.0, 0.0), p)
+            j = plant_jacobian(SeirState(p.N, 0.0, 0.0, 0.0), p)
             spec = np.sort_complex(eigenvalues(j))
-            closed = np.sort_complex(np.array(char_zeros_x1(p).zeros,
-                                              dtype=complex))
+            closed = np.sort_complex(np.array(char_zeros_x1(p), dtype=complex))
             assert np.max(np.abs(spec - closed)) < 1e-9
 
     def test_matches_numeric_spectrum_for_any_sigma_and_gamma(self):
@@ -244,11 +266,11 @@ class TestCharZeros:
                         gamma=float(rng.uniform(0.01, 0.5)))
             assert p.sigma != p.gamma
             spec = np.sort_complex(eigenvalues(
-                jacobian_at(SeirState(p.N, 0.0, 0.0, 0.0), p)))
-            cz = char_zeros_x1(p)
-            closed = np.sort_complex(np.array(cz.zeros, dtype=complex))
+                plant_jacobian(SeirState(p.N, 0.0, 0.0, 0.0), p)))
+            zeros = char_zeros_x1(p)
+            closed = np.sort_complex(np.array(zeros, dtype=complex))
             assert np.max(np.abs(spec - closed)) < 1e-12, p
-            assert cz.locally_stable == bool(np.all(spec.real < 0.0)), p
+            assert all(z < 0.0 for z in zeros) == bool(np.all(spec.real < 0.0)), p
 
 
     @pytest.mark.parametrize("sigma, gamma, beta", [
@@ -282,7 +304,7 @@ class TestEigenvalues:
         assert np.allclose(vals, [3.0, 2.0, 0.5, -1.0])
 
     def test_permutation_similarity(self, p1):
-        j = jacobian_at(SeirState(245.0, 90.9, 86.6, 577.5), p1)
+        j = plant_jacobian(SeirState(245.0, 90.9, 86.6, 577.5), p1)
         perm = np.eye(4)[[2, 0, 3, 1]]
         sim = perm.T @ j @ perm
         a = np.sort_complex(eigenvalues(j))
@@ -322,9 +344,9 @@ class TestEigenvalues:
         # beta = 0: a real double root at -(mu+sigma), stacked with the P1
         # endemic Jacobian, whose spectrum is complex.
         p = _params(beta=0.0)
-        j1 = jacobian_at(SeirState(p.N, 0.0, 0.0, 0.0), p)
+        j1 = plant_jacobian(SeirState(p.N, 0.0, 0.0, 0.0), p)
         p1 = _params()
-        j2 = jacobian_at(endemic_equilibrium(p1).state, p1)
+        j2 = plant_jacobian(endemic_equilibrium(p1).state, p1)
         spec1, spec2 = eigenvalues((j1, j2))
         self._assert_same_spectrum(spec1, eigenvalues(j1))
         self._assert_same_spectrum(spec2, eigenvalues(j2))
@@ -356,7 +378,7 @@ class TestSweep:
         p = _params(beta=0.25)
         eq = endemic_equilibrium(p)
         res = hinf_ratio_sweep(p, eq)
-        spec = eigenvalues(jacobian_at(eq.state, p))
+        spec = eigenvalues(plant_jacobian(eq.state, p))
         assert res.condition_holds
         assert np.all(spec.real < 0.0)
 
@@ -376,7 +398,7 @@ class TestSweep:
         from seirvax.equilibria import _sweep_polynomials
         p = _params(beta=0.25)
         eq = endemic_equilibrium(p)
-        j = jacobian_at(eq.state, p)
+        j = plant_jacobian(eq.state, p)
         cp = np.poly(j)
         p0, pt = _sweep_polynomials(p, eq)
         combo = np.polyadd(p0, p.beta * np.asarray(pt))
@@ -569,6 +591,16 @@ class TestAnalyze:
         assert value == pytest.approx(expected, rel=1e-12)
         assert holds == (value <= 1.0)
 
+    def test_non_finite_feasibility_expression_refused(self):
+        # The denominator beta*((mu+sigma)^2 + omega*(mu+2*sigma)) and
+        # max(sigma, (1 + mu/sigma)*(mu+omega)) overflow, and -0.0*inf is
+        # NaN, which would read as (nan, False), "violated".
+        p = _params(mu=1e6, omega=1e308, beta=1e100, sigma=3e-134)
+        with pytest.raises(ValueError, match=r"feasibility expression overflows "
+                                             r"double precision \(nan\)") as info:
+            a11_feasibility(p)
+        assert "\n" not in str(info.value)
+
 
 class TestStabilityConsistency:
     def test_stable_verdict_matches_simulation(self):
@@ -576,7 +608,7 @@ class TestStabilityConsistency:
         # perturbation of the disease-free point decays back by t = 20/mu.
         from seirvax import IntegratorConfig, ZeroVax, integrate
         p = _params(beta=0.2)
-        assert char_zeros_x1(p).locally_stable
+        assert all(z < 0.0 for z in char_zeros_x1(p))
         x1 = np.array([p.N, 0.0, 0.0, 0.0])
         start = SeirState(p.N - 1e-3 * p.N, 1e-3 * p.N, 0.0, 0.0)
         tr = integrate(start, p, ZeroVax(),
@@ -584,3 +616,30 @@ class TestStabilityConsistency:
                                         sampling_stride=1000))
         final = tr.states()[-1]
         assert np.max(np.abs(final - x1)) < 1e-4 * p.N
+
+
+# Every field log-uniform across [1e-300, 1e308], with sigma = gamma.
+_EXTREME = st.floats(min_value=-300.0, max_value=308.0).map(lambda e: 10.0 ** e)
+
+# What each function returns, as the numbers that must be finite.
+_NUMBERS = {
+    disease_free_equilibrium: lambda point: (*point.state.as_tuple(), point.residual),
+    endemic_equilibrium: lambda point: (
+        () if point is None else (*point.state.as_tuple(), point.residual)),
+    a11_feasibility: lambda out: out[:1],
+    char_zeros_x1: lambda zeros: zeros,
+}
+
+
+@settings(max_examples=500)
+@given(N=_EXTREME, mu=_EXTREME, omega=_EXTREME, beta=_EXTREME, sigma=_EXTREME)
+def test_extreme_rates_give_finite_numbers_or_one_line_refusals(N, mu, omega,
+                                                                 beta, sigma):
+    p = ModelParams(N=N, mu=mu, omega=omega, beta=beta, sigma=sigma, gamma=sigma)
+    for call, numbers in _NUMBERS.items():
+        try:
+            out = call(p)
+        except ValueError as exc:
+            assert "\n" not in str(exc), (call.__name__, str(exc))
+            continue
+        assert all(map(math.isfinite, numbers(out))), (call.__name__, out)

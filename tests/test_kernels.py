@@ -17,7 +17,7 @@ from seirvax import (
     ZeroVax,
     to_normal,
 )
-from conftest import random_conserved_state
+from conftest import closed_loop_jacobian, random_conserved_state
 from seirvax.kernels import function, jacobian, law_function
 from seirvax.laws import law_program
 from seirvax.model import SEIR_SOURCE
@@ -30,12 +30,6 @@ LAWS = (ZeroVax(), ConstantVax(0.3), SusceptibleLinear(0.05),
         SusceptiblePlusExposed(0.005), ImmuneFeedback(0.01, 0.05),
         ConstrainedImmuneFeedback(-0.05), Linearizing(0.1, 0.05),
         OutputZeroing())
-
-
-def _closed_loop(field, law, params, state, t=0.0):
-    shape, values = law_program(law, params)
-    make = jacobian(field, shape)
-    return np.array(make(*field.bind(params), *values)(*state, t))
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.name)
@@ -54,7 +48,7 @@ def test_closed_loop_is_a_unit_complex_step(law):
             z = [complex(v) for v in x]
             z[k] += 1j
             step[:, k] = [r.imag for r in field(*z, V(*z, 3.0))]
-        assert (_closed_loop(SEIR_SOURCE, law, P, x, 3.0) == step).all()
+        assert (closed_loop_jacobian(SEIR_SOURCE, law, P, x, 3.0) == step).all()
 
 
 def test_normal_form_is_the_plant_in_z():
@@ -66,8 +60,8 @@ def test_normal_form_is_the_plant_in_z():
     for law in (Linearizing(0.1, 0.05), Linearizing(0.4, 0.01)):
         for _ in range(20):
             x = random_conserved_state(rng, P.N)
-            jx = _closed_loop(SEIR_SOURCE, law, P, x.as_tuple())
-            jz = _closed_loop(NORMAL_SOURCE, law, P, to_normal(x).as_tuple())
+            jx = closed_loop_jacobian(SEIR_SOURCE, law, P, x.as_tuple())
+            jz = closed_loop_jacobian(NORMAL_SOURCE, law, P, to_normal(x).as_tuple())
             want = T @ jx @ np.linalg.inv(T)
             assert np.max(np.abs(jz - want)) <= 1e-12 * np.max(np.abs(want))
 
