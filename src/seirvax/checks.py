@@ -19,7 +19,7 @@ from .exceptions import HorizonError
 from .integrate import Trajectory
 from .laws import (AsymptoticPrediction, ControlLaw, ImmuneFeedback, Saturated,
                    corollary1_upper_bound, predicted_limits)
-from .model import CONSERVATION_RTOL, ModelParams, SeirState, coupling_control
+from .model import CONSERVATION_RTOL, ModelParams, SeirState
 
 __all__ = [
     "Check",
@@ -156,9 +156,10 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
 
     At each interior sample the left-hand derivative is estimated by
     central differences and compared against the right-hand side at the
-    sample's state and V (u recomputed from them). The integrators
-    evaluate the law at every stage, so the samples follow the continuous
-    closed loop and the residual is the difference's O(h^2) truncation.
+    sample's state, V and u (the record's, computed from them). The
+    integrators evaluate the law at every stage, so the samples follow the
+    continuous closed loop and the residual is the difference's O(h^2)
+    truncation.
 
     Under a `Saturated` law the solution is only C^1 where V enters or
     leaves the clip, and the residual of a window across such a switch is
@@ -186,7 +187,7 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
         return (x[2:] - x[:-2]) / (2.0 * h)
 
     Sm, Em, Im, Rm, Vm = S[1:-1], E[1:-1], I[1:-1], R[1:-1], V[1:-1]
-    um = coupling_control(SeirState(Sm, Em, Im, Rm), p, Vm)
+    um = traj.u[1:-1]
 
     d_ei = cdiff(E + I)
     d_se = cdiff(S + E)

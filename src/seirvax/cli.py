@@ -287,8 +287,6 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
           "Check", "VerificationReport")
     params = _params_from_args(args)
     z0 = (args.z2, args.z3, args.z4)
-    if min(z0) < 0.0:
-        raise ValueError("initial zero-dynamics state must be nonnegative")
     # the adaptive pair's dense output on the fixed grid's sample times,
     # at the library's default tolerances
     config = IntegratorConfig(t_end=args.t_end, dt=args.dt,
@@ -299,7 +297,7 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / args.csv
-    total = traj.total
+    total = traj.z2 + traj.z3 + traj.z4
     _write_csv(csv_path, ZERODYN_HEADER,
                (traj.t, traj.z2, traj.z3, traj.z4, total))
 
@@ -319,26 +317,22 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _bind("load_scenario", "Trajectory", "SeirState", "coupling_control")
+    _bind("load_scenario", "Trajectory")
     scenario = load_scenario(args.scenario)
     data = read_trajectory_csv(args.csv)
-    t = data["t"]
-    if not np.all(np.diff(t) > 0.0):
+    if not np.all(np.diff(data["t"]) > 0.0):
         raise ScenarioError("CSV time column must be strictly increasing")
-    traj = Trajectory(
-        t=t, S=data["S"], E=data["E"], I=data["I"], R=data["R"],
-        V=data["V"], u=data["u"], params=scenario.params, law=scenario.law,
-        config=scenario.config)
+    u = data.pop("u")
+    traj = Trajectory(**data, params=scenario.params, law=scenario.law,
+                      config=scenario.config)
     report = run_checks(traj, scenario)
     # u is derived from S, E, R and V: a tampered state column is the
     # checks' to report, a u that disagrees with the rest is bad input.
     if report.all_passed:
-        u = coupling_control(SeirState(traj.S, traj.E, traj.I, traj.R),
-                             scenario.params, traj.V)
         bad = np.flatnonzero(u != traj.u)
         if bad.size:
-            raise ScenarioError("CSV u column disagrees with omega*R - "
-                                f"sigma*E - mu*N*V at t = {float(t[bad[0]])!r}")
+            raise ScenarioError("CSV u column disagrees with omega*R - sigma*E"
+                                f" - mu*N*V at t = {float(traj.t[bad[0]])!r}")
     print("\n".join(report.lines()))
     print("overall: " + ("PASS" if report.all_passed else "FAIL"))
     return 0 if report.all_passed else _CHECK_FAILURE

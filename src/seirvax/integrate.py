@@ -14,9 +14,8 @@ inlined at every stage: a step makes no Python call per stage. A kernel
 is compiled on first use and cached (about 1-2 ms for RK4 and 3 ms for
 Dormand-Prince); gains and parameters are its arguments, so a new draw
 reuses it. On a 2-core x86 host with Python 3.11 an RK4 step costs about
-2.3 us (four law and four field evaluations, against 3.3 us for the old
-kernel that held V and called the field and the law as closures) and an
-accepted Dormand-Prince step about 11 us (six of each).
+2.3 us (four law and four field evaluations) and an accepted
+Dormand-Prince step about 11 us (six of each).
 
 With `dense` the adaptive pair samples the fixed grid instead of its own
 steps: one more block of `_DOPRI`, after an accepted step, writes every
@@ -28,9 +27,8 @@ DOP853 at rtol 1e-13.
 
 Samples go to a float64 buffer; finiteness is checked once over the
 columns at the end (and when the adaptive pair sees a non-finite error).
-Every sample records the applied V and the auxiliary control
-u = omega*R - sigma*E - mu*N*V, computed by `model.coupling_control` so
-recomputation reproduces stored values bitwise.
+A record holds what the stepper wrote, t, the state and the applied V;
+the auxiliary control u is computed from them where it is read.
 
 `_solve` is the one runner: it binds the law, opens the sample buffer
 and calls the config's kernel, for every field. `integrate` runs it on
@@ -120,9 +118,10 @@ class IntegratorConfig:
 class Trajectory:
     """Time-ordered samples of the closed loop, immutable after construction.
 
-    Arrays t, S, E, I, R, V, u share a common length; t is strictly
-    increasing and the first sample equals the initial condition at t0.
-    Negative excursions stay in the samples for `monitor_positivity`.
+    Arrays t, S, E, I, R, V (what the stepper wrote; `u` is computed from
+    them) share a common length; t is strictly increasing and the first
+    sample equals the initial condition at t0. Negative excursions stay
+    in the samples for `monitor_positivity`.
     """
 
     t: np.ndarray
@@ -131,7 +130,6 @@ class Trajectory:
     I: np.ndarray
     R: np.ndarray
     V: np.ndarray
-    u: np.ndarray
     params: ModelParams
     law: ControlLaw
     config: IntegratorConfig
@@ -142,6 +140,12 @@ class Trajectory:
     def states(self) -> np.ndarray:
         """(n, 4) array of samples in S, E, I, R order."""
         return np.column_stack((self.S, self.E, self.I, self.R))
+
+    @property
+    def u(self) -> np.ndarray:
+        """u = omega*R - sigma*E - mu*N*V at every sample."""
+        return coupling_control(SeirState(self.S, self.E, self.I, self.R),
+                                self.params, self.V)
 
 
 def _check_initial(state0: SeirState, params: ModelParams) -> None:
@@ -157,6 +161,8 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
               config: IntegratorConfig) -> Trajectory:
     """Integrate the plant closed under `law` over [t0, t_end].
 
+    The record holds t, S, E, I, R and V; its `u` is computed from them.
+
     Raises:
         ValueError: invalid initial state or configuration, or adaptive
             tolerances float64 cannot meet.
@@ -166,11 +172,9 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
             diagnostic sample index and time.
     """
     _check_initial(state0, params)
-    t, S, E, I, R, V = _solve(SEIR_SOURCE, law, params, state0.as_tuple(),
-                              config).columns()
-    u = coupling_control(SeirState(S, E, I, R), params, V)
-    return Trajectory(t=t, S=S, E=E, I=I, R=R, V=V, u=u,
-                      params=params, law=law, config=config)
+    return Trajectory(
+        *_solve(SEIR_SOURCE, law, params, state0.as_tuple(), config).columns(),
+        params=params, law=law, config=config)
 
 
 def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,

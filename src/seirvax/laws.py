@@ -245,6 +245,9 @@ class SusceptiblePlusExposed(ControlLaw):
             decay_rate=mu + g,
         )
         if g == 0.0 and _modes(params, 1.0)[0] < 0.0:   # N attracts
+            if not math.isclose(mu * N / mu, N, rel_tol=1e-12, abs_tol=1e-9 * N):
+                raise PredictionError(f"prediction refused: mu*N = {mu * N!r} "
+                                      "under- or overflows double precision")
             kwargs.update(s_inf=N, e_inf=0.0, i_inf=0.0, r_inf=0.0, v_inf=0.0)
         return AsymptoticPrediction(**kwargs)
 
@@ -281,6 +284,9 @@ class ImmuneFeedback(ControlLaw):
             lam = g1
         if not 0.0 <= g1 <= lam:
             raise _refuse("0 <= g1 <= mu+omega+g (limits within [0, N])")
+        if mu * lam == 0.0:
+            raise PredictionError("prediction refused: mu*(mu+omega+g) "
+                                  "underflows double precision (0.0)")
         kwargs = dict(
             r_inf=g1 * N / lam,
             s_plus_e_plus_i_inf=(lam - g1) * N / lam,
@@ -443,19 +449,17 @@ def compile_law(law: ControlLaw, params: ModelParams) -> LawFn:
     return law_function(shape)(*values)
 
 
-def _check_population_limits(pred: AsymptoticPrediction, N: float) -> None:
+def _check_limits(pred: AsymptoticPrediction, N: float) -> None:
+    for f in fields(pred):
+        value = getattr(pred, f.name)
+        if value is not None and not math.isfinite(value):
+            raise PredictionError(f"prediction refused: {f.name} overflows "
+                                  f"double precision ({value!r})")
     pops = (pred.s_inf, pred.e_inf, pred.i_inf, pred.r_inf, pred.s_plus_e_inf,
             pred.i_plus_r_inf, pred.s_plus_e_plus_i_inf)
     for v in pops:
         if v is not None and not (-1e-12 * N <= v <= N * (1.0 + 1e-12)):
             raise _refuse("population limits within [0, N]")
-    # Sum/component consistency when both sides are present.
-    if pred.s_plus_e_inf is not None and pred.s_inf is not None and pred.e_inf is not None:
-        assert math.isclose(pred.s_plus_e_inf, pred.s_inf + pred.e_inf,
-                            rel_tol=1e-12, abs_tol=1e-9 * N)
-    if pred.i_plus_r_inf is not None and pred.i_inf is not None and pred.r_inf is not None:
-        assert math.isclose(pred.i_plus_r_inf, pred.i_inf + pred.r_inf,
-                            rel_tol=1e-12, abs_tol=1e-9 * N)
 
 
 def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPrediction:
@@ -464,8 +468,9 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
     Raises PredictionError naming the failing clause when the gains
     violate a condition the limit formulas rely on (first the gain gate
     of `law_program`, on the law and on its canonical form), and for laws
-    with no closed-form asymptotics (zero/constant/saturated/output-zeroing),
-    and where the (E, I) modes overflow double precision.
+    with no closed-form asymptotics (zero/constant/saturated/output-zeroing);
+    and naming the value that over- or underflows double precision, or a
+    slowest mode lost to rounding: a returned prediction is finite, rate > 0.
     """
     _require_law(law)
     if params.mu <= 0.0:
@@ -473,9 +478,12 @@ def predicted_limits(law: ControlLaw, params: ModelParams) -> AsymptoticPredicti
     _gated(law, params, PredictionError)
     pred = law._predict(params)
     if pred.s_inf is not None:   # the (E, I) modes bound the rate
-        pred = replace(pred, decay_rate=min(
-            pred.decay_rate, -_modes(params, pred.s_inf / params.N)[0]))
-    _check_population_limits(pred, params.N)
+        slowest = -_modes(params, pred.s_inf / params.N)[0]
+        if not slowest > 0.0:
+            raise PredictionError("prediction refused: the slowest (E, I) "
+                                  f"mode's rate is lost to rounding ({slowest!r})")
+        pred = replace(pred, decay_rate=min(pred.decay_rate, slowest))
+    _check_limits(pred, params.N)
     return pred
 
 

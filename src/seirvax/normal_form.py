@@ -47,7 +47,6 @@ __all__ = [
     "to_normal",
     "from_normal",
     "NormalTrajectory",
-    "ZeroDynTrajectory",
     "integrate_normal",
     "integrate_zero_dynamics",
 ]
@@ -108,7 +107,8 @@ ZERO_SOURCE = replace(NORMAL_SOURCE, name="zero_dynamics",
 
 @dataclass(frozen=True)
 class NormalTrajectory:
-    """Samples of a z-coordinate integration."""
+    """Samples of a z-coordinate integration; those of the zero dynamics
+    have z1 and V exactly 0.0 and the law `ZeroVax()`."""
 
     t: np.ndarray
     z1: np.ndarray
@@ -124,25 +124,6 @@ class NormalTrajectory:
         return self.t.shape[0]
 
 
-@dataclass(frozen=True)
-class ZeroDynTrajectory:
-    """Samples of a zero-dynamics integration."""
-
-    t: np.ndarray
-    z2: np.ndarray
-    z3: np.ndarray
-    z4: np.ndarray
-    params: ModelParams
-    config: IntegratorConfig
-
-    def __len__(self) -> int:
-        return self.t.shape[0]
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.z2 + self.z3 + self.z4
-
-
 def integrate_normal(z0: NormalState, params: ModelParams, law: ControlLaw,
                      config: IntegratorConfig) -> NormalTrajectory:
     """Integrate the normal-form system under a law with the config's scheme.
@@ -154,21 +135,22 @@ def integrate_normal(z0: NormalState, params: ModelParams, law: ControlLaw,
     back-transformed state at every stage, in the kernel the stepper's
     template generates for `NORMAL_SOURCE`.
     """
-    t, z1, z2, z3, z4, V = _solve(NORMAL_SOURCE, law, params, z0.as_tuple(),
-                                  config).columns()
-    return NormalTrajectory(t=t, z1=z1, z2=z2, z3=z3, z4=z4, V=V,
-                            params=params, law=law, config=config)
+    return NormalTrajectory(
+        *_solve(NORMAL_SOURCE, law, params, z0.as_tuple(), config).columns(),
+        params=params, law=law, config=config)
 
 
 def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
-                            config: IntegratorConfig) -> ZeroDynTrajectory:
+                            config: IntegratorConfig) -> NormalTrajectory:
     """Integrate the autonomous zero dynamics from (z2, z3, z4) with the
     config's scheme: fixed-step RK4, or the Dormand-Prince pair, whose
-    dense output samples the fixed grid's times. z1 is held at exactly 0
-    either way."""
+    dense output samples the fixed grid's times. The record's z1 and V
+    are exactly 0.0 either way. A start component that is not finite, or
+    is negative, raises ValueError."""
     if not all(math.isfinite(v) for v in z0):
         raise ValueError("initial zero-dynamics state must be finite")
-    t, _, z2, z3, z4, _ = _solve(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0),
-                                 config).columns()
-    return ZeroDynTrajectory(t=t, z2=z2, z3=z3, z4=z4, params=params,
-                             config=config)
+    if min(z0) < 0.0:
+        raise ValueError("initial zero-dynamics state must be nonnegative")
+    return NormalTrajectory(
+        *_solve(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0), config).columns(),
+        params=params, law=ZeroVax(), config=config)

@@ -37,6 +37,29 @@ CHECK_NAMES = {
     "integral_limit": {"rel_tol": float},
 }
 
+
+def _check_options(where: str, opts: dict) -> None:
+    """Refuse check options that give no verdict (an infinite V bound is
+    kept: it bounds nothing) or cannot apply: v_lo and v_hi bound V only
+    without `bounds`, and alpha only with it."""
+    for key, value in opts.items():
+        bad = f"option {key!r} in [{where}]"
+        if key == "rel_tol" and not (math.isfinite(value) and value > 0.0):
+            raise ScenarioError(f"{bad}: {value!r} is not finite and > 0")
+        if key == "tail_fraction" and not 0.0 < value < 1.0:
+            raise ScenarioError(f"{bad}: {value!r} is not in (0, 1)")
+        if key in ("v_lo", "v_hi", "alpha") and math.isnan(value):
+            raise ScenarioError(f"{bad}: {value!r} is not a number")
+        if key in ("v_lo", "v_hi") and "bounds" in opts:
+            raise ScenarioError(f"{bad} has no effect with bounds = corollary1")
+        if key == "alpha" and "bounds" not in opts:
+            raise ScenarioError(f"{bad} has no effect without bounds = "
+                                "corollary1")
+    if opts.get("v_lo", -math.inf) > opts.get("v_hi", math.inf):
+        raise ScenarioError(f"options in [{where}]: v_lo = {opts['v_lo']!r} "
+                            f"is above v_hi = {opts['v_hi']!r}")
+
+
 # Section -> (dataclass whose fields are its keys, whether values must be
 # finite). SeirState does not check its values, so the loader does.
 _TYPED_SECTIONS = {
@@ -116,20 +139,6 @@ def _value(section: configparser.SectionProxy, key: str, where: str,
             raise ScenarioError(f"{bad} is not an integer")
         return int(value)
     return value
-
-
-def _check_positivity_options(opts: dict) -> None:
-    """Reject [checks.positivity] options that cannot apply: v_lo and v_hi
-    bound V only without `bounds`, and alpha only with it."""
-    where = "[checks.positivity]"
-    if "bounds" in opts:
-        for key in ("v_lo", "v_hi"):
-            if key in opts:
-                raise ScenarioError(f"option {key!r} in {where} has no "
-                                    "effect with bounds = corollary1")
-    elif "alpha" in opts:
-        raise ScenarioError(f"option 'alpha' in {where} has no effect "
-                            "without bounds = corollary1")
 
 
 def _reject_unknown(section: configparser.SectionProxy, known, where: str,
@@ -213,8 +222,7 @@ def load_scenario(path: str | Path) -> Scenario:
             sec = parser[where]
             _reject_unknown(sec, options, where, "option")
             opts = {key: _value(sec, key, where, options[key]) for key in sec}
-            if name == "positivity":
-                _check_positivity_options(opts)
+            _check_options(where, opts)
             checks[name] = opts
     if config.adaptive and "identities" in checks:
         raise ScenarioError("check 'identities' in [checks] cannot run with "

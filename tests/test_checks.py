@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from seirvax import (
+    AsymptoticPrediction,
     ConstrainedImmuneFeedback,
     HorizonError,
     ImmuneFeedback,
@@ -256,10 +257,21 @@ class TestIdentitySuite:
     def test_refuses_short_trajectories(self, p1, thm3_run):
         short = dataclasses.replace(
             thm3_run, t=thm3_run.t[:2], S=thm3_run.S[:2], E=thm3_run.E[:2],
-            I=thm3_run.I[:2], R=thm3_run.R[:2], V=thm3_run.V[:2],
-            u=thm3_run.u[:2])
+            I=thm3_run.I[:2], R=thm3_run.R[:2], V=thm3_run.V[:2])
         with pytest.raises(ValueError, match="3 samples"):
             check_identity_suite(short, p1)
+
+    def test_refuses_when_every_window_straddles_a_clip_switch(self, p1,
+                                                               thm3_run):
+        # V alternates between the lower clip and the interior, so every
+        # three-sample window holds a switch and none is left to judge.
+        n = 6
+        tr = dataclasses.replace(
+            thm3_run, t=thm3_run.t[:n], S=thm3_run.S[:n], E=thm3_run.E[:n],
+            I=thm3_run.I[:n], R=thm3_run.R[:n], V=np.tile([0.0, 0.5], n // 2),
+            law=Saturated(ImmuneFeedback(0.0, 0.03), 0.0, 1.0))
+        with pytest.raises(ValueError, match="every window straddles a clip switch"):
+            check_identity_suite(tr, p1)
 
     def test_balance_forms_agree_pointwise(self, p1, mixed_state):
         # mu(I+R) + u equals -mu(S+E) + mu*N + u to a few ulps under
@@ -314,6 +326,15 @@ class TestAsymptotics:
         with pytest.raises(HorizonError) as err:
             check_asymptotics(tr, pred)
         assert err.value.required_t_end == pytest.approx(10.0 / 0.03)
+
+    @pytest.mark.parametrize("prediction, message", [
+        (AsymptoticPrediction(r_inf=1000.0), "no positive decay rate"),
+        (AsymptoticPrediction(decay_rate=0.03), "no checkable limits"),
+    ], ids=["no decay rate", "no limit"])
+    def test_refuses_an_uncheckable_prediction(self, thm3_run, prediction,
+                                               message):
+        with pytest.raises(ValueError, match=message):
+            check_asymptotics(thm3_run, prediction)
 
 
 class TestDecayRate:

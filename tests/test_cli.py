@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -574,6 +575,24 @@ def _zerodyn_argv(tmp_path, *flags):
             "--out-dir", str(tmp_path), *flags]
 
 
+def _check_argv(tmp_path, check, options):
+    """simulate with `check` on and `options` in its [checks.<check>]."""
+    return _simulate_argv(tmp_path, extra=f"[checks]\n{check} = on\n\n"
+                                          f"[checks.{check}]\n{options}\n")
+
+
+def _shipped_argv(tmp_path, **values):
+    """simulate on the shipped scenario with the given keys' values
+    replaced, as sed rewrites it."""
+    text = SHIPPED.read_text()
+    for key, value in values.items():
+        text, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert n == 1, key
+    path = tmp_path / "shipped.ini"
+    path.write_text(text)
+    return ["simulate", str(path), "--out-dir", str(tmp_path)]
+
+
 # name -> (argv builder, fragment the one-line message must contain)
 MALFORMED_INPUTS = {
     "scenario t_end = inf": (lambda d: _simulate_argv(
@@ -673,6 +692,53 @@ MALFORMED_INPUTS = {
         d, integrator="[integrator]\nt_end = 50\ndt = 0.01\nadaptive = on\n"
                       "rel_tol = 1e-300\nabs_tol = 1e-300\n"),
         "rel_tol = 1e-300 and abs_tol = 1e-300 cannot be met"),
+    "clip_lo above clip_hi": (lambda d: _simulate_argv(
+        d, law=LAW_BLOCK + "clip_lo = 0.9\nclip_hi = 0.1\n"),
+        "Saturated requires lo <= hi"),
+    "conservation = maybe": (lambda d: _simulate_argv(
+        d, extra="[checks]\nconservation = maybe\n"),
+        "key 'conservation' in [checks]: 'maybe' is not a boolean"),
+    "[params] without beta": (lambda d: _simulate_argv(
+        d, params=P1_BLOCK.replace("beta = 0.9\n", "")),
+        "missing key 'beta' in [params]"),
+    "[law] without name": (lambda d: _simulate_argv(
+        d, law=LAW_BLOCK.replace("name = immune_feedback\n", "")),
+        "missing key 'name' in [law]"),
+    "adaptive rel_tol = 0": (lambda d: _simulate_argv(
+        d, integrator=INTEGRATOR_BLOCK + "adaptive = on\nrel_tol = 0\n"),
+        "adaptive mode needs rel_tol > 0 and abs_tol > 0"),
+    # check options with which no run gets a verdict, refused at load
+    **{f"[checks.{check}] rel_tol = {value}": (
+        lambda d, check=check, value=value: _check_argv(
+            d, check, f"rel_tol = {value}"),
+        f"option 'rel_tol' in [checks.{check}]: {float(value)!r} is not "
+        "finite and > 0")
+       for check in ("asymptotics", "integral_limit")
+       for value in ("inf", "nan", "0", "-1")},
+    **{f"[checks.asymptotics] tail_fraction = {value}": (
+        lambda d, value=value: _check_argv(
+            d, "asymptotics", f"tail_fraction = {value}"),
+        f"option 'tail_fraction' in [checks.asymptotics]: {float(value)!r} "
+        "is not in (0, 1)")
+       for value in ("0", "1", "nan")},
+    **{f"[checks.positivity] {options}".replace("\n", ", "): (
+        lambda d, options=options: _check_argv(d, "positivity", options),
+        fragment)
+       for options, fragment in (
+           ("v_lo = nan", "option 'v_lo' in [checks.positivity]: nan is not "
+                          "a number"),
+           ("v_hi = nan", "option 'v_hi' in [checks.positivity]: nan is not "
+                          "a number"),
+           ("bounds = corollary1\nalpha = nan",
+            "option 'alpha' in [checks.positivity]: nan is not a number"),
+           ("v_lo = 2\nv_hi = 1", "options in [checks.positivity]: v_lo = "
+                                  "2.0 is above v_hi = 1.0"))},
+    # a check-time refusal: mu*(mu+omega+g) underflows in the integral
+    # limit of the shipped law's prediction
+    "shipped scenario at mu = 1e-300, omega = g1 = 1e-30": (
+        lambda d: _shipped_argv(d, mu="1e-300", omega="1e-30", g1="1e-30",
+                                t_end="1"),
+        "prediction refused: mu*(mu+omega+g) underflows double precision"),
     "identities with adaptive = on": (lambda d: _simulate_argv(
         d, integrator="[integrator]\nt_end = 50\ndt = 0.01\nadaptive = on\n",
         extra="[checks]\nidentities = on\n"),

@@ -10,8 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seirvax import (
+    ConstantVax,
+    ConstrainedImmuneFeedback,
+    ImmuneFeedback,
+    Linearizing,
     ModelParams,
+    OutputZeroing,
+    PredictionError,
+    Saturated,
     SeirState,
+    SusceptibleLinear,
+    SusceptiblePlusExposed,
+    ZeroVax,
     char_zeros_x1,
     derivative,
     disease_free_equilibrium,
@@ -20,6 +30,7 @@ from seirvax import (
     hinf_ratio_sweep,
     a11_feasibility,
     analyze,
+    predicted_limits,
 )
 
 from conftest import map_params, plant_jacobian, random_conserved_state
@@ -618,8 +629,10 @@ class TestStabilityConsistency:
         assert np.max(np.abs(final - x1)) < 1e-4 * p.N
 
 
-# Every field log-uniform across [1e-300, 1e308], with sigma = gamma.
+# Every field log-uniform across [1e-300, 1e308], with sigma = gamma in
+# about half the draws; a gain is also 0.0 in some.
 _EXTREME = st.floats(min_value=-300.0, max_value=308.0).map(lambda e: 10.0 ** e)
+_GAIN = st.one_of(st.just(0.0), _EXTREME)
 
 # What each function returns, as the numbers that must be finite.
 _NUMBERS = {
@@ -631,11 +644,22 @@ _NUMBERS = {
 }
 
 
+def _catalogue(g: float, g1: float) -> tuple:
+    """Every catalogue law, at gains g and g1 (g negated where the law
+    needs g < 0)."""
+    return (ZeroVax(), ConstantVax(g), SusceptibleLinear(g),
+            SusceptiblePlusExposed(g), ImmuneFeedback(g, g1),
+            ConstrainedImmuneFeedback(-g), Linearizing(g, g1), OutputZeroing(),
+            Saturated(ImmuneFeedback(g, g1)))
+
+
 @settings(max_examples=500)
-@given(N=_EXTREME, mu=_EXTREME, omega=_EXTREME, beta=_EXTREME, sigma=_EXTREME)
-def test_extreme_rates_give_finite_numbers_or_one_line_refusals(N, mu, omega,
-                                                                 beta, sigma):
-    p = ModelParams(N=N, mu=mu, omega=omega, beta=beta, sigma=sigma, gamma=sigma)
+@given(N=_EXTREME, mu=_EXTREME, omega=_EXTREME, beta=_EXTREME, sigma=_EXTREME,
+       gamma=st.one_of(st.none(), _EXTREME), g=_GAIN, g1=_GAIN)
+def test_extreme_rates_give_finite_numbers_or_one_line_refusals(
+        N, mu, omega, beta, sigma, gamma, g, g1):
+    p = ModelParams(N=N, mu=mu, omega=omega, beta=beta, sigma=sigma,
+                    gamma=sigma if gamma is None else gamma)
     for call, numbers in _NUMBERS.items():
         try:
             out = call(p)
@@ -643,3 +667,13 @@ def test_extreme_rates_give_finite_numbers_or_one_line_refusals(N, mu, omega,
             assert "\n" not in str(exc), (call.__name__, str(exc))
             continue
         assert all(map(math.isfinite, numbers(out))), (call.__name__, out)
+    # every claimed limit is finite and approached at a positive rate
+    for law in _catalogue(g, g1):
+        try:
+            pred = predicted_limits(law, p)
+        except PredictionError as exc:
+            assert "\n" not in str(exc), (law, str(exc))
+            continue
+        values = [v for v in vars(pred).values() if v is not None]
+        assert all(map(math.isfinite, values)), (law, pred)
+        assert pred.decay_rate > 0.0, (law, pred)

@@ -20,6 +20,7 @@ from seirvax import (
     Linearizing,
     ModelParams,
     NonFiniteStateError,
+    NormalTrajectory,
     OutputZeroing,
     Saturated,
     SeirState,
@@ -27,6 +28,7 @@ from seirvax import (
     SusceptiblePlusExposed,
     Trajectory,
     ZeroVax,
+    coupling_control,
     integrate,
     integrate_zero_dynamics,
     monitor_positivity,
@@ -37,7 +39,7 @@ from seirvax.integrate import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
 from seirvax.laws import ControlLaw, compile_law
 from seirvax.model import SEIR_SOURCE
 from seirvax.kernels import function
-from seirvax.normal_form import NORMAL_SOURCE, ZERO_SOURCE
+from seirvax.normal_form import NORMAL_SOURCE
 from seirvax.scenario import load_scenario
 
 
@@ -322,11 +324,15 @@ class TestInvariants:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_v_hold_consistency(self, p1, mixed_state):
-        # Recomputing u from stored state and V reproduces stored u exactly.
+        # The record stores no u: its u is computed from the stored state
+        # and V, bitwise as `coupling_control` gives it.
         cfg = IntegratorConfig(t_end=10.0, dt=1e-2, sampling_stride=3)
         tr = integrate(mixed_state, p1, ImmuneFeedback(0.01, 0.05), cfg)
+        assert "u" not in {f.name for f in dataclasses.fields(tr)}
         u = p1.omega * tr.R - p1.sigma * tr.E - p1.mu * p1.N * tr.V
         assert np.array_equal(u, tr.u)
+        u = coupling_control(SeirState(tr.S, tr.E, tr.I, tr.R), p1, tr.V)
+        assert u.tobytes() == tr.u.tobytes()
 
     def test_stored_v_matches_law(self, p1, mixed_state):
         cfg = IntegratorConfig(t_end=5.0, dt=1e-2, sampling_stride=11)
@@ -351,7 +357,7 @@ class TestPositivity:
         t = np.array([0.0, 1.0])
         tr = Trajectory(t=t, S=np.array([-1.0, 1.0]), E=np.zeros(2),
                         I=np.zeros(2), R=np.array([1001.0, 999.0]),
-                        V=np.zeros(2), u=np.zeros(2), params=p1,
+                        V=np.zeros(2), params=p1,
                         law=ZeroVax(),
                         config=IntegratorConfig(t_end=1.0))
         lower = monitor_positivity(tr, v_hi=np.inf).details["components >= 0"]
@@ -701,23 +707,23 @@ class TestDense:
     @pytest.mark.parametrize("z0", [(300.0, 400.0, 300.0), (999.0, 0.0, 1.0),
                                     (620.0, 242.0, 138.0)], ids=str)
     def test_zero_dynamics(self, p1, z0):
-        # The `zerodyn` run: the fixed run's sample times bitwise, z1 held
-        # at exactly +0.0, within 1e-4 of DOP853 (measured 6.8e-6) and the
-        # sum C conserved to 1e-9*C.
+        # The `zerodyn` run, a `NormalTrajectory` under ZeroVax(): the fixed
+        # run's sample times bitwise, z1 and V held at exactly +0.0, within
+        # 1e-4 of DOP853 (measured 6.8e-6) and the sum C conserved to 1e-9*C.
         cfg = IntegratorConfig(t_end=1000.0, dt=1e-2, sampling_stride=100,
                                adaptive=True, dense=True)
         tr = integrate_zero_dynamics(z0, p1, cfg)
+        assert isinstance(tr, NormalTrajectory) and tr.law == ZeroVax()
         fixed = integrate_zero_dynamics(
             z0, p1, dataclasses.replace(cfg, adaptive=False, dense=False))
         assert len(tr) == 1001
         assert tr.t.tobytes() == fixed.t.tobytes()
-        z1 = _solve(ZERO_SOURCE, ZeroVax(), p1, (0.0, *z0), cfg).columns()[1]
-        assert z1.tobytes() == np.zeros(len(tr)).tobytes()
+        assert tr.z1.tobytes() == tr.V.tobytes() == np.zeros(len(tr)).tobytes()
         sol = _dop853_zero_dynamics(p1, z0, cfg.t_end)
         dev = np.max(np.abs(np.vstack((tr.z2, tr.z3, tr.z4)) - sol(tr.t)))
         assert dev <= 1e-4, dev
         c = sum(z0)
-        assert np.max(np.abs(tr.total - c)) <= 1e-9 * c
+        assert np.max(np.abs(tr.z2 + tr.z3 + tr.z4 - c)) <= 1e-9 * c
 
     def test_short_horizons_end_without_a_tiny_step(self, p1):
         # The step cut to end on t_end ends there: at t_end = 0.41 the cut

@@ -187,6 +187,36 @@ class TestPredictedLimits:
         pred = predicted_limits(ImmuneFeedback(-0.02, 0.01), p1)
         assert (pred.r_inf, pred.s_plus_e_plus_i_inf, pred.s_inf) == (1000.0, 0.0, 0.0)
 
+    # (law, params, the quantity the one-line refusal names): each case
+    # divided by zero, asserted or returned a non-finite or non-positive
+    # number before the refusal.
+    @pytest.mark.parametrize("law, params, what", [
+        # mu*lam underflows in integral_limit
+        (ImmuneFeedback(0.0, 1e-30),
+         ModelParams(N=1000.0, mu=1e-300, omega=1e-30, beta=0.9, sigma=0.2,
+                     gamma=0.2),
+         r"mu\*\(mu\+omega\+g\) underflows double precision \(0\.0\)"),
+        # mu*N underflows, so the S+E limit is 0 against S + E = N
+        (SusceptiblePlusExposed(0.0),
+         ModelParams(N=1e-250, mu=1e-80, omega=0.02, beta=0.1, sigma=0.2,
+                     gamma=0.2),
+         r"mu\*N = 0\.0 under- or overflows double precision"),
+        # 1 + omega/mu
+        (SusceptibleLinear(0.05),
+         ModelParams(N=1000.0, mu=1e-10, omega=1e300, beta=0.9, sigma=0.2,
+                     gamma=0.3),
+         r"v_inf overflows double precision \(inf\)"),
+        # -(mu+gamma) lost to cancellation in the (E, I) modes
+        (SusceptibleLinear(0.05),
+         ModelParams(N=1000.0, mu=1e-20, omega=0.0, beta=0.9, sigma=1e10,
+                     gamma=1e-20),
+         r"the slowest \(E, I\) mode's rate is lost to rounding \(-0\.0\)"),
+    ], ids=["integral_limit", "mu*N", "v_inf", "decay_rate"])
+    def test_out_of_range_refused_on_one_line(self, law, params, what):
+        with pytest.raises(PredictionError, match=what) as info:
+            predicted_limits(law, params)
+        assert "\n" not in str(info.value)
+
     def test_mu_zero_refused_for_every_law(self):
         # predicted_limits is the only way to the limits, and it refuses
         # mu = 0 (where the limit formulas divide by mu) before any law's.

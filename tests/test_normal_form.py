@@ -148,7 +148,7 @@ class TestZeroDynamics:
             tr = integrate_zero_dynamics(tuple(map(float, w)), p1,
                                          IntegratorConfig(t_end=500.0, dt=1e-2,
                                                           sampling_stride=100))
-            drift = np.abs(tr.total - p1.N)
+            drift = np.abs(tr.z2 + tr.z3 + tr.z4 - p1.N)
             assert drift.max() <= 1e-9 * p1.N
 
     def test_bounded_over_long_horizon(self, p1):
@@ -162,6 +162,14 @@ class TestZeroDynamics:
             for col in (tr.z2, tr.z3, tr.z4):
                 assert col.min() >= -eps
                 assert col.max() <= p1.N + eps
+
+    @pytest.mark.parametrize("z0, rule", [
+        ((-1.0, 1.0, 1.0), "nonnegative"), ((1.0, np.nan, 1.0), "finite"),
+        ((1.0, 1.0, -np.inf), "finite")], ids=str)
+    def test_refuses_a_bad_start(self, p1, z0, rule):
+        with pytest.raises(ValueError,
+                           match=f"^initial zero-dynamics state must be {rule}$"):
+            integrate_zero_dynamics(z0, p1, IntegratorConfig(t_end=1.0))
 
     def test_interior_rest_point(self, p1):
         # With sigma = gamma the zero dynamics settle at
