@@ -32,8 +32,8 @@ _EXPORTS = {
         "predicted_limits"),
     "integrate": ("IntegratorConfig", "Trajectory", "integrate"),
     "normal_form": (
-        "NormalState", "NormalTrajectory", "from_normal", "integrate_normal",
-        "integrate_zero_dynamics", "to_normal"),
+        "NormalTrajectory", "integrate_normal", "integrate_zero_dynamics",
+        "to_normal"),
     "equilibria": (
         "EquilibriumPoint", "StabilityReport", "SweepResult",
         "a11_feasibility", "analyze", "char_zeros_x1",

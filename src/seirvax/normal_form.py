@@ -43,35 +43,17 @@ from .laws import ControlLaw, ZeroVax
 from .model import ModelParams, SeirState
 
 __all__ = [
-    "NormalState",
     "to_normal",
-    "from_normal",
     "NormalTrajectory",
     "integrate_normal",
     "integrate_zero_dynamics",
 ]
 
 
-@dataclass(frozen=True)
-class NormalState:
-    """Normal-form coordinates: z1 = R, z2 = S+R, z3 = E, z4 = I."""
-
-    z1: float
-    z2: float
-    z3: float
-    z4: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.z1, self.z2, self.z3, self.z4)
-
-
-def to_normal(state: SeirState) -> NormalState:
-    return NormalState(z1=state.R, z2=state.S + state.R, z3=state.E, z4=state.I)
-
-
-def from_normal(z: NormalState) -> SeirState:
-    """Inverse transform; total, so z2 < z1 yields S < 0 as-is."""
-    return SeirState(S=z.z2 - z.z1, E=z.z3, I=z.z4, R=z.z1)
+def to_normal(state: SeirState) -> tuple[float, float, float, float]:
+    """The normal-form coordinates (z1, z2, z3, z4) = (R, S+R, E, I) of a
+    state; S = z2 - z1 recovers it."""
+    return (state.R, state.S + state.R, state.E, state.I)
 
 
 def _normal_constants(params: ModelParams) -> tuple[float, ...]:
@@ -124,9 +106,11 @@ class NormalTrajectory:
         return self.t.shape[0]
 
 
-def integrate_normal(z0: NormalState, params: ModelParams, law: ControlLaw,
+def integrate_normal(z0: tuple[float, float, float, float],
+                     params: ModelParams, law: ControlLaw,
                      config: IntegratorConfig) -> NormalTrajectory:
-    """Integrate the normal-form system under a law with the config's scheme.
+    """Integrate the normal-form system from z0 = (z1, z2, z3, z4) under a
+    law with the config's scheme.
 
     The integration runs in z, independently of the x-space field, so it
     cross-checks `integrate` under the same config: fixed-step RK4, or the
@@ -136,7 +120,7 @@ def integrate_normal(z0: NormalState, params: ModelParams, law: ControlLaw,
     template generates for `NORMAL_SOURCE`.
     """
     return NormalTrajectory(
-        *_solve(NORMAL_SOURCE, law, params, z0.as_tuple(), config).columns(),
+        *_solve(NORMAL_SOURCE, law, params, tuple(z0), config).columns(),
         params=params, law=law, config=config)
 
 

@@ -13,11 +13,13 @@ Numbers are decimal doubles.
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from .checks import monitor_positivity
 from .exceptions import ScenarioError
 from .integrate import IntegratorConfig, _check_initial
 from .laws import SCENARIO_LAWS, ControlLaw, Saturated
@@ -55,9 +57,14 @@ def _check_options(where: str, opts: dict) -> None:
         if key == "alpha" and "bounds" not in opts:
             raise ScenarioError(f"{bad} has no effect without bounds = "
                                 "corollary1")
-    if opts.get("v_lo", -math.inf) > opts.get("v_hi", math.inf):
-        raise ScenarioError(f"options in [{where}]: v_lo = {opts['v_lo']!r} "
-                            f"is above v_hi = {opts['v_hi']!r}")
+    if "v_lo" in opts or "v_hi" in opts:
+        # an unset bound is the check's own default
+        default = inspect.signature(monitor_positivity).parameters
+        v_lo, v_hi = (opts.get(key, default[key].default)
+                      for key in ("v_lo", "v_hi"))
+        if v_lo > v_hi:
+            raise ScenarioError(f"options in [{where}]: v_lo = {v_lo!r} is "
+                                f"above v_hi = {v_hi!r}")
 
 
 # Section -> (dataclass whose fields are its keys, whether values must be

@@ -20,7 +20,6 @@ from seirvax import (
     IntegratorConfig,
     Linearizing,
     ModelParams,
-    NormalState,
     Saturated,
     SeirState,
     SusceptibleLinear,
@@ -32,7 +31,6 @@ from seirvax import (
     disease_free_equilibrium,
     eigenvalues,
     endemic_equilibrium,
-    from_normal,
     hinf_ratio_sweep,
     integrate,
     integrate_normal,
@@ -251,12 +249,14 @@ def test_criterion_08_normal_form_consistency():
     for k in range(10):
         params = _random_params(rng)
         # dyadic initial state: representable sums round-trip bitwise
+        # through the back-transform S = z2 - z1 that the laws read
         counts = rng.multinomial(4 * int(params.N), (0.25, 0.25, 0.25, 0.25))
         initial = SeirState(*(float(c) / 4.0 for c in counts))
         law = (ZeroVax(), ConstantVax(0.4),
                ImmuneFeedback(0.0, params.mu + params.omega),
                SusceptibleLinear(0.05))[k % 4]
-        round_trip_exact &= from_normal(to_normal(initial)) == initial
+        z1, z2, z3, z4 = to_normal(initial)
+        round_trip_exact &= SeirState(z2 - z1, z3, z4, z1) == initial
         cfg = IntegratorConfig(t_end=100.0, dt=1e-2, sampling_stride=10)
         tr_x = integrate(initial, params, law, cfg)
         tr_z = integrate_normal(to_normal(initial), params, law, cfg)
@@ -267,7 +267,7 @@ def test_criterion_08_normal_form_consistency():
             float(np.max(np.abs(tr_z.z3 - tr_x.E))),
             float(np.max(np.abs(tr_z.z4 - tr_x.I))),
         )
-    jac = np.column_stack([from_normal(NormalState(*e)).as_tuple()
+    jac = np.column_stack([to_normal(SeirState(*e))
                            for e in np.eye(4).tolist()])
     det = float(np.linalg.det(jac))
     ok = worst <= 1e-6 * 1000.0 and round_trip_exact and det == -1.0

@@ -732,7 +732,12 @@ MALFORMED_INPUTS = {
            ("bounds = corollary1\nalpha = nan",
             "option 'alpha' in [checks.positivity]: nan is not a number"),
            ("v_lo = 2\nv_hi = 1", "options in [checks.positivity]: v_lo = "
-                                  "2.0 is above v_hi = 1.0"))},
+                                  "2.0 is above v_hi = 1.0"),
+           # against the check's own defaults, v_lo = 0 and v_hi = 1
+           ("v_lo = 2", "options in [checks.positivity]: v_lo = 2.0 is above "
+                        "v_hi = 1.0"),
+           ("v_hi = -1", "options in [checks.positivity]: v_lo = 0.0 is "
+                         "above v_hi = -1.0"))},
     # a check-time refusal: mu*(mu+omega+g) underflows in the integral
     # limit of the shipped law's prediction
     "shipped scenario at mu = 1e-300, omega = g1 = 1e-30": (

@@ -641,6 +641,14 @@ _NUMBERS = {
         () if point is None else (*point.state.as_tuple(), point.residual)),
     a11_feasibility: lambda out: out[:1],
     char_zeros_x1: lambda zeros: zeros,
+    # analyze with the sweep on: every report's state, residual, Jacobian,
+    # spectrum magnitudes and H-infinity ratio
+    analyze: lambda reports: [
+        number for rep in reports
+        for number in (*rep.point.state.as_tuple(), rep.point.residual,
+                       *rep.jacobian.ravel().tolist(),
+                       *np.abs(rep.spectrum).tolist(),
+                       *(() if rep.hinf_ratio is None else (rep.hinf_ratio,)))],
 }
 
 

@@ -603,7 +603,7 @@ class TestRk4Kernel:
         # The law reads the back-transformed state (z2 - z1, z3, z4, z1).
         config = RK4_CONFIGS["stride3_t0_project"]
         fn = compile_law(law, KERNEL_PARAMS)
-        z0 = to_normal(mixed_state).as_tuple()
+        z0 = to_normal(mixed_state)
         got = _solve(NORMAL_SOURCE, law, KERNEL_PARAMS, z0, config)
         field = function(NORMAL_SOURCE)(*NORMAL_SOURCE.bind(KERNEL_PARAMS))
         want = _reference_rk4(field,

@@ -61,7 +61,7 @@ def test_normal_form_is_the_plant_in_z():
         for _ in range(20):
             x = random_conserved_state(rng, P.N)
             jx = closed_loop_jacobian(SEIR_SOURCE, law, P, x.as_tuple())
-            jz = closed_loop_jacobian(NORMAL_SOURCE, law, P, to_normal(x).as_tuple())
+            jz = closed_loop_jacobian(NORMAL_SOURCE, law, P, to_normal(x))
             want = T @ jx @ np.linalg.inv(T)
             assert np.max(np.abs(jz - want)) <= 1e-12 * np.max(np.abs(want))
 
