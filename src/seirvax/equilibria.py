@@ -30,6 +30,7 @@ from operator import attrgetter
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .kernels import jacobian
 from .model import SEIR_SOURCE, ModelParams, SeirState, derivative, infection_modes
@@ -251,29 +252,59 @@ def char_zeros_x1(params: ModelParams) -> tuple[float, float, float, float]:
             *infection_modes(params, 1.0))
 
 
+# LAPACK's dgeev as the gufunc `np.linalg.eigvals` itself calls (the same
+# routine, so the same bits); a module global, so a test can stub it.
+_lapack_eigvals = _umath_linalg.eigvals
+
+
+def _nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    """Complex spectra of a finite real float64 (..., n, n) stack, as
+    `np.linalg.eigvals` computes them before it drops an all-zero
+    imaginary part: one finiteness scan and one error state per call,
+    refusing and failing in numpy's own words."""
+    if not np.isfinite(m).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _lapack_eigvals(m, signature="d->D")
+
+
 def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
     """Spectrum of a real (n, n) matrix, or a list of the spectra of a
     (..., n, n) stack in C order of the leading axes.
 
-    One `np.linalg.eigvals` call covers the whole stack; its finiteness
-    check stands in for ours, so only a stack it refuses is scanned again
-    to refuse non-finite entries in our words. Each spectrum is sorted by
-    real part descending, then by imaginary part descending, and is
-    float64 when no imaginary part is nonzero (complex128 otherwise), so
-    a stack row is bitwise the spectrum of a lone call on its matrix.
+    One call of the private LAPACK gufunc that `np.linalg.eigvals` itself
+    calls covers the whole stack, after one finiteness scan. Each
+    spectrum is sorted by real part descending, then by imaginary part
+    descending, and is float64 when no imaginary part in the stack is
+    nonzero (complex128 otherwise, numpy's rule), so a stack row is
+    bitwise the spectrum of a lone call on its matrix. Complex entries,
+    a shape that is not (..., n, n) and non-finite entries are refused
+    with a ValueError; nonconvergence raises numpy's LinAlgError.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix)
+    if m.dtype.kind == "c":
+        raise ValueError("eigenvalues: complex entries")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"eigenvalues: shape {m.shape} is not (..., n, n)")
+    m = m.astype(float, copy=False)
     try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError:
+        vals = _eigvals(m)
+    except LinAlgError:
         if not np.isfinite(m).all():
             raise ValueError("eigenvalues: non-finite entries") from None
         raise
-    real = vals.dtype != complex   # no imaginary part anywhere in the stack
+    real = not vals.imag.any()   # no imaginary part anywhere in the stack
+    if real:
+        vals = vals.real
     if vals.ndim == 1:
         return _sorted_spectrum(vals.tolist(), real)
-    return [_sorted_spectrum(row, real)
-            for row in vals.reshape(-1, vals.shape[-1]).tolist()]
+    rows = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1])
+    return [_sorted_spectrum(row, real) for row in rows.tolist()]
 
 
 _PARTS = attrgetter("real", "imag")
@@ -389,7 +420,7 @@ def hinf_ratio_sweep(params: ModelParams,
     companion[0] = (-s5 / s6, -s4 / s6, -s3 / s6, -s2 / s6, -s1 / s6, -s0 / s6)
 
     best_w, best_r = 0.0, _ratio(p0, ptilde, 0.0)
-    for root in np.linalg.eigvals(companion).tolist():
+    for root in _eigvals(companion).tolist():
         if root.real > 0.0:
             w = math.sqrt(root.real)
             r = _ratio(p0, ptilde, w)
@@ -406,10 +437,11 @@ def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
 
     The plant's Jacobian is bound to params once. With an endemic point
     both linearizations go to one `eigenvalues` call as a (2, 4, 4)
-    stack, built by one numpy call, so numpy's `eigvals` wrapper runs
-    once per point. A point is locally stable when the first (largest)
-    real part of its sorted spectrum is negative. With `sweep` and mu > 0
-    the endemic report carries the `hinf_ratio_sweep` peak and its verdict.
+    stack, built by one numpy call, so LAPACK's eigenvalue routine (the
+    private gufunc that `np.linalg.eigvals` itself calls) runs once per
+    point. A point is locally stable when the first (largest) real part
+    of its sorted spectrum is negative. With `sweep` and mu > 0 the
+    endemic report carries the `hinf_ratio_sweep` peak and its verdict.
     """
     x1 = disease_free_equilibrium(params)
     zeros = char_zeros_x1(params)

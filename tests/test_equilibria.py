@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,16 +332,21 @@ class TestEigenvalues:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [4, 6])
-    def test_stack_rows_are_lone_calls(self, n):
+    @staticmethod
+    def _mixed_stack(n, seed):
         # General matrices (mostly complex spectra), symmetric ones and
-        # triangular ones (real spectra) shuffled into one stack: every row
-        # is bitwise the lone call's spectrum, float64 where that one is.
-        rng = np.random.default_rng(1103 + n)
+        # triangular ones (real spectra) shuffled into one stack.
+        rng = np.random.default_rng(seed)
         general = rng.normal(size=(8, n, n))
         symmetric = general + general.transpose(0, 2, 1)
         triangular = np.triu(rng.normal(size=(8, n, n)))
-        stack = rng.permutation(np.concatenate((general, symmetric, triangular)))
+        return rng.permutation(np.concatenate((general, symmetric, triangular)))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_stack_rows_are_lone_calls(self, n):
+        # Every row is bitwise the lone call's spectrum, float64 where
+        # that one is.
+        stack = self._mixed_stack(n, 1103 + n)
         rows = eigenvalues(stack)
         assert len(rows) == len(stack)
         assert {row.dtype for row in rows} == {np.dtype(float), np.dtype(complex)}
@@ -373,6 +379,66 @@ class TestEigenvalues:
                 spoiled.flat[index] = bad
                 with pytest.raises(ValueError, match="non-finite entries"):
                     eigenvalues(spoiled)
+
+    def test_rejects_complex_entries(self):
+        # Casting to float would drop the imaginary part and answer for
+        # another matrix.
+        with pytest.raises(ValueError, match="^eigenvalues: complex entries$"):
+            eigenvalues([[1j, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 3), (3, 4, 5), (2, 0, 1)])
+    def test_rejects_a_shape_that_is_not_square(self, shape):
+        with pytest.raises(ValueError) as refused:
+            eigenvalues(np.ones(shape))
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == f"eigenvalues: shape {shape} is not (..., n, n)"
+
+    def test_empty_stack_gives_empty_spectra(self):
+        lone = eigenvalues(np.zeros((0, 0)))
+        assert lone.dtype == np.dtype(float) and lone.shape == (0,)
+        rows = eigenvalues(np.zeros((3, 0, 0)))
+        assert len(rows) == 3
+        for row in rows:
+            assert row.dtype == np.dtype(float) and row.shape == (0,)
+        assert eigenvalues(np.zeros((0, 4, 4))) == []
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_rows_are_numpys_public_eigvals_sorted(self, n):
+        # The direct LAPACK call against np.linalg.eigvals, matrix by
+        # matrix: sorted by real part, then imaginary part, both
+        # descending, with ties in LAPACK's order, every row bit for bit
+        # and dtype included.
+        def numpy_spectrum(matrix):
+            w = np.linalg.eigvals(matrix)
+            return w[np.lexsort((-w.imag, -w.real))]
+
+        stack = self._mixed_stack(n, 2406 + n)
+        if n == 4:   # beta = 0: a real double root at -(mu+sigma)
+            p = _params(beta=0.0)
+            double_root = plant_jacobian(SeirState(p.N, 0.0, 0.0, 0.0), p)
+            stack = np.concatenate((stack, double_root[None]))
+        for matrix, row in zip(stack, eigenvalues(stack)):
+            self._assert_same_spectrum(row, numpy_spectrum(matrix))
+            self._assert_same_spectrum(eigenvalues(matrix), row)
+
+    def test_nonconvergence_refused(self, monkeypatch):
+        # LAPACK reports nonconvergence through the invalid flag; a stub
+        # that raises it stands in for a matrix dgeev cannot reduce.
+        import seirvax.equilibria as eq
+
+        def not_converging(m, signature):
+            return np.sqrt(np.full(m.shape[:-1], -1.0)).astype(complex)
+
+        monkeypatch.setattr(eq, "_lapack_eigvals", not_converging)
+        p = _params()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: eigenvalues(np.eye(4)),
+                         lambda: eigenvalues(np.ones((2, 4, 4))),
+                         lambda: _sweep(p)):
+                with pytest.raises(np.linalg.LinAlgError,
+                                   match="^Eigenvalues did not converge$"):
+                    call()
 
 
 class TestSweep:
