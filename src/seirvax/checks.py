@@ -4,6 +4,8 @@ Checks are deterministic, read-only and idempotent over immutable
 trajectories. Each returns a Check with the worst residual, its
 location and the tolerance applied; the Check derives its verdict,
 worst <= tolerance, so a NaN that reaches the worst value fails.
+Each check imports numpy where it runs, so `Check` and
+`VerificationReport` load without it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .exceptions import HorizonError
 from .integrate import Trajectory
@@ -72,6 +72,7 @@ class VerificationReport:
 
 def monitor_conservation(traj: Trajectory) -> Check:
     """Worst |S+E+I+R - N| over the samples against CONSERVATION_RTOL*N."""
+    import numpy as np
     N = traj.params.N
     drift = np.abs(traj.S + traj.E + traj.I + traj.R - N)
     k = int(np.argmax(drift))
@@ -95,6 +96,7 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
     state-dependent extended bound of `laws.corollary1_upper_bound` (alpha
     defaults to beta; mu*N = 0 raises VaccinationChannelError).
     """
+    import numpy as np
     p = traj.params
     N = p.N
     eps = _EPS_POS_RTOL * N
@@ -169,6 +171,7 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
 
     Requires at least 3 uniformly spaced samples.
     """
+    import numpy as np
     t = traj.t
     if t.shape[0] < 3:
         raise ValueError("identity suite requires at least 3 samples")
@@ -256,6 +259,7 @@ def check_asymptotics(traj: Trajectory, prediction: AsymptoticPrediction,
     otherwise, reporting the required t_end). Zero limits are compared on
     the natural scale: N for populations, 1 for V.
     """
+    import numpy as np
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError("tail_fraction must be in (0, 1)")
     rate = prediction.decay_rate
@@ -296,6 +300,7 @@ def check_integral_limit(traj: Trajectory, rel_tol: float = 0.01) -> Check:
     immune-feedback family, the gains `predicted_limits` refuses, and a
     horizon shorter than 10/min(mu, mu+omega+g).
     """
+    import numpy as np
     params = traj.params
     law = traj.law.canonical(params)
     if not isinstance(law, ImmuneFeedback):

@@ -18,12 +18,16 @@ import argparse
 import dataclasses
 import importlib
 import sys
+from array import array
+from itertools import chain
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _MODULE_OF, __version__
 from .exceptions import NonFiniteStateError, ScenarioError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The module of each name the commands call from another layer: the
 # package's exports, and two it does not export. A function binds the
@@ -63,8 +67,9 @@ _CSV_BLOCK_ROWS = 1024
 
 
 def _write_csv(path: str | Path, header: str,
-               cols: tuple[np.ndarray, ...]) -> None:
-    """Write columns under a header with shortest round-trip decimals.
+               cols: tuple[np.ndarray | array, ...]) -> None:
+    """Write columns (numpy arrays or `array('d')`s) under a header with
+    shortest round-trip decimals.
 
     Each value is written as Python's `repr` of the float, which reads
     back bitwise; one format operation writes each block of
@@ -74,9 +79,9 @@ def _write_csv(path: str | Path, header: str,
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-            values = np.column_stack(
-                [col[start:start + _CSV_BLOCK_ROWS] for col in cols])
-            fh.write(block * len(values) % tuple(values.ravel().tolist()))
+            values = tuple(chain.from_iterable(zip(
+                *[col[start:start + _CSV_BLOCK_ROWS].tolist() for col in cols])))
+            fh.write(block * (len(values) // len(cols)) % values)
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
@@ -88,6 +93,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 def _parse_rows(lines) -> np.ndarray:
     """The rows below the header, line by line, each value by `float`;
     refuses the first malformed line by its number."""
+    import numpy as np
     rows = []
     for lineno, line in enumerate(lines, start=2):
         line = line.strip()
@@ -112,6 +118,7 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     are parsed one by one, which accepts what `float` accepts and names
     the first malformed line. Blank lines are skipped.
     """
+    import numpy as np
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
@@ -297,17 +304,19 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / args.csv
-    total = traj.z2 + traj.z3 + traj.z4
-    _write_csv(csv_path, ZERODYN_HEADER,
-               (traj.t, traj.z2, traj.z3, traj.z4, total))
+    # The record's columns in plain floats, with no numpy: each sum adds
+    # as numpy's z2 + z3 + z4 does, (z2 + z3) + z4.
+    t, z2, z3, z4 = (traj.values(name) for name in ("t", "z2", "z3", "z4"))
+    total = array("d", [a + b + c for a, b, c in zip(z2, z3, z4)])
+    _write_csv(csv_path, ZERODYN_HEADER, (t, z2, z3, z4, total))
 
-    c0 = float(total[0])
+    c0 = total[0]
     eps = CONSERVATION_RTOL * c0 if c0 > 0.0 else CONSERVATION_RTOL
     # the samples are finite: the integrator refuses a non-finite state
-    lo = float(min(traj.z2.min(), traj.z3.min(), traj.z4.min()))
-    hi = float(max(traj.z2.max(), traj.z3.max(), traj.z4.max()))
+    lo = min(min(z2), min(z3), min(z4))
+    hi = max(max(z2), max(z3), max(z4))
     report = VerificationReport(checks=(
-        Check("sum conservation", float(np.max(np.abs(total - c0))), eps),
+        Check("sum conservation", max(abs(s - c0) for s in total), eps),
         Check("boundedness in [0, C]", max(0.0, -lo, hi - c0), eps)))
     print(f"zero dynamics from (z2, z3, z4) = {z0}, sum C = {c0:g}")
     print(f"scheme: {_scheme(config)}, samples={len(traj)}")
@@ -317,6 +326,7 @@ def cmd_zerodyn(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import numpy as np
     _bind("load_scenario", "Trajectory")
     scenario = load_scenario(args.scenario)
     data = read_trajectory_csv(args.csv)

@@ -26,9 +26,12 @@ scenario (1200 days, 12001 samples, same host) that is 330 steps in
 DOP853 at rtol 1e-13.
 
 Samples go to a float64 buffer; finiteness is checked once over the
-columns at the end (and when the adaptive pair sees a non-finite error).
+buffer at the end (and when the adaptive pair sees a non-finite error).
 A record holds what the stepper wrote, t, the state and the applied V;
-the auxiliary control u is computed from them where it is read.
+the auxiliary control u is computed from them where it is read. numpy
+is imported where columns are built, and by the check only where a value
+may not be finite, so a run whose record keeps the buffer (`normal_form`)
+loads no numpy unless a value is not finite or above 2**1009.
 
 `_solve` is the one runner: it binds the law, opens the sample buffer
 and calls the config's kernel, for every field. `integrate` runs it on
@@ -40,15 +43,18 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exceptions import NonFiniteStateError
 from .kernels import FieldSource, kernel
 from .laws import ControlLaw, law_program
 from .model import SEIR_SOURCE, ModelParams, SeirState, coupling_control
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegratorConfig",
@@ -139,6 +145,7 @@ class Trajectory:
 
     def states(self) -> np.ndarray:
         """(n, 4) array of samples in S, E, I, R order."""
+        import numpy as np
         return np.column_stack((self.S, self.E, self.I, self.R))
 
     @property
@@ -225,8 +232,8 @@ def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,
 class Samples:
     """Sample buffer of a stepper: rows (t, y0, y1, y2, y3, V) in `rows`.
 
-    The kernels append rows unchecked; `columns` refuses a non-finite
-    state or V.
+    The kernels append rows unchecked; `check` refuses a non-finite state
+    or V.
     """
 
     def __init__(self) -> None:
@@ -234,7 +241,18 @@ class Samples:
 
     def check(self) -> None:
         """Raise NonFiniteStateError at the first row with a non-finite
-        state or V."""
+        state or V.
+
+        The pass that finds the rows finite needs no numpy: it reads the
+        byte of each float64 that holds the sign and the exponent's top
+        seven bits, 0x7f or 0xff for every inf and NaN and for finite
+        values only from 2**1009 (about 5.5e303) up. numpy locates the
+        first bad row only where such a byte is found.
+        """
+        top = self.rows.tobytes()[_SIGN_BYTE::8]
+        if b"\x7f" not in top and b"\xff" not in top:
+            return
+        import numpy as np
         data = np.frombuffer(self.rows, dtype=np.float64).reshape(-1, 6)
         finite = np.isfinite(data)
         if finite.all():
@@ -258,7 +276,19 @@ class Samples:
     def columns(self) -> np.ndarray:
         """(6, n) array: the t, y0..y3 and V columns, each contiguous."""
         self.check()
-        return np.frombuffer(self.rows, dtype=np.float64).reshape(-1, 6).T.copy()
+        return _columns(self.rows)
+
+
+# The index of a float64's sign-and-exponent byte in the buffer's native
+# byte order.
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+
+
+def _columns(rows: array) -> np.ndarray:
+    """(6, n) float64 array of sample rows: the t, y0..y3 and V columns,
+    each contiguous."""
+    import numpy as np
+    return np.frombuffer(rows, dtype=np.float64).reshape(-1, 6).T.copy()
 
 
 # Classic RK4 with the law at every stage. V at the end of a step is both

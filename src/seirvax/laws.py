@@ -40,8 +40,6 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple, Optional
 
-import numpy as np
-
 from .exceptions import GainConstraintError, PredictionError, VaccinationChannelError
 from .kernels import Shape, law_function
 from .model import ModelParams, SeirState, infection_modes
@@ -495,13 +493,21 @@ def corollary1_upper_bound(state: SeirState, params: ModelParams,
     trajectory); the bound has the same shape. The caller must supply
     alpha >= beta*I/N (alpha = beta works whenever I <= N); a violation
     is reported with a warning, not an error. Raises
-    VaccinationChannelError when mu*N = 0, where the bound is undefined.
+    VaccinationChannelError when mu*N = 0, where the bound is undefined,
+    and ValueError where it overflows double precision (or is NaN).
     """
+    import numpy as np
     muN = params.mu * params.N
     if muN == 0.0:
         raise VaccinationChannelError("corollary1 bound needs mu*N > 0")
-    incidence = params.beta_prime * state.I
+    with np.errstate(over="ignore", invalid="ignore"):
+        incidence = params.beta_prime * state.I
+        bound = 1.0 + (alpha - incidence) * state.S / muN
     if np.any(alpha < incidence):
         warnings.warn("corollary1_upper_bound: alpha < beta*I/N, bound not valid",
                       stacklevel=2)
-    return 1.0 + (alpha - incidence) * state.S / muN
+    if not np.all(np.isfinite(bound)):
+        raise ValueError(
+            f"corollary1 bound 1 + (alpha - beta*I/N)*S/(mu*N) overflows "
+            f"double precision at alpha = {alpha!r}, mu*N = {muN!r}")
+    return bound

@@ -33,14 +33,18 @@ stage) inlined; see `kernels`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .integrate import IntegratorConfig, _solve
+from .integrate import IntegratorConfig, _columns, _solve
 from .kernels import FieldSource
 from .laws import ControlLaw, ZeroVax
 from .model import ModelParams, SeirState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "to_normal",
@@ -87,23 +91,52 @@ ZERO_SOURCE = replace(NORMAL_SOURCE, name="zero_dynamics",
                       rates=("0.0", *NORMAL_SOURCE.rates[1:]))
 
 
+# The values of a row of `NormalTrajectory.rows`, in order.
+_ROW = ("t", "z1", "z2", "z3", "z4", "V")
+
+
+def _column(name: str, what: str) -> property:
+    k = _ROW.index(name)
+    return property(lambda self: self._table[k],
+                    doc=f"The {what} column, a float64 array.")
+
+
 @dataclass(frozen=True)
 class NormalTrajectory:
     """Samples of a z-coordinate integration; those of the zero dynamics
-    have z1 and V exactly 0.0 and the law `ZeroVax()`."""
+    have z1 and V exactly 0.0 and the law `ZeroVax()`.
 
-    t: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    z3: np.ndarray
-    z4: np.ndarray
-    V: np.ndarray
+    The record holds the buffer the stepper wrote, `rows` (t, z1, z2,
+    z3, z4, V per sample, checked finite), and builds the numpy columns
+    t, z1..z4 and V from it on first access; `len()`, `rows` and
+    `values`, which gives a column as an `array('d')`, need no numpy.
+    `==` compares the rows and the run's inputs, and
+    `dataclasses.replace` may replace those four fields only.
+    """
+
+    rows: array = field(repr=False)
     params: ModelParams
     law: ControlLaw
     config: IntegratorConfig
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return len(self.rows) // len(_ROW)
+
+    def values(self, name: str) -> array:
+        """The column `name` ("t", "z1".."z4" or "V") as an `array('d')`,
+        built without numpy."""
+        return self.rows[_ROW.index(name)::len(_ROW)]
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, ...]:
+        return tuple(_columns(self.rows))
+
+    t = _column("t", "sample time")
+    z1 = _column("z1", "z1 = R")
+    z2 = _column("z2", "z2 = S + R")
+    z3 = _column("z3", "z3 = E")
+    z4 = _column("z4", "z4 = I")
+    V = _column("V", "applied V")
 
 
 def integrate_normal(z0: tuple[float, float, float, float],
@@ -119,9 +152,9 @@ def integrate_normal(z0: tuple[float, float, float, float],
     back-transformed state at every stage, in the kernel the stepper's
     template generates for `NORMAL_SOURCE`.
     """
-    return NormalTrajectory(
-        *_solve(NORMAL_SOURCE, law, params, tuple(z0), config).columns(),
-        params=params, law=law, config=config)
+    samples = _solve(NORMAL_SOURCE, law, params, tuple(z0), config)
+    samples.check()
+    return NormalTrajectory(samples.rows, params, law, config)
 
 
 def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
@@ -135,6 +168,6 @@ def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
         raise ValueError("initial zero-dynamics state must be finite")
     if min(z0) < 0.0:
         raise ValueError("initial zero-dynamics state must be nonnegative")
-    return NormalTrajectory(
-        *_solve(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0), config).columns(),
-        params=params, law=ZeroVax(), config=config)
+    samples = _solve(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0), config)
+    samples.check()
+    return NormalTrajectory(samples.rows, params, ZeroVax(), config)

@@ -42,8 +42,9 @@ CHECK_NAMES = {
 
 def _check_options(where: str, opts: dict) -> None:
     """Refuse check options that give no verdict (an infinite V bound is
-    kept: it bounds nothing) or cannot apply: v_lo and v_hi bound V only
-    without `bounds`, and alpha only with it."""
+    kept: it bounds nothing; an infinite alpha is not: it makes the
+    Corollary 1 bound infinite or NaN) or cannot apply: v_lo and v_hi
+    bound V only without `bounds`, and alpha only with it."""
     for key, value in opts.items():
         bad = f"option {key!r} in [{where}]"
         if key == "rel_tol" and not (math.isfinite(value) and value > 0.0):
@@ -52,6 +53,8 @@ def _check_options(where: str, opts: dict) -> None:
             raise ScenarioError(f"{bad}: {value!r} is not in (0, 1)")
         if key in ("v_lo", "v_hi", "alpha") and math.isnan(value):
             raise ScenarioError(f"{bad}: {value!r} is not a number")
+        if key == "alpha" and not math.isfinite(value):
+            raise ScenarioError(f"{bad}: {value!r} is not finite")
         if key in ("v_lo", "v_hi") and "bounds" in opts:
             raise ScenarioError(f"{bad} has no effect with bounds = corollary1")
         if key == "alpha" and "bounds" not in opts:

@@ -575,6 +575,17 @@ def _zerodyn_argv(tmp_path, *flags):
             "--out-dir", str(tmp_path), *flags]
 
 
+def _shipped_corollary1_argv(tmp_path, alpha):
+    """simulate on the shipped scenario with the positivity check on,
+    against the Corollary 1 bound at `alpha`."""
+    text = SHIPPED.read_text().replace("conservation = on\n",
+                                       "conservation = on\npositivity = on\n")
+    path = tmp_path / "corollary1.ini"
+    path.write_text(text + "\n[checks.positivity]\nbounds = corollary1\n"
+                           f"alpha = {alpha}\n")
+    return ["simulate", str(path), "--out-dir", str(tmp_path)]
+
+
 def _check_argv(tmp_path, check, options):
     """simulate with `check` on and `options` in its [checks.<check>]."""
     return _simulate_argv(tmp_path, extra=f"[checks]\n{check} = on\n\n"
@@ -613,6 +624,12 @@ MALFORMED_INPUTS = {
     "zerodyn --mu 1e9 --t-end 1 (stiff)": (lambda d: _zerodyn_argv(
         d, "--mu", "1e9", "--t-end", "1"),
         "stiff problem beyond the step bound MAX_STEPS = 100000000"),
+    # the Dormand-Prince pair's first step overflows: refused where the
+    # kernel sees it, before `zerodyn` reads a row
+    "zerodyn from 1e308 (non-finite state)": (lambda d: [
+        "zerodyn", "--z2", "1e308", "--z3", "1e308", "--z4", "1e308",
+        "--t-end", "10", "--out-dir", str(d)],
+        "non-finite state at t = 0.01 (sample index 1)"),
     "off-grid scenario dt": (lambda d: _simulate_argv(
         d, integrator="[integrator]\nt_end = 1200\ndt = 5000\n"),
         "does not divide"),
@@ -738,6 +755,15 @@ MALFORMED_INPUTS = {
                         "v_hi = 1.0"),
            ("v_hi = -1", "options in [checks.positivity]: v_lo = 0.0 is "
                          "above v_hi = -1.0"))},
+    # an overflowed Corollary 1 bound is refused, not judged: at load
+    # for an infinite alpha, at check time where the bound overflows
+    "shipped scenario, corollary1 bounds, alpha = inf": (
+        lambda d: _shipped_corollary1_argv(d, "inf"),
+        "option 'alpha' in [checks.positivity]: inf is not finite"),
+    "shipped scenario, corollary1 bounds, alpha = 1e307": (
+        lambda d: _shipped_corollary1_argv(d, "1e307"),
+        "corollary1 bound 1 + (alpha - beta*I/N)*S/(mu*N) overflows double "
+        "precision at alpha = 1e+307"),
     # a check-time refusal: mu*(mu+omega+g) underflows in the integral
     # limit of the shipped law's prediction
     "shipped scenario at mu = 1e-300, omega = g1 = 1e-30": (

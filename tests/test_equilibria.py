@@ -31,6 +31,7 @@ from seirvax import (
     hinf_ratio_sweep,
     a11_feasibility,
     analyze,
+    corollary1_upper_bound,
     predicted_limits,
 )
 
@@ -741,6 +742,17 @@ def test_extreme_rates_give_finite_numbers_or_one_line_refusals(
             assert "\n" not in str(exc), (call.__name__, str(exc))
             continue
         assert all(map(math.isfinite, numbers(out))), (call.__name__, out)
+    # the Corollary 1 bound at alpha = beta, at a state of the population
+    # (a VaccinationChannelError where mu*N underflows to 0 is a ValueError)
+    state = SeirState(0.7 * N, 0.2 * N, 0.1 * N, 0.0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # alpha < beta*I/N
+            bound = corollary1_upper_bound(state, p, beta)
+    except ValueError as exc:
+        assert "\n" not in str(exc), ("corollary1_upper_bound", str(exc))
+    else:
+        assert math.isfinite(bound), ("corollary1_upper_bound", bound)
     # every claimed limit is finite and approached at a positive rate
     for law in _catalogue(g, g1):
         try:

@@ -19,14 +19,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ROOT / "scenarios" / "full_immunization.ini"
 
 # Runs `main` on its arguments and prints the command's exit code, then
-# the seirvax layers and `json` if the process imported them.
+# the seirvax layers, and `json` and `numpy` if the process imported them.
 _PROBE = """\
 import contextlib, io, sys
 from seirvax.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, *sorted(m for m in sys.modules
-                    if m.startswith("seirvax.") or m == "json"))
+                    if m.startswith("seirvax.") or m in ("json", "numpy")))
 """
 
 
@@ -49,7 +49,8 @@ def shipped_csv(tmp_path_factory) -> Path:
 
 
 # The README's four commands (and equilibria without --json), and what
-# each must leave unimported.
+# each must leave unimported; `zerodyn` computes in plain floats, with
+# no numpy.
 COMMANDS = {
     "simulate": (lambda out, csv: ["simulate", str(SHIPPED), "--out-dir", out],
                  {"equilibria", "normal_form"}),
@@ -64,7 +65,7 @@ COMMANDS = {
     "zerodyn": (lambda out, csv: ["zerodyn", "--z2", "300", "--z3", "400",
                                   "--z4", "300", "--t-end", "1000",
                                   "--out-dir", out],
-                {"equilibria", "scenario", "svgplot"}),
+                {"equilibria", "scenario", "svgplot", "numpy"}),
     "verify": (lambda out, csv: ["verify", str(csv), str(SHIPPED)],
                {"equilibria", "normal_form", "svgplot"}),
 }
@@ -76,7 +77,8 @@ def test_command_imports_only_its_layers(case, tmp_path, shipped_csv):
     code, *loaded = _fresh("-c", _PROBE, *argv(str(tmp_path), shipped_csv))
     assert code == "0"
     assert "seirvax.cli" in loaded
-    unwanted = {m if m == "json" else f"seirvax.{m}" for m in skipped}
+    unwanted = {m if m in ("json", "numpy") else f"seirvax.{m}"
+                for m in skipped}
     assert not unwanted & set(loaded), loaded
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import sys
 from pathlib import Path
 from typing import ClassVar
 
@@ -206,6 +207,35 @@ class TestBasics:
         with pytest.raises(NonFiniteStateError, match="non-finite V at") as err:
             integrate(mixed_state, p1, ConstantVax(math.nan), cfg)
         assert (err.value.t, err.value.sample_index) == (0.0, 0)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -1.0, 1e303,
+                                       -5.4e303, 2.0 ** 1009 * (1 - 2 ** -53)])
+    def test_check_passes_finite_rows_without_numpy(self, monkeypatch, value):
+        # Magnitudes below 2**1009 are found finite before numpy is
+        # imported; with the import blocked, the check still passes.
+        samples = Samples()
+        samples.rows.extend((0.0, value, 1.0, 2.0, 3.0, value))
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        samples.check()
+
+    @pytest.mark.parametrize("value", [2.0 ** 1009, -1e308, math.inf,
+                                       -math.inf, math.nan, -math.nan])
+    @pytest.mark.parametrize("col", range(1, 6))
+    def test_check_locates_the_first_non_finite_row(self, value, col):
+        samples = Samples()
+        samples.rows.extend((0.0, 1.0, 2.0, 3.0, 4.0, 0.5,
+                             1.0, 1.0, 2.0, 3.0, 4.0, 0.5))
+        samples.rows[6 + col] = value
+        samples.rows.extend((2.0, math.nan, 1.0, 1.0, 1.0, 0.0))
+        if math.isfinite(value):
+            with pytest.raises(NonFiniteStateError, match="sample index 2"):
+                samples.check()
+            return
+        what = "V" if col == 5 else "state"
+        with pytest.raises(NonFiniteStateError,
+                           match=rf"^non-finite {what} at t = 1\.0 "
+                                 r"\(sample index 1\)$"):
+            samples.check()
 
     def test_unattainable_adaptive_tolerance_blames_tolerance(self, p1,
                                                               mixed_state):

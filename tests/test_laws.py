@@ -255,6 +255,22 @@ class TestBounds:
         with pytest.raises(VaccinationChannelError, match="mu\\*N > 0"):
             corollary1_upper_bound(SeirState(S, 0.0, I, 0.0), p0, 0.3)
 
+    @pytest.mark.parametrize("alpha", [1e307, np.inf])
+    def test_corollary1_refuses_an_overflowed_bound(self, p1, mixed_state,
+                                                    alpha):
+        # A float state, and an array with one sample that overflows: a
+        # bound that is not finite is refused, not returned.
+        with pytest.raises(ValueError, match="overflows double precision"):
+            corollary1_upper_bound(mixed_state, p1, alpha)
+        S = np.array([0.0, 700.0]) if alpha == 1e307 else np.array([700.0])
+        with pytest.raises(ValueError, match="overflows double precision"):
+            corollary1_upper_bound(SeirState(S, 0.0, 50.0, 0.0), p1, alpha)
+        # at mu*N = 1e-300 the bound is huge but finite, and returned
+        tiny = dataclasses.replace(p1, N=1.0, mu=1e-300)
+        state = SeirState(0.7, 0.2, 0.1, 0.0)
+        assert corollary1_upper_bound(state, tiny, 0.9) \
+            == 1.0 + (0.9 - 0.9 * 0.1) * 0.7 / 1e-300
+
     def test_corollary1_warns_on_bad_alpha(self, p1, mixed_state):
         with pytest.warns(UserWarning):
             corollary1_upper_bound(mixed_state, p1, 0.0)

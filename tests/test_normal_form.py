@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from seirvax import (
     IntegratorConfig,
     Linearizing,
     ModelParams,
+    NonFiniteStateError,
     OutputZeroing,
     SeirState,
     VaccinationChannelError,
@@ -23,6 +26,7 @@ from seirvax import (
 )
 
 from conftest import random_conserved_state
+from seirvax.integrate import Samples, _solve
 from seirvax.kernels import function
 from seirvax.laws import compile_law
 from seirvax.normal_form import NORMAL_SOURCE, ZERO_SOURCE
@@ -251,3 +255,69 @@ class TestTrajectoryEquivalence:
         assert np.abs(tr_z.z2 - (tr_x.S + tr_x.R)).max() < tol
         assert np.abs(tr_z.z3 - tr_x.E).max() < tol
         assert np.abs(tr_z.z4 - tr_x.I).max() < tol
+
+
+class TestRecord:
+    """A `NormalTrajectory` keeps the buffer its stepper wrote and builds
+    its numpy columns on first access."""
+
+    FIXED = IntegratorConfig(t_end=20.0, dt=1e-2, sampling_stride=10)
+    DENSE = IntegratorConfig(t_end=20.0, dt=1e-2, sampling_stride=10,
+                             adaptive=True, dense=True)
+
+    @pytest.mark.parametrize("config", [FIXED, DENSE], ids=["fixed", "dense"])
+    @pytest.mark.parametrize("run", ["normal", "zero_dynamics"])
+    def test_columns_are_the_stepper_columns(self, p1, mixed_state, config,
+                                             run):
+        # Bitwise, dtype included, what `Samples.columns()` builds from the
+        # same run's buffer.
+        if run == "normal":
+            law, z0 = ImmuneFeedback(0.0, 0.03), to_normal(mixed_state)
+            tr = integrate_normal(z0, p1, law, config)
+            samples = _solve(NORMAL_SOURCE, law, p1, z0, config)
+        else:
+            tr = integrate_zero_dynamics((300.0, 400.0, 300.0), p1, config)
+            samples = _solve(ZERO_SOURCE, ZeroVax(), p1,
+                             (0.0, 300.0, 400.0, 300.0), config)
+        want = samples.columns()
+        got = (tr.t, tr.z1, tr.z2, tr.z3, tr.z4, tr.V)
+        assert tr.rows == samples.rows
+        for column, expected in zip(got, want):
+            assert column.dtype == np.float64 and column.flags.c_contiguous
+            assert column.tobytes() == expected.tobytes()
+        assert tr.t is tr.t   # built once
+        for name, expected in zip(("t", "z1", "z2", "z3", "z4", "V"), want):
+            assert tr.values(name).tobytes() == expected.tobytes()
+
+    def test_len_and_rows_leave_the_columns_unbuilt(self, p1):
+        tr = integrate_zero_dynamics((300.0, 400.0, 300.0), p1, self.DENSE)
+        assert len(tr) == 201 and len(tr.rows) == 6 * 201
+        assert len(tr.values("z2")) == 201
+        assert "_table" not in vars(tr)
+        tr.z2
+        assert "_table" in vars(tr)
+
+    def test_non_finite_run_raises_at_the_call(self, p1):
+        # Fixed-step RK4 checks nothing while it steps: the buffer is
+        # checked, and the record refused, before the record exists.
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^non-finite state at t = 0\.01 "
+                                 r"\(sample index 1\)$"):
+            integrate_zero_dynamics((1e308, 1e308, 1e308), p1,
+                                    IntegratorConfig(t_end=1.0, dt=1e-2))
+
+    def test_equality_and_replace(self, p1):
+        # `==` compares the rows and the run's inputs; `replace` takes
+        # those four fields, and the columns are built afresh.
+        tr = integrate_zero_dynamics((300.0, 400.0, 300.0), p1, self.DENSE)
+        again = integrate_zero_dynamics((300.0, 400.0, 300.0), p1, self.DENSE)
+        assert tr == again and tr is not again
+        assert tr != integrate_zero_dynamics((300.0, 400.0, 301.0), p1,
+                                             self.DENSE)
+        p2 = dataclasses.replace(p1, mu=0.02)
+        moved = dataclasses.replace(tr, params=p2)
+        assert moved.params == p2 and moved.rows is tr.rows
+        assert moved.z2.tobytes() == tr.z2.tobytes()
+        assert moved != tr
+        with pytest.raises(TypeError):
+            dataclasses.replace(tr, z2=tr.z2)
