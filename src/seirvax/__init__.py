@@ -32,8 +32,7 @@ _EXPORTS = {
         "predicted_limits"),
     "integrate": ("IntegratorConfig", "Trajectory", "integrate"),
     "normal_form": (
-        "NormalTrajectory", "integrate_normal", "integrate_zero_dynamics",
-        "to_normal"),
+        "integrate_normal", "integrate_zero_dynamics", "to_normal"),
     "equilibria": (
         "EquilibriumPoint", "StabilityReport", "SweepResult",
         "a11_feasibility", "analyze", "char_zeros_x1",

@@ -333,8 +333,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not np.all(np.diff(data["t"]) > 0.0):
         raise ScenarioError("CSV time column must be strictly increasing")
     u = data.pop("u")
-    traj = Trajectory(**data, params=scenario.params, law=scenario.law,
-                      config=scenario.config)
+    traj = Trajectory.from_columns(scenario.params, scenario.law,
+                                   scenario.config, **data)
     report = run_checks(traj, scenario)
     # u is derived from S, E, R and V: a tampered state column is the
     # checks' to report, a u that disagrees with the rest is bad input.

@@ -27,16 +27,18 @@ DOP853 at rtol 1e-13.
 
 Samples go to a float64 buffer; finiteness is checked once over the
 buffer at the end (and when the adaptive pair sees a non-finite error).
-A record holds what the stepper wrote, t, the state and the applied V;
-the auxiliary control u is computed from them where it is read. numpy
-is imported where columns are built, and by the check only where a value
-may not be finite, so a run whose record keeps the buffer (`normal_form`)
-loads no numpy unless a value is not finite or above 2**1009.
+The record, a `Trajectory`, keeps that buffer, t, the state and the
+applied V of every sample, and builds its numpy columns on first access;
+the auxiliary control u is computed from them where it is read. numpy is
+imported where columns are built, and by the check only where a value may
+not be finite, so a run whose columns are never read (`zerodyn`) loads no
+numpy unless a value is not finite or above 2**1009.
 
 `_solve` is the one runner: it binds the law, opens the sample buffer
-and calls the config's kernel, for every field. `integrate` runs it on
-the x-space field and `normal_form` on the normal-form and
-zero-dynamics fields, so each of them runs fixed, adaptive or dense.
+and calls the config's kernel, for every field, and `_record` checks its
+buffer and returns the record. `integrate` runs it on the x-space field
+and `normal_form` on the normal-form and zero-dynamics fields, so each of
+them runs fixed, adaptive or dense and returns the same record.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 import numbers
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .exceptions import NonFiniteStateError
@@ -122,35 +124,63 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples of the closed loop, immutable after construction.
+    """Time-ordered samples of a closed-loop run, immutable after
+    construction.
 
-    Arrays t, S, E, I, R, V (what the stepper wrote; `u` is computed from
-    them) share a common length; t is strictly increasing and the first
-    sample equals the initial condition at t0. Negative excursions stay
-    in the samples for `monitor_positivity`.
+    `rows` is the buffer the stepper wrote, one row (t, y0..y3, V) per
+    sample; `names` names its columns, t, the field's state and V (t, S,
+    E, I, R, V in x-space, t, z1..z4, V in normal-form coordinates). A
+    column is an attribute by its name, a float64 array: the first one
+    read builds them all from the buffer, once. `len()`, `values` and `==`
+    (the buffer and the run's inputs) need no numpy. t is strictly
+    increasing and the first sample is the initial condition at t0;
+    negative excursions stay in the samples for `monitor_positivity`.
     """
 
-    t: np.ndarray
-    S: np.ndarray
-    E: np.ndarray
-    I: np.ndarray
-    R: np.ndarray
-    V: np.ndarray
+    rows: array = field(repr=False)
     params: ModelParams
     law: ControlLaw
     config: IntegratorConfig
+    names: tuple[str, ...] = ("t", *SEIR_SOURCE.state, "V")
+
+    @classmethod
+    def from_columns(cls, params: ModelParams, law: ControlLaw,
+                     config: IntegratorConfig, *, t, S, E, I, R,
+                     V) -> Trajectory:
+        """The x-space record of the columns given, interleaved into rows
+        as a stepper writes them. Nothing is checked: a non-finite value
+        reaches the checks as given."""
+        import numpy as np
+        table = np.column_stack([np.asarray(c, dtype=np.float64)
+                                 for c in (t, S, E, I, R, V)])
+        return cls(array("d", table.tobytes()), params, law, config)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only for a name the instance does not hold yet: a
+        # column, which is built with the others and kept.
+        names = self.__dict__.get("names", ())
+        if name not in names:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(zip(names, _columns(self.rows)))
+        return self.__dict__[name]
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return len(self.rows) // len(self.names)
+
+    def values(self, name: str) -> array:
+        """The column `name` as an `array('d')`, built without numpy."""
+        return self.rows[self.names.index(name)::len(self.names)]
 
     def states(self) -> np.ndarray:
-        """(n, 4) array of samples in S, E, I, R order."""
+        """(n, 4) array of the state samples, in the field's order."""
         import numpy as np
-        return np.column_stack((self.S, self.E, self.I, self.R))
+        return np.column_stack([getattr(self, name) for name in self.names[1:5]])
 
     @property
     def u(self) -> np.ndarray:
-        """u = omega*R - sigma*E - mu*N*V at every sample."""
+        """u = omega*R - sigma*E - mu*N*V at every sample; an x-space
+        record's only."""
         return coupling_control(SeirState(self.S, self.E, self.I, self.R),
                                 self.params, self.V)
 
@@ -179,9 +209,17 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
             diagnostic sample index and time.
     """
     _check_initial(state0, params)
-    return Trajectory(
-        *_solve(SEIR_SOURCE, law, params, state0.as_tuple(), config).columns(),
-        params=params, law=law, config=config)
+    return _record(SEIR_SOURCE, law, params, state0.as_tuple(), config)
+
+
+def _record(field: FieldSource, law: ControlLaw, params: ModelParams,
+            y0: tuple, config: IntegratorConfig) -> Trajectory:
+    """The checked record of `_solve`'s run, its columns named after the
+    field's state."""
+    samples = _solve(field, law, params, y0, config)
+    samples.check()
+    return Trajectory(samples.rows, params, law, config,
+                      ("t", *field.state, "V"))
 
 
 def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,
@@ -272,11 +310,6 @@ class Samples:
         return NonFiniteStateError(
             f"non-finite state at t = {t} (sample index {index})",
             t=t, sample_index=index)
-
-    def columns(self) -> np.ndarray:
-        """(6, n) array: the t, y0..y3 and V columns, each contiguous."""
-        self.check()
-        return _columns(self.rows)
 
 
 # The index of a float64's sign-and-exponent byte in the buffer's native

@@ -33,22 +33,15 @@ stage) inlined; see `kernels`.
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import TYPE_CHECKING
+from dataclasses import replace
 
-from .integrate import IntegratorConfig, _columns, _solve
+from .integrate import IntegratorConfig, Trajectory, _record
 from .kernels import FieldSource
 from .laws import ControlLaw, ZeroVax
 from .model import ModelParams, SeirState
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "to_normal",
-    "NormalTrajectory",
     "integrate_normal",
     "integrate_zero_dynamics",
 ]
@@ -91,57 +84,9 @@ ZERO_SOURCE = replace(NORMAL_SOURCE, name="zero_dynamics",
                       rates=("0.0", *NORMAL_SOURCE.rates[1:]))
 
 
-# The values of a row of `NormalTrajectory.rows`, in order.
-_ROW = ("t", "z1", "z2", "z3", "z4", "V")
-
-
-def _column(name: str, what: str) -> property:
-    k = _ROW.index(name)
-    return property(lambda self: self._table[k],
-                    doc=f"The {what} column, a float64 array.")
-
-
-@dataclass(frozen=True)
-class NormalTrajectory:
-    """Samples of a z-coordinate integration; those of the zero dynamics
-    have z1 and V exactly 0.0 and the law `ZeroVax()`.
-
-    The record holds the buffer the stepper wrote, `rows` (t, z1, z2,
-    z3, z4, V per sample, checked finite), and builds the numpy columns
-    t, z1..z4 and V from it on first access; `len()`, `rows` and
-    `values`, which gives a column as an `array('d')`, need no numpy.
-    `==` compares the rows and the run's inputs, and
-    `dataclasses.replace` may replace those four fields only.
-    """
-
-    rows: array = field(repr=False)
-    params: ModelParams
-    law: ControlLaw
-    config: IntegratorConfig
-
-    def __len__(self) -> int:
-        return len(self.rows) // len(_ROW)
-
-    def values(self, name: str) -> array:
-        """The column `name` ("t", "z1".."z4" or "V") as an `array('d')`,
-        built without numpy."""
-        return self.rows[_ROW.index(name)::len(_ROW)]
-
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, ...]:
-        return tuple(_columns(self.rows))
-
-    t = _column("t", "sample time")
-    z1 = _column("z1", "z1 = R")
-    z2 = _column("z2", "z2 = S + R")
-    z3 = _column("z3", "z3 = E")
-    z4 = _column("z4", "z4 = I")
-    V = _column("V", "applied V")
-
-
 def integrate_normal(z0: tuple[float, float, float, float],
                      params: ModelParams, law: ControlLaw,
-                     config: IntegratorConfig) -> NormalTrajectory:
+                     config: IntegratorConfig) -> Trajectory:
     """Integrate the normal-form system from z0 = (z1, z2, z3, z4) under a
     law with the config's scheme.
 
@@ -150,15 +95,14 @@ def integrate_normal(z0: tuple[float, float, float, float],
     Dormand-Prince pair, whose dense output samples the same grid. The law
     is state feedback in x-coordinates; it is evaluated at the
     back-transformed state at every stage, in the kernel the stepper's
-    template generates for `NORMAL_SOURCE`.
+    template generates for `NORMAL_SOURCE`. The record's columns are t,
+    z1..z4 and V.
     """
-    samples = _solve(NORMAL_SOURCE, law, params, tuple(z0), config)
-    samples.check()
-    return NormalTrajectory(samples.rows, params, law, config)
+    return _record(NORMAL_SOURCE, law, params, tuple(z0), config)
 
 
 def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
-                            config: IntegratorConfig) -> NormalTrajectory:
+                            config: IntegratorConfig) -> Trajectory:
     """Integrate the autonomous zero dynamics from (z2, z3, z4) with the
     config's scheme: fixed-step RK4, or the Dormand-Prince pair, whose
     dense output samples the fixed grid's times. The record's z1 and V
@@ -168,6 +112,4 @@ def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
         raise ValueError("initial zero-dynamics state must be finite")
     if min(z0) < 0.0:
         raise ValueError("initial zero-dynamics state must be nonnegative")
-    samples = _solve(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0), config)
-    samples.check()
-    return NormalTrajectory(samples.rows, params, ZeroVax(), config)
+    return _record(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0), config)

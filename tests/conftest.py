@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from seirvax import ModelParams, SeirState, ZeroVax
+from seirvax import ModelParams, SeirState, Trajectory, ZeroVax
 from seirvax.kernels import jacobian
 from seirvax.laws import law_program
 from seirvax.model import SEIR_SOURCE
@@ -32,6 +32,14 @@ def random_conserved_state(rng: np.random.Generator, N: float) -> SeirState:
     """Random nonnegative state scaled to sum exactly-ish to N."""
     w = rng.dirichlet((1.0, 1.0, 1.0, 1.0)) * N
     return SeirState(*map(float, w))
+
+
+def with_columns(traj: Trajectory, **columns) -> Trajectory:
+    """An x-space record with the columns given in place of its own, built
+    by `Trajectory.from_columns`, which checks nothing."""
+    return Trajectory.from_columns(
+        traj.params, traj.law, traj.config,
+        **{name: columns.get(name, getattr(traj, name)) for name in traj.names})
 
 
 def map_params():

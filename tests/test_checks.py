@@ -18,6 +18,7 @@ from seirvax import (
     SeirState,
     SusceptibleLinear,
     SusceptiblePlusExposed,
+    Trajectory,
     ZeroVax,
     check_asymptotics,
     check_identity_suite,
@@ -27,7 +28,7 @@ from seirvax import (
     monitor_positivity,
     predicted_limits,
 )
-from conftest import log_linear_rate
+from conftest import log_linear_rate, with_columns
 
 
 @pytest.fixture
@@ -44,7 +45,7 @@ class TestConservation:
     def test_corrupted_sample_fails_at_location(self, thm3_run):
         bad_R = thm3_run.R.copy()
         bad_R[500] += 1.0
-        bad = dataclasses.replace(thm3_run, R=bad_R)
+        bad = with_columns(thm3_run, R=bad_R)
         chk = monitor_conservation(bad)
         assert not chk.passed
         assert chk.location_t == pytest.approx(float(thm3_run.t[500]))
@@ -119,7 +120,7 @@ class TestPositivity:
     def test_negative_start_flagged_at_t0(self, p1, thm3_run):
         bad_E = thm3_run.E.copy()
         bad_E[0] = -1.0
-        bad = dataclasses.replace(thm3_run, E=bad_E)
+        bad = with_columns(thm3_run, E=bad_E)
         chk = monitor_positivity(bad, v_hi=np.inf)
         assert not chk.passed
         sub = chk.details["components >= 0"]
@@ -157,7 +158,7 @@ def test_component_extremes_match_row_reduction(p1, mixed_state, seed):
     rows = rng.integers(0, len(tr), size=3)
     for name in "SEIR":   # equal extremes in several rows and columns
         noisy[name][rows] = -7.0 if seed % 2 else 2.0 * p1.N
-    for traj in (tr, dataclasses.replace(tr, **noisy)):
+    for traj in (tr, with_columns(tr, **noisy)):
         chk = monitor_positivity(traj, v_hi=np.inf, v_lo=-np.inf)
         got = [(c.passed, c.worst.hex(), c.location_t.hex())
                for c in (chk.details["components >= 0"],
@@ -184,7 +185,7 @@ class TestIdentitySuite:
         tr = integrate(mixed_state, p1, ZeroVax(), cfg)
         bad_I = tr.I.copy()
         bad_I[300] += 0.5
-        chk = check_identity_suite(dataclasses.replace(tr, I=bad_I), p1)
+        chk = check_identity_suite(with_columns(tr, I=bad_I), p1)
         assert not chk.passed
 
     @pytest.mark.parametrize("stride", [2, 5, 10])
@@ -208,7 +209,7 @@ class TestIdentitySuite:
         assert check_identity_suite(tr, p1).passed
         bad_I = tr.I.copy()
         bad_I[60] += 0.5
-        chk = check_identity_suite(dataclasses.replace(tr, I=bad_I), p1)
+        chk = check_identity_suite(with_columns(tr, I=bad_I), p1)
         assert not chk.passed
 
     def test_ignores_the_step_size(self, p1, mixed_state):
@@ -252,12 +253,13 @@ class TestIdentitySuite:
         t = tr.t.copy()
         t[5] += 1e-3
         with pytest.raises(ValueError, match="uniform"):
-            check_identity_suite(dataclasses.replace(tr, t=t), p1)
+            check_identity_suite(with_columns(tr, t=t), p1)
 
     def test_refuses_short_trajectories(self, p1, thm3_run):
-        short = dataclasses.replace(
-            thm3_run, t=thm3_run.t[:2], S=thm3_run.S[:2], E=thm3_run.E[:2],
-            I=thm3_run.I[:2], R=thm3_run.R[:2], V=thm3_run.V[:2])
+        short = Trajectory.from_columns(
+            thm3_run.params, thm3_run.law, thm3_run.config, t=thm3_run.t[:2],
+            S=thm3_run.S[:2], E=thm3_run.E[:2], I=thm3_run.I[:2],
+            R=thm3_run.R[:2], V=thm3_run.V[:2])
         with pytest.raises(ValueError, match="3 samples"):
             check_identity_suite(short, p1)
 
@@ -266,10 +268,11 @@ class TestIdentitySuite:
         # V alternates between the lower clip and the interior, so every
         # three-sample window holds a switch and none is left to judge.
         n = 6
-        tr = dataclasses.replace(
-            thm3_run, t=thm3_run.t[:n], S=thm3_run.S[:n], E=thm3_run.E[:n],
-            I=thm3_run.I[:n], R=thm3_run.R[:n], V=np.tile([0.0, 0.5], n // 2),
-            law=Saturated(ImmuneFeedback(0.0, 0.03), 0.0, 1.0))
+        tr = Trajectory.from_columns(
+            thm3_run.params, Saturated(ImmuneFeedback(0.0, 0.03), 0.0, 1.0),
+            thm3_run.config, t=thm3_run.t[:n], S=thm3_run.S[:n],
+            E=thm3_run.E[:n], I=thm3_run.I[:n], R=thm3_run.R[:n],
+            V=np.tile([0.0, 0.5], n // 2))
         with pytest.raises(ValueError, match="every window straddles a clip switch"):
             check_identity_suite(tr, p1)
 
@@ -461,7 +464,7 @@ def test_nan_in_a_read_column_fails(nan_target, check, seed):
     for name in columns:
         col = getattr(tr, name).copy()
         col[int(rng.integers(first, len(tr) - 1))] = np.nan
-        chk = run(dataclasses.replace(tr, **{name: col}))
+        chk = run(with_columns(tr, **{name: col}))
         assert not chk.passed and np.isnan(chk.worst), (check, name)
         for c in _checks_within(clean) + _checks_within(chk):
             assert c.passed == (c.worst <= c.tolerance), c
@@ -476,6 +479,6 @@ def test_nan_v_between_clip_switches_fails(p1, mixed_state, seed):
     interior = np.flatnonzero((tr.V > 0.0) & (tr.V < 1.0))
     V = tr.V.copy()
     V[np.random.default_rng(seed).choice(interior[1:-1])] = np.nan
-    chk = check_identity_suite(dataclasses.replace(tr, V=V), p1)
+    chk = check_identity_suite(with_columns(tr, V=V), p1)
     assert not chk.passed and np.isnan(chk.worst)
     assert chk.details["kink windows skipped"] > 8

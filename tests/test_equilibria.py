@@ -716,6 +716,8 @@ _NUMBERS = {
                        *rep.jacobian.ravel().tolist(),
                        *np.abs(rep.spectrum).tolist(),
                        *(() if rep.hinf_ratio is None else (rep.hinf_ratio,)))],
+    # the sweep on its own, at the endemic point
+    _sweep: lambda res: (res.max_ratio, res.argmax_freq, res.threshold),
 }
 
 

@@ -21,7 +21,6 @@ from seirvax import (
     Linearizing,
     ModelParams,
     NonFiniteStateError,
-    NormalTrajectory,
     OutputZeroing,
     Saturated,
     SeirState,
@@ -36,7 +35,7 @@ from seirvax import (
     to_normal,
 )
 from seirvax.integrate import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
-                               _solve)
+                               _columns, _solve)
 from seirvax.laws import ControlLaw, compile_law
 from seirvax.model import SEIR_SOURCE
 from seirvax.kernels import function
@@ -385,11 +384,10 @@ class TestPositivity:
     def test_injected_negative_start_reported_at_t0(self, p1):
         # Hand-built trajectory: the lower sub-check flags the first sample.
         t = np.array([0.0, 1.0])
-        tr = Trajectory(t=t, S=np.array([-1.0, 1.0]), E=np.zeros(2),
-                        I=np.zeros(2), R=np.array([1001.0, 999.0]),
-                        V=np.zeros(2), params=p1,
-                        law=ZeroVax(),
-                        config=IntegratorConfig(t_end=1.0))
+        tr = Trajectory.from_columns(p1, ZeroVax(), IntegratorConfig(t_end=1.0),
+                                     t=t, S=np.array([-1.0, 1.0]), E=np.zeros(2),
+                                     I=np.zeros(2), R=np.array([1001.0, 999.0]),
+                                     V=np.zeros(2))
         lower = monitor_positivity(tr, v_hi=np.inf).details["components >= 0"]
         assert not lower.passed
         assert lower.worst == 1.0 and lower.location_t == 0.0
@@ -593,8 +591,14 @@ def _kernel_and_reference(state, params, law, config):
     return got, (_reference_rk4(f, law_at, state.as_tuple(), config), {})
 
 
+def _checked_columns(samples: Samples) -> np.ndarray:
+    """The (6, n) columns of a buffer found finite."""
+    samples.check()
+    return _columns(samples.rows)
+
+
 def _assert_bitwise(got: Samples, want: Samples) -> None:
-    assert got.columns().tobytes() == want.columns().tobytes()
+    assert _checked_columns(got).tobytes() == _checked_columns(want).tobytes()
 
 
 class TestDopriKernel:
@@ -677,10 +681,11 @@ class TestDense:
         # step ends on t0 + dt).
         law = ImmuneFeedback(0.01, 0.05)
         cfg = dataclasses.replace(DENSE_CONFIG, sampling_stride=1)
-        dense = _solve(SEIR_SOURCE, law, KERNEL_PARAMS, mixed_state.as_tuple(),
-                       cfg).columns()
-        steps = _solve(SEIR_SOURCE, law, KERNEL_PARAMS, mixed_state.as_tuple(),
-                       dataclasses.replace(cfg, dense=False)).columns()
+        dense = _checked_columns(_solve(SEIR_SOURCE, law, KERNEL_PARAMS,
+                                        mixed_state.as_tuple(), cfg))
+        steps = _checked_columns(_solve(SEIR_SOURCE, law, KERNEL_PARAMS,
+                                        mixed_state.as_tuple(),
+                                        dataclasses.replace(cfg, dense=False)))
         assert steps[0, 1] == cfg.t0 + cfg.dt
         assert dense[:, -1].tobytes() == steps[:, -1].tobytes()
         assert dense[:, 1].tobytes() == steps[:, 1].tobytes()
@@ -697,8 +702,8 @@ class TestDense:
         _, stats = _reference_dopri45(f, law_at, mixed_state.as_tuple(),
                                       dataclasses.replace(DENSE_CONFIG,
                                                           dense=False))
-        got = _solve(SEIR_SOURCE, law, KERNEL_PARAMS, mixed_state.as_tuple(),
-                     DENSE_CONFIG).columns()
+        got = _checked_columns(_solve(SEIR_SOURCE, law, KERNEL_PARAMS,
+                                      mixed_state.as_tuple(), DENSE_CONFIG))
         starts = np.array([t for t, *_ in stats["steps"]])
         for tau, *state in got.T[1:-1, :5]:
             t, h, y, ks = stats["steps"][np.searchsorted(starts, tau, "right") - 1]
@@ -737,13 +742,13 @@ class TestDense:
     @pytest.mark.parametrize("z0", [(300.0, 400.0, 300.0), (999.0, 0.0, 1.0),
                                     (620.0, 242.0, 138.0)], ids=str)
     def test_zero_dynamics(self, p1, z0):
-        # The `zerodyn` run, a `NormalTrajectory` under ZeroVax(): the fixed
+        # The `zerodyn` run, a z-space record under ZeroVax(): the fixed
         # run's sample times bitwise, z1 and V held at exactly +0.0, within
         # 1e-4 of DOP853 (measured 6.8e-6) and the sum C conserved to 1e-9*C.
         cfg = IntegratorConfig(t_end=1000.0, dt=1e-2, sampling_stride=100,
                                adaptive=True, dense=True)
         tr = integrate_zero_dynamics(z0, p1, cfg)
-        assert isinstance(tr, NormalTrajectory) and tr.law == ZeroVax()
+        assert isinstance(tr, Trajectory) and tr.law == ZeroVax()
         fixed = integrate_zero_dynamics(
             z0, p1, dataclasses.replace(cfg, adaptive=False, dense=False))
         assert len(tr) == 1001

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from seirvax import (
     NonFiniteStateError,
     OutputZeroing,
     SeirState,
+    Trajectory,
     VaccinationChannelError,
     ZeroVax,
     derivative,
@@ -26,9 +28,10 @@ from seirvax import (
 )
 
 from conftest import random_conserved_state
-from seirvax.integrate import Samples, _solve
+from seirvax.integrate import _columns, _solve
 from seirvax.kernels import function
 from seirvax.laws import compile_law
+from seirvax.model import SEIR_SOURCE
 from seirvax.normal_form import NORMAL_SOURCE, ZERO_SOURCE
 
 
@@ -258,44 +261,58 @@ class TestTrajectoryEquivalence:
 
 
 class TestRecord:
-    """A `NormalTrajectory` keeps the buffer its stepper wrote and builds
-    its numpy columns on first access."""
+    """A run's `Trajectory`, in x or in z, keeps the buffer its stepper
+    wrote and builds its numpy columns on first access."""
 
     FIXED = IntegratorConfig(t_end=20.0, dt=1e-2, sampling_stride=10)
     DENSE = IntegratorConfig(t_end=20.0, dt=1e-2, sampling_stride=10,
                              adaptive=True, dense=True)
 
+    @staticmethod
+    def _run(run, p1, state, config):
+        """The record of a run and the buffer `_solve` writes for it."""
+        if run == "x":
+            law = ImmuneFeedback(0.0, 0.03)
+            return (integrate(state, p1, law, config),
+                    _solve(SEIR_SOURCE, law, p1, state.as_tuple(), config))
+        if run == "normal":
+            law, z0 = ImmuneFeedback(0.0, 0.03), to_normal(state)
+            return (integrate_normal(z0, p1, law, config),
+                    _solve(NORMAL_SOURCE, law, p1, z0, config))
+        return (integrate_zero_dynamics((300.0, 400.0, 300.0), p1, config),
+                _solve(ZERO_SOURCE, ZeroVax(), p1, (0.0, 300.0, 400.0, 300.0),
+                       config))
+
     @pytest.mark.parametrize("config", [FIXED, DENSE], ids=["fixed", "dense"])
-    @pytest.mark.parametrize("run", ["normal", "zero_dynamics"])
+    @pytest.mark.parametrize("run", ["x", "normal", "zero_dynamics"])
     def test_columns_are_the_stepper_columns(self, p1, mixed_state, config,
                                              run):
-        # Bitwise, dtype included, what `Samples.columns()` builds from the
-        # same run's buffer.
-        if run == "normal":
-            law, z0 = ImmuneFeedback(0.0, 0.03), to_normal(mixed_state)
-            tr = integrate_normal(z0, p1, law, config)
-            samples = _solve(NORMAL_SOURCE, law, p1, z0, config)
-        else:
-            tr = integrate_zero_dynamics((300.0, 400.0, 300.0), p1, config)
-            samples = _solve(ZERO_SOURCE, ZeroVax(), p1,
-                             (0.0, 300.0, 400.0, 300.0), config)
-        want = samples.columns()
-        got = (tr.t, tr.z1, tr.z2, tr.z3, tr.z4, tr.V)
+        # Bitwise, dtype included, what `_columns` builds from the same
+        # run's buffer once it is found finite.
+        tr, samples = self._run(run, p1, mixed_state, config)
+        samples.check()
+        want = _columns(samples.rows)
+        names = {"x": ("t", "S", "E", "I", "R", "V")}.get(
+            run, ("t", "z1", "z2", "z3", "z4", "V"))
+        assert tr.names == names
+        got = [getattr(tr, name) for name in names]
         assert tr.rows == samples.rows
         for column, expected in zip(got, want):
             assert column.dtype == np.float64 and column.flags.c_contiguous
             assert column.tobytes() == expected.tobytes()
         assert tr.t is tr.t   # built once
-        for name, expected in zip(("t", "z1", "z2", "z3", "z4", "V"), want):
+        for name, expected in zip(names, want):
             assert tr.values(name).tobytes() == expected.tobytes()
+        assert tr.states().tobytes() == want[1:5].T.tobytes()
 
-    def test_len_and_rows_leave_the_columns_unbuilt(self, p1):
-        tr = integrate_zero_dynamics((300.0, 400.0, 300.0), p1, self.DENSE)
-        assert len(tr) == 201 and len(tr.rows) == 6 * 201
-        assert len(tr.values("z2")) == 201
-        assert "_table" not in vars(tr)
-        tr.z2
-        assert "_table" in vars(tr)
+    def test_len_and_rows_leave_the_columns_unbuilt(self, p1, mixed_state):
+        for run in ("x", "zero_dynamics"):
+            tr, _ = self._run(run, p1, mixed_state, self.DENSE)
+            assert len(tr) == 201 and len(tr.rows) == 6 * 201
+            assert len(tr.values(tr.names[2])) == 201
+            assert not set(tr.names) & set(vars(tr))
+            getattr(tr, tr.names[2])
+            assert set(tr.names) <= set(vars(tr))
 
     def test_non_finite_run_raises_at_the_call(self, p1):
         # Fixed-step RK4 checks nothing while it steps: the buffer is
@@ -308,7 +325,7 @@ class TestRecord:
 
     def test_equality_and_replace(self, p1):
         # `==` compares the rows and the run's inputs; `replace` takes
-        # those four fields, and the columns are built afresh.
+        # those fields, and the columns are built afresh.
         tr = integrate_zero_dynamics((300.0, 400.0, 300.0), p1, self.DENSE)
         again = integrate_zero_dynamics((300.0, 400.0, 300.0), p1, self.DENSE)
         assert tr == again and tr is not again
@@ -321,3 +338,31 @@ class TestRecord:
         assert moved != tr
         with pytest.raises(TypeError):
             dataclasses.replace(tr, z2=tr.z2)
+
+    def test_x_space_records_compare_by_value(self, p1, mixed_state):
+        # Also once their columns are built, and after a pickle round trip.
+        tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), self.FIXED)
+        again = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03),
+                          self.FIXED)
+        assert tr == again
+        assert tr.S.tobytes() == again.S.tobytes() and tr == again
+        assert tr != integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.04),
+                               self.FIXED)
+        assert pickle.loads(pickle.dumps(tr)) == tr
+
+    def test_from_columns_gives_back_the_record(self, p1, mixed_state):
+        tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), self.DENSE)
+        rebuilt = Trajectory.from_columns(
+            tr.params, tr.law, tr.config,
+            **{name: getattr(tr, name) for name in tr.names})
+        assert rebuilt == tr
+        assert rebuilt.rows.tobytes() == tr.rows.tobytes()
+
+    def test_u_is_an_x_space_column(self, p1, mixed_state):
+        x = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), self.FIXED)
+        z = integrate_normal(to_normal(mixed_state), p1,
+                             ImmuneFeedback(0.0, 0.03), self.FIXED)
+        assert x.u.shape == (len(x),)
+        assert not hasattr(z, "u") and not hasattr(z, "S")
+        with pytest.raises(AttributeError, match="'u'"):
+            z.u
