@@ -120,12 +120,11 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
         lo = np.zeros_like(hi)
         bound_name = "V in corollary1 range"
     elif bounds is None:
-        lo = np.full_like(traj.V, v_lo)
-        hi = np.full_like(traj.V, v_hi)
+        lo, hi = v_lo, v_hi   # numpy broadcasts them, with no n-length copy
         bound_name = f"V in [{v_lo:g}, {v_hi:g}]"
     else:
         raise ValueError(f"unknown V bounds {bounds!r}; known: 'corollary1'")
-    finite = np.abs(np.concatenate((lo, hi)))
+    finite = np.abs(np.hstack((lo, hi)))
     finite = finite[np.isfinite(finite)]
     slack = 1e-12 * max(1.0, float(finite.max()) if finite.size else 1.0)
     excess = np.maximum(lo - traj.V, traj.V - hi)
@@ -185,35 +184,8 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
     mu, om, si, ga, N, bp = p.mu, p.omega, p.sigma, p.gamma, p.N, p.beta_prime
     muN = mu * N
     S, E, I, R, V = traj.S, traj.E, traj.I, traj.R, traj.V
-
-    def cdiff(x: np.ndarray) -> np.ndarray:
-        return (x[2:] - x[:-2]) / (2.0 * h)
-
     Sm, Em, Im, Rm, Vm = S[1:-1], E[1:-1], I[1:-1], R[1:-1], V[1:-1]
     um = traj.u[1:-1]
-
-    d_ei = cdiff(E + I)
-    d_se = cdiff(S + E)
-    d_ir = cdiff(I + R)
-    d_sr = cdiff(S + R)
-    d_sei = cdiff(S + E + I)
-    d_r = cdiff(R)
-
-    residuals = {
-        "(20) d(E+I)": d_ei - (-mu * (Em + Im) + (bp * Sm - ga) * Im),
-        "(21.a) d(S+E)": d_se - (-mu * (Sm + Em) + muN + um),
-        "(21.b) d(S+E)": d_se - (mu * (Im + Rm) + um),
-        "(22) d(I+R)": d_ir - (-mu * (Im + Rm) - um),
-        "(23.a) d(S+R)": d_sr - (-mu * (Sm + Rm) + (ga - bp * Sm) * Im + muN),
-        "(23.b) d(S+R)": d_sr - (mu * (Em + Im) + (ga - bp * Sm) * Im),
-        "(23.c) d(S+R)": d_sr - (mu * Em + (mu + ga - bp * Sm) * Im),
-        "(24.a) d(S+E+I)": d_sei - (-mu * (Sm + Em + Im) + om * Rm - ga * Im
-                                    + muN * (1.0 - Vm)),
-        "(24.b) d(S+E+I)": d_sei - (mu * Rm + si * Em - ga * Im + um),
-        "(25.a) dR": d_r - (-(mu + om) * Rm + ga * Im + muN * Vm),
-        "(25.b) dR": d_r - (-mu * Rm - si * Em + ga * Im - um),
-        "(25.c) dR": d_r - (-d_sei),
-    }
 
     skipped = np.zeros(0, dtype=np.intp)
     if isinstance(traj.law, Saturated):
@@ -223,18 +195,48 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
         if skipped.size == Vm.size:
             raise ValueError("identity suite: every window straddles a clip switch")
 
-    tol = _identity_tolerance(params, traj.law, h)
+    def cdiff(x: np.ndarray) -> np.ndarray:
+        return (x[2:] - x[:-2]) / (2.0 * h)
+
+    # Each residual is folded into its worst value as soon as it is
+    # formed, in the order below, so one residual and the central
+    # differences it reads are alive at a time; a later residual takes
+    # the worst only by exceeding it (or by being NaN).
     worst = -1.0
     worst_t: Optional[float] = None
     details: dict[str, float] = {"kink windows skipped": int(skipped.size)}
-    for name, res in residuals.items():
-        mag = np.abs(res)
+
+    def fold(name: str, res: np.ndarray) -> None:
+        nonlocal worst, worst_t
+        mag = np.abs(res, out=res)
         mag[skipped] = np.minimum(mag[skipped], -1.0)   # a NaN stays
         k = int(np.argmax(mag))
         details[name] = float(mag[k])
         if mag[k] > worst or math.isnan(mag[k]):
             worst = float(mag[k])
             worst_t = float(t[1 + k])
+
+    d = cdiff(E + I)
+    fold("(20) d(E+I)", d - (-mu * (Em + Im) + (bp * Sm - ga) * Im))
+    d = cdiff(S + E)
+    fold("(21.a) d(S+E)", d - (-mu * (Sm + Em) + muN + um))
+    fold("(21.b) d(S+E)", d - (mu * (Im + Rm) + um))
+    d = cdiff(I + R)
+    fold("(22) d(I+R)", d - (-mu * (Im + Rm) - um))
+    d = cdiff(S + R)
+    fold("(23.a) d(S+R)", d - (-mu * (Sm + Rm) + (ga - bp * Sm) * Im + muN))
+    fold("(23.b) d(S+R)", d - (mu * (Em + Im) + (ga - bp * Sm) * Im))
+    fold("(23.c) d(S+R)", d - (mu * Em + (mu + ga - bp * Sm) * Im))
+    del d
+    d_sei = cdiff(S + E + I)
+    fold("(24.a) d(S+E+I)", d_sei - (-mu * (Sm + Em + Im) + om * Rm - ga * Im
+                                     + muN * (1.0 - Vm)))
+    fold("(24.b) d(S+E+I)", d_sei - (mu * Rm + si * Em - ga * Im + um))
+    d = cdiff(R)
+    fold("(25.a) dR", d - (-(mu + om) * Rm + ga * Im + muN * Vm))
+    fold("(25.b) dR", d - (-mu * Rm - si * Em + ga * Im - um))
+    fold("(25.c) dR", d - (-d_sei))
+    tol = _identity_tolerance(params, traj.law, h)
     return Check("identity_suite", worst, tol, worst_t, details=details)
 
 

@@ -25,12 +25,15 @@ scenario (1200 days, 12001 samples, same host) that is 330 steps in
 11-17 ms, against 120000 RK4 steps in 215-255 ms, within 2.0e-6 of
 DOP853 at rtol 1e-13.
 
-Samples go to a float64 buffer; finiteness is checked once over the
-buffer at the end (and when the adaptive pair sees a non-finite error).
-The record, a `Trajectory`, keeps that buffer, t, the state and the
-applied V of every sample, and builds its numpy columns on first access;
-the auxiliary control u is computed from them where it is read. numpy is
-imported where columns are built, and by the check only where a value may
+Samples go to a float64 buffer, one per run: RK4 allocates it once at
+its final size, known from the config, and writes each row in place;
+the adaptive pair, whose sample count is not known in advance, appends.
+Finiteness is checked once over the buffer at the end (and when the
+adaptive pair sees a non-finite error). The record, a `Trajectory`,
+keeps that buffer, t, the state and the applied V of every sample; its
+numpy columns are read-only views into it, made on first access, and the
+auxiliary control u is computed from them where it is read. numpy is
+imported where columns are read, and by the check only where a value may
 not be finite, so a run whose columns are never read (`zerodyn`) loads no
 numpy unless a value is not finite or above 2**1009.
 
@@ -130,11 +133,12 @@ class Trajectory:
     `rows` is the buffer the stepper wrote, one row (t, y0..y3, V) per
     sample; `names` names its columns, t, the field's state and V (t, S,
     E, I, R, V in x-space, t, z1..z4, V in normal-form coordinates). A
-    column is an attribute by its name, a float64 array: the first one
-    read builds them all from the buffer, once. `len()`, `values` and `==`
-    (the buffer and the run's inputs) need no numpy. t is strictly
-    increasing and the first sample is the initial condition at t0;
-    negative excursions stay in the samples for `monitor_positivity`.
+    column is an attribute by its name, a read-only float64 view into the
+    buffer (strided, not a copy): the first one read makes them all, once.
+    `states()` is the same kind of view. `len()`, `values` and `==` (the
+    buffer and the run's inputs) need no numpy. t is strictly increasing
+    and the first sample is the initial condition at t0; negative
+    excursions stay in the samples for `monitor_positivity`.
     """
 
     rows: array = field(repr=False)
@@ -153,17 +157,25 @@ class Trajectory:
         import numpy as np
         table = np.column_stack([np.asarray(c, dtype=np.float64)
                                  for c in (t, S, E, I, R, V)])
-        return cls(array("d", table.tobytes()), params, law, config)
+        rows = array("d")
+        rows.frombytes(memoryview(table).cast("B"))
+        return cls(rows, params, law, config)
 
     def __getattr__(self, name: str) -> np.ndarray:
         # Reached only for a name the instance does not hold yet: a
-        # column, which is built with the others and kept.
+        # column, which is made with the others and kept.
         names = self.__dict__.get("names", ())
         if name not in names:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__.update(zip(names, _columns(self.rows)))
+        self.__dict__.update(zip(names, _table(self.rows).T))
         return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        # The fields only: the columns are views of `rows`, made again
+        # on first access after a copy or a pickle round trip.
+        return {name: self.__dict__[name]
+                for name in ("rows", "params", "law", "config", "names")}
 
     def __len__(self) -> int:
         return len(self.rows) // len(self.names)
@@ -173,9 +185,9 @@ class Trajectory:
         return self.rows[self.names.index(name)::len(self.names)]
 
     def states(self) -> np.ndarray:
-        """(n, 4) array of the state samples, in the field's order."""
-        import numpy as np
-        return np.column_stack([getattr(self, name) for name in self.names[1:5]])
+        """(n, 4) read-only view of the state samples, in the field's
+        order."""
+        return _table(self.rows)[:, 1:5]
 
     @property
     def u(self) -> np.ndarray:
@@ -247,7 +259,6 @@ def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,
     extension of the step that covers it; the stepping is the same.
     """
     shape, values = law_program(law, params)
-    samples = Samples()
     stride, times = config.sampling_stride, iter(())
     if config.dense:   # adaptive only; no run accepts MAX_STEPS + 1
         # steps, so only t0 and t_end are recorded at step ends
@@ -256,13 +267,16 @@ def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,
                  for k in range(config.sampling_stride, config.n_steps,
                                 config.sampling_stride))
     if config.adaptive:
+        samples = Samples()
         template, lead = _DOPRI, (
             config.t0, config.t_end, min(config.dt, config.t_end - config.t0),
             config.rel_tol, config.abs_tol, stride, times, samples.rows,
             samples.non_finite, MAX_STEPS)
     else:
-        template, lead = _RK4, (config.t0, config.dt, config.n_steps, stride,
-                                samples.rows)
+        # t0, every stride-th step and the last one
+        n = config.n_steps
+        samples = Samples(1 + n // stride + (n % stride > 0))
+        template, lead = _RK4, (config.t0, config.dt, n, stride, samples.rows)
     kernel(template, field, shape)(*y0, *lead, *field.bind(params), *values)
     return samples
 
@@ -270,12 +284,13 @@ def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,
 class Samples:
     """Sample buffer of a stepper: rows (t, y0, y1, y2, y3, V) in `rows`.
 
-    The kernels append rows unchecked; `check` refuses a non-finite state
-    or V.
+    `rows` starts empty, or as `count` zero rows for a kernel that knows
+    its sample count and writes each row in place. The kernels write rows
+    unchecked; `check` refuses a non-finite state or V.
     """
 
-    def __init__(self) -> None:
-        self.rows = array("d")
+    def __init__(self, count: int = 0) -> None:
+        self.rows = array("d", [0.0]) * (6 * count)
 
     def check(self) -> None:
         """Raise NonFiniteStateError at the first row with a non-finite
@@ -291,7 +306,7 @@ class Samples:
         if b"\x7f" not in top and b"\xff" not in top:
             return
         import numpy as np
-        data = np.frombuffer(self.rows, dtype=np.float64).reshape(-1, 6)
+        data = _table(self.rows)
         finite = np.isfinite(data)
         if finite.all():
             return
@@ -317,23 +332,25 @@ class Samples:
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
 
-def _columns(rows: array) -> np.ndarray:
-    """(6, n) float64 array of sample rows: the t, y0..y3 and V columns,
-    each contiguous."""
+def _table(rows: array) -> np.ndarray:
+    """(n, 6) read-only float64 view of sample rows (t, y0..y3, V)."""
     import numpy as np
-    return np.frombuffer(rows, dtype=np.float64).reshape(-1, 6).T.copy()
+    table = np.frombuffer(rows, dtype=np.float64).reshape(-1, 6)
+    table.flags.writeable = False
+    return table
 
 
 # Classic RK4 with the law at every stage. V at the end of a step is both
-# the recorded value and the first stage's input of the next step.
+# the recorded value and the first stage's input of the next step. `out`
+# holds every sample row already; row j is written at byte 48 * j.
 _RK4 = """\
 def rk4(y0, y1, y2, y3, t0, h, n, stride, out, {args}):
     half = 0.5 * h
     sixth = h / 6.0
-    record = out.frombytes
     t = t0
     @V = law(y, t)
-    record(row(t, y0, y1, y2, y3, V))
+    row_into(out, 0, t, y0, y1, y2, y3, V)
+    at = 48
     for k in range(1, n + 1):
         @k1 = field(y, V)
         s{c} = y{c} + half * k1_{c}
@@ -349,7 +366,8 @@ def rk4(y0, y1, y2, y3, t0, h, n, stride, out, {args}):
         t = t0 + k * h
         @V = law(y, t)
         if k % stride == 0 or k == n:
-            record(row(t, y0, y1, y2, y3, V))
+            row_into(out, at, t, y0, y1, y2, y3, V)
+            at += 48
 """
 
 

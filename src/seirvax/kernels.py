@@ -45,8 +45,8 @@ __all__ = ["FieldSource", "function", "law_function", "kernel", "jacobian"]
 _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 _DIRECTIVE = re.compile(r"^(\s*)@(\w+) = (law|field)\((\w+), (.+)\)$")
 _COMPONENTS = range(4)
-# A sample row (t, y0, y1, y2, y3, V) as the bytes of six native doubles,
-# for a kernel to append to an array("d").
+# A sample row (t, y0, y1, y2, y3, V) as six native doubles, for a kernel
+# to append to an array("d") (`row`) or to write into one (`row_into`).
 _ROW = struct.Struct("6d")
 
 # A law shape: ("expr", expression, constant names) or ("clip", shape).
@@ -119,7 +119,7 @@ def _compile(source: str, name: str, label: str) -> Callable:
     linecache.cache[filename] = (len(source), None, source.splitlines(True),
                                  filename)
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite, "inf": math.inf,
-                 "row": _ROW.pack}
+                 "row": _ROW.pack, "row_into": _ROW.pack_into}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +168,30 @@ def test_component_extremes_match_row_reduction(p1, mixed_state, seed):
         assert got == _row_reduction_subchecks(traj)
 
 
+@pytest.mark.parametrize("v_lo, v_hi", [
+    (0.0, 1.0), (-3.0, 2500.0), (-np.inf, 0.25), (-np.inf, np.inf)])
+def test_constant_v_bounds_match_bound_arrays(p1, mixed_state, v_lo, v_hi):
+    # Constant bounds, broadcast by numpy as scalars, give the V check the
+    # bits the n-length bound arrays gave: worst value, location and
+    # slack, also where V is NaN at a sample.
+    tr = integrate(mixed_state, p1, SusceptibleLinear(0.1),
+                   IntegratorConfig(t_end=20.0, dt=1e-2))
+    V = np.random.default_rng(7).normal(scale=4.0, size=len(tr))
+    for traj in (tr, with_columns(tr, V=V), with_columns(tr, V=np.where(
+            np.arange(len(tr)) == 40, np.nan, V))):
+        lo, hi = np.full_like(traj.V, v_lo), np.full_like(traj.V, v_hi)
+        finite = np.abs(np.concatenate((lo, hi)))
+        finite = finite[np.isfinite(finite)]
+        slack = 1e-12 * max(1.0, float(finite.max()) if finite.size else 1.0)
+        excess = np.maximum(lo - traj.V, traj.V - hi)
+        k = int(np.argmax(excess))
+        worst = 0.0 if excess[k] <= 0.0 else float(excess[k])
+        sub = monitor_positivity(traj, v_lo, v_hi).details[
+            f"V in [{v_lo:g}, {v_hi:g}]"]
+        assert (sub.worst.hex(), sub.location_t.hex(), sub.tolerance.hex()) == (
+            worst.hex(), float(traj.t[k]).hex(), slack.hex())
+
+
 class TestIdentitySuite:
     @pytest.mark.parametrize("law", [
         ZeroVax(),
@@ -285,6 +311,147 @@ class TestIdentitySuite:
         rhs = -p1.mu * (tr.S + tr.E) + p1.mu * p1.N + tr.u
         # 4 ulps at the scale of the largest intermediate (~ mu*2N)
         assert np.max(np.abs(lhs - rhs)) <= 4.0 * np.spacing(2.0 * p1.mu * p1.N)
+
+
+def _all_at_once_identity_suite(traj, params) -> tuple:
+    """(worst, location_t, tolerance, details) of the identity suite as it
+    was computed before it streamed: every residual formed first, in one
+    dict, then reduced in the dict's order."""
+    t = traj.t
+    h = float(np.diff(t)[0])
+    p = params
+    mu, om, si, ga, N, bp = p.mu, p.omega, p.sigma, p.gamma, p.N, p.beta_prime
+    muN = mu * N
+    S, E, I, R, V = traj.S, traj.E, traj.I, traj.R, traj.V
+
+    def cdiff(x):
+        return (x[2:] - x[:-2]) / (2.0 * h)
+
+    Sm, Em, Im, Rm, Vm = S[1:-1], E[1:-1], I[1:-1], R[1:-1], V[1:-1]
+    um = traj.u[1:-1]
+    d_ei, d_se, d_ir = cdiff(E + I), cdiff(S + E), cdiff(I + R)
+    d_sr, d_sei, d_r = cdiff(S + R), cdiff(S + E + I), cdiff(R)
+    residuals = {
+        "(20) d(E+I)": d_ei - (-mu * (Em + Im) + (bp * Sm - ga) * Im),
+        "(21.a) d(S+E)": d_se - (-mu * (Sm + Em) + muN + um),
+        "(21.b) d(S+E)": d_se - (mu * (Im + Rm) + um),
+        "(22) d(I+R)": d_ir - (-mu * (Im + Rm) - um),
+        "(23.a) d(S+R)": d_sr - (-mu * (Sm + Rm) + (ga - bp * Sm) * Im + muN),
+        "(23.b) d(S+R)": d_sr - (mu * (Em + Im) + (ga - bp * Sm) * Im),
+        "(23.c) d(S+R)": d_sr - (mu * Em + (mu + ga - bp * Sm) * Im),
+        "(24.a) d(S+E+I)": d_sei - (-mu * (Sm + Em + Im) + om * Rm - ga * Im
+                                    + muN * (1.0 - Vm)),
+        "(24.b) d(S+E+I)": d_sei - (mu * Rm + si * Em - ga * Im + um),
+        "(25.a) dR": d_r - (-(mu + om) * Rm + ga * Im + muN * Vm),
+        "(25.b) dR": d_r - (-mu * Rm - si * Em + ga * Im - um),
+        "(25.c) dR": d_r - (-d_sei),
+    }
+    skipped = np.zeros(0, dtype=np.intp)
+    if isinstance(traj.law, Saturated):
+        clip = (V > traj.law.lo).astype(np.int8) + (V >= traj.law.hi)
+        skipped = np.flatnonzero((clip[:-2] != clip[1:-1])
+                                 | (clip[1:-1] != clip[2:]))
+    worst, worst_t = -1.0, None
+    details = {"kink windows skipped": int(skipped.size)}
+    for name, res in residuals.items():
+        mag = np.abs(res)
+        mag[skipped] = np.minimum(mag[skipped], -1.0)
+        k = int(np.argmax(mag))
+        details[name] = float(mag[k])
+        if mag[k] > worst or math.isnan(mag[k]):
+            worst, worst_t = float(mag[k]), float(t[1 + k])
+    r = (p.mu + p.omega + p.sigma + p.gamma + p.beta
+         + sum(abs(v) for v in traj.law.gains.values()))
+    return worst, worst_t, 1e-3 * p.N * (3.0 * r) ** 3 * h * h, details
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+def _streaming_draw(seed: int):
+    """A seeded draw of a catalogue law on a random plant, saturated to
+    [0, 1] for odd seeds, integrated over 30 days at dt = 0.01."""
+    rng = np.random.default_rng([27, seed])
+    p = ModelParams(N=1000.0, mu=float(rng.uniform(0.005, 0.05)),
+                    omega=float(rng.uniform(0.0, 0.05)),
+                    beta=float(rng.uniform(0.1, 1.2)),
+                    sigma=float(rng.uniform(0.05, 0.4)),
+                    gamma=float(rng.uniform(0.05, 0.4)))
+    law = (ImmuneFeedback(float(rng.uniform(-0.02, 0.3)), float(rng.uniform(0.0, 0.3))),
+           SusceptibleLinear(float(rng.uniform(0.0, 0.5))),
+           SusceptiblePlusExposed(float(rng.uniform(0.0, 0.5))),
+           ZeroVax())[seed // 2 % 4]
+    if seed % 2:
+        law = Saturated(law, 0.0, 1.0)
+    state = SeirState(*map(float, rng.dirichlet((1.0, 1.0, 1.0, 1.0)) * p.N))
+    return integrate(state, p, law, IntegratorConfig(t_end=30.0, dt=1e-2)), p
+
+
+class TestIdentitySuiteStreams:
+    """The suite folds each residual into its worst value as it is formed;
+    its result is that of forming them all first, bit for bit."""
+
+    @staticmethod
+    def _assert_same(traj, params) -> None:
+        chk = check_identity_suite(traj, params)
+        worst, worst_t, tol, details = _all_at_once_identity_suite(traj, params)
+        assert (_hex(chk.worst), _hex(chk.location_t), _hex(chk.tolerance)) == (
+            _hex(worst), _hex(worst_t), _hex(tol))
+        assert list(chk.details) == list(details)
+        assert [_hex(v) for v in chk.details.values()] == [
+            _hex(v) for v in details.values()]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_draws(self, seed):
+        tr, p = _streaming_draw(seed)
+        assert isinstance(tr.law, Saturated) == bool(seed % 2)
+        self._assert_same(tr, p)
+
+    @pytest.mark.parametrize("column", ["I", "V"])
+    def test_nan_sample(self, column):
+        for seed in (0, 1):
+            tr, p = _streaming_draw(seed)
+            col = getattr(tr, column).copy()
+            col[len(tr) // 3] = np.nan
+            bad = with_columns(tr, **{column: col})
+            self._assert_same(bad, p)
+            assert np.isnan(check_identity_suite(bad, p).worst)
+
+    def test_maxima_tied_across_residuals(self):
+        # The state is zero and V is zero but for one interior sample: the
+        # residuals are 0 or mu*N = 256 exactly, and the residuals that
+        # reach 256 reach it at the first interior sample or at that one.
+        # The first residual to reach the worst value keeps its location.
+        p = ModelParams(N=1024.0, mu=0.25, omega=0.0, beta=0.5, sigma=0.25,
+                        gamma=0.25)
+        n = 9
+        t = np.arange(n, dtype=np.float64)
+        zero = np.zeros(n)
+        V = np.zeros(n)
+        V[5] = 1.0
+        tr = Trajectory.from_columns(p, ZeroVax(), IntegratorConfig(t_end=8.0),
+                                     t=t, S=zero, E=zero, I=zero, R=zero, V=V)
+        self._assert_same(tr, p)
+        chk = check_identity_suite(tr, p)
+        tied = [name for name, v in chk.details.items() if v == 256.0]
+        assert len(tied) >= 4 and chk.worst == 256.0
+        assert chk.location_t == 1.0 and tied[0] == "(21.a) d(S+E)"
+
+    def test_memory_is_bounded(self, p1, mixed_state):
+        # 10 001 samples: one float64 residual is 80 KB, and the twelve
+        # residuals formed at once took about 1.7 MB.
+        tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03),
+                       IntegratorConfig(t_end=100.0, dt=1e-2))
+        assert len(tr) == 10_001
+        check_identity_suite(tr, p1)   # first calls allocate once per process
+        tracemalloc.start()
+        try:
+            check_identity_suite(tr, p1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 800_000
 
 
 class TestAsymptotics:

@@ -35,7 +35,7 @@ from seirvax import (
     to_normal,
 )
 from seirvax.integrate import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
-                               _columns, _solve)
+                               _solve, _table)
 from seirvax.laws import ControlLaw, compile_law
 from seirvax.model import SEIR_SOURCE
 from seirvax.kernels import function
@@ -594,7 +594,7 @@ def _kernel_and_reference(state, params, law, config):
 def _checked_columns(samples: Samples) -> np.ndarray:
     """The (6, n) columns of a buffer found finite."""
     samples.check()
-    return _columns(samples.rows)
+    return _table(samples.rows).T
 
 
 def _assert_bitwise(got: Samples, want: Samples) -> None:
@@ -644,6 +644,35 @@ class TestRk4Kernel:
                               lambda z, t: fn(z[1] - z[0], z[2], z[3], z[0], t),
                               z0, config)
         _assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("n, stride", [(10, 3), (5, 8), (7, 1), (12, 4)])
+    def test_buffer_is_allocated_at_its_final_size(self, mixed_state, n,
+                                                   stride):
+        # The kernel writes each sample row in place into a buffer sized
+        # from the config: rows at t0, every stride-th step and the last
+        # step, bitwise the rows the appending textbook loop writes.
+        config = IntegratorConfig(t0=0.5, t_end=0.5 + 0.125 * n, dt=0.125,
+                                  sampling_stride=stride)
+        assert config.n_steps == n
+        law = ImmuneFeedback(0.01, 0.05)
+        tr = integrate(mixed_state, KERNEL_PARAMS, law, config)
+        steps = [0, *range(stride, n + 1, stride)] + ([n] if n % stride else [])
+        assert len(tr) == len(steps) and len(tr.rows) == 6 * len(tr)
+        assert [t.hex() for t in tr.values("t")] == [
+            (0.5 + k * 0.125).hex() for k in steps]
+        got, (want, _) = _kernel_and_reference(mixed_state, KERNEL_PARAMS, law,
+                                               config)
+        assert got.rows.tobytes() == want.rows.tobytes() == tr.rows.tobytes()
+
+    @pytest.mark.parametrize("stride, t, index", [(1, 0.07, 7), (3, 0.09, 3)])
+    def test_blow_up_is_located_in_the_buffer(self, p1, mixed_state, stride, t,
+                                              index):
+        config = IntegratorConfig(t_end=2.0, dt=0.01, sampling_stride=stride)
+        with pytest.raises(NonFiniteStateError,
+                           match=rf"^non-finite state at t = {t} "
+                                 rf"\(sample index {index}\)$") as err:
+            integrate(mixed_state, p1, ConstantVax(1e10), config)
+        assert (err.value.t, err.value.sample_index) == (t, index)
 
 
 # -- dense output -----------------------------------------------------------

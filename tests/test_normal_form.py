@@ -28,7 +28,7 @@ from seirvax import (
 )
 
 from conftest import random_conserved_state
-from seirvax.integrate import _columns, _solve
+from seirvax.integrate import _solve, _table
 from seirvax.kernels import function
 from seirvax.laws import compile_law
 from seirvax.model import SEIR_SOURCE
@@ -287,23 +287,28 @@ class TestRecord:
     @pytest.mark.parametrize("run", ["x", "normal", "zero_dynamics"])
     def test_columns_are_the_stepper_columns(self, p1, mixed_state, config,
                                              run):
-        # Bitwise, dtype included, what `_columns` builds from the same
-        # run's buffer once it is found finite.
+        # Bitwise, dtype included, the columns of the same run's buffer
+        # once it is found finite; each is a read-only view into the
+        # record's own buffer, and so is `states()`.
         tr, samples = self._run(run, p1, mixed_state, config)
         samples.check()
-        want = _columns(samples.rows)
+        want = _table(samples.rows).T
         names = {"x": ("t", "S", "E", "I", "R", "V")}.get(
             run, ("t", "z1", "z2", "z3", "z4", "V"))
         assert tr.names == names
         got = [getattr(tr, name) for name in names]
         assert tr.rows == samples.rows
         for column, expected in zip(got, want):
-            assert column.dtype == np.float64 and column.flags.c_contiguous
+            assert column.dtype == np.float64 and not column.flags.writeable
+            assert np.shares_memory(column, np.frombuffer(tr.rows))
             assert column.tobytes() == expected.tobytes()
-        assert tr.t is tr.t   # built once
+        assert tr.t is tr.t   # made once
         for name, expected in zip(names, want):
             assert tr.values(name).tobytes() == expected.tobytes()
-        assert tr.states().tobytes() == want[1:5].T.tobytes()
+        states = tr.states()
+        assert states.dtype == np.float64 and not states.flags.writeable
+        assert np.shares_memory(states, np.frombuffer(tr.rows))
+        assert states.tobytes() == want[1:5].T.tobytes()
 
     def test_len_and_rows_leave_the_columns_unbuilt(self, p1, mixed_state):
         for run in ("x", "zero_dynamics"):
@@ -348,7 +353,10 @@ class TestRecord:
         assert tr.S.tobytes() == again.S.tobytes() and tr == again
         assert tr != integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.04),
                                self.FIXED)
-        assert pickle.loads(pickle.dumps(tr)) == tr
+        back = pickle.loads(pickle.dumps(tr))
+        assert back == tr and "S" not in vars(back)
+        assert not back.S.flags.writeable
+        assert np.shares_memory(back.S, np.frombuffer(back.rows))
 
     def test_from_columns_gives_back_the_record(self, p1, mixed_state):
         tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), self.DENSE)
