@@ -80,6 +80,31 @@ def monitor_conservation(traj: Trajectory) -> Check:
                  float(traj.t[k]))
 
 
+def _refuse_option(key: str, value, where: str = "") -> None:
+    """Refuse a check option value with which no run gets a verdict, in a
+    one-line ValueError that names the option and `where` (" in
+    [section]" for a scenario file's option): a rel_tol that is not finite
+    and > 0, a tail_fraction outside (0, 1), a NaN V bound or alpha, and
+    an infinite alpha, which makes the Corollary 1 bound infinite or NaN
+    (an infinite V bound is kept: it bounds nothing)."""
+    bad = f"option {key!r}{where}"
+    if key == "rel_tol" and not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{bad}: {value!r} is not finite and > 0")
+    if key == "tail_fraction" and not 0.0 < value < 1.0:
+        raise ValueError(f"{bad}: {value!r} is not in (0, 1)")
+    if key in ("v_lo", "v_hi", "alpha") and math.isnan(value):
+        raise ValueError(f"{bad}: {value!r} is not a number")
+    if key == "alpha" and not math.isfinite(value):
+        raise ValueError(f"{bad}: {value!r} is not finite")
+
+
+def _refuse_v_range(v_lo: float, v_hi: float, where: str = "") -> None:
+    """Refuse a V range whose lower bound is above its upper one."""
+    if v_lo > v_hi:
+        raise ValueError(f"options{where}: v_lo = {v_lo!r} is above "
+                         f"v_hi = {v_hi!r}")
+
+
 def _excess(x: float) -> float:
     """max(0, x), with a NaN kept as NaN."""
     return 0.0 if x <= 0.0 else float(x)
@@ -94,9 +119,16 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
     eps = 1e-9*N, (c) V within [v_lo, v_hi]. Pass bounds="corollary1" to
     check V against [0, 1 + (alpha - beta*I/N)*S/(mu*N)] instead, the
     state-dependent extended bound of `laws.corollary1_upper_bound` (alpha
-    defaults to beta; mu*N = 0 raises VaccinationChannelError).
+    defaults to beta; mu*N = 0 raises VaccinationChannelError). A NaN
+    bound or alpha, an infinite alpha and v_lo > v_hi are refused with a
+    ValueError.
     """
     import numpy as np
+    _refuse_option("v_lo", v_lo)
+    _refuse_option("v_hi", v_hi)
+    if alpha is not None:
+        _refuse_option("alpha", alpha)
+    _refuse_v_range(v_lo, v_hi)
     p = traj.params
     N = p.N
     eps = _EPS_POS_RTOL * N
@@ -145,11 +177,19 @@ def _identity_tolerance(params: ModelParams, law: ControlLaw, dt: float) -> floa
     rate_scale is (3*(mu+omega+sigma+gamma+beta+sum|gains|))^3 (a
     saturated law counts its inner law's gains), a cubed
     characteristic rate sized to dominate central-difference truncation
-    on correct trajectories.
+    on correct trajectories. A tolerance that overflows double precision
+    is refused with a ValueError: it would pass any residual.
     """
     r = (params.mu + params.omega + params.sigma + params.gamma + params.beta
          + sum(abs(v) for v in law.gains.values()))
-    return 1e-3 * params.N * (3.0 * r) ** 3 * dt * dt
+    try:
+        tol = 1e-3 * params.N * (3.0 * r) ** 3 * dt * dt
+    except OverflowError:
+        tol = math.inf
+    if not math.isfinite(tol):
+        raise ValueError("identity suite tolerance 1e-3*N*(3*rates)^3*dt^2 "
+                         f"overflows double precision at rates = {r!r}")
+    return tol
 
 
 def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
@@ -259,11 +299,13 @@ def check_asymptotics(traj: Trajectory, prediction: AsymptoticPrediction,
 
     The horizon must satisfy decay_rate*(t_end - t0) >= 10 (refused
     otherwise, reporting the required t_end). Zero limits are compared on
-    the natural scale: N for populations, 1 for V.
+    the natural scale: N for populations, 1 for V. A tail_fraction
+    outside (0, 1) and a rel_tol that is not finite and > 0 are refused
+    with a ValueError.
     """
     import numpy as np
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must be in (0, 1)")
+    _refuse_option("tail_fraction", tail_fraction)
+    _refuse_option("rel_tol", rel_tol)
     rate = prediction.decay_rate
     if rate is None or rate <= 0.0:
         raise ValueError("prediction carries no positive decay rate")
@@ -299,10 +341,12 @@ def check_integral_limit(traj: Trajectory, rel_tol: float = 0.01) -> Check:
     Evaluates int_0^T exp(-mu*(T-tau))*(omega+g)*R(tau) dtau at the final
     sample by the trapezoid rule and compares it with the immune-feedback
     prediction's `integral_limit`. Refuses a law outside the
-    immune-feedback family, the gains `predicted_limits` refuses, and a
-    horizon shorter than 10/min(mu, mu+omega+g).
+    immune-feedback family, the gains `predicted_limits` refuses, a
+    horizon shorter than 10/min(mu, mu+omega+g) and a rel_tol that is not
+    finite and > 0.
     """
     import numpy as np
+    _refuse_option("rel_tol", rel_tol)
     params = traj.params
     law = traj.law.canonical(params)
     if not isinstance(law, ImmuneFeedback):

@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .kernels import jacobian
-from .model import SEIR_SOURCE, ModelParams, SeirState, derivative, infection_modes
+from .kernels import function, jacobian
+from .model import SEIR_SOURCE, ModelParams, SeirState, infection_modes
 
 __all__ = [
     "EquilibriumPoint",
@@ -92,7 +92,9 @@ class StabilityReport:
 
 
 def _residual(state: SeirState, params: ModelParams) -> float:
-    return max(map(abs, derivative(state, params, 0.0)))
+    """The largest |rate| of the vaccination-free field at a finite state."""
+    field = function(SEIR_SOURCE)(*SEIR_SOURCE.bind(params))
+    return max(map(abs, field(*state.as_tuple(), 0.0)))
 
 
 def _residual_gate(state: SeirState, params: ModelParams) -> float:
@@ -280,11 +282,11 @@ def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
     One call of the private LAPACK gufunc that `np.linalg.eigvals` itself
     calls covers the whole stack, after one finiteness scan. Each
     spectrum is sorted by real part descending, then by imaginary part
-    descending, and is float64 when no imaginary part in the stack is
-    nonzero (complex128 otherwise, numpy's rule), so a stack row is
-    bitwise the spectrum of a lone call on its matrix. Complex entries,
-    a shape that is not (..., n, n) and non-finite entries are refused
-    with a ValueError; nonconvergence raises numpy's LinAlgError.
+    descending, and is float64 when none of its own imaginary parts is
+    nonzero (complex128 otherwise), so a stack row is bitwise the
+    spectrum of a lone call on its matrix. Complex entries, a shape that
+    is not (..., n, n) and non-finite entries are refused with a
+    ValueError; nonconvergence raises numpy's LinAlgError.
     """
     m = np.asarray(matrix)
     if m.dtype.kind == "c":
@@ -298,32 +300,26 @@ def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
         if not np.isfinite(m).all():
             raise ValueError("eigenvalues: non-finite entries") from None
         raise
-    real = not vals.imag.any()   # no imaginary part anywhere in the stack
-    if real:
-        vals = vals.real
-    if vals.ndim == 1:
-        return _sorted_spectrum(vals.tolist(), real)
-    rows = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1])
-    return [_sorted_spectrum(row, real) for row in rows.tolist()]
+    rows = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1]).tolist()
+    spectra = [_sorted_spectrum(row) for row in rows]
+    return spectra[0] if vals.ndim == 1 else spectra
 
 
 _PARTS = attrgetter("real", "imag")
 
 
-def _sorted_spectrum(values: list, real: bool) -> np.ndarray:
-    """Eigenvalues in Python numbers (floats where `real`) as a sorted
-    float64 or complex array.
+def _sorted_spectrum(values: list[complex]) -> np.ndarray:
+    """One row of eigenvalues as a sorted array: complex128 when one of
+    its imaginary parts is nonzero, float64 of the real parts otherwise.
 
     A stable descending sort by (real, imag) orders ties as an ascending
     one by (-real, -imag) does; with no imaginary part, by real alone.
     """
-    if not real:
-        if any(v.imag for v in values):
-            values.sort(key=_PARTS, reverse=True)
-            return np.array(values, dtype=complex)
-        values = [v.real for v in values]
-    values.sort(reverse=True)
-    return np.array(values)
+    if any(v.imag for v in values):
+        values.sort(key=_PARTS, reverse=True)
+        return np.fromiter(values, complex, len(values))
+    reals = sorted((v.real for v in values), reverse=True)
+    return np.fromiter(reals, float, len(reals))
 
 
 def _sweep_polynomials(params: ModelParams, endemic: EquilibriumPoint):
@@ -435,30 +431,27 @@ def hinf_ratio_sweep(params: ModelParams,
 def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
     """Stability reports for the disease-free and (if present) endemic points.
 
-    The plant's Jacobian is bound to params once. With an endemic point
-    both linearizations go to one `eigenvalues` call as a (2, 4, 4)
-    stack, built by one numpy call, so LAPACK's eigenvalue routine (the
-    private gufunc that `np.linalg.eigvals` itself calls) runs once per
-    point. A point is locally stable when the first (largest) real part
-    of its sorted spectrum is negative. With `sweep` and mu > 0 the
-    endemic report carries the `hinf_ratio_sweep` peak and its verdict.
+    The plant's Jacobian is bound to params once, and the linearizations
+    of the k points (one or two) go to one `eigenvalues` call as a
+    (k, 4, 4) stack built by one numpy call, so LAPACK's eigenvalue
+    routine (the private gufunc that `np.linalg.eigvals` itself calls)
+    runs once per point. A point is locally stable when the first
+    (largest) real part of its sorted spectrum is negative. With `sweep`
+    and mu > 0 the endemic report carries the `hinf_ratio_sweep` peak and
+    its verdict.
     """
     x1 = disease_free_equilibrium(params)
     zeros = char_zeros_x1(params)
     x2 = endemic_equilibrium(params)
+    points = [x1] if x2 is None else [x1, x2]
     jac = _plant_jacobian(params)
-    if x2 is None:
-        j1 = np.array(jac(*x1.state.as_tuple(), 0.0))
-        spec1 = eigenvalues(j1)
-    else:
-        stack = np.fromiter(chain(*jac(*x1.state.as_tuple(), 0.0),
-                                  *jac(*x2.state.as_tuple(), 0.0)),
-                            float, 32).reshape(2, 4, 4)
-        spec1, spec2 = eigenvalues(stack)
-        j1, j2 = stack
+    stack = np.fromiter(chain.from_iterable(
+        row for p in points for row in jac(*p.state.as_tuple(), 0.0)),
+        float, 16 * len(points)).reshape(len(points), 4, 4)
+    spectra = eigenvalues(stack)
     reports = [StabilityReport(
-        point=x1, jacobian=j1, spectrum=spec1, closed_form_zeros=zeros,
-        locally_stable=spec1.item(0).real < 0.0)]
+        point=x1, jacobian=stack[0], spectrum=spectra[0], closed_form_zeros=zeros,
+        locally_stable=spectra[0].item(0).real < 0.0)]
 
     if x2 is not None:
         hinf_ratio = hinf_condition = None
@@ -466,8 +459,8 @@ def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
             res = hinf_ratio_sweep(params, x2)
             hinf_ratio, hinf_condition = res.max_ratio, res.condition_holds
         reports.append(StabilityReport(
-            point=x2, jacobian=j2, spectrum=spec2, closed_form_zeros=None,
-            locally_stable=spec2.item(0).real < 0.0,
+            point=x2, jacobian=stack[1], spectrum=spectra[1], closed_form_zeros=None,
+            locally_stable=spectra[1].item(0).real < 0.0,
             hinf_ratio=hinf_ratio, hinf_condition_holds=hinf_condition))
 
     return reports

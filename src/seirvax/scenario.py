@@ -19,7 +19,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .checks import monitor_positivity
+from .checks import _refuse_option, _refuse_v_range, monitor_positivity
 from .exceptions import ScenarioError
 from .integrate import IntegratorConfig, _check_initial
 from .laws import SCENARIO_LAWS, ControlLaw, Saturated
@@ -41,33 +41,23 @@ CHECK_NAMES = {
 
 
 def _check_options(where: str, opts: dict) -> None:
-    """Refuse check options that give no verdict (an infinite V bound is
-    kept: it bounds nothing; an infinite alpha is not: it makes the
-    Corollary 1 bound infinite or NaN) or cannot apply: v_lo and v_hi
-    bound V only without `bounds`, and alpha only with it."""
+    """Refuse, with a ValueError, check options that give no verdict (the
+    checks' own rules) or cannot apply: v_lo and v_hi bound V only without
+    `bounds`, and alpha only with it."""
+    section = f" in [{where}]"
     for key, value in opts.items():
-        bad = f"option {key!r} in [{where}]"
-        if key == "rel_tol" and not (math.isfinite(value) and value > 0.0):
-            raise ScenarioError(f"{bad}: {value!r} is not finite and > 0")
-        if key == "tail_fraction" and not 0.0 < value < 1.0:
-            raise ScenarioError(f"{bad}: {value!r} is not in (0, 1)")
-        if key in ("v_lo", "v_hi", "alpha") and math.isnan(value):
-            raise ScenarioError(f"{bad}: {value!r} is not a number")
-        if key == "alpha" and not math.isfinite(value):
-            raise ScenarioError(f"{bad}: {value!r} is not finite")
+        _refuse_option(key, value, section)
         if key in ("v_lo", "v_hi") and "bounds" in opts:
-            raise ScenarioError(f"{bad} has no effect with bounds = corollary1")
+            raise ValueError(f"option {key!r}{section} has no effect with "
+                             "bounds = corollary1")
         if key == "alpha" and "bounds" not in opts:
-            raise ScenarioError(f"{bad} has no effect without bounds = "
-                                "corollary1")
+            raise ValueError(f"option {key!r}{section} has no effect without "
+                             "bounds = corollary1")
     if "v_lo" in opts or "v_hi" in opts:
         # an unset bound is the check's own default
         default = inspect.signature(monitor_positivity).parameters
-        v_lo, v_hi = (opts.get(key, default[key].default)
-                      for key in ("v_lo", "v_hi"))
-        if v_lo > v_hi:
-            raise ScenarioError(f"options in [{where}]: v_lo = {v_lo!r} is "
-                                f"above v_hi = {v_hi!r}")
+        _refuse_v_range(*(opts.get(key, default[key].default)
+                          for key in ("v_lo", "v_hi")), section)
 
 
 # Section -> (dataclass whose fields are its keys, whether values must be
@@ -232,7 +222,10 @@ def load_scenario(path: str | Path) -> Scenario:
             sec = parser[where]
             _reject_unknown(sec, options, where, "option")
             opts = {key: _value(sec, key, where, options[key]) for key in sec}
-            _check_options(where, opts)
+            try:
+                _check_options(where, opts)
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from exc
             checks[name] = opts
     if config.adaptive and "identities" in checks:
         raise ScenarioError("check 'identities' in [checks] cannot run with "

@@ -17,6 +17,7 @@ from seirvax import (
     IntegratorConfig,
     ModelParams,
     Saturated,
+    ScenarioError,
     SeirState,
     SusceptibleLinear,
     SusceptiblePlusExposed,
@@ -31,6 +32,7 @@ from seirvax import (
     predicted_limits,
 )
 from conftest import log_linear_rate, with_columns
+from seirvax.scenario import load_scenario
 
 
 @pytest.fixture
@@ -563,6 +565,89 @@ class TestIntegralLimit:
             tr = integrate(mixed_state, p1, law, cfg)
             with pytest.raises(ValueError, match="immune-feedback family"):
                 check_integral_limit(tr)
+
+
+# -- refused options: the scenario loader's rules, raised by the checks ----
+
+# (check, options) that the scenario loader refuses
+REFUSED_OPTIONS = [
+    *[("asymptotics", {"rel_tol": v}) for v in (math.nan, math.inf, 0.0, -1.0)],
+    *[("integral_limit", {"rel_tol": v}) for v in (math.nan, -math.inf, 0.0, -1.0)],
+    *[("asymptotics", {"tail_fraction": v}) for v in (0.0, 1.0, math.nan)],
+    ("positivity", {"v_lo": math.nan}),
+    ("positivity", {"v_hi": math.nan}),
+    ("positivity", {"v_lo": 2.0, "v_hi": 1.0}),
+    ("positivity", {"v_lo": 2.0}),
+    ("positivity", {"v_hi": -1.0}),
+    ("positivity", {"bounds": "corollary1", "alpha": math.nan}),
+    ("positivity", {"bounds": "corollary1", "alpha": math.inf}),
+]
+
+_SCENARIO = """\
+[params]
+N = 1000
+mu = 0.01
+omega = 0.02
+beta = 0.9
+sigma = 0.2
+gamma = 0.2
+
+[initial]
+S = 700
+E = 200
+I = 100
+R = 0
+
+[law]
+name = immune_feedback
+g = 0.0
+g1 = 0.03
+
+[integrator]
+t_end = 1
+
+[checks]
+{check} = on
+
+[checks.{check}]
+{options}
+"""
+
+
+@pytest.fixture(scope="module")
+def short_run():
+    p = ModelParams(N=1000.0, mu=0.01, omega=0.02, beta=0.9,
+                    sigma=0.2, gamma=0.2)
+    return integrate(SeirState(700.0, 100.0, 50.0, 150.0), p,
+                     ImmuneFeedback(0.0, 0.03), IntegratorConfig(t_end=1.0))
+
+
+def _library_call(check, traj, **opts):
+    if check == "positivity":
+        return monitor_positivity(traj, **opts)
+    if check == "asymptotics":
+        return check_asymptotics(
+            traj, predicted_limits(ImmuneFeedback(0.0, 0.03), traj.params), **opts)
+    return check_integral_limit(traj, **opts)
+
+
+@pytest.mark.parametrize("check, opts", REFUSED_OPTIONS,
+                         ids=[f"{c}: " + ", ".join(f"{k} = {v}" for k, v in o.items())
+                              for c, o in REFUSED_OPTIONS])
+def test_checks_refuse_the_options_the_loader_refuses(short_run, tmp_path,
+                                                      check, opts):
+    # The library check raises the loader's one-line message, less the
+    # section it names, before it reads the run.
+    path = tmp_path / "s.ini"
+    path.write_text(_SCENARIO.format(check=check, options="\n".join(
+        f"{key} = {value}" for key, value in opts.items())))
+    with pytest.raises(ScenarioError) as loaded:
+        load_scenario(path)
+    with pytest.raises(ValueError) as called:
+        _library_call(check, short_run, **opts)
+    message = str(called.value)
+    assert type(called.value) is ValueError and "\n" not in message
+    assert message == str(loaded.value).replace(f" in [checks.{check}]", "")
 
 
 class TestTheorem2iAsymptoticsSweep:

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,9 @@ from seirvax import ImmuneFeedback, Saturated, ScenarioError, integrate
 from seirvax.cli import (CSV_HEADER, _write_csv, main, read_trajectory_csv,
                          run_checks, write_trajectory_csv)
 from seirvax.integrate import MAX_STEPS
-from seirvax.scenario import build_law, load_scenario
+from seirvax.laws import SCENARIO_LAWS
+from seirvax.scenario import (_CLIP_KEYS, _TYPED_SECTIONS, CHECK_NAMES, build_law,
+                              load_scenario)
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "full_immunization.ini"
 
@@ -770,6 +773,13 @@ MALFORMED_INPUTS = {
         lambda d: _shipped_argv(d, mu="1e-300", omega="1e-30", g1="1e-30",
                                 t_end="1"),
         "prediction refused: mu*(mu+omega+g) underflows double precision"),
+    # a gain clipped away still counts in the identity suite's rate scale
+    "identities under a clipped constant 1e300": (lambda d: _simulate_argv(
+        d, law="[law]\nname = constant\nvalue = 1e300\nclip_lo = 0\nclip_hi = 1\n",
+        integrator="[integrator]\nt_end = 1\n",
+        extra="[checks]\nidentities = on\n"),
+        "identity suite tolerance 1e-3*N*(3*rates)^3*dt^2 overflows double "
+        "precision at rates = 1e+300"),
     "identities with adaptive = on": (lambda d: _simulate_argv(
         d, integrator="[integrator]\nt_end = 50\ndt = 0.01\nadaptive = on\n",
         extra="[checks]\nidentities = on\n"),
@@ -984,3 +994,82 @@ def test_numeric_flags_never_escape(tmp_path, command, params, same_gamma,
     assert code == 1 or not over_bound, err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# -- fuzzing scenario files built from the loader's grammar ----------------
+
+# A valid value for every key the loader reads from [params], [initial]
+# and [integrator] (the fields of ModelParams, SeirState and
+# IntegratorConfig), except the horizon, which stays t0 = 0, t_end = 1.
+_BASE_KEYS = {
+    "params": {"n": "1000", "mu": "0.01", "omega": "0.02", "beta": "0.9",
+               "sigma": "0.2", "gamma": "0.2"},
+    "initial": {"s": "700", "e": "200", "i": "100", "r": "0"},
+    "integrator": {"dt": "0.01", "sampling_stride": "10", "adaptive": "off",
+                   "rel_tol": "1e-8", "abs_tol": "1e-10", "dense": "off"},
+}
+_HORIZON = {"t0": "0", "t_end": "1"}
+# The values a drawn key takes; a bool key may also be on or off, and a
+# key that lists its accepted strings may take one of them.
+_FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "inf", "-inf", "nan", "abc", "")
+
+
+def _fuzz_values(kind) -> st.SearchStrategy[str]:
+    if kind is bool:
+        return st.sampled_from(_FUZZ_VALUES + ("on", "off"))
+    return st.sampled_from(_FUZZ_VALUES + (kind if isinstance(kind, tuple) else ()))
+
+
+@st.composite
+def _scenario_texts(draw) -> str:
+    """A scenario with a drawn law, integrator mode (fixed, adaptive or
+    dense) and checks switched on or off, and up to four keys of its
+    grammar (a check's switch and options among them) set to drawn
+    values."""
+    name = draw(st.sampled_from(sorted(SCENARIO_LAWS)))
+    law = {"name": name, **{f.name: "0.03" for f in fields(SCENARIO_LAWS[name])}}
+    sections = {**{s: dict(keys) for s, keys in _BASE_KEYS.items()}, "law": law}
+    sections["integrator"].update(_HORIZON, **draw(st.sampled_from(
+        ({}, {"adaptive": "on"}, {"adaptive": "on", "dense": "on"}))))
+    sections["checks"] = draw(st.dictionaries(
+        st.sampled_from(sorted(CHECK_NAMES)), st.sampled_from(("on", "off")),
+        max_size=5))
+    drawable = [(s, key, float) for s, keys in _BASE_KEYS.items() for key in keys]
+    drawable += [("law", key, float) for key in (*list(law)[1:], *_CLIP_KEYS)]
+    drawable += [("checks", check, bool) for check in CHECK_NAMES]
+    drawable += [(f"checks.{check}", key, kind)
+                 for check, options in CHECK_NAMES.items()
+                 for key, kind in options.items()]
+    keys = draw(st.lists(st.sampled_from(drawable), max_size=4,
+                         unique_by=lambda k: k[:2]))
+    for section, key, kind in keys:
+        sections.setdefault(section, {})[key] = draw(_fuzz_values(kind))
+    return "\n".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                     for section, keys in sections.items())
+
+
+def test_fuzz_grammar_is_the_loaders():
+    for section, (cls, _) in _TYPED_SECTIONS.items():
+        want = {f.name.lower() for f in fields(cls)}
+        extra = _HORIZON if section == "integrator" else {}
+        assert {*_BASE_KEYS[section], *extra} == want, section
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_scenario_texts())
+# the identity suite's rate scale overflowed here, with a traceback
+@example(text="\n".join((
+    P1_BLOCK, INITIAL_BLOCK,
+    "[law]\nname = constant\nvalue = 1e300\nclip_lo = 0\nclip_hi = 1\n",
+    "[integrator]\nt_end = 1\n", "[checks]\nidentities = on\n")))
+def test_scenario_files_never_escape(tmp_path, text):
+    """Any drawn scenario ends in exit 0, 1 or 2; exit 1 carries exactly
+    one stderr line, the `error:` message."""
+    path = tmp_path / "fuzz.ini"
+    path.write_text(text)
+    code, err = _run_in_process(["simulate", str(path), "--out-dir", str(tmp_path)])
+    assert code in (0, 1, 2), text
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (text, err)

@@ -661,6 +661,23 @@ class TestAnalyze:
         assert len(analyze(_params(beta=0.2))) == 1
         assert calls == {"endemic_equilibrium": 1, "eigenvalues": 1}
 
+    @pytest.mark.parametrize("beta, points", [(0.9, 2), (0.2, 1)])
+    def test_one_stack_for_every_point(self, monkeypatch, beta, points):
+        # With or without an endemic point, eigenvalues gets one (k, 4, 4)
+        # stack, and each report's Jacobian is its row.
+        import seirvax.equilibria as eq
+        stacks = []
+
+        def recorded(matrix, _fn=eq.eigenvalues):
+            stacks.append(matrix)
+            return _fn(matrix)
+
+        monkeypatch.setattr(eq, "eigenvalues", recorded)
+        reports = analyze(_params(beta=beta))
+        assert [stack.shape for stack in stacks] == [(points, 4, 4)]
+        assert [rep.jacobian.tobytes() for rep in reports] == [
+            row.tobytes() for row in stacks[0]]
+
     def test_feasibility_expression(self, p1):
         value, holds = a11_feasibility(p1)
         ms2 = 0.21 ** 2

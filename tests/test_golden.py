@@ -5,7 +5,9 @@ little-endian float64 bytes of every sample column. The sweep cases hash every e
 `SweepResult` over a fixed parameter map, the map's `condition_holds`
 verdicts alone, every `analyze` report's spectrum and verdicts over the
 same map and over seeded draws off it, and the bytes of the `equilibria --json` report; the
-last case hashes the bytes of the README's `zerodyn` CSV. The digests pin the exact arithmetic of the steppers, vector fields and
+last case hashes the bytes of the README's `zerodyn` CSV. A separate test
+hashes the CSV, SVG and report that `simulate` writes for the shipped
+scenario. The digests pin the exact arithmetic of the steppers, vector fields and
 sweep: a refactor that reorders one floating-point operation changes
 them. Regenerate a digest only for a deliberate change of the numbers,
 and say so in the change log.
@@ -282,6 +284,30 @@ GOLDEN = {
 }
 
 
+# The SHA-256 of each file `seirvax simulate scenarios/full_immunization.ini`
+# writes: the bytes come from Python floats, whatever numpy formats.
+SIMULATE_OUTPUTS = {
+    "full_immunization.csv":
+        "c3240acef75b3c44f15748cd94434b2743b7e84d706d2a1ccac8010c28d73181",
+    "full_immunization.svg":
+        "44d94e2ea89e835aeed558180ad2b336ac46b9de186046bcce812bd67ad25ca1",
+    "full_immunization.txt":
+        "7a9fe5734212d183680055d0c636c22826a5f5d52442485e10f43d96dfcc26f9",
+}
+
+
+def _simulate_outputs() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(SHIPPED), "--out-dir", tmp]) == 0
+        return {name: hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
+                for name in sorted(p.name for p in Path(tmp).iterdir())}
+
+
+def test_simulate_output_files():
+    assert _simulate_outputs() == SIMULATE_OUTPUTS
+
+
 def test_golden_digests():
     got = {name: case() for name, case in CASES.items()}
     mismatched = {name: got[name] for name in CASES if got[name] != GOLDEN[name]}
@@ -291,3 +317,5 @@ def test_golden_digests():
 if __name__ == "__main__":
     for name, case in CASES.items():
         print(f'    "{name}":\n        "{case()}",')
+    for name, digest in _simulate_outputs().items():
+        print(f'    "{name}":\n        "{digest}",')
