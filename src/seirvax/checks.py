@@ -22,6 +22,8 @@ from .laws import (AsymptoticPrediction, ControlLaw, ImmuneFeedback, Saturated,
 from .model import CONSERVATION_RTOL, ModelParams, SeirState
 
 __all__ = [
+    "CHECK_NAMES",
+    "V_RANGE",
     "Check",
     "VerificationReport",
     "monitor_conservation",
@@ -29,6 +31,7 @@ __all__ = [
     "check_identity_suite",
     "check_asymptotics",
     "check_integral_limit",
+    "refuse_options",
 ]
 
 # Absolute positivity slack is _EPS_POS_RTOL * N: large enough to ignore
@@ -80,26 +83,52 @@ def monitor_conservation(traj: Trajectory) -> Check:
                  float(traj.t[k]))
 
 
-def _refuse_option(key: str, value, where: str = "") -> None:
-    """Refuse a check option value with which no run gets a verdict, in a
-    one-line ValueError that names the option and `where` (" in
-    [section]" for a scenario file's option): a rel_tol that is not finite
-    and > 0, a tail_fraction outside (0, 1), a NaN V bound or alpha, and
-    an infinite alpha, which makes the Corollary 1 bound infinite or NaN
-    (an infinite V bound is kept: it bounds nothing)."""
-    bad = f"option {key!r}{where}"
-    if key == "rel_tol" and not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{bad}: {value!r} is not finite and > 0")
-    if key == "tail_fraction" and not 0.0 < value < 1.0:
-        raise ValueError(f"{bad}: {value!r} is not in (0, 1)")
-    if key in ("v_lo", "v_hi", "alpha") and math.isnan(value):
-        raise ValueError(f"{bad}: {value!r} is not a number")
-    if key == "alpha" and not math.isfinite(value):
-        raise ValueError(f"{bad}: {value!r} is not finite")
+# Check name -> {option: type} of its options, the keyword arguments of
+# its check function; a tuple type lists the accepted strings. A scenario's
+# [checks.<name>] section takes the same options, and `refuse_options`
+# judges both. V_RANGE holds positivity's V bounds when none is given.
+CHECK_NAMES = {
+    "conservation": {},
+    "positivity": {"v_lo": float, "v_hi": float, "bounds": ("corollary1",),
+                   "alpha": float},
+    "identities": {},
+    "asymptotics": {"tail_fraction": float, "rel_tol": float},
+    "integral_limit": {"rel_tol": float},
+}
+V_RANGE = (0.0, 1.0)
 
 
-def _refuse_v_range(v_lo: float, v_hi: float, where: str = "") -> None:
-    """Refuse a V range whose lower bound is above its upper one."""
+def refuse_options(opts: dict, where: str = "") -> None:
+    """Refuse check options with which no run gets a verdict, in a one-line
+    ValueError that names the option and `where` (" in [section]" for a
+    scenario file's options). An option set to None is not given.
+
+    Refused: a rel_tol that is not finite and > 0, a tail_fraction outside
+    (0, 1), a NaN V bound or alpha, an infinite alpha (it makes the
+    Corollary 1 bound infinite or NaN; an infinite V bound is kept: it
+    bounds nothing), bounds other than corollary1, v_lo or v_hi with
+    bounds and alpha without it (they would be dropped), and v_lo above
+    v_hi, a bound not given read from V_RANGE.
+    """
+    opts = {key: value for key, value in opts.items() if value is not None}
+    for key, value in opts.items():
+        bad = f"option {key!r}{where}"
+        if key == "rel_tol" and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{bad}: {value!r} is not finite and > 0")
+        if key == "tail_fraction" and not 0.0 < value < 1.0:
+            raise ValueError(f"{bad}: {value!r} is not in (0, 1)")
+        if key in ("v_lo", "v_hi", "alpha") and math.isnan(value):
+            raise ValueError(f"{bad}: {value!r} is not a number")
+        if key == "alpha" and not math.isfinite(value):
+            raise ValueError(f"{bad}: {value!r} is not finite")
+        if key == "bounds" and value not in CHECK_NAMES["positivity"][key]:
+            raise ValueError(f"unknown V bounds {value!r}; known: 'corollary1'")
+        if key in ("v_lo", "v_hi") and "bounds" in opts:
+            raise ValueError(f"{bad} has no effect with bounds = corollary1")
+        if key == "alpha" and "bounds" not in opts:
+            raise ValueError(f"{bad} has no effect without bounds = corollary1")
+    v_lo, v_hi = (opts.get(key, default)
+                  for key, default in zip(("v_lo", "v_hi"), V_RANGE))
     if v_lo > v_hi:
         raise ValueError(f"options{where}: v_lo = {v_lo!r} is above "
                          f"v_hi = {v_hi!r}")
@@ -110,25 +139,24 @@ def _excess(x: float) -> float:
     return 0.0 if x <= 0.0 else float(x)
 
 
-def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
+def monitor_positivity(traj: Trajectory, v_lo: Optional[float] = None,
+                       v_hi: Optional[float] = None,
                        bounds: Optional[str] = None,
                        alpha: Optional[float] = None) -> Check:
     """Componentwise range checks plus the recorded-V range check.
 
     Sub-checks: (a) components >= -eps, (b) components <= N + eps with
-    eps = 1e-9*N, (c) V within [v_lo, v_hi]. Pass bounds="corollary1" to
-    check V against [0, 1 + (alpha - beta*I/N)*S/(mu*N)] instead, the
+    eps = 1e-9*N, (c) V within [v_lo, v_hi], a bound not given (None)
+    read from V_RANGE, [0, 1]. Pass bounds="corollary1" to check V
+    against [0, 1 + (alpha - beta*I/N)*S/(mu*N)] instead, the
     state-dependent extended bound of `laws.corollary1_upper_bound` (alpha
-    defaults to beta; mu*N = 0 raises VaccinationChannelError). A NaN
-    bound or alpha, an infinite alpha and v_lo > v_hi are refused with a
-    ValueError.
+    defaults to beta; mu*N = 0 raises VaccinationChannelError). The
+    options `refuse_options` refuses raise its ValueError before the run
+    is read.
     """
     import numpy as np
-    _refuse_option("v_lo", v_lo)
-    _refuse_option("v_hi", v_hi)
-    if alpha is not None:
-        _refuse_option("alpha", alpha)
-    _refuse_v_range(v_lo, v_hi)
+    refuse_options({"bounds": bounds, "v_lo": v_lo, "v_hi": v_hi,
+                    "alpha": alpha})
     p = traj.params
     N = p.N
     eps = _EPS_POS_RTOL * N
@@ -151,11 +179,11 @@ def monitor_positivity(traj: Trajectory, v_lo: float = 0.0, v_hi: float = 1.0,
             p.beta if alpha is None else alpha)
         lo = np.zeros_like(hi)
         bound_name = "V in corollary1 range"
-    elif bounds is None:
-        lo, hi = v_lo, v_hi   # numpy broadcasts them, with no n-length copy
-        bound_name = f"V in [{v_lo:g}, {v_hi:g}]"
     else:
-        raise ValueError(f"unknown V bounds {bounds!r}; known: 'corollary1'")
+        # numpy broadcasts the two floats, with no n-length copy
+        lo, hi = (default if bound is None else bound
+                  for bound, default in zip((v_lo, v_hi), V_RANGE))
+        bound_name = f"V in [{lo:g}, {hi:g}]"
     finite = np.abs(np.hstack((lo, hi)))
     finite = finite[np.isfinite(finite)]
     slack = 1e-12 * max(1.0, float(finite.max()) if finite.size else 1.0)
@@ -304,8 +332,7 @@ def check_asymptotics(traj: Trajectory, prediction: AsymptoticPrediction,
     with a ValueError.
     """
     import numpy as np
-    _refuse_option("tail_fraction", tail_fraction)
-    _refuse_option("rel_tol", rel_tol)
+    refuse_options({"tail_fraction": tail_fraction, "rel_tol": rel_tol})
     rate = prediction.decay_rate
     if rate is None or rate <= 0.0:
         raise ValueError("prediction carries no positive decay rate")
@@ -346,7 +373,7 @@ def check_integral_limit(traj: Trajectory, rel_tol: float = 0.01) -> Check:
     finite and > 0.
     """
     import numpy as np
-    _refuse_option("rel_tol", rel_tol)
+    refuse_options({"rel_tol": rel_tol})
     params = traj.params
     law = traj.law.canonical(params)
     if not isinstance(law, ImmuneFeedback):

@@ -35,6 +35,7 @@ population range.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -237,15 +238,15 @@ class SusceptiblePlusExposed(ControlLaw):
 
     def _predict(self, params: ModelParams) -> AsymptoticPrediction:
         g, mu, N = self.g, params.mu, params.N
+        if not sys.float_info.min <= mu * N < math.inf:   # 0, subnormal or inf
+            raise PredictionError(f"prediction refused: mu*N = {mu * N!r} "
+                                  "under- or overflows double precision")
         kwargs = dict(
             s_plus_e_inf=mu * N / (mu + g),
             i_plus_r_inf=g * N / (mu + g),
             decay_rate=mu + g,
         )
         if g == 0.0 and _modes(params, 1.0)[0] < 0.0:   # N attracts
-            if not math.isclose(mu * N / mu, N, rel_tol=1e-12, abs_tol=1e-9 * N):
-                raise PredictionError(f"prediction refused: mu*N = {mu * N!r} "
-                                      "under- or overflows double precision")
             kwargs.update(s_inf=N, e_inf=0.0, i_inf=0.0, r_inf=0.0, v_inf=0.0)
         return AsymptoticPrediction(**kwargs)
 

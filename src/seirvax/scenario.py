@@ -4,61 +4,29 @@ Sections [params], [initial], [law] and [integrator], plus optional
 [checks], [checks.<name>] option sub-sections and [outputs]; the README
 holds the full grammar and an example. The keys of [params], [initial]
 and [integrator] are the fields of ModelParams, SeirState and
-IntegratorConfig, each read by its field's type, and the options of each
-[checks.<name>] section are listed in CHECK_NAMES; such a section needs
-its check on in [checks]. Any other section, key or option is rejected.
+IntegratorConfig, each read by its field's type. The options of each
+[checks.<name>] section, and their types, are those of `checks.CHECK_NAMES`;
+such a section needs its check on in [checks], and its options pass
+`checks.refuse_options`, the rule the check functions apply to their own
+options, before the run. Any other section, key or option is rejected.
 Numbers are decimal doubles.
 """
 
 from __future__ import annotations
 
 import configparser
-import inspect
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .checks import _refuse_option, _refuse_v_range, monitor_positivity
+from .checks import CHECK_NAMES, refuse_options
 from .exceptions import ScenarioError
 from .integrate import IntegratorConfig, _check_initial
 from .laws import SCENARIO_LAWS, ControlLaw, Saturated
 from .model import ModelParams, SeirState
 
-__all__ = ["Scenario", "load_scenario", "build_law", "CHECK_NAMES"]
-
-# Check name -> {option: type} of its [checks.<name>] section. The options
-# are keyword arguments of the check function, which holds their defaults;
-# a tuple type lists the accepted strings.
-CHECK_NAMES = {
-    "conservation": {},
-    "positivity": {"v_lo": float, "v_hi": float, "bounds": ("corollary1",),
-                   "alpha": float},
-    "identities": {},
-    "asymptotics": {"tail_fraction": float, "rel_tol": float},
-    "integral_limit": {"rel_tol": float},
-}
-
-
-def _check_options(where: str, opts: dict) -> None:
-    """Refuse, with a ValueError, check options that give no verdict (the
-    checks' own rules) or cannot apply: v_lo and v_hi bound V only without
-    `bounds`, and alpha only with it."""
-    section = f" in [{where}]"
-    for key, value in opts.items():
-        _refuse_option(key, value, section)
-        if key in ("v_lo", "v_hi") and "bounds" in opts:
-            raise ValueError(f"option {key!r}{section} has no effect with "
-                             "bounds = corollary1")
-        if key == "alpha" and "bounds" not in opts:
-            raise ValueError(f"option {key!r}{section} has no effect without "
-                             "bounds = corollary1")
-    if "v_lo" in opts or "v_hi" in opts:
-        # an unset bound is the check's own default
-        default = inspect.signature(monitor_positivity).parameters
-        _refuse_v_range(*(opts.get(key, default[key].default)
-                          for key in ("v_lo", "v_hi")), section)
-
+__all__ = ["Scenario", "load_scenario", "build_law"]
 
 # Section -> (dataclass whose fields are its keys, whether values must be
 # finite). SeirState does not check its values, so the loader does.
@@ -223,7 +191,7 @@ def load_scenario(path: str | Path) -> Scenario:
             _reject_unknown(sec, options, where, "option")
             opts = {key: _value(sec, key, where, options[key]) for key in sec}
             try:
-                _check_options(where, opts)
+                refuse_options(opts, f" in [{where}]")
             except ValueError as exc:
                 raise ScenarioError(str(exc)) from exc
             checks[name] = opts

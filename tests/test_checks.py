@@ -95,6 +95,20 @@ class TestPositivity:
         with pytest.raises(ValueError, match="unknown V bounds"):
             monitor_positivity(tr, bounds="corollary2")
 
+    def test_unset_v_bounds_read_the_unit_range(self, p1):
+        # A V bound left at None, the default, is V_RANGE's: the Check is
+        # the one the bound given would make.
+        from seirvax.checks import V_RANGE
+        assert V_RANGE == (0.0, 1.0)
+        cfg = IntegratorConfig(t_end=20.0, dt=1e-2, sampling_stride=10)
+        tr = integrate(SeirState(500.0, 100.0, 50.0, 350.0), p1,
+                       SusceptibleLinear(0.1), cfg)
+        assert monitor_positivity(tr) == monitor_positivity(tr, 0.0, 1.0)
+        assert monitor_positivity(tr, v_hi=80.0) \
+            == monitor_positivity(tr, v_lo=0.0, v_hi=80.0)
+        assert monitor_positivity(tr, v_lo=-1.0) \
+            == monitor_positivity(tr, v_lo=-1.0, v_hi=1.0)
+
     def test_corollary_bound_is_the_law_function(self, p1):
         # The check's upper bound is laws.corollary1_upper_bound over the
         # samples, bit for bit the parenthesised formula; mu = 0 refuses.
@@ -581,6 +595,10 @@ REFUSED_OPTIONS = [
     ("positivity", {"v_hi": -1.0}),
     ("positivity", {"bounds": "corollary1", "alpha": math.nan}),
     ("positivity", {"bounds": "corollary1", "alpha": math.inf}),
+    # combinations that leave an option unread
+    ("positivity", {"bounds": "corollary1", "v_lo": 0.5}),
+    ("positivity", {"bounds": "corollary1", "v_hi": 2.0}),
+    ("positivity", {"alpha": 0.5}),
 ]
 
 _SCENARIO = """\

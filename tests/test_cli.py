@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -19,12 +20,13 @@ from hypothesis import strategies as st
 
 import seirvax.cli as cli
 from seirvax import ImmuneFeedback, Saturated, ScenarioError, integrate
+from seirvax.checks import (CHECK_NAMES, check_asymptotics, check_integral_limit,
+                            monitor_positivity)
 from seirvax.cli import (CSV_HEADER, _write_csv, main, read_trajectory_csv,
                          run_checks, write_trajectory_csv)
 from seirvax.integrate import MAX_STEPS
 from seirvax.laws import SCENARIO_LAWS
-from seirvax.scenario import (_CLIP_KEYS, _TYPED_SECTIONS, CHECK_NAMES, build_law,
-                              load_scenario)
+from seirvax.scenario import _CLIP_KEYS, _TYPED_SECTIONS, build_law, load_scenario
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "full_immunization.ini"
 
@@ -1053,6 +1055,15 @@ def test_fuzz_grammar_is_the_loaders():
         want = {f.name.lower() for f in fields(cls)}
         extra = _HORIZON if section == "integrator" else {}
         assert {*_BASE_KEYS[section], *extra} == want, section
+    # The fuzz draws check options from the checks' own table, whose
+    # options are the keyword arguments of each check function.
+    for check, function in (("positivity", monitor_positivity),
+                            ("asymptotics", check_asymptotics),
+                            ("integral_limit", check_integral_limit)):
+        keywords = [name for name, param in
+                    inspect.signature(function).parameters.items()
+                    if param.default is not inspect.Parameter.empty]
+        assert [*CHECK_NAMES[check]] == keywords, check
 
 
 @seed(20261020)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +203,11 @@ class TestPredictedLimits:
          ModelParams(N=1e-250, mu=1e-80, omega=0.02, beta=0.1, sigma=0.2,
                      gamma=0.2),
          r"mu\*N = 0\.0 under- or overflows double precision"),
+        # a subnormal mu*N with g > 0: S+E's limit was off by 1.5e-12 relative
+        (SusceptiblePlusExposed(1e-62),
+         ModelParams(N=1e-250, mu=1e-62, omega=0.02, beta=0.9, sigma=0.2,
+                     gamma=0.2),
+         r"mu\*N = 1e-312 under- or overflows double precision"),
         # 1 + omega/mu
         (SusceptibleLinear(0.05),
          ModelParams(N=1000.0, mu=1e-10, omega=1e300, beta=0.9, sigma=0.2,
@@ -211,11 +218,22 @@ class TestPredictedLimits:
          ModelParams(N=1000.0, mu=1e-20, omega=0.0, beta=0.9, sigma=1e10,
                      gamma=1e-20),
          r"the slowest \(E, I\) mode's rate is lost to rounding \(-0\.0\)"),
-    ], ids=["integral_limit", "mu*N", "v_inf", "decay_rate"])
+    ], ids=["integral_limit", "mu*N", "mu*N subnormal", "v_inf", "decay_rate"])
     def test_out_of_range_refused_on_one_line(self, law, params, what):
         with pytest.raises(PredictionError, match=what) as info:
             predicted_limits(law, params)
         assert "\n" not in str(info.value)
+
+    def test_smallest_normal_mu_n_is_predicted(self):
+        # The refusal starts one ulp below the smallest normal mu*N.
+        tiny = sys.float_info.min
+        p = ModelParams(N=1.0, mu=tiny, omega=0.02, beta=0.9, sigma=0.2,
+                        gamma=0.2)
+        pred = predicted_limits(SusceptiblePlusExposed(0.1), p)
+        assert (pred.s_plus_e_inf, pred.i_plus_r_inf) == (tiny / 0.1, 1.0)
+        with pytest.raises(PredictionError, match=r"mu\*N = .* under- or "):
+            predicted_limits(SusceptiblePlusExposed(0.1), dataclasses.replace(
+                p, mu=math.nextafter(tiny, 0.0)))
 
     def test_mu_zero_refused_for_every_law(self):
         # predicted_limits is the only way to the limits, and it refuses
