@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import attrgetter
 from typing import Optional
 
@@ -147,7 +147,7 @@ def _finite(value: float, what: str) -> float:
 def _endemic_state(S: float, E: float, I: float, R: float) -> SeirState:
     """The endemic closed form's state, refused with a ValueError where a
     component overflowed, before the residual reads it."""
-    for value in (S, E, I, R):
+    for value in filterfalse(math.isfinite, (S, E, I, R)):
         _finite(value, "endemic closed form")
     return SeirState(S, E, I, R)
 
@@ -266,10 +266,8 @@ def _nonconvergence(err, flag):
 def _eigvals(m: np.ndarray) -> np.ndarray:
     """Complex spectra of a finite real float64 (..., n, n) stack, as
     `np.linalg.eigvals` computes them before it drops an all-zero
-    imaginary part: one finiteness scan and one error state per call,
-    refusing and failing in numpy's own words."""
-    if not np.isfinite(m).all():
-        raise LinAlgError("Array must not contain infs or NaNs")
+    imaginary part: one error state per call, failing in numpy's own
+    words. The caller has scanned the entries' finiteness."""
     with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         return _lapack_eigvals(m, signature="d->D")
@@ -280,31 +278,35 @@ def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
     (..., n, n) stack in C order of the leading axes.
 
     One call of the private LAPACK gufunc that `np.linalg.eigvals` itself
-    calls covers the whole stack, after one finiteness scan. Each
-    spectrum is sorted by real part descending, then by imaginary part
-    descending, and is float64 when none of its own imaginary parts is
-    nonzero (complex128 otherwise), so a stack row is bitwise the
-    spectrum of a lone call on its matrix. Complex entries, a shape that
-    is not (..., n, n) and non-finite entries are refused with a
-    ValueError; nonconvergence raises numpy's LinAlgError.
+    calls covers the whole stack, after one finiteness scan; a float64
+    ndarray goes to it as it is. Each spectrum is sorted by real part
+    descending, then by imaginary part descending, and is float64 when
+    none of its own imaginary parts is nonzero (complex128 otherwise), so
+    a stack row is bitwise the spectrum of a lone call on its matrix.
+    Complex entries, a shape that is not (..., n, n) and non-finite
+    entries are refused with a ValueError; nonconvergence raises numpy's
+    LinAlgError.
     """
-    m = np.asarray(matrix)
-    if m.dtype.kind == "c":
-        raise ValueError("eigenvalues: complex entries")
+    m = matrix
+    if type(m) is not np.ndarray or m.dtype != float:
+        m = np.asarray(matrix)
+        if m.dtype.kind == "c":
+            raise ValueError("eigenvalues: complex entries")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"eigenvalues: shape {m.shape} is not (..., n, n)")
-    m = m.astype(float, copy=False)
-    try:
-        vals = _eigvals(m)
-    except LinAlgError:
-        if not np.isfinite(m).all():
-            raise ValueError("eigenvalues: non-finite entries") from None
-        raise
-    rows = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1]).tolist()
-    spectra = [_sorted_spectrum(row) for row in rows]
-    return spectra[0] if vals.ndim == 1 else spectra
+    if m.dtype != float:
+        m = m.astype(float)
+    if not np.isfinite(m).all():
+        raise ValueError("eigenvalues: non-finite entries")
+    vals = _eigvals(m)
+    if vals.ndim == 1:
+        return _sorted_spectrum(vals.tolist())
+    if vals.ndim > 2:
+        vals = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1])
+    return list(map(_sorted_spectrum, vals.tolist()))
 
 
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 _PARTS = attrgetter("real", "imag")
 
 
@@ -315,11 +317,10 @@ def _sorted_spectrum(values: list[complex]) -> np.ndarray:
     A stable descending sort by (real, imag) orders ties as an ascending
     one by (-real, -imag) does; with no imaginary part, by real alone.
     """
-    if any(v.imag for v in values):
+    if any(map(_IMAG, values)):
         values.sort(key=_PARTS, reverse=True)
-        return np.fromiter(values, complex, len(values))
-    reals = sorted((v.real for v in values), reverse=True)
-    return np.fromiter(reals, float, len(reals))
+        return np.array(values)
+    return np.array(sorted(map(_REAL, values), reverse=True))
 
 
 def _sweep_polynomials(params: ModelParams, endemic: EquilibriumPoint):
@@ -412,10 +413,16 @@ def hinf_ratio_sweep(params: ModelParams,
     if p0[4] == 0.0 or s6 == 0.0:
         raise ValueError("sweep refused: the rates span too many orders of "
                          "magnitude for double precision")
+    # The companion's one non-constant row; the rest is 0.0 and 1.0.
+    row = (-s5 / s6, -s4 / s6, -s3 / s6, -s2 / s6, -s1 / s6, -s0 / s6)
+    if not all(map(math.isfinite, row)):
+        raise LinAlgError("Array must not contain infs or NaNs")
     companion = _COMPANION.copy()
-    companion[0] = (-s5 / s6, -s4 / s6, -s3 / s6, -s2 / s6, -s1 / s6, -s0 / s6)
+    companion[0] = row
 
-    best_w, best_r = 0.0, _ratio(p0, ptilde, 0.0)
+    # At w = 0 the Horner sums are c0 and p0[4] (their coefficients are
+    # finite wherever the row is).
+    best_w, best_r = 0.0, abs(c0) / abs(p0[4])
     for root in _eigvals(companion).tolist():
         if root.real > 0.0:
             w = math.sqrt(root.real)
@@ -443,11 +450,12 @@ def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
     x1 = disease_free_equilibrium(params)
     zeros = char_zeros_x1(params)
     x2 = endemic_equilibrium(params)
-    points = [x1] if x2 is None else [x1, x2]
     jac = _plant_jacobian(params)
-    stack = np.fromiter(chain.from_iterable(
-        row for p in points for row in jac(*p.state.as_tuple(), 0.0)),
-        float, 16 * len(points)).reshape(len(points), 4, 4)
+    rows = jac(*x1.state.as_tuple(), 0.0)
+    if x2 is not None:
+        rows += jac(*x2.state.as_tuple(), 0.0)
+    stack = np.fromiter(chain.from_iterable(rows), float,
+                        4 * len(rows)).reshape(-1, 4, 4)
     spectra = eigenvalues(stack)
     reports = [StabilityReport(
         point=x1, jacobian=stack[0], spectrum=spectra[0], closed_form_zeros=zeros,

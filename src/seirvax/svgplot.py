@@ -17,8 +17,7 @@ _DASH = ' stroke-dasharray="6,4"'
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick values in [lo, hi], a range `_axis` made."""
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -28,7 +27,9 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     start = math.ceil(lo / step) * step
     vals = []
     v = start
-    while v <= hi + 1e-12 * abs(step):
+    # n ticks fit at most; the bound on the count only stops a step
+    # that rounds away (one below half an ulp)
+    while v <= hi + 1e-12 * abs(step) and len(vals) <= n:
         vals.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return vals
@@ -38,14 +39,34 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def _padded_range(arrays) -> tuple[float, float]:
-    """Range of the values, widened to 1 if flat, padded by 5% each side."""
-    values = np.concatenate([np.asarray(v, dtype=float) for v in arrays])
-    lo, hi = float(np.min(values)), float(np.max(values))
+def _axis(lo: float, hi: float) -> tuple[float, float, float]:
+    """(lo, hi, unit): the range of finite values [lo, hi] as one that
+    ticks can step across, in units of `unit`.
+
+    The unit is 1e10 where a value passes 1e300, whose padded span would
+    overflow, and 1 otherwise. A flat range is widened to 1, and one
+    narrower than 1e-12 of its magnitude (or than 1e-300) about its middle
+    to that width, so a tick step is many ulps of the ticks it steps from.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("chart refused: a value is not finite")
+    unit = 1e10 if max(-lo, hi) > 1e300 else 1.0
+    lo, hi = lo / unit, hi / unit
     if hi <= lo:
         hi = lo + 1.0
+    width = max(1e-12 * max(-lo, hi), 1e-300)
+    if hi - lo < width:
+        mid = 0.5 * lo + 0.5 * hi
+        lo, hi = mid - 0.5 * width, mid + 0.5 * width
+    return lo, hi, unit
+
+
+def _padded_range(arrays) -> tuple[float, float, float]:
+    """(lo, hi, unit): the values' `_axis`, padded by 5% each side."""
+    values = np.concatenate([np.asarray(v, dtype=float) for v in arrays])
+    lo, hi, unit = _axis(float(np.min(values)), float(np.max(values)))
     pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    return lo - pad, hi + pad, unit
 
 
 def write_line_chart(path: str | Path, t: np.ndarray,
@@ -55,16 +76,16 @@ def write_line_chart(path: str | Path, t: np.ndarray,
     """Write a line chart of `series` vs t, with an optional right axis.
 
     Axes are auto-scaled; the secondary mapping (e.g. the vaccination
-    fraction) is drawn dashed against the right-hand axis.
+    fraction) is drawn dashed against the right-hand axis. A non-finite
+    value is refused with a ValueError.
     """
     t = np.asarray(t, dtype=float)
     secondary = secondary or {}
-    x0, x1 = float(t[0]), float(t[-1])
-    if x1 <= x0:
-        x1 = x0 + 1.0
+    x0, x1, x_unit = _axis(float(t[0]), float(t[-1]))
 
-    y_lo, y_hi = _padded_range(series.values())
-    y2_lo, y2_hi = _padded_range(secondary.values()) if secondary else (0.0, 1.0)
+    y_lo, y_hi, y_unit = _padded_range(series.values())
+    y2_lo, y2_hi, y2_unit = (_padded_range(secondary.values()) if secondary
+                             else (0.0, 1.0, 1.0))
 
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB
@@ -101,19 +122,19 @@ def write_line_chart(path: str | Path, t: np.ndarray,
         out.append(f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" '
                    f'y2="{_MT + ph}" stroke="#eeeeee"/>')
         out.append(f'<text x="{px:.2f}" y="{_MT + ph + 18}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(xv)}</text>')
+                   f'font-family="sans-serif" font-size="11">{_fmt(xv * x_unit)}</text>')
     for yv in _ticks(y_lo, y_hi):
         py = sy(yv)
         out.append(f'<line x1="{_ML}" y1="{py:.2f}" x2="{_ML + pw}" '
                    f'y2="{py:.2f}" stroke="#eeeeee"/>')
         out.append(f'<text x="{_ML - 6}" y="{py + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(yv)}</text>')
+                   f'font-family="sans-serif" font-size="11">{_fmt(yv * y_unit)}</text>')
     if secondary:
         for yv in _ticks(y2_lo, y2_hi):
             py = sy2(yv)
             out.append(f'<text x="{_ML + pw + 6}" y="{py + 4:.2f}" '
                        'text-anchor="start" font-family="sans-serif" '
-                       f'font-size="11" fill="#555555">{_fmt(yv)}</text>')
+                       f'font-size="11" fill="#555555">{_fmt(yv * y2_unit)}</text>')
 
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                'fill="none" stroke="#333333"/>')
@@ -131,12 +152,13 @@ def write_line_chart(path: str | Path, t: np.ndarray,
 
     legend_x = _ML + 10
     legend_y = _MT + 16
-    entries = ([(name, vals, sy, "", "") for name, vals in series.items()]
-               + [(name, vals, sy2, _DASH, " (right axis)")
+    entries = ([(name, vals, y_unit, sy, "", "") for name, vals in series.items()]
+               + [(name, vals, y2_unit, sy2, _DASH, " (right axis)")
                   for name, vals in secondary.items()])
-    for idx, (name, vals, to_y, dash, note) in enumerate(entries):
+    for idx, (name, vals, unit, to_y, dash, note) in enumerate(entries):
         color = _COLORS[idx % len(_COLORS)]
-        out.append(polyline(t, np.asarray(vals, dtype=float), to_y, color, dash))
+        out.append(polyline(t / x_unit, np.asarray(vals, dtype=float) / unit, to_y,
+                            color, dash))
         out.append(f'<line x1="{legend_x}" y1="{legend_y - 4}" '
                    f'x2="{legend_x + 22}" y2="{legend_y - 4}" '
                    f'stroke="{color}" stroke-width="2"{dash}/>')

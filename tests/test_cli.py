@@ -851,6 +851,41 @@ def test_malformed_input_exits_one_with_one_line(case, tmp_path, capsys):
     assert fragment in err
 
 
+# Runs whose chart's axis range double precision could not hold: a whole
+# population near the largest double, whose padded y range overflowed
+# (an OverflowError with a traceback), and a flat V of 1e17, which adding
+# 1.0 did not widen (a math domain error, exit 1, after the CSV). Each
+# keeps its chart and ends by its own verdict: exit 0, and exit 2 for the
+# conservation check that the second run fails.
+EXTREME_CHART = "\n".join((
+    "[params]\nN = 1.65e308\nmu = 0.01\nomega = 0.02\nbeta = 0.9\n"
+    "sigma = 0.2\ngamma = 0.2\n",
+    "[initial]\nS = 1.65e308\nE = 0\nI = 0\nR = 0\n",
+    "[law]\nname = zero\n", "[integrator]\nt_end = 10\ndt = 0.1\n",
+    "[checks]\nconservation = on\n", "[outputs]\nsvg = fuzz.svg\n"))
+FLAT_V_CHART = "\n".join((
+    P1_BLOCK, "[initial]\nS = 1000\nE = 0\nI = 0\nR = 0\n",
+    "[law]\nname = constant\nvalue = 1e17\n", "[integrator]\nt_end = 1\n",
+    "[checks]\nconservation = on\n",
+    "[outputs]\ncsv = fuzz.csv\nsvg = fuzz.svg\nreport = fuzz.txt\n"))
+
+
+@pytest.mark.parametrize("text, code", [(EXTREME_CHART, 0), (FLAT_V_CHART, 2)],
+                         ids=["population 1.65e308", "flat V 1e17"])
+def test_chart_of_an_extreme_run_is_drawn(tmp_path, capsys, text, code):
+    path = tmp_path / "chart.ini"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert err == "" and out.rstrip().endswith("PASS" if code == 0 else "FAIL")
+    svg = (tmp_path / "fuzz.svg").read_text()
+    assert svg.startswith("<svg") and svg.endswith("</svg>")
+    assert not re.search(r"\b(inf|nan)\b", svg)
+    # every tick label is a finite number
+    labels = re.findall(r'font-size="11"[^>]*>([^<]*)<', svg)
+    assert labels and all(map(math.isfinite, map(float, labels)))
+
+
 @pytest.mark.parametrize("argv", [["--version"], ["--help"],
                                   ["equilibria", "--help"]])
 def test_help_and_version_exit_zero(argv, capsys):
@@ -1025,9 +1060,9 @@ def _fuzz_values(kind) -> st.SearchStrategy[str]:
 @st.composite
 def _scenario_texts(draw) -> str:
     """A scenario with a drawn law, integrator mode (fixed, adaptive or
-    dense) and checks switched on or off, and up to four keys of its
-    grammar (a check's switch and options among them) set to drawn
-    values."""
+    dense) and checks switched on or off, all three outputs, and up to
+    four keys of its grammar (a check's switch and options among them)
+    set to drawn values."""
     name = draw(st.sampled_from(sorted(SCENARIO_LAWS)))
     law = {"name": name, **{f.name: "0.03" for f in fields(SCENARIO_LAWS[name])}}
     sections = {**{s: dict(keys) for s, keys in _BASE_KEYS.items()}, "law": law}
@@ -1036,6 +1071,8 @@ def _scenario_texts(draw) -> str:
     sections["checks"] = draw(st.dictionaries(
         st.sampled_from(sorted(CHECK_NAMES)), st.sampled_from(("on", "off")),
         max_size=5))
+    # every writer runs; a fixed section, so it changes no draw
+    sections["outputs"] = {"csv": "fuzz.csv", "svg": "fuzz.svg", "report": "fuzz.txt"}
     drawable = [(s, key, float) for s, keys in _BASE_KEYS.items() for key in keys]
     drawable += [("law", key, float) for key in (*list(law)[1:], *_CLIP_KEYS)]
     drawable += [("checks", check, bool) for check in CHECK_NAMES]
@@ -1075,6 +1112,8 @@ def test_fuzz_grammar_is_the_loaders():
     P1_BLOCK, INITIAL_BLOCK,
     "[law]\nname = constant\nvalue = 1e300\nclip_lo = 0\nclip_hi = 1\n",
     "[integrator]\nt_end = 1\n", "[checks]\nidentities = on\n")))
+# the chart's padded range overflowed here, with a traceback
+@example(text=EXTREME_CHART)
 def test_scenario_files_never_escape(tmp_path, text):
     """Any drawn scenario ends in exit 0, 1 or 2; exit 1 carries exactly
     one stderr line, the `error:` message."""

@@ -422,6 +422,43 @@ class TestEigenvalues:
             self._assert_same_spectrum(row, numpy_spectrum(matrix))
             self._assert_same_spectrum(eigenvalues(matrix), row)
 
+    def test_any_real_input_is_its_float64_stack(self):
+        # A float64 ndarray goes to LAPACK as it is; any other real input
+        # (int, float32, nested lists and tuples, and float64 stacks in
+        # Fortran order, transposed or sliced) gives the bits and dtypes of
+        # the C-contiguous float64 stack of its values, and its refusals
+        # are the float64 stack's.
+        rng = np.random.default_rng(3011)
+        base = self._mixed_stack(4, 3011)
+        wide = rng.normal(size=(24, 8, 8))
+        inputs = {
+            "int": rng.integers(-9, 10, size=(6, 4, 4)),
+            "float32": base.astype(np.float32),
+            "nested lists": base.tolist(),
+            "nested tuples": tuple(tuple(map(tuple, m)) for m in base),
+            "Fortran order": np.asfortranarray(base),
+            "transposed": base.transpose(0, 2, 1),
+            "sliced": wide[:, ::2, 1::2],
+            "one sliced matrix": wide[3, 1::2, ::2],
+        }
+        for name, matrix in inputs.items():
+            c_stack = np.ascontiguousarray(matrix, dtype=float)
+            want, got = eigenvalues(c_stack), eigenvalues(matrix)
+            if c_stack.ndim == 2:
+                want, got = [want], [got]
+            assert len(got) == len(want), name
+            for row, want_row in zip(got, want):
+                self._assert_same_spectrum(row, want_row)
+            spoiled = np.array(matrix, dtype=float, order="F")
+            spoiled.flat[-1] = np.nan
+            for bad in (spoiled, spoiled.tolist(), spoiled.astype(np.float32)):
+                with pytest.raises(ValueError, match="^eigenvalues: non-finite entries$"):
+                    eigenvalues(bad)
+        with pytest.raises(ValueError, match="^eigenvalues: complex entries$"):
+            eigenvalues(base.astype(np.complex64))
+        with pytest.raises(ValueError, match=r"^eigenvalues: shape \(6, 4, 3\) is not"):
+            eigenvalues(inputs["int"][:, :, :3])
+
     def test_nonconvergence_refused(self, monkeypatch):
         # LAPACK reports nonconvergence through the invalid flag; a stub
         # that raises it stands in for a matrix dgeev cannot reduce.
@@ -436,6 +473,8 @@ class TestEigenvalues:
             warnings.simplefilter("error")
             for call in (lambda: eigenvalues(np.eye(4)),
                          lambda: eigenvalues(np.ones((2, 4, 4))),
+                         lambda: eigenvalues(np.eye(4, dtype=int).tolist()),
+                         lambda: eigenvalues(np.ones((2, 4, 4)).transpose(0, 2, 1)),
                          lambda: _sweep(p)):
                 with pytest.raises(np.linalg.LinAlgError,
                                    match="^Eigenvalues did not converge$"):
@@ -635,12 +674,27 @@ class TestAnalyze:
     def test_spectra_match_lone_calls(self, mu, beta):
         # analyze stacks the two Jacobians in one call; each report's
         # spectrum, dtype included, is the lone call's, and its verdict is
-        # the sign of every real part.
-        for rep in analyze(_params(mu=mu, beta=beta)):
+        # the sign of every real part. Its point is the public function's,
+        # and the endemic report's sweep figures are hinf_ratio_sweep's
+        # (None at mu = 0, where the sweep refuses), bit for bit.
+        p = _params(mu=mu, beta=beta)
+        reports = analyze(p)
+        x2 = endemic_equilibrium(p)
+        points = [disease_free_equilibrium(p)] + ([] if x2 is None else [x2])
+        assert [repr(rep.point) for rep in reports] == list(map(repr, points))
+        for rep in reports:
             want = eigenvalues(rep.jacobian)
             assert rep.spectrum.dtype == want.dtype
             assert rep.spectrum.tobytes() == want.tobytes()
             assert rep.locally_stable == bool(np.all(want.real < 0.0))
+        if x2 is not None:
+            sweep = (None, None)
+            if mu > 0.0:
+                res = hinf_ratio_sweep(p, x2)
+                sweep = (res.max_ratio.hex(), res.condition_holds)
+            got = reports[1].hinf_ratio
+            assert (got if got is None else got.hex(),
+                    reports[1].hinf_condition_holds) == sweep
 
     def test_reaches_the_wrapped_names(self, monkeypatch):
         # The benchmark times endemic_equilibrium, eigenvalues and
