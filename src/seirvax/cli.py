@@ -10,13 +10,25 @@ Subcommands:
     verify <csv> <scenario> replay the checks against a stored trajectory
 
 Exit codes: 0 all checks pass, 1 input/usage error, 2 verification failure.
+
+`run` is the entry of a process (the `seirvax` script and `python -m
+seirvax.cli`); `main` runs a command in a process that goes on (tests,
+perfbench's traced replay). A command process lives for its command
+alone, so `run` turns the cyclic collector off before the command imports
+a layer, and freezes what is left before the process exits, which spares
+the interpreter's final collection of the objects numpy and seirvax keep.
+Nothing the process needs waits on a collection: files are closed where
+they are written, and `atexit` still runs. `main` leaves the collector as
+it found it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import importlib
+import os
 import sys
 from array import array
 from itertools import chain
@@ -416,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command in this process and return its exit code; the
+    in-process entry, which leaves the cyclic collector as it found it."""
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
@@ -424,5 +438,34 @@ def main(argv: list[str] | None = None) -> int:
         return _USAGE_ERROR
 
 
+def run(argv: list[str] | None = None) -> int:
+    """Run one command as the whole life of a process; the entry of the
+    `seirvax` script and of `python -m seirvax.cli`.
+
+    The cyclic collector is off from before the command imports a layer,
+    and every object left is frozen on return, so the interpreter's final
+    collection skips them: the process exits right after. stdout is
+    flushed here, so a reader that closed the pipe ends the process with
+    exit 1 and one `error:` line; stdout then points at the null device,
+    which the interpreter's own flush at exit writes to.
+    """
+    gc.disable()
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # --help and --version
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if code != _USAGE_ERROR:   # else main printed the one line
+            print(f"error: {exc}", file=sys.stderr)
+            code = _USAGE_ERROR
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -35,8 +35,16 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return vals
 
 
-def _fmt(v: float) -> str:
-    return f"{v:g}"
+def _labels(ticks: list[float], unit: float) -> list[str]:
+    """The ticks' labels in units of `unit`: `%g` at the fewest significant
+    digits, 6 or more, that tell the ticks apart (17 tell any two doubles
+    apart)."""
+    values = [v * unit for v in ticks]
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in values]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def _axis(lo: float, hi: float) -> tuple[float, float, float]:
@@ -117,24 +125,27 @@ def write_line_chart(path: str | Path, t: np.ndarray,
         out.append(f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="15">{title}</text>')
 
-    for xv in _ticks(x0, x1):
+    x_ticks = _ticks(x0, x1)
+    for xv, label in zip(x_ticks, _labels(x_ticks, x_unit)):
         px = sx(xv)
         out.append(f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" '
                    f'y2="{_MT + ph}" stroke="#eeeeee"/>')
         out.append(f'<text x="{px:.2f}" y="{_MT + ph + 18}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(xv * x_unit)}</text>')
-    for yv in _ticks(y_lo, y_hi):
+                   f'font-family="sans-serif" font-size="11">{label}</text>')
+    y_ticks = _ticks(y_lo, y_hi)
+    for yv, label in zip(y_ticks, _labels(y_ticks, y_unit)):
         py = sy(yv)
         out.append(f'<line x1="{_ML}" y1="{py:.2f}" x2="{_ML + pw}" '
                    f'y2="{py:.2f}" stroke="#eeeeee"/>')
         out.append(f'<text x="{_ML - 6}" y="{py + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(yv * y_unit)}</text>')
+                   f'font-family="sans-serif" font-size="11">{label}</text>')
     if secondary:
-        for yv in _ticks(y2_lo, y2_hi):
+        y2_ticks = _ticks(y2_lo, y2_hi)
+        for yv, label in zip(y2_ticks, _labels(y2_ticks, y2_unit)):
             py = sy2(yv)
             out.append(f'<text x="{_ML + pw + 6}" y="{py + 4:.2f}" '
                        'text-anchor="start" font-family="sans-serif" '
-                       f'font-size="11" fill="#555555">{_fmt(yv * y2_unit)}</text>')
+                       f'font-size="11" fill="#555555">{label}</text>')
 
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                'fill="none" stroke="#333333"/>')

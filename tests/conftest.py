@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +19,23 @@ from seirvax.model import SEIR_SOURCE
 settings.register_profile("derandomized", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("derandomized")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def fresh_python():
+    """Runs `python *args` as a fresh process that imports the package from
+    src/; keyword arguments go to `subprocess.run`, and `env` adds to (or,
+    with a value of None, removes from) the inherited environment."""
+    def start(*args: str, env: dict | None = None, **kwargs):
+        path = os.pathsep.join(filter(None, (str(SRC),
+                                             os.environ.get("PYTHONPATH"))))
+        merged = {**os.environ, "PYTHONPATH": path, **(env or {})}
+        return subprocess.run(
+            [sys.executable, *args], timeout=120,
+            env={k: v for k, v in merged.items() if v is not None}, **kwargs)
+    return start
 
 
 @pytest.fixture

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib
 import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +22,8 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 import seirvax.cli as cli
-from seirvax import ImmuneFeedback, Saturated, ScenarioError, integrate
+from seirvax import (ImmuneFeedback, Saturated, ScenarioError, __version__,
+                     integrate)
 from seirvax.checks import (CHECK_NAMES, check_asymptotics, check_integral_limit,
                             monitor_positivity)
 from seirvax.cli import (CSV_HEADER, _write_csv, main, read_trajectory_csv,
@@ -881,9 +885,13 @@ def test_chart_of_an_extreme_run_is_drawn(tmp_path, capsys, text, code):
     svg = (tmp_path / "fuzz.svg").read_text()
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert not re.search(r"\b(inf|nan)\b", svg)
-    # every tick label is a finite number
-    labels = re.findall(r'font-size="11"[^>]*>([^<]*)<', svg)
-    assert labels and all(map(math.isfinite, map(float, labels)))
+    # every tick label is a finite number, and no axis repeats a label
+    axes = [re.findall(rf'text-anchor="{anchor}" font-family="sans-serif" '
+                       r'font-size="11"[^>]*>([^<]*)<', svg)
+            for anchor in ("middle", "end", "start")]
+    for labels in axes:
+        assert labels and all(map(math.isfinite, map(float, labels)))
+        assert len(set(labels)) == len(labels)
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"],
@@ -893,6 +901,82 @@ def test_help_and_version_exit_zero(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+# -- the process entry, run: each test starts fresh processes ---------------
+
+CLI = ("-m", "seirvax.cli")
+
+
+def test_process_exits_zero_one_and_two(tmp_path, fresh_python):
+    # the shipped run, a malformed input and a verify on a tampered CSV
+    done = fresh_python(*CLI, "simulate", str(SHIPPED), "--out-dir",
+                        str(tmp_path), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("overall: PASS\n")
+    argv, fragment = MALFORMED_INPUTS["equilibria --beta abc"]
+    done = fresh_python(*CLI, *argv(tmp_path), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert fragment in done.stderr
+    csv_path = tmp_path / "full_immunization.csv"
+    lines = csv_path.read_text().splitlines()
+    parts = lines[3].split(",")
+    parts[4] = repr(float(parts[4]) + 1.0)   # R column
+    lines[3] = ",".join(parts)
+    csv_path.write_text("\n".join(lines) + "\n")
+    done = fresh_python(*CLI, "verify", str(csv_path), str(SHIPPED),
+                        capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (2, "")
+    assert "FAIL  conservation" in done.stdout
+
+
+def test_process_version_exits_zero(fresh_python):
+    done = fresh_python(*CLI, "--version", capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"{__version__}\n", "")
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "PYTHONUNBUFFERED=1"])
+def test_closed_stdout_pipe_exits_one_with_one_line(unbuffered, fresh_python):
+    # The reader is gone before the process writes. Buffered, the write
+    # fails only in the interpreter's flush at exit, which once printed
+    # two lines and exited 120.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = fresh_python(*CLI, "equilibria", "--beta", "0.25",
+                            stdout=write_end, stderr=subprocess.PIPE,
+                            text=True, env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        1, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    try:
+        assert main(["equilibria", "--beta", "0.25"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_run_leaves_the_collector_off_and_its_objects_frozen(fresh_python):
+    probe = ("import contextlib, gc, io\n"
+             "from seirvax.cli import run\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = run(['equilibria', '--beta', '0.25'])\n"
+             "print(code, gc.isenabled(), gc.get_freeze_count())\n")
+    done = fresh_python("-c", probe, capture_output=True, text=True)
+    code, enabled, frozen = done.stdout.split()
+    assert (code, enabled, done.stderr) == ("0", "False", "")
+    assert int(frozen) > 0
 
 
 # -- the names perfbench/layers.py wraps on seirvax.cli --------------------

@@ -296,16 +296,29 @@ SIMULATE_OUTPUTS = {
 }
 
 
+def _digests(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
 def _simulate_outputs() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", str(SHIPPED), "--out-dir", tmp]) == 0
-        return {name: hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
-                for name in sorted(p.name for p in Path(tmp).iterdir())}
+        return _digests(Path(tmp))
 
 
 def test_simulate_output_files():
     assert _simulate_outputs() == SIMULATE_OUTPUTS
+
+
+def test_simulate_output_files_of_a_fresh_process(tmp_path, fresh_python):
+    # through `python -m seirvax.cli`, the entry that runs without the
+    # cyclic collector, as perfbench times it
+    done = fresh_python("-m", "seirvax.cli", "simulate", str(SHIPPED),
+                        "--out-dir", str(tmp_path), capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert _digests(tmp_path) == SIMULATE_OUTPUTS
 
 
 def test_golden_digests():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from seirvax.svgplot import (_HEIGHT, _MB, _ML, _MR, _MT, _WIDTH,
-                             _padded_range, _ticks, write_line_chart)
+                             _labels, _padded_range, _ticks, write_line_chart)
 
 
 def _reference_points(t, ys, lo, hi) -> str:
@@ -46,20 +46,24 @@ def test_polyline_points_match_the_reference_loop(tmp_path, n):
 @pytest.mark.parametrize("values", [
     [0.0, 0.0], [4e15, 4e15], [1e17, 1e17], [1e17, 1e17 + 16.0],
     [0.0, 5e-324], [-1e300, -1e300], [0.0, 1.65e308],
-    [-1.7976931348623157e308, 1.7976931348623157e308]],
+    [-1.7976931348623157e308, 1.7976931348623157e308], [123456.7, 123456.8]],
     ids=["flat 0", "flat 4e15", "flat 1e17", "1e17 plus an ulp", "one subnormal",
-         "flat -1e300", "0 to 1.65e308", "the doubles' whole range"])
+         "flat -1e300", "0 to 1.65e308", "the doubles' whole range",
+         "123456.7 to 123456.8"])
 def test_every_finite_range_gets_increasing_ticks(values):
     # A flat or ulp-wide range far from 0 (where adding 1.0 or a tick step
     # rounds away), a subnormal span and spans whose padding overflows: the
     # range is widened or rescaled, so its ticks increase, stay in it and
-    # label finite values.
+    # label finite values, each label its own (six digits print the ticks
+    # of a flat 1e17 or of 123456.7 to 123456.8 alike).
     lo, hi, unit = _padded_range([np.array(values)])
     ticks = _ticks(lo, hi)
     assert 2 <= len(ticks) <= 6
     assert all(a < b for a, b in zip(ticks, ticks[1:]))
     assert lo <= ticks[0] and ticks[-1] <= hi
     assert all(math.isfinite(t * unit) for t in ticks)
+    labels = _labels(ticks, unit)
+    assert len(set(labels)) == len(labels)
     assert math.isfinite(hi - lo)   # the span the point maps divide by
 
 
