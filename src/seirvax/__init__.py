@@ -12,8 +12,6 @@ integrator. `__all__` lists the names; `_EXPORTS` groups them by module.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -30,7 +28,7 @@ _EXPORTS = {
         "OutputZeroing", "Saturated", "SusceptibleLinear",
         "SusceptiblePlusExposed", "ZeroVax", "corollary1_upper_bound",
         "predicted_limits"),
-    "integrate": ("IntegratorConfig", "Trajectory", "integrate"),
+    "integrator": ("IntegratorConfig", "Trajectory", "integrate"),
     "normal_form": (
         "integrate_normal", "integrate_zero_dynamics", "to_normal"),
     "equilibria": (
@@ -60,15 +58,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
-
-
-class _Package(types.ModuleType):
-    """The package, whose `integrate` stays the function: loading the
-    submodule of that name would otherwise bind the module in its place."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if name != "integrate" or not isinstance(value, types.ModuleType):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

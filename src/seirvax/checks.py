@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exceptions import HorizonError
-from .integrate import Trajectory
+from .integrator import Trajectory
 from .laws import (AsymptoticPrediction, ControlLaw, ImmuneFeedback, Saturated,
                    corollary1_upper_bound, predicted_limits)
 from .model import CONSERVATION_RTOL, ModelParams, SeirState

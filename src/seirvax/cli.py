@@ -30,6 +30,7 @@ import gc
 import importlib
 import os
 import sys
+import warnings
 from array import array
 from itertools import chain
 from pathlib import Path
@@ -151,28 +152,26 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
-# Check name -> call(traj, scenario, **options). Only the options the
-# scenario sets are passed, so each default lives in the check function;
-# the check functions are looked up here at call time.
+# Check name -> call(traj, **options). Only the options the scenario sets
+# are passed, so each default lives in the check function; the check
+# functions are looked up here at call time.
 _CHECK_CALLS = {
-    "conservation": lambda traj, sc: monitor_conservation(traj),
-    "positivity": lambda traj, sc, **opts: monitor_positivity(traj, **opts),
-    "identities": lambda traj, sc: check_identity_suite(traj, sc.params),
-    "asymptotics": lambda traj, sc, **opts: check_asymptotics(
-        traj, predicted_limits(sc.law, sc.params), **opts),
-    "integral_limit": lambda traj, sc, **opts: check_integral_limit(
-        traj, **opts),
+    "conservation": lambda traj: monitor_conservation(traj),
+    "positivity": lambda traj, **opts: monitor_positivity(traj, **opts),
+    "identities": lambda traj: check_identity_suite(traj, traj.params),
+    "asymptotics": lambda traj, **opts: check_asymptotics(
+        traj, predicted_limits(traj.law, traj.params), **opts),
+    "integral_limit": lambda traj, **opts: check_integral_limit(traj, **opts),
 }
 
 
-def run_checks(traj: Trajectory, scenario: Scenario) -> VerificationReport:
-    """Run the scenario's requested checks against a trajectory."""
+def run_checks(traj: Trajectory, checks: dict[str, dict]) -> VerificationReport:
+    """Run the requested checks, name -> options, against a trajectory."""
     _bind("VerificationReport", "monitor_conservation", "monitor_positivity",
           "check_identity_suite", "check_asymptotics", "predicted_limits",
           "check_integral_limit")
     return VerificationReport(checks=tuple(
-        _CHECK_CALLS[name](traj, scenario, **opts)
-        for name, opts in scenario.checks.items()))
+        _CHECK_CALLS[name](traj, **opts) for name, opts in checks.items()))
 
 
 def _scheme(config: IntegratorConfig) -> str:
@@ -183,10 +182,9 @@ def _scheme(config: IntegratorConfig) -> str:
             + (" dense" if config.dense else ""))
 
 
-def _report_text(scenario: Scenario, traj: Trajectory,
-                 report: VerificationReport,
+def _report_text(traj: Trajectory, report: VerificationReport,
                  advisories: list[str]) -> str:
-    p = scenario.params
+    p = traj.params
     lines = [
         f"seirvax {__version__} simulation report",
         f"law: {traj.law.label}",
@@ -207,15 +205,9 @@ def _report_text(scenario: Scenario, traj: Trajectory,
 def cmd_simulate(args: argparse.Namespace) -> int:
     _bind("load_scenario", "check_assumption1", "integrate", "write_line_chart")
     scenario = load_scenario(args.scenario)
-    config = scenario.config
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.t_end is not None:
-        overrides["t_end"] = args.t_end
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-        scenario = dataclasses.replace(scenario, config=config)
+    overrides = {name: value for name, value in
+                 (("dt", args.dt), ("t_end", args.t_end)) if value is not None}
+    config = dataclasses.replace(scenario.config, **overrides)
 
     advisories = [f"gain condition not met: {c.name}"
                   for c in scenario.law.gain_checks(scenario.params)
@@ -224,7 +216,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                    check_assumption1(scenario.initial, scenario.params)]
 
     traj = integrate(scenario.initial, scenario.params, scenario.law, config)
-    report = run_checks(traj, scenario)
+    report = run_checks(traj, scenario.checks)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,9 +226,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_line_chart(
             out_dir / scenario.outputs["svg"], traj.t,
             {"S": traj.S, "E": traj.E, "I": traj.I, "R": traj.R},
-            secondary={"V": traj.V},
-            title=f"SEIR under {traj.law.label}")
-    text = _report_text(scenario, traj, report, advisories)
+            {"V": traj.V}, f"SEIR under {traj.law.label}")
+    text = _report_text(traj, report, advisories)
     if "report" in scenario.outputs:
         (out_dir / scenario.outputs["report"]).write_text(text + "\n")
     print(text)
@@ -347,7 +338,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     u = data.pop("u")
     traj = Trajectory.from_columns(scenario.params, scenario.law,
                                    scenario.config, **data)
-    report = run_checks(traj, scenario)
+    report = run_checks(traj, scenario.checks)
     # u is derived from S, E, R and V: a tampered state column is the
     # checks' to report, a u that disagrees with the rest is bad input.
     if report.all_passed:
@@ -428,14 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command in this process and return its exit code; the
-    in-process entry, which leaves the cyclic collector as it found it."""
-    try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except (ValueError, NonFiniteStateError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+    """Run one command in this process and return its exit code, each
+    warning it raises one `warning:` line on stderr; the in-process entry,
+    which leaves the collector and the warnings machinery as it found them."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        except (ValueError, NonFiniteStateError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _USAGE_ERROR
 
 
 def run(argv: list[str] | None = None) -> int:

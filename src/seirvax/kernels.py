@@ -20,7 +20,7 @@ new parameter draw reuses the compiled kernel. The closure and the
 kernels evaluate the same text with the same constants, so V from
 `laws.compile_law` and V recorded by an integrator are bitwise equal.
 
-Template syntax (see `integrate._RK4` and `integrate._DOPRI`):
+Template syntax (see `integrator._RK4` and `integrator._DOPRI`):
 
   - a line containing `{c}` is written four times, for c = 0..3;
   - `@V = law(s, T)` evaluates the law at the state s0..s3 and time T;

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .integrate import IntegratorConfig, Trajectory, _record
+from .integrator import IntegratorConfig, Trajectory, _record
 from .kernels import FieldSource
 from .laws import ControlLaw, ZeroVax
 from .model import ModelParams, SeirState

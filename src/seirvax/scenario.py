@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .checks import CHECK_NAMES, refuse_options
 from .exceptions import ScenarioError
-from .integrate import IntegratorConfig, _check_initial
+from .integrator import IntegratorConfig, _check_initial
 from .laws import SCENARIO_LAWS, ControlLaw, Saturated
 from .model import ModelParams, SeirState
 

@@ -11,6 +11,7 @@ __all__ = ["write_line_chart"]
 
 _WIDTH, _HEIGHT = 920, 520
 _ML, _MR, _MT, _MB = 70, 70, 40, 50
+_PW, _PH = _WIDTH - _ML - _MR, _HEIGHT - _MT - _MB
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 _X_LABEL, _Y_LABEL, _Y2_LABEL = "t (days)", "individuals", "fraction"
 _DASH = ' stroke-dasharray="6,4"'
@@ -69,113 +70,89 @@ def _axis(lo: float, hi: float) -> tuple[float, float, float]:
     return lo, hi, unit
 
 
-def _padded_range(arrays) -> tuple[float, float, float]:
-    """(lo, hi, unit): the values' `_axis`, padded by 5% each side."""
+def _y_axis(arrays):
+    """(to_px, unit, ticks): a y axis over the arrays' values, their `_axis`
+    padded by 5% each side. `to_px` maps values in units of `unit` to
+    pixels; each tick is (pixel, label)."""
     values = np.concatenate([np.asarray(v, dtype=float) for v in arrays])
     lo, hi, unit = _axis(float(np.min(values)), float(np.max(values)))
-    pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad, unit
+    lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+    ticks = _ticks(lo, hi)
+
+    def to_px(y: float | np.ndarray) -> float | np.ndarray:
+        return _MT + (hi - y) / (hi - lo) * _PH
+
+    return to_px, unit, [(to_px(v), label)
+                         for v, label in zip(ticks, _labels(ticks, unit))]
 
 
 def write_line_chart(path: str | Path, t: np.ndarray,
                      series: dict[str, np.ndarray],
-                     secondary: dict[str, np.ndarray] | None = None,
-                     title: str = "") -> None:
-    """Write a line chart of `series` vs t, with an optional right axis.
-
-    Axes are auto-scaled; the secondary mapping (e.g. the vaccination
-    fraction) is drawn dashed against the right-hand axis. A non-finite
-    value is refused with a ValueError.
-    """
+                     secondary: dict[str, np.ndarray], title: str) -> None:
+    """Write a line chart of `series` vs t, with `secondary` (e.g. the
+    vaccination fraction) dashed against the right-hand axis. Axes are
+    auto-scaled; a polyline draws every k-th sample, k capping it near 2000
+    points, and the last. A non-finite value is refused with a ValueError."""
     t = np.asarray(t, dtype=float)
-    secondary = secondary or {}
     x0, x1, x_unit = _axis(float(t[0]), float(t[-1]))
-
-    y_lo, y_hi, y_unit = _padded_range(series.values())
-    y2_lo, y2_hi, y2_unit = (_padded_range(secondary.values()) if secondary
-                             else (0.0, 1.0, 1.0))
-
-    pw = _WIDTH - _ML - _MR
-    ph = _HEIGHT - _MT - _MB
+    left, right = _y_axis(series.values()), _y_axis(secondary.values())
+    keep = np.r_[0:len(t) - 1:max(1, len(t) // 2000), len(t) - 1]
 
     def sx(x: float | np.ndarray) -> float | np.ndarray:
-        return _ML + (x - x0) / (x1 - x0) * pw
-
-    def sy(y: float | np.ndarray) -> float | np.ndarray:
-        return _MT + (y_hi - y) / (y_hi - y_lo) * ph
-
-    def sy2(y: float | np.ndarray) -> float | np.ndarray:
-        return _MT + (y2_hi - y) / (y2_hi - y2_lo) * ph
-
-    def polyline(xs: np.ndarray, ys: np.ndarray, to_y, color: str,
-                 dash: str) -> str:
-        step = max(1, len(xs) // 2000)   # cap path size for long runs
-        # the scalar maps applied to whole columns (the same operations in
-        # the same order), formatted by one `%` operation
-        px, py = sx(xs[::step]), to_y(ys[::step])
-        pts = (" ".join(["%.2f,%.2f"] * len(px))
-               % tuple(np.column_stack((px, py)).ravel().tolist()))
-        return (f'<polyline fill="none" stroke="{color}" stroke-width="1.6"'
-                f'{dash} points="{pts}"/>')
+        return _ML + (x - x0) / (x1 - x0) * _PW
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-           f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
-    if title:
-        out.append(f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{title}</text>')
+           f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+           f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
+           f'font-family="sans-serif" font-size="15">{title}</text>']
 
     x_ticks = _ticks(x0, x1)
     for xv, label in zip(x_ticks, _labels(x_ticks, x_unit)):
         px = sx(xv)
         out.append(f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" '
-                   f'y2="{_MT + ph}" stroke="#eeeeee"/>')
-        out.append(f'<text x="{px:.2f}" y="{_MT + ph + 18}" text-anchor="middle" '
+                   f'y2="{_MT + _PH}" stroke="#eeeeee"/>')
+        out.append(f'<text x="{px:.2f}" y="{_MT + _PH + 18}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="11">{label}</text>')
-    y_ticks = _ticks(y_lo, y_hi)
-    for yv, label in zip(y_ticks, _labels(y_ticks, y_unit)):
-        py = sy(yv)
-        out.append(f'<line x1="{_ML}" y1="{py:.2f}" x2="{_ML + pw}" '
+    for py, label in left[2]:
+        out.append(f'<line x1="{_ML}" y1="{py:.2f}" x2="{_ML + _PW}" '
                    f'y2="{py:.2f}" stroke="#eeeeee"/>')
         out.append(f'<text x="{_ML - 6}" y="{py + 4:.2f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{label}</text>')
-    if secondary:
-        y2_ticks = _ticks(y2_lo, y2_hi)
-        for yv, label in zip(y2_ticks, _labels(y2_ticks, y2_unit)):
-            py = sy2(yv)
-            out.append(f'<text x="{_ML + pw + 6}" y="{py + 4:.2f}" '
-                       'text-anchor="start" font-family="sans-serif" '
-                       f'font-size="11" fill="#555555">{label}</text>')
+    for py, label in right[2]:
+        out.append(f'<text x="{_ML + _PW + 6}" y="{py + 4:.2f}" '
+                   'text-anchor="start" font-family="sans-serif" '
+                   f'font-size="11" fill="#555555">{label}</text>')
 
-    out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
-               'fill="none" stroke="#333333"/>')
-    out.append(f'<text x="{_ML + pw / 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="12">{_X_LABEL}</text>')
-    out.append(f'<text x="18" y="{_MT + ph / 2}" text-anchor="middle" '
-               f'transform="rotate(-90 18 {_MT + ph / 2})" '
-               f'font-family="sans-serif" font-size="12">{_Y_LABEL}</text>')
-    if secondary:
-        xr = _WIDTH - 18
-        out.append(f'<text x="{xr}" y="{_MT + ph / 2}" text-anchor="middle" '
-                   f'transform="rotate(90 {xr} {_MT + ph / 2})" '
-                   f'font-family="sans-serif" font-size="12" '
-                   f'fill="#555555">{_Y2_LABEL}</text>')
+    out += [f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" '
+            'fill="none" stroke="#333333"/>',
+            f'<text x="{_ML + _PW / 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="12">{_X_LABEL}</text>',
+            f'<text x="18" y="{_MT + _PH / 2}" text-anchor="middle" '
+            f'transform="rotate(-90 18 {_MT + _PH / 2})" '
+            f'font-family="sans-serif" font-size="12">{_Y_LABEL}</text>',
+            f'<text x="{_WIDTH - 18}" y="{_MT + _PH / 2}" text-anchor="middle" '
+            f'transform="rotate(90 {_WIDTH - 18} {_MT + _PH / 2})" '
+            f'font-family="sans-serif" font-size="12" '
+            f'fill="#555555">{_Y2_LABEL}</text>']
 
-    legend_x = _ML + 10
-    legend_y = _MT + 16
-    entries = ([(name, vals, y_unit, sy, "", "") for name, vals in series.items()]
-               + [(name, vals, y2_unit, sy2, _DASH, " (right axis)")
+    px = sx(t[keep] / x_unit)
+    entries = ([(name, vals, left, "", "") for name, vals in series.items()]
+               + [(name, vals, right, _DASH, " (right axis)")
                   for name, vals in secondary.items()])
-    for idx, (name, vals, unit, to_y, dash, note) in enumerate(entries):
-        color = _COLORS[idx % len(_COLORS)]
-        out.append(polyline(t / x_unit, np.asarray(vals, dtype=float) / unit, to_y,
-                            color, dash))
-        out.append(f'<line x1="{legend_x}" y1="{legend_y - 4}" '
-                   f'x2="{legend_x + 22}" y2="{legend_y - 4}" '
-                   f'stroke="{color}" stroke-width="2"{dash}/>')
-        out.append(f'<text x="{legend_x + 28}" y="{legend_y}" '
-                   f'font-family="sans-serif" font-size="12">{name}{note}</text>')
-        legend_y += 16
+    for idx, (name, vals, (to_px, unit, _), dash, note) in enumerate(entries):
+        color, ly = _COLORS[idx % len(_COLORS)], _MT + 16 * (idx + 1)
+        # the scalar maps applied to whole columns (the same operations in
+        # the same order), formatted by one `%` operation
+        py = to_px(np.asarray(vals, dtype=float)[keep] / unit)
+        pts = (" ".join(["%.2f,%.2f"] * len(px))
+               % tuple(np.column_stack((px, py)).ravel().tolist()))
+        out += [f'<polyline fill="none" stroke="{color}" stroke-width="1.6"'
+                f'{dash} points="{pts}"/>',
+                f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 32}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="2"{dash}/>',
+                f'<text x="{_ML + 38}" y="{ly}" '
+                f'font-family="sans-serif" font-size="12">{name}{note}</text>']
 
     out.append("</svg>")
     Path(path).write_text("\n".join(out))

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from seirvax.checks import (CHECK_NAMES, check_asymptotics, check_integral_limit
                             monitor_positivity)
 from seirvax.cli import (CSV_HEADER, _write_csv, main, read_trajectory_csv,
                          run_checks, write_trajectory_csv)
-from seirvax.integrate import MAX_STEPS
+from seirvax.integrator import MAX_STEPS
 from seirvax.laws import SCENARIO_LAWS
 from seirvax.scenario import _CLIP_KEYS, _TYPED_SECTIONS, build_law, load_scenario
 
@@ -509,7 +510,8 @@ def test_all_checks_with_every_option(tmp_path, capsys):
         "positivity": {"bounds": "corollary1", "alpha": 0.9},
         "asymptotics": {"tail_fraction": 0.2, "rel_tol": 2e-3},
         "integral_limit": {"rel_tol": 0.02}}
-    report = run_checks(integrate(sc.initial, sc.params, sc.law, sc.config), sc)
+    report = run_checks(integrate(sc.initial, sc.params, sc.law, sc.config),
+                        sc.checks)
     by_name = {c.name: c for c in report.checks}
     assert list(by_name) == ["conservation", "positivity", "identity_suite",
                              "asymptotics", "integral_limit"]
@@ -524,7 +526,8 @@ def test_all_checks_with_every_option(tmp_path, capsys):
         "bounds = corollary1\nalpha = 0.9", "v_lo = 0.0\nv_hi = 1.0"))
     sc = load_scenario(write_scenario(tmp_path / "v.ini", **v_range))
     assert sc.checks["positivity"] == {"v_lo": 0.0, "v_hi": 1.0}
-    report = run_checks(integrate(sc.initial, sc.params, sc.law, sc.config), sc)
+    report = run_checks(integrate(sc.initial, sc.params, sc.law, sc.config),
+                        sc.checks)
     by_name = {c.name: c for c in report.checks}
     assert "V in [0, 1]" in by_name["positivity"].details
     assert report.all_passed
@@ -931,6 +934,39 @@ def test_process_exits_zero_one_and_two(tmp_path, fresh_python):
     assert "FAIL  conservation" in done.stdout
 
 
+# The shipped run with the corollary-1 range of V checked at an alpha
+# below beta*I/N, where `corollary1_upper_bound` warns that the bound is
+# not valid (and the check fails).
+SMALL_ALPHA_WARNING = ("warning: corollary1_upper_bound: alpha < beta*I/N, "
+                       "bound not valid\n")
+
+
+def _small_alpha_scenario(tmp_path) -> str:
+    text = SHIPPED.read_text().replace(
+        "integral_limit = on\n", "integral_limit = on\npositivity = on\n\n"
+        "[checks.positivity]\nbounds = corollary1\nalpha = 0.0001\n")
+    path = tmp_path / "small_alpha.ini"
+    path.write_text(text)
+    return str(path)
+
+
+def test_process_prints_a_warning_as_one_line(tmp_path, fresh_python):
+    done = fresh_python(*CLI, "simulate", _small_alpha_scenario(tmp_path),
+                        "--out-dir", str(tmp_path), capture_output=True,
+                        text=True)
+    assert (done.returncode, done.stderr) == (2, SMALL_ALPHA_WARNING)
+    assert done.stdout.endswith("overall: FAIL\n")
+
+
+def test_main_leaves_the_warnings_machinery_as_it_found_it(tmp_path, capsys):
+    shown, filters = warnings.showwarning, list(warnings.filters)
+    argv = ["simulate", _small_alpha_scenario(tmp_path), "--out-dir",
+            str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == SMALL_ALPHA_WARNING
+    assert (warnings.showwarning, warnings.filters) == (shown, filters)
+
+
 def test_process_version_exits_zero(fresh_python):
     done = fresh_python(*CLI, "--version", capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (
@@ -983,7 +1019,7 @@ def test_run_leaves_the_collector_off_and_its_objects_frozen(fresh_python):
 
 # Each wrapped name, by the module that defines it.
 WRAPPED = {
-    "load_scenario": "scenario", "integrate": "integrate",
+    "load_scenario": "scenario", "integrate": "integrator",
     "run_checks": "cli", "write_trajectory_csv": "cli",
     "read_trajectory_csv": "cli", "write_line_chart": "svgplot",
     "analyze": "equilibria", "endemic_equilibrium": "equilibria",

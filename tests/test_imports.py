@@ -8,6 +8,7 @@ import io
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -56,11 +57,11 @@ COMMANDS = {
                  {"equilibria", "normal_form"}),
     "equilibria": (lambda out, csv: ["equilibria", "--beta", "0.25", "--json",
                                      f"{out}/eq.json"],
-                   {"laws", "integrate", "normal_form", "checks", "scenario",
+                   {"laws", "integrator", "normal_form", "checks", "scenario",
                     "svgplot"}),
     "equilibria without --json": (
         lambda out, csv: ["equilibria", "--beta", "0.25"],
-        {"laws", "integrate", "normal_form", "checks", "scenario", "svgplot",
+        {"laws", "integrator", "normal_form", "checks", "scenario", "svgplot",
          "json"}),
     "zerodyn": (lambda out, csv: ["zerodyn", "--z2", "300", "--z3", "400",
                                   "--z4", "300", "--t-end", "1000",
@@ -94,6 +95,7 @@ def test_every_export_resolves_and_is_listed():
         assert getattr(seirvax, name) is not None
         assert name in listed
     assert callable(seirvax.integrate)   # the function, not its module
+    assert type(seirvax) is types.ModuleType   # no subclass guards a name
     with pytest.raises(AttributeError, match="'no_such_name'"):
         seirvax.no_such_name
 

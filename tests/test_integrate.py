@@ -34,7 +34,7 @@ from seirvax import (
     monitor_positivity,
     to_normal,
 )
-from seirvax.integrate import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
+from seirvax.integrator import (MAX_STEPS, _DP_A, _DP_C, _DP_E, Samples,
                                _solve, _table)
 from seirvax.laws import ControlLaw, compile_law
 from seirvax.model import SEIR_SOURCE
@@ -159,7 +159,7 @@ class TestBasics:
                                                   monkeypatch):
         # The Dormand-Prince kernel counts attempted steps, rejected ones
         # included, against the bound it reads at each run.
-        monkeypatch.setattr(importlib.import_module("seirvax.integrate"),
+        monkeypatch.setattr(importlib.import_module("seirvax.integrator"),
                             "MAX_STEPS", 5)
         cfg = IntegratorConfig(t_end=50.0, dt=5.0, adaptive=True, rel_tol=1e-6,
                                abs_tol=1e-8)
@@ -177,7 +177,7 @@ class TestBasics:
         p = ModelParams(N=1000.0, mu=1e5, omega=0.02, beta=0.9, sigma=0.2,
                         gamma=0.2)
         cfg = IntegratorConfig(t_end=1.0, dt=1e-2, adaptive=True, dense=True)
-        monkeypatch.setattr(importlib.import_module("seirvax.integrate"),
+        monkeypatch.setattr(importlib.import_module("seirvax.integrator"),
                             "MAX_STEPS", 10**4)
         with pytest.raises(ValueError, match="stiff problem beyond the step "
                            "bound MAX_STEPS = 10000: at t = ") as err:

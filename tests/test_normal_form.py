@@ -28,7 +28,7 @@ from seirvax import (
 )
 
 from conftest import random_conserved_state
-from seirvax.integrate import _solve, _table
+from seirvax.integrator import _solve, _table
 from seirvax.kernels import function
 from seirvax.laws import compile_law
 from seirvax.model import SEIR_SOURCE
