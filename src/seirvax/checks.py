@@ -150,9 +150,9 @@ def monitor_positivity(traj: Trajectory, v_lo: Optional[float] = None,
     read from V_RANGE, [0, 1]. Pass bounds="corollary1" to check V
     against [0, 1 + (alpha - beta*I/N)*S/(mu*N)] instead, the
     state-dependent extended bound of `laws.corollary1_upper_bound` (alpha
-    defaults to beta; mu*N = 0 raises VaccinationChannelError). The
-    options `refuse_options` refuses raise its ValueError before the run
-    is read.
+    defaults to beta); a run where it does not hold, at mu*N = 0 or at
+    alpha < beta*I/N, is refused with its ValueError. So are the options
+    `refuse_options` refuses, before the run is read.
     """
     import numpy as np
     refuse_options({"bounds": bounds, "v_lo": v_lo, "v_hi": v_hi,
@@ -236,9 +236,13 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
     interior, V >= hi) is therefore skipped; `details["kink windows
     skipped"]` counts them. Only the outermost clip is visible in V.
 
-    Requires at least 3 uniformly spaced samples.
+    Requires a fixed-step record of at least 3 uniformly spaced samples.
     """
     import numpy as np
+    if traj.config.adaptive:
+        raise ValueError("identity suite requires a fixed-step run: its tolerance "
+                         "bounds central-difference truncation, not the "
+                         "adaptive pair's error")
     t = traj.t
     if t.shape[0] < 3:
         raise ValueError("identity suite requires at least 3 samples")

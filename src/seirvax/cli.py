@@ -30,7 +30,6 @@ import gc
 import importlib
 import os
 import sys
-import warnings
 from array import array
 from itertools import chain
 from pathlib import Path
@@ -419,18 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command in this process and return its exit code, each
-    warning it raises one `warning:` line on stderr; the in-process entry,
-    which leaves the collector and the warnings machinery as it found them."""
-    with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(
-            f"warning: {message}", file=sys.stderr)
-        try:
-            args = build_parser().parse_args(argv)
-            return args.fn(args)
-        except (ValueError, NonFiniteStateError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return _USAGE_ERROR
+    """Run one command in this process and return its exit code, a refusal
+    (of the input, or by a check after the run) one `error:` line on stderr
+    and exit 1; the in-process entry, which leaves the collector as it was."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except (ValueError, NonFiniteStateError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -76,7 +76,16 @@ MAX_STEPS = 10**8
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration window and scheme selection."""
+    """Integration window [t0, t_end] and scheme; every run records t0
+    and t_end. Fixed-step (the default): RK4 with step `dt`, recording
+    every `sampling_stride`-th step. `adaptive`: the Dormand-Prince pair
+    from a first trial step `dt` (at most t_end - t0) to `rel_tol` and
+    `abs_tol`, read in no other mode, recording every
+    `sampling_stride`-th accepted step. `dense`, only with `adaptive`:
+    the same steps, recorded at every `sampling_stride`-th time of the
+    grid t0 + k*dt. A fixed step or a dense grid's spacing `dt` must
+    divide t_end - t0.
+    """
 
     t_end: float
     t0: float = 0.0
@@ -240,23 +249,17 @@ def _solve(field: FieldSource, law: ControlLaw, params: ModelParams,
     law evaluated at every stage's state (at `field.law_state`, its S, E,
     I, R in the field's coordinates).
 
-    Fixed-step: classic RK4 on the grid, sampled at t0, every
-    `sampling_stride` steps and at the last step. Adaptive: the embedded
+    Fixed-step: classic RK4 on the grid. Adaptive: the embedded
     Dormand-Prince 5(4) pair with local extrapolation (the 5th-order
     solution is kept), an RMS error norm over the four components and the
     step controller h *= clip(0.9 * norm^-1/5) within [0.2, 5] (within
-    [0.2, 1] after a rejection). The first trial step is
-    min(dt, t_end - t0); a step that would pass t_end is shortened to end
-    exactly on it. More than `MAX_STEPS` attempted steps raise ValueError,
-    and so does a stiff run (the stiffness test of Hairer & Wanner, Solving
-    ODEs II, IV.2, from stages the pair already computed) as soon as the
-    steps it has left at the current step size exceed the attempts left
-    under the bound: `zerodyn` at mu = 1e9 exits in about 0.02 s on a
-    2-core x86 host, not after 1e8 steps. Samples are recorded at t0 and
-    t_end and, in between, every `sampling_stride` accepted steps or, with
-    `dense`, at the fixed grid's times t0 + k*dt (k a multiple of
-    `sampling_stride` below `n_steps`), each from the 4th-order continuous
-    extension of the step that covers it; the stepping is the same.
+    [0.2, 1] after a rejection). A step that would pass t_end is shortened
+    to end exactly on it. More than `MAX_STEPS` attempted steps raise
+    ValueError, and so does a stiff run (the stiffness test of Hairer &
+    Wanner, Solving ODEs II, IV.2, from stages the pair already computed)
+    as soon as the steps it has left at the current step size exceed the
+    attempts left under the bound: `zerodyn` at mu = 1e9 exits in about
+    0.02 s on a 2-core x86 host, not after 1e8 steps.
     """
     shape, values = law_program(law, params)
     stride, times = config.sampling_stride, iter(())

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple, Optional
@@ -491,11 +490,11 @@ def corollary1_upper_bound(state: SeirState, params: ModelParams,
     """Extended admissible upper bound for V: 1 + (alpha - beta*I/N)*S/(mu*N).
 
     The state's fields may be floats or equal-length arrays (a whole
-    trajectory); the bound has the same shape. The caller must supply
-    alpha >= beta*I/N (alpha = beta works whenever I <= N); a violation
-    is reported with a warning, not an error. Raises
+    trajectory); the bound has the same shape. Corollary 1 holds only
+    under alpha >= beta*I/N (alpha = beta whenever I <= N). Raises
     VaccinationChannelError when mu*N = 0, where the bound is undefined,
-    and ValueError where it overflows double precision (or is NaN).
+    and ValueError where alpha < beta*I/N at some state, or where the
+    bound overflows double precision (or is NaN).
     """
     import numpy as np
     muN = params.mu * params.N
@@ -505,8 +504,9 @@ def corollary1_upper_bound(state: SeirState, params: ModelParams,
         incidence = params.beta_prime * state.I
         bound = 1.0 + (alpha - incidence) * state.S / muN
     if np.any(alpha < incidence):
-        warnings.warn("corollary1_upper_bound: alpha < beta*I/N, bound not valid",
-                      stacklevel=2)
+        raise ValueError(
+            f"corollary1 bound needs alpha >= beta*I/N: alpha = {alpha!r} is "
+            f"below the largest beta*I/N = {float(np.nanmax(incidence))!r}")
     if not np.all(np.isfinite(bound)):
         raise ValueError(
             f"corollary1 bound 1 + (alpha - beta*I/N)*S/(mu*N) overflows "

@@ -195,11 +195,6 @@ def load_scenario(path: str | Path) -> Scenario:
             except ValueError as exc:
                 raise ScenarioError(str(exc)) from exc
             checks[name] = opts
-    if config.adaptive and "identities" in checks:
-        raise ScenarioError("check 'identities' in [checks] cannot run with "
-                            "adaptive = on in [integrator]: its tolerance "
-                            "bounds central-difference truncation, not the "
-                            "adaptive pair's error")
 
     outputs: dict[str, str] = {}
     if parser.has_section("outputs"):

@@ -297,6 +297,17 @@ class TestIdentitySuite:
         with pytest.raises(ValueError, match="uniform"):
             check_identity_suite(with_columns(tr, t=t), p1)
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["adaptive", "dense"])
+    def test_refuses_an_adaptive_record(self, p1, mixed_state, dense):
+        # The tolerance bounds central-difference truncation, not the
+        # adaptive pair's error: a dense record, uniformly sampled on the
+        # grid a fixed-step run would take, is refused all the same.
+        cfg = IntegratorConfig(t_end=10.0, dt=1e-2, adaptive=True, dense=dense)
+        tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), cfg)
+        with pytest.raises(ValueError, match="identity suite requires a "
+                                             "fixed-step run"):
+            check_identity_suite(tr, p1)
+
     def test_refuses_short_trajectories(self, p1, thm3_run):
         short = Trajectory.from_columns(
             thm3_run.params, thm3_run.law, thm3_run.config, t=thm3_run.t[:2],

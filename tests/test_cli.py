@@ -789,14 +789,15 @@ MALFORMED_INPUTS = {
         extra="[checks]\nidentities = on\n"),
         "identity suite tolerance 1e-3*N*(3*rates)^3*dt^2 overflows double "
         "precision at rates = 1e+300"),
+    # refused by the check, after the run
     "identities with adaptive = on": (lambda d: _simulate_argv(
         d, integrator="[integrator]\nt_end = 50\ndt = 0.01\nadaptive = on\n",
         extra="[checks]\nidentities = on\n"),
-        "check 'identities' in [checks] cannot run with adaptive = on in "
-        "[integrator]: its tolerance bounds central-difference truncation"),
+        "identity suite requires a fixed-step run: its tolerance bounds "
+        "central-difference truncation, not the adaptive pair's error"),
     "identities with adaptive = dense = on": (lambda d: _simulate_argv(
         d, integrator=DENSE_BLOCK, extra="[checks]\nidentities = on\n"),
-        "check 'identities' in [checks] cannot run with adaptive = on"),
+        "identity suite requires a fixed-step run"),
     "dense without adaptive": (lambda d: _simulate_argv(
         d, integrator=INTEGRATOR_BLOCK + "dense = on\n"),
         "dense output needs adaptive = on"),
@@ -935,36 +936,44 @@ def test_process_exits_zero_one_and_two(tmp_path, fresh_python):
 
 
 # The shipped run with the corollary-1 range of V checked at an alpha
-# below beta*I/N, where `corollary1_upper_bound` warns that the bound is
-# not valid (and the check fails).
-SMALL_ALPHA_WARNING = ("warning: corollary1_upper_bound: alpha < beta*I/N, "
-                       "bound not valid\n")
+# below beta*I/N, outside Corollary 1's hypothesis: the check refuses the
+# run, with one `error:` line and no outputs, also where warnings are errors.
+SMALL_ALPHA = SHIPPED.read_text().replace(
+    "integral_limit = on\n", "integral_limit = on\npositivity = on\n\n"
+    "[checks.positivity]\nbounds = corollary1\nalpha = 0.0001\n")
+SMALL_ALPHA_REFUSAL = ("error: corollary1 bound needs alpha >= beta*I/N: "
+                       "alpha = 0.0001 is below the largest beta*I/N = ")
 
 
 def _small_alpha_scenario(tmp_path) -> str:
-    text = SHIPPED.read_text().replace(
-        "integral_limit = on\n", "integral_limit = on\npositivity = on\n\n"
-        "[checks.positivity]\nbounds = corollary1\nalpha = 0.0001\n")
     path = tmp_path / "small_alpha.ini"
-    path.write_text(text)
+    path.write_text(SMALL_ALPHA)
     return str(path)
 
 
-def test_process_prints_a_warning_as_one_line(tmp_path, fresh_python):
-    done = fresh_python(*CLI, "simulate", _small_alpha_scenario(tmp_path),
-                        "--out-dir", str(tmp_path), capture_output=True,
-                        text=True)
-    assert (done.returncode, done.stderr) == (2, SMALL_ALPHA_WARNING)
-    assert done.stdout.endswith("overall: FAIL\n")
+def test_process_refuses_an_alpha_below_the_incidence(tmp_path, fresh_python):
+    scenario = _small_alpha_scenario(tmp_path)
+    for flags in ((), ("-W", "error")):
+        done = fresh_python(*flags, *CLI, "simulate", scenario, "--out-dir",
+                            str(tmp_path / "out"), capture_output=True,
+                            text=True)
+        assert (done.returncode, done.stdout) == (1, ""), flags
+        assert done.stderr.startswith(SMALL_ALPHA_REFUSAL), flags
+        assert done.stderr.count("\n") == 1, flags
+        assert not (tmp_path / "out").exists(), flags
 
 
-def test_main_leaves_the_warnings_machinery_as_it_found_it(tmp_path, capsys):
-    shown, filters = warnings.showwarning, list(warnings.filters)
+def test_main_refuses_an_alpha_below_the_incidence_where_warnings_are_errors(
+        tmp_path, capsys):
     argv = ["simulate", _small_alpha_scenario(tmp_path), "--out-dir",
-            str(tmp_path)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == SMALL_ALPHA_WARNING
-    assert (warnings.showwarning, warnings.filters) == (shown, filters)
+            str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(SMALL_ALPHA_REFUSAL)
+    assert not (tmp_path / "out").exists()
 
 
 def test_process_version_exits_zero(fresh_python):
@@ -1234,6 +1243,12 @@ def test_fuzz_grammar_is_the_loaders():
     "[integrator]\nt_end = 1\n", "[checks]\nidentities = on\n")))
 # the chart's padded range overflowed here, with a traceback
 @example(text=EXTREME_CHART)
+# refused by a check after the run: Corollary 1's bound below beta*I/N (a
+# library warning once, and a traceback where warnings were errors), and
+# the identity suite on an adaptive record
+@example(text=SMALL_ALPHA)
+@example(text="\n".join((P1_BLOCK, INITIAL_BLOCK, LAW_BLOCK, DENSE_BLOCK,
+                         "[checks]\nidentities = on\n")))
 def test_scenario_files_never_escape(tmp_path, text):
     """Any drawn scenario ends in exit 0, 1 or 2; exit 1 carries exactly
     one stderr line, the `error:` message."""

@@ -816,12 +816,11 @@ def test_extreme_rates_give_finite_numbers_or_one_line_refusals(
             continue
         assert all(map(math.isfinite, numbers(out))), (call.__name__, out)
     # the Corollary 1 bound at alpha = beta, at a state of the population
-    # (a VaccinationChannelError where mu*N underflows to 0 is a ValueError)
+    # (a VaccinationChannelError where mu*N underflows to 0 is a ValueError,
+    # and so is the refusal where beta*I/N rounds above beta)
     state = SeirState(0.7 * N, 0.2 * N, 0.1 * N, 0.0)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # alpha < beta*I/N
-            bound = corollary1_upper_bound(state, p, beta)
+        bound = corollary1_upper_bound(state, p, beta)
     except ValueError as exc:
         assert "\n" not in str(exc), ("corollary1_upper_bound", str(exc))
     else:

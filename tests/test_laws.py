@@ -267,7 +267,8 @@ class TestBounds:
         want = [corollary1_upper_bound(SeirState(s, 0.0, i, 0.0), p1, 0.3)
                 for s, i in zip(S.tolist(), I.tolist())]
         assert got.tolist() == want
-        with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match=r"alpha = 0\.01 is below the "
+                                             r"largest beta\*I/N = 0\.3"):
             corollary1_upper_bound(SeirState(S, 0.0, I, 0.0), p1, 0.01)
         p0 = dataclasses.replace(p1, mu=0.0)
         with pytest.raises(VaccinationChannelError, match="mu\\*N > 0"):
@@ -289,9 +290,15 @@ class TestBounds:
         assert corollary1_upper_bound(state, tiny, 0.9) \
             == 1.0 + (0.9 - 0.9 * 0.1) * 0.7 / 1e-300
 
-    def test_corollary1_warns_on_bad_alpha(self, p1, mixed_state):
-        with pytest.warns(UserWarning):
+    def test_corollary1_refuses_alpha_below_the_incidence(self, p1, mixed_state):
+        # Corollary 1 holds only under alpha >= beta*I/N: below it the bound
+        # is refused, naming alpha and the largest beta*I/N; at it, returned
+        incidence = p1.beta_prime * mixed_state.I
+        with pytest.raises(ValueError, match=r"needs alpha >= beta\*I/N: "
+                                             r"alpha = 0\.0 is below the "
+                                             rf"largest beta\*I/N = {incidence!r}"):
             corollary1_upper_bound(mixed_state, p1, 0.0)
+        assert corollary1_upper_bound(mixed_state, p1, incidence) == 1.0
 
 
 class TestLawProperties:
