@@ -250,6 +250,15 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
     h = float(steps[0])
     atol = 1e-12 * max(1.0, abs(float(t[-1])))
     if not np.allclose(steps, h, rtol=1e-9, atol=atol):
+        # A fixed-step record also samples the step at t_end: where the
+        # stride does not divide the step count, its last interval is short.
+        n, k = traj.config.n_steps, traj.config.sampling_stride
+        if n % k and np.allclose(steps[:-1], h, rtol=1e-9, atol=atol):
+            raise ValueError(
+                f"identity suite requires uniform sampling: sampling_stride {k} "
+                f"does not divide the {n} steps, so the last interval spans "
+                f"{n % k} of the stride's {k} steps ({float(steps[-1]):.6g} "
+                f"against {h:.6g})")
         raise ValueError("identity suite requires uniform sampling")
 
     p = params

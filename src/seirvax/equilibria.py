@@ -18,7 +18,10 @@ Steinbuch (Syst. Control Lett. 14, 1990). The sweep's polynomials have
 fixed degrees, so their products are written out as straight-line code
 that sums each coefficient from 0.0 in the order a product loop would
 (left factor's index ascending): the same accumulation order gives the
-same bits, without the loop's interpreter cost.
+same bits, without the loop's interpreter cost. The records the library
+returns are frozen dataclasses filled through a new instance's __dict__,
+which skips the frozen __init__'s per-field object.__setattr__ and gives
+the same instance.
 """
 
 from __future__ import annotations
@@ -91,33 +94,60 @@ class StabilityReport:
     hinf_condition_holds: Optional[bool] = None
 
 
-def _residual(state: SeirState, params: ModelParams) -> float:
-    """The largest |rate| of the vaccination-free field at a finite state."""
-    field = function(SEIR_SOURCE)(*SEIR_SOURCE.bind(params))
-    return max(map(abs, field(*state.as_tuple(), 0.0)))
+def _record(cls, fields: dict):
+    """An instance of the frozen dataclass `cls` holding `fields`: every
+    field, in declaration order. It is filled through its __dict__, not
+    by the per-field `object.__setattr__` of the class's frozen __init__
+    (none of the records has a __post_init__), so it is the instance that
+    __init__ would make: equal, hashing and printing alike, and as frozen."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
-def _residual_gate(state: SeirState, params: ModelParams) -> float:
+# What `_plant` bound last.
+_bound = (None, None, None)
+
+
+def _plant(params: ModelParams):
+    """(params, the vaccination-free field f(S, E, I, R, V) -> rates, its
+    Jacobian J(S, E, I, R, t) -> four row tuples) from one
+    `SEIR_SOURCE.bind(params)`, the Jacobian derived under the zero law.
+    The last binding is kept whole, so `analyze` and the equilibria it
+    computes bind once between them; a concurrent call at worst binds
+    again."""
+    global _bound
+    bound = _bound
+    if bound[0] is not params:
+        consts = SEIR_SOURCE.bind(params)
+        bound = _bound = (params, function(SEIR_SOURCE)(*consts),
+                          jacobian(SEIR_SOURCE, ("expr", "0.0", ()))(*consts))
+    return bound
+
+
+def _point(params: ModelParams, kind: str, S: float, E: float, I: float,
+           R: float, feasibility_a11: Optional[bool]) -> EquilibriumPoint:
+    """The equilibrium at the finite state (S, E, I, R), with its residual:
+    the largest |rate| of the vaccination-free field there. It is refused
+    with a ValueError where the residual is not finite, the gate underflows
+    to 0 or the residual exceeds the gate (parameters whose closed form
+    double precision cannot hold)."""
+    residual = max(map(abs, _plant(params)[1](S, E, I, R, 0.0)))
     p = params
     scale = p.mu * p.N if p.mu > 0.0 else p.N
-    return _RESIDUAL_RTOL * max(scale, p.beta_prime * state.S * state.I,
-                                p.sigma * state.E, p.gamma * state.I,
-                                p.omega * state.R)
-
-
-def _check_residual(point: EquilibriumPoint, params: ModelParams) -> EquilibriumPoint:
-    """The point, refused with a ValueError where its residual is not
-    finite, the gate underflows to 0 or the residual exceeds the gate
-    (parameters whose closed form double precision cannot hold)."""
-    gate = _nonzero(_residual_gate(point.state, params), "equilibrium residual gate")
-    if not math.isfinite(point.residual):
-        raise ValueError(f"equilibrium residual {point.residual} for {point.kind}: "
+    gate = _nonzero(_RESIDUAL_RTOL * max(scale, p.beta_prime * S * I, p.sigma * E,
+                                         p.gamma * I, p.omega * R),
+                    "equilibrium residual gate")
+    if not math.isfinite(residual):
+        raise ValueError(f"equilibrium residual {residual} for {kind}: "
                          "the vector field overflows double precision")
-    if point.residual > gate:
+    if residual > gate:
         raise ValueError(
-            f"equilibrium residual {point.residual} exceeds gate "
-            f"{gate} for {point.kind}")
-    return point
+            f"equilibrium residual {residual} exceeds gate "
+            f"{gate} for {kind}")
+    return _record(EquilibriumPoint, {
+        "state": _record(SeirState, {"S": S, "E": E, "I": I, "R": R}),
+        "kind": kind, "residual": residual, "feasibility_a11": feasibility_a11})
 
 
 def _square(x: float, what: str) -> float:
@@ -144,19 +174,18 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _endemic_state(S: float, E: float, I: float, R: float) -> SeirState:
+def _endemic_state(S: float, E: float, I: float,
+                   R: float) -> tuple[float, float, float, float]:
     """The endemic closed form's state, refused with a ValueError where a
     component overflowed, before the residual reads it."""
     for value in filterfalse(math.isfinite, (S, E, I, R)):
         _finite(value, "endemic closed form")
-    return SeirState(S, E, I, R)
+    return S, E, I, R
 
 
 def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
     """The whole-population-susceptible point (N, 0, 0, 0)."""
-    state = SeirState(params.N, 0.0, 0.0, 0.0)
-    return _check_residual(
-        EquilibriumPoint(state, "disease_free", _residual(state, params)), params)
+    return _point(params, "disease_free", params.N, 0.0, 0.0, 0.0, None)
 
 
 def _require_sigma_equals_gamma(params: ModelParams) -> None:
@@ -181,16 +210,14 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
         if not si < be:
             return None
         denom = _nonzero(be * (2.0 * om + si), "endemic closed form")
-        state = _endemic_state(
+        S, E, I, R = _endemic_state(
             S=si * N / be,
             E=(be - si) * om * N / denom,
             I=(be - si) * om * N / denom,
             R=(be - si) * si * N / denom,
         )
-        point = EquilibriumPoint(state, "mu_zero_special",
-                                 _residual(state, params),
-                                 feasibility_a11=a11_feasibility(params)[1])
-        return _check_residual(point, params)
+        return _point(params, "mu_zero_special", S, E, I, R,
+                      _feasibility(mu, om, be, si) <= 1.0)
 
     if be == 0.0:
         return None
@@ -201,15 +228,14 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
     excess = si * be - ms2
     denom = be * (ms2 + om * (mu + 2.0 * si))
     _nonzero(si * denom, "endemic closed form")
-    state = _endemic_state(
+    S, E, I, R = _endemic_state(
         S=ms2 / (si * be) * N,
         E=(mu + om) * (mu + si) * excess / (si * denom) * N,
         I=(mu + om) * excess / denom * N,
         R=si * excess / denom * N,
     )
-    point = EquilibriumPoint(state, "endemic", _residual(state, params),
-                             feasibility_a11=_a11(mu, om, si, excess, denom) <= 1.0)
-    return _check_residual(point, params)
+    return _point(params, "endemic", S, E, I, R,
+                  _a11(mu, om, si, excess, denom) <= 1.0)
 
 
 def a11_feasibility(params: ModelParams) -> tuple[float, bool]:
@@ -219,13 +245,18 @@ def a11_feasibility(params: ModelParams) -> tuple[float, bool]:
     that overflows double precision is refused with a ValueError.
     """
     _require_sigma_equals_gamma(params)
-    mu, om, be, si, N = params.mu, params.omega, params.beta, params.sigma, params.N
+    mu, om, be, si = params.mu, params.omega, params.beta, params.sigma
     if si == 0.0 or be == 0.0:
         raise ValueError("feasibility expression undefined for sigma = 0 or beta = 0")
+    value = _feasibility(mu, om, be, si)
+    return value, value <= 1.0
+
+
+def _feasibility(mu: float, om: float, be: float, si: float) -> float:
+    """The feasibility expression at sigma = gamma with sigma, beta > 0."""
     ms2 = _square(mu + si, "mu+sigma")
     denom = _nonzero(be * (ms2 + om * (mu + 2.0 * si)), "feasibility expression")
-    value = _a11(mu, om, si, si * be - ms2, denom)
-    return value, value <= 1.0
+    return _a11(mu, om, si, si * be - ms2, denom)
 
 
 def _a11(mu: float, om: float, si: float, excess: float, denom: float) -> float:
@@ -234,13 +265,6 @@ def _a11(mu: float, om: float, si: float, excess: float, denom: float) -> float:
     refused where it is not finite."""
     return _finite(excess / denom * max(si, (1.0 + mu / si) * (mu + om)),
                    "feasibility expression")
-
-
-def _plant_jacobian(params: ModelParams):
-    """The vaccination-free plant's Jacobian J(S, E, I, R, t) -> four row
-    tuples: the one `kernels.jacobian` derives from `SEIR_SOURCE` under
-    the zero law, with the source's constants bound to params."""
-    return jacobian(SEIR_SOURCE, ("expr", "0.0", ()))(*SEIR_SOURCE.bind(params))
 
 
 def char_zeros_x1(params: ModelParams) -> tuple[float, float, float, float]:
@@ -296,7 +320,7 @@ def eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
         raise ValueError(f"eigenvalues: shape {m.shape} is not (..., n, n)")
     if m.dtype != float:
         m = m.astype(float)
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError("eigenvalues: non-finite entries")
     vals = _eigvals(m)
     if vals.ndim == 1:
@@ -431,18 +455,19 @@ def hinf_ratio_sweep(params: ModelParams,
                 best_w, best_r = w, r
 
     threshold = 1.0 / params.beta if params.beta > 0.0 else math.inf
-    return SweepResult(max_ratio=best_r, argmax_freq=best_w,
-                       condition_holds=best_r < threshold, threshold=threshold)
+    return _record(SweepResult, {"max_ratio": best_r, "argmax_freq": best_w,
+                                 "condition_holds": best_r < threshold,
+                                 "threshold": threshold})
 
 
 def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
     """Stability reports for the disease-free and (if present) endemic points.
 
-    The plant's Jacobian is bound to params once, and the linearizations
-    of the k points (one or two) go to one `eigenvalues` call as a
-    (k, 4, 4) stack built by one numpy call, so LAPACK's eigenvalue
-    routine (the private gufunc that `np.linalg.eigvals` itself calls)
-    runs once per point. A point is locally stable when the first
+    The plant is bound to params once: the two equilibria's residuals and
+    their Jacobians share one binding. The linearizations of the k points
+    (one or two) go to one `eigenvalues` call as a (k, 4, 4) stack built
+    by one numpy call, so LAPACK's eigenvalue routine (the private gufunc
+    that `np.linalg.eigvals` itself calls) runs once per point. A point is locally stable when the first
     (largest) real part of its sorted spectrum is negative. With `sweep`
     and mu > 0 the endemic report carries the `hinf_ratio_sweep` peak and
     its verdict.
@@ -450,25 +475,27 @@ def analyze(params: ModelParams, sweep: bool = True) -> list[StabilityReport]:
     x1 = disease_free_equilibrium(params)
     zeros = char_zeros_x1(params)
     x2 = endemic_equilibrium(params)
-    jac = _plant_jacobian(params)
-    rows = jac(*x1.state.as_tuple(), 0.0)
+    jac = _plant(params)[2]
+    rows = jac(params.N, 0.0, 0.0, 0.0, 0.0)
     if x2 is not None:
-        rows += jac(*x2.state.as_tuple(), 0.0)
+        s = x2.state
+        rows += jac(s.S, s.E, s.I, s.R, 0.0)
     stack = np.fromiter(chain.from_iterable(rows), float,
                         4 * len(rows)).reshape(-1, 4, 4)
     spectra = eigenvalues(stack)
-    reports = [StabilityReport(
-        point=x1, jacobian=stack[0], spectrum=spectra[0], closed_form_zeros=zeros,
-        locally_stable=spectra[0].item(0).real < 0.0)]
+    reports = [_record(StabilityReport, {
+        "point": x1, "jacobian": stack[0], "spectrum": spectra[0],
+        "closed_form_zeros": zeros, "locally_stable": spectra[0].item(0).real < 0.0,
+        "hinf_ratio": None, "hinf_condition_holds": None})]
 
     if x2 is not None:
         hinf_ratio = hinf_condition = None
         if sweep and params.mu > 0.0:
             res = hinf_ratio_sweep(params, x2)
             hinf_ratio, hinf_condition = res.max_ratio, res.condition_holds
-        reports.append(StabilityReport(
-            point=x2, jacobian=stack[1], spectrum=spectra[1], closed_form_zeros=None,
-            locally_stable=spectra[1].item(0).real < 0.0,
-            hinf_ratio=hinf_ratio, hinf_condition_holds=hinf_condition))
+        reports.append(_record(StabilityReport, {
+            "point": x2, "jacobian": stack[1], "spectrum": spectra[1],
+            "closed_form_zeros": None, "locally_stable": spectra[1].item(0).real < 0.0,
+            "hinf_ratio": hinf_ratio, "hinf_condition_holds": hinf_condition}))
 
     return reports

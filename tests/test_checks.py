@@ -297,6 +297,19 @@ class TestIdentitySuite:
         with pytest.raises(ValueError, match="uniform"):
             check_identity_suite(with_columns(tr, t=t), p1)
 
+    def test_refusal_names_a_stride_that_does_not_divide_the_steps(
+            self, p1, mixed_state):
+        # 40000 steps at stride 3: the record ends with the step at t_end,
+        # one step after the last stride-th one.
+        cfg = IntegratorConfig(t_end=400.0, dt=0.01, sampling_stride=3)
+        tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03), cfg)
+        with pytest.raises(ValueError) as info:
+            check_identity_suite(tr, p1)
+        assert str(info.value) == (
+            "identity suite requires uniform sampling: sampling_stride 3 does "
+            "not divide the 40000 steps, so the last interval spans 1 of the "
+            "stride's 3 steps (0.01 against 0.03)")
+
     @pytest.mark.parametrize("dense", [False, True], ids=["adaptive", "dense"])
     def test_refuses_an_adaptive_record(self, p1, mixed_state, dense):
         # The tolerance bounds central-difference truncation, not the

@@ -795,6 +795,13 @@ MALFORMED_INPUTS = {
         extra="[checks]\nidentities = on\n"),
         "identity suite requires a fixed-step run: its tolerance bounds "
         "central-difference truncation, not the adaptive pair's error"),
+    "identities with a stride that does not divide the steps": (
+        lambda d: _simulate_argv(
+            d, integrator="[integrator]\nt_end = 400\ndt = 0.01\nsampling_stride = 3\n",
+            extra="[checks]\nidentities = on\n"),
+        "identity suite requires uniform sampling: sampling_stride 3 does not "
+        "divide the 40000 steps, so the last interval spans 1 of the stride's "
+        "3 steps (0.01 against 0.03)"),
     "identities with adaptive = dense = on": (lambda d: _simulate_argv(
         d, integrator=DENSE_BLOCK, extra="[checks]\nidentities = on\n"),
         "identity suite requires a fixed-step run"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -475,7 +476,8 @@ class TestEigenvalues:
                          lambda: eigenvalues(np.ones((2, 4, 4))),
                          lambda: eigenvalues(np.eye(4, dtype=int).tolist()),
                          lambda: eigenvalues(np.ones((2, 4, 4)).transpose(0, 2, 1)),
-                         lambda: _sweep(p)):
+                         lambda: _sweep(p),
+                         lambda: analyze(p)):
                 with pytest.raises(np.linalg.LinAlgError,
                                    match="^Eigenvalues did not converge$"):
                     call()
@@ -749,6 +751,83 @@ class TestAnalyze:
                                              r"double precision \(nan\)") as info:
             a11_feasibility(p)
         assert "\n" not in str(info.value)
+
+
+def _assert_built_like_its_constructor(record):
+    """record equals, prints and hashes like its twin from the public
+    constructor, holds the same fields in the same order, and stays frozen;
+    the same for the records it nests."""
+    fields = dataclasses.fields(record)
+    twin = type(record)(**{f.name: getattr(record, f.name) for f in fields})
+    assert record == twin
+    assert repr(record) == repr(twin)
+    assert list(vars(record)) == list(vars(twin)) == [f.name for f in fields]
+    try:
+        want = hash(twin)
+    except TypeError:   # a StabilityReport holds arrays
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == want
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, fields[0].name, None)
+    assert dataclasses.replace(record) == record
+    for f in fields:
+        value = getattr(record, f.name)
+        if dataclasses.is_dataclass(value):
+            _assert_built_like_its_constructor(value)
+
+
+class TestRecords:
+    # A map point with an endemic point, one without, and the mu = 0
+    # branch, which has no sweep: (params, records the four calls return).
+    @pytest.mark.parametrize("p, count", [(_params(beta=0.9), 5),
+                                          (_params(beta=0.2), 2),
+                                          (_params(mu=0.0, beta=0.9), 4)],
+                             ids=["endemic", "disease_free_only", "mu_zero"])
+    def test_returned_records_match_constructed_ones(self, p, count):
+        records = [*analyze(p), disease_free_equilibrium(p)]
+        endemic = endemic_equilibrium(p)
+        if endemic is not None:
+            records.append(endemic)
+            if p.mu > 0.0:
+                records.append(hinf_ratio_sweep(p, endemic))
+        assert len(records) == count
+        for record in records:
+            _assert_built_like_its_constructor(record)
+
+
+class TestNumpyErrorState:
+    def test_analyze_leaves_the_error_state_as_found(self, monkeypatch):
+        # After a success, a residual-gate refusal and a nonconvergence,
+        # numpy's error handling and callback are the caller's again.
+        import seirvax.equilibria as eq
+
+        def callback(err, flag):
+            pass
+
+        def not_converging(m, signature):
+            return np.sqrt(np.full(m.shape[:-1], -1.0)).astype(complex)
+
+        # At N ~ 1e-196 the endemic S*I underflows to 0 in the field's
+        # beta/N*(S*I), so the endemic residual exceeds its gate.
+        gate_refused = ModelParams(
+            N=9.30486293120517e-197, mu=2.4353394155262494e-06,
+            omega=0.006334263427616344, beta=0.0004948823605417095,
+            sigma=5.46159386336989e-06, gamma=5.46159386336989e-06)
+        with np.errstate(divide="raise", over="warn", under="print",
+                         invalid="call", call=callback):
+            found = np.geterr(), np.geterrcall()
+            assert len(analyze(_params(beta=0.9))) == 2
+            assert (np.geterr(), np.geterrcall()) == found
+            with pytest.raises(ValueError, match="exceeds gate"):
+                analyze(gate_refused)
+            assert (np.geterr(), np.geterrcall()) == found
+            monkeypatch.setattr(eq, "_lapack_eigvals", not_converging)
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^Eigenvalues did not converge$"):
+                analyze(_params(beta=0.9))
+            assert (np.geterr(), np.geterrcall()) == found
 
 
 class TestStabilityConsistency:
