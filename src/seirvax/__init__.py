@@ -32,10 +32,9 @@ _EXPORTS = {
     "normal_form": (
         "integrate_normal", "integrate_zero_dynamics", "to_normal"),
     "equilibria": (
-        "EquilibriumPoint", "StabilityReport", "SweepResult",
-        "a11_feasibility", "analyze", "char_zeros_x1",
-        "disease_free_equilibrium", "eigenvalues", "endemic_equilibrium",
-        "hinf_ratio_sweep"),
+        "EquilibriumPoint", "StabilityReport", "SweepResult", "analyze",
+        "char_zeros_x1", "disease_free_equilibrium", "eigenvalues",
+        "endemic_equilibrium", "hinf_ratio_sweep"),
     "checks": (
         "Check", "VerificationReport", "check_asymptotics",
         "check_identity_suite", "check_integral_limit",

@@ -234,11 +234,17 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
     leaves the clip, and the residual of a window across such a switch is
     O(h). A window whose three samples differ in clip state (V <= lo,
     interior, V >= hi) is therefore skipped; `details["kink windows
-    skipped"]` counts them. Only the outermost clip is visible in V.
+    skipped"]` counts them.
 
-    Requires a fixed-step record of at least 3 uniformly spaced samples.
+    Requires a fixed-step record of at least 3 uniformly spaced samples,
+    judged under its own params: u, the right-hand sides and the
+    tolerance read `traj.params`, and a differing `params` is refused.
     """
     import numpy as np
+    p = traj.params
+    if params != p:
+        raise ValueError(f"identity suite judges a run under its own params: "
+                         f"{params!r} differs from the record's {p!r}")
     if traj.config.adaptive:
         raise ValueError("identity suite requires a fixed-step run: its tolerance "
                          "bounds central-difference truncation, not the "
@@ -261,7 +267,6 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
                 f"against {h:.6g})")
         raise ValueError("identity suite requires uniform sampling")
 
-    p = params
     mu, om, si, ga, N, bp = p.mu, p.omega, p.sigma, p.gamma, p.N, p.beta_prime
     muN = mu * N
     S, E, I, R, V = traj.S, traj.E, traj.I, traj.R, traj.V
@@ -317,7 +322,7 @@ def check_identity_suite(traj: Trajectory, params: ModelParams) -> Check:
     fold("(25.a) dR", d - (-(mu + om) * Rm + ga * Im + muN * Vm))
     fold("(25.b) dR", d - (-mu * Rm - si * Em + ga * Im - um))
     fold("(25.c) dR", d - (-d_sei))
-    tol = _identity_tolerance(params, traj.law, h)
+    tol = _identity_tolerance(p, traj.law, h)
     return Check("identity_suite", worst, tol, worst_t, details=details)
 
 

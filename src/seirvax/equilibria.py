@@ -2,8 +2,8 @@
 
 The endemic closed form, its feasibility expression and the sweep assume
 sigma = gamma (the discussion-simplicity tie) and refuse other parameter
-sets. The disease-free point, its closed-form characteristic zeros and
-the Jacobians hold for any sigma, gamma.
+sets, by one rule. The disease-free point, its closed-form characteristic
+zeros and the Jacobians hold for any sigma, gamma.
 
 The disease-free point is x1 = (N, 0, 0, 0). The endemic point exists
 when (mu+sigma)^2/(sigma*beta) < 1 and is given in closed form; with
@@ -44,7 +44,6 @@ __all__ = [
     "StabilityReport",
     "disease_free_equilibrium",
     "endemic_equilibrium",
-    "a11_feasibility",
     "char_zeros_x1",
     "eigenvalues",
     "hinf_ratio_sweep",
@@ -198,8 +197,9 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
 
     Requires sigma = gamma and sigma > 0. For mu > 0 the point exists iff
     (mu+sigma)^2/(sigma*beta) < 1; for mu = 0 the special branch exists
-    iff sigma < beta. Rates whose closed form overflows or underflows
-    double precision are refused with a ValueError.
+    iff sigma < beta; the point reports the feasibility condition. Rates
+    whose closed form or feasibility expression over- or underflows double
+    precision are refused with a ValueError.
     """
     _require_sigma_equals_gamma(params)
     mu, om, be, si, N = params.mu, params.omega, params.beta, params.sigma, params.N
@@ -216,8 +216,10 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
             I=(be - si) * om * N / denom,
             R=(be - si) * si * N / denom,
         )
+        ms2 = _square(mu + si, "mu+sigma")
+        denom = _nonzero(be * (ms2 + om * (mu + 2.0 * si)), "feasibility expression")
         return _point(params, "mu_zero_special", S, E, I, R,
-                      _feasibility(mu, om, be, si) <= 1.0)
+                      _a11(mu, om, si, si * be - ms2, denom) <= 1.0)
 
     if be == 0.0:
         return None
@@ -236,27 +238,6 @@ def endemic_equilibrium(params: ModelParams) -> Optional[EquilibriumPoint]:
     )
     return _point(params, "endemic", S, E, I, R,
                   _a11(mu, om, si, excess, denom) <= 1.0)
-
-
-def a11_feasibility(params: ModelParams) -> tuple[float, bool]:
-    """The printed endemic feasibility expression and whether it is <= 1.
-
-    Reported as a named condition only; nothing enforces it. An expression
-    that overflows double precision is refused with a ValueError.
-    """
-    _require_sigma_equals_gamma(params)
-    mu, om, be, si = params.mu, params.omega, params.beta, params.sigma
-    if si == 0.0 or be == 0.0:
-        raise ValueError("feasibility expression undefined for sigma = 0 or beta = 0")
-    value = _feasibility(mu, om, be, si)
-    return value, value <= 1.0
-
-
-def _feasibility(mu: float, om: float, be: float, si: float) -> float:
-    """The feasibility expression at sigma = gamma with sigma, beta > 0."""
-    ms2 = _square(mu + si, "mu+sigma")
-    denom = _nonzero(be * (ms2 + om * (mu + 2.0 * si)), "feasibility expression")
-    return _a11(mu, om, si, si * be - ms2, denom)
 
 
 def _a11(mu: float, om: float, si: float, excess: float, denom: float) -> float:
@@ -395,8 +376,9 @@ def hinf_ratio_sweep(params: ModelParams,
     of its companion matrix. The ratio is evaluated directly at w = 0 and
     at w = sqrt(Re r) for every root r with Re r > 0, and the largest
     value wins; argmax_freq is 0.0 when the w -> 0 limit is the peak. The
-    ratio is strictly proper, so w -> inf never is. Requires mu > 0 (p0
-    strictly Hurwitz) and an existing endemic point: `endemic` is
+    ratio is strictly proper, so w -> inf never is. Requires sigma = gamma
+    (refused as `endemic_equilibrium` refuses it), mu > 0 (p0 strictly
+    Hurwitz) and an existing endemic point: `endemic` is
     `endemic_equilibrium(params)`, None where there is none.
 
     Every product of two coefficient lists is written out: coefficient k
@@ -405,6 +387,7 @@ def hinf_ratio_sweep(params: ModelParams,
     x). The same accumulation order keeps the bits of the coefficients,
     the companion matrix, its roots and the peak.
     """
+    _require_sigma_equals_gamma(params)
     if params.mu == 0.0:
         raise ValueError("sweep refused: p0 has a root on the imaginary axis (mu = 0)")
     if endemic is None:

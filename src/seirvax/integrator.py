@@ -38,8 +38,9 @@ not be finite, so a run whose columns are never read (`zerodyn`) loads no
 numpy unless a value is not finite or above 2**1009.
 
 `_solve` is the one runner: it binds the law, opens the sample buffer
-and calls the config's kernel, for every field, and `_record` checks its
-buffer and returns the record. `integrate` runs it on the x-space field
+and calls the config's kernel, for every field, and `_record` refuses a
+start that is not finite, then checks its buffer and returns the
+record. `integrate` runs it on the x-space field
 and `normal_form` on the normal-form and zero-dynamics fields, so each of
 them runs fixed, adaptive or dense and returns the same record.
 """
@@ -236,7 +237,9 @@ def integrate(state0: SeirState, params: ModelParams, law: ControlLaw,
 def _record(field: FieldSource, law: ControlLaw, params: ModelParams,
             y0: tuple, config: IntegratorConfig) -> Trajectory:
     """The checked record of `_solve`'s run, its columns named after the
-    field's state."""
+    field's state; a start that is not finite is refused before a step."""
+    if not all(map(math.isfinite, y0)):
+        raise ValueError(f"initial {field.name} state must be finite")
     samples = _solve(field, law, params, y0, config)
     samples.check()
     return Trajectory(samples.rows, params, law, config,

@@ -3,8 +3,8 @@
 Each vector field is written once, as source (`FieldSource`), and each
 law class gives its vaccination fraction V as one Python expression
 (`laws.ControlLaw.v_expr`). A law's *shape* is that expression with the
-names of its constants, wrapped in ("clip", inner) once per `Saturated`
-layer. From these pieces this module writes:
+names of its constants, wrapped in ("clip", inner) for a `Saturated`
+law, which clips once. From these pieces this module writes:
 
   - `function(field)`: the field as a plain function of (state, V);
   - `law_function(shape)`: the law as a V(S, E, I, R, t) closure;
@@ -49,7 +49,7 @@ _COMPONENTS = range(4)
 # to append to an array("d") (`row`) or to write into one (`row_into`).
 _ROW = struct.Struct("6d")
 
-# A law shape: ("expr", expression, constant names) or ("clip", shape).
+# A law shape: ("expr", expression, constant names) or ("clip", expr shape).
 Shape = tuple
 
 
@@ -90,24 +90,24 @@ def _renamer(names: dict[str, str], prefix: str) -> Callable[[str], str]:
     return lambda src: _NAME.sub(lambda m: names.get(m[0], prefix + m[0]), src)
 
 
-def _law_lines(shape: Shape, target: str, state: tuple[str, ...], t: str,
-               depth: int = 0) -> list[str]:
-    """Statements setting `target` to V at (S, E, I, R) = state and time t."""
-    if shape[0] == "clip":
-        lo, hi = f"L{depth}_lo", f"L{depth}_hi"
-        return _law_lines(shape[1], target, state, t, depth + 1) + [
-            f"if {target} < {lo}: {target} = {lo}",
-            f"elif {target} > {hi}: {target} = {hi}"]
+def _law_lines(shape: Shape, target: str, state: tuple[str, ...],
+               t: str) -> list[str]:
+    """Statements setting `target` to V at (S, E, I, R) = state and time t;
+    a clip's expression takes the prefix L1_, its bounds L0_lo, L0_hi."""
     names = dict(zip("SEIR", (s if s.isidentifier() else f"({s})" for s in state)))
     names["t"] = t if t.isidentifier() else f"({t})"
-    return [f"{target} = " + _renamer(names, f"L{depth}_")(shape[1])]
+    if shape[0] != "clip":
+        return [f"{target} = " + _renamer(names, "L0_")(shape[1])]
+    return [f"{target} = " + _renamer(names, "L1_")(shape[1][1]),
+            f"if {target} < L0_lo: {target} = L0_lo",
+            f"elif {target} > L0_hi: {target} = L0_hi"]
 
 
-def _law_args(shape: Shape, depth: int = 0) -> list[str]:
+def _law_args(shape: Shape) -> list[str]:
     """The law's constants as kernel arguments, in the order of its values."""
     if shape[0] == "clip":
-        return _law_args(shape[1], depth + 1) + [f"L{depth}_lo", f"L{depth}_hi"]
-    return [f"L{depth}_{name}" for name in shape[2]]
+        return [f"L1_{name}" for name in shape[1][2]] + ["L0_lo", "L0_hi"]
+    return [f"L0_{name}" for name in shape[2]]
 
 
 def _compile(source: str, name: str, label: str) -> Callable:

@@ -12,7 +12,7 @@ Feedback laws (V as a function of the current state):
   Linearizing(g_prime, g1)     ImmuneFeedback with g = g_prime - (mu+omega);
                                the linearizing synthesis for output y = R
   OutputZeroing               V = -gamma*I / (mu*N), holds R identically at 0
-  Saturated(inner, lo, hi)     inner law clipped to [lo, hi]
+  Saturated(inner, lo, hi)     an unclipped inner law clipped to [lo, hi]
 
 Each law is one class: its scenario name (`name`, `label`), gains
 (`gains`), gain constraints (`gain_checks`), its V as one expression
@@ -24,8 +24,9 @@ expression at every stage of their generated kernels (`kernels`), and
 
 Three module functions are the gated entry points, and one gain gate
 (`_gated`: a failed required clause, of the law or of its canonical
-form, is refused) stands before each: `law_program` returns the law's
-shape and constants, which the integrators compile into their kernels;
+form, or a gain that is not finite is refused) stands before each:
+`law_program` returns the law's shape and constants, which the
+integrators compile into their kernels;
 `compile_law` returns the V(S, E, I, R, t) closure of the same program,
 so a law evaluates bitwise-identically wherever it is used;
 `predicted_limits` also refuses mu <= 0 and limits outside the
@@ -370,7 +371,7 @@ class OutputZeroing(ControlLaw):
 
 @dataclass(frozen=True)
 class Saturated(ControlLaw):
-    """Any law clipped to [lo, hi]; its gains are the inner law's."""
+    """An unclipped law clipped to [lo, hi]; its gains are the inner law's."""
 
     name: ClassVar[str] = "saturated"
     inner: ControlLaw
@@ -378,6 +379,9 @@ class Saturated(ControlLaw):
     hi: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.inner, Saturated):
+            raise ValueError("Saturated refuses a clipped inner law: clip once, "
+                             "to the intersection of the bounds")
         if not (self.lo <= self.hi):
             raise ValueError("Saturated requires lo <= hi")
 
@@ -413,21 +417,25 @@ def _require_law(law: object) -> None:
 
 def _gated(law: ControlLaw, params: ModelParams, error: type[Exception]) -> None:
     """The one gain gate: a failed required gain constraint raises `error`
-    naming every failed clause."""
+    naming every failed clause, then a gain that is not finite (clip
+    bounds are not gains) naming it."""
     failed = [c.name for c in law.gain_checks(params)
               if c.required and not c.holds]
     if failed:
         raise error(f"law {law.label} fails required gain constraint(s): "
                     + ", ".join(failed))
+    for name, value in law.gains.items():
+        if not math.isfinite(value):
+            raise error(f"law {law.label} gain {name} = {value!r} is not finite")
 
 
 def law_program(law: ControlLaw, params: ModelParams) -> tuple[Shape, tuple[float, ...]]:
     """Bind a law to parameters: (shape, constant values).
 
     The shape is the law's V expression with the names of its constants
-    (wrapped once per clip); the integrators compile one kernel per shape
-    and pass the values as arguments. A failed required gain constraint
-    raises GainConstraintError (and mu*N = 0 raises
+    (wrapped in one clip if saturated); the integrators compile one kernel
+    per shape and pass the values as arguments. The gain gate raises
+    GainConstraintError (and mu*N = 0 raises
     VaccinationChannelError when the law needs the channel).
     """
     _require_law(law)

@@ -63,7 +63,7 @@ def _normal_constants(params: ModelParams) -> tuple[float, ...]:
 # The normal-form field (z1, z2, z3, z4, V) -> rates; V enters only dz1.
 # A law reads the back-transformed state (S, E, I, R) = (z2 - z1, z3, z4, z1).
 NORMAL_SOURCE = FieldSource(
-    name="normal",
+    name="normal-form",
     state=("z1", "z2", "z3", "z4"),
     consts=("nmu", "nmu_om", "nmu_ga", "mu_si", "ga", "si", "bp", "muN"),
     body=("f = bp * ((z2 - z1) * z4)",),
@@ -80,7 +80,7 @@ NORMAL_SOURCE = FieldSource(
 # (ignored) changes nothing; the shared 4-component stepper integrates
 # (z2, z3, z4). The sum obeys d(z2+z3+z4)/dt = mu*(N - (z2+z3+z4)):
 # constant on the sum = N manifold.
-ZERO_SOURCE = replace(NORMAL_SOURCE, name="zero_dynamics",
+ZERO_SOURCE = replace(NORMAL_SOURCE, name="zero-dynamics",
                       rates=("0.0", *NORMAL_SOURCE.rates[1:]))
 
 
@@ -96,7 +96,7 @@ def integrate_normal(z0: tuple[float, float, float, float],
     is state feedback in x-coordinates; it is evaluated at the
     back-transformed state at every stage, in the kernel the stepper's
     template generates for `NORMAL_SOURCE`. The record's columns are t,
-    z1..z4 and V.
+    z1..z4 and V. A start component that is not finite raises ValueError.
     """
     return _record(NORMAL_SOURCE, law, params, tuple(z0), config)
 
@@ -106,10 +106,8 @@ def integrate_zero_dynamics(z0: tuple[float, float, float], params: ModelParams,
     """Integrate the autonomous zero dynamics from (z2, z3, z4) with the
     config's scheme: fixed-step RK4, or the Dormand-Prince pair, whose
     dense output samples the fixed grid's times. The record's z1 and V
-    are exactly 0.0 either way. A start component that is not finite, or
-    is negative, raises ValueError."""
-    if not all(math.isfinite(v) for v in z0):
-        raise ValueError("initial zero-dynamics state must be finite")
-    if min(z0) < 0.0:
+    are exactly 0.0 either way. A start component that is not finite (the
+    runner's rule), or is finite and negative, raises ValueError."""
+    if any(-math.inf < v < 0.0 for v in z0):
         raise ValueError("initial zero-dynamics state must be nonnegative")
     return _record(ZERO_SOURCE, ZeroVax(), params, (0.0, *z0), config)

@@ -289,6 +289,20 @@ class TestIdentitySuite:
         tr = integrate(mixed_state, p, law, IntegratorConfig(t_end=20.0, dt=0.05))
         assert check_identity_suite(tr, p).details["kink windows skipped"] == 0
 
+    def test_refuses_params_other_than_the_record(self, p1, mixed_state):
+        # u came from the record and the right-hand sides and tolerance
+        # from the argument: a correct P1 run judged under mu = 0.0101
+        # read FAIL, worst 0.222 against tol 0.00679.
+        tr = integrate(mixed_state, p1, ImmuneFeedback(0.0, 0.03),
+                       IntegratorConfig(t_end=100.0, dt=1e-2))
+        with pytest.raises(ValueError, match="^identity suite judges a run "
+                           "under its own params: ") as info:
+            check_identity_suite(tr, dataclasses.replace(p1, mu=0.0101))
+        assert "\n" not in str(info.value)
+        # an equal params object is the record's own
+        assert check_identity_suite(tr, dataclasses.replace(p1)) == (
+            check_identity_suite(tr, p1))
+
     def test_refuses_non_uniform_sampling(self, p1, mixed_state):
         cfg = IntegratorConfig(t_end=10.0, dt=1e-2)
         tr = integrate(mixed_state, p1, ZeroVax(), cfg)

@@ -296,6 +296,27 @@ class TestCsvRoundTrip:
         with pytest.raises(ScenarioError, match=message):
             read_trajectory_csv(path)
 
+    def test_rows_numpy_refuses_read_as_float_reads_them(self, tmp_path,
+                                                         monkeypatch):
+        # numpy's reader refuses digit grouping, which `float` accepts: the
+        # file is read again and parsed row by row, each value by `float`.
+        import seirvax.cli as cli
+        fallbacks = []
+
+        def parse_rows(lines, _fn=cli._parse_rows):
+            fallbacks.append(_fn(lines))
+            return fallbacks[-1]
+
+        monkeypatch.setattr(cli, "_parse_rows", parse_rows)
+        rows = ["1_000.0,2,3,4,5,6,7", "0.5,1_0,2,3,4,5,-6"]
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+        data = read_trajectory_csv(path)
+        got = np.column_stack([data[name] for name in CSV_HEADER.split(",")])
+        assert len(fallbacks) == 1
+        assert got.tolist() == [[float(v) for v in row.split(",")]
+                                for row in rows]
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(CSV_HEADER + "\n0,1,2,3,4,5,6\n\n1,2,3,4,5,6,7\n")

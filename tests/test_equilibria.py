@@ -30,7 +30,6 @@ from seirvax import (
     eigenvalues,
     endemic_equilibrium,
     hinf_ratio_sweep,
-    a11_feasibility,
     analyze,
     corollary1_upper_bound,
     predicted_limits,
@@ -532,6 +531,24 @@ class TestSweep:
         with pytest.raises(ValueError, match="orders of magnitude"):
             _sweep(_params(mu=1e-170, omega=0.0))
 
+    def test_refuses_sigma_not_gamma(self, p1, monkeypatch):
+        # The certificate's polynomials assume sigma = gamma: a plant with
+        # gamma moved is refused, even with P1's endemic point passed in,
+        # by the rule endemic_equilibrium applies, word for word.
+        import seirvax.equilibria as eq
+        p = dataclasses.replace(p1, gamma=0.35)
+        with pytest.raises(ValueError) as want:
+            endemic_equilibrium(p)
+        point = endemic_equilibrium(p1)
+        with pytest.raises(ValueError) as got:
+            hinf_ratio_sweep(p, point)
+        assert str(got.value) == str(want.value) == (
+            "endemic analysis requires sigma == gamma")
+        seen = []
+        monkeypatch.setattr(eq, "_require_sigma_equals_gamma", seen.append)
+        hinf_ratio_sweep(p, point)
+        assert seen == [p]
+
     def test_peak_below_every_fixed_grid(self):
         # mu = 1e-12, omega = 0: p0 has a double root at -mu, the ratio
         # falls from its DC value sigma/(mu+sigma)^2 - 2/beta = 2.78 near
@@ -734,22 +751,35 @@ class TestAnalyze:
         assert [rep.jacobian.tobytes() for rep in reports] == [
             row.tobytes() for row in stacks[0]]
 
-    def test_feasibility_expression(self, p1):
-        value, holds = a11_feasibility(p1)
-        ms2 = 0.21 ** 2
-        expected = (0.18 - ms2) / (0.9 * (ms2 + 0.02 * 0.41)) * max(
-            0.2, 1.05 * 0.03)
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert holds == (value <= 1.0)
+    def test_feasibility_expression(self, monkeypatch):
+        # The printed expression is computed where the endemic point is
+        # made, once, in both branches, and the point reports it <= 1.
+        import seirvax.equilibria as eq
+        values = []
+
+        def recorded(*args, _fn=eq._a11):
+            values.append(_fn(*args))
+            return values[-1]
+
+        monkeypatch.setattr(eq, "_a11", recorded)
+        for mu, kind in ((0.01, "endemic"), (0.0, "mu_zero_special")):
+            values.clear()
+            point = endemic_equilibrium(_params(mu=mu))
+            ms2 = (mu + 0.2) ** 2
+            expected = (0.18 - ms2) / (0.9 * (ms2 + 0.02 * (mu + 0.4))) * max(
+                0.2, (1.0 + mu / 0.2) * (mu + 0.02))
+            assert point.kind == kind
+            assert values == [pytest.approx(expected, rel=1e-12)]
+            assert point.feasibility_a11 == (values[0] <= 1.0)
 
     def test_non_finite_feasibility_expression_refused(self):
-        # The denominator beta*((mu+sigma)^2 + omega*(mu+2*sigma)) and
-        # max(sigma, (1 + mu/sigma)*(mu+omega)) overflow, and -0.0*inf is
-        # NaN, which would read as (nan, False), "violated".
-        p = _params(mu=1e6, omega=1e308, beta=1e100, sigma=3e-134)
+        # A finite endemic point (S, E, I, R about 0.0121, 917, 83 and 0)
+        # whose expression overflows: excess/denom is subnormal, and
+        # (1 + mu/sigma)*(mu+omega) is inf.
+        p = _params(mu=1e-6, omega=1e308, beta=1.0, sigma=1e-7)
         with pytest.raises(ValueError, match=r"feasibility expression overflows "
-                                             r"double precision \(nan\)") as info:
-            a11_feasibility(p)
+                                             r"double precision \(inf\)") as info:
+            endemic_equilibrium(p)
         assert "\n" not in str(info.value)
 
 
@@ -856,7 +886,6 @@ _NUMBERS = {
     disease_free_equilibrium: lambda point: (*point.state.as_tuple(), point.residual),
     endemic_equilibrium: lambda point: (
         () if point is None else (*point.state.as_tuple(), point.residual)),
-    a11_feasibility: lambda out: out[:1],
     char_zeros_x1: lambda zeros: zeros,
     # analyze with the sweep on: every report's state, residual, Jacobian,
     # spectrum magnitudes and H-infinity ratio

@@ -30,6 +30,7 @@ from seirvax import (
     ZeroVax,
     coupling_control,
     integrate,
+    integrate_normal,
     integrate_zero_dynamics,
     monitor_positivity,
     to_normal,
@@ -202,10 +203,33 @@ class TestBasics:
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_non_finite_v_is_named(self, p1, mixed_state, adaptive):
+        # Finite gains whose V overflows: g1*N = 1e311 is inf.
         cfg = IntegratorConfig(t_end=1.0, dt=0.01, adaptive=adaptive)
         with pytest.raises(NonFiniteStateError, match="non-finite V at") as err:
-            integrate(mixed_state, p1, ConstantVax(math.nan), cfg)
+            integrate(mixed_state, p1, ImmuneFeedback(0.0, 1e308), cfg)
         assert (err.value.t, err.value.sample_index) == (0.0, 0)
+
+    @pytest.mark.parametrize("run, start, name", [
+        ("x", (math.nan, 200.0, 100.0, 0.0), "seir"),
+        ("normal", (0.0, 700.0, math.inf, 100.0), "normal-form"),
+        ("zero", (700.0, -math.inf, 100.0), "zero-dynamics"),
+    ], ids=["x", "normal", "zero"])
+    def test_non_finite_start_refused_before_a_step(self, p1, monkeypatch,
+                                                    run, start, name):
+        # NaN compares false, so a NaN start passed integrate's sign and
+        # sum rules and ran all 100 000 steps before a NonFiniteStateError.
+        def solve(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(importlib.import_module("seirvax.integrator"),
+                            "_solve", solve)
+        cfg = IntegratorConfig(t_end=1000.0, dt=0.01)
+        call = {"x": lambda: integrate(SeirState(*start), p1, ZeroVax(), cfg),
+                "normal": lambda: integrate_normal(start, p1, ZeroVax(), cfg),
+                "zero": lambda: integrate_zero_dynamics(start, p1, cfg)}[run]
+        with pytest.raises(ValueError,
+                           match=f"^initial {name} state must be finite$"):
+            call()
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -1.0, 1e303,
                                        -5.4e303, 2.0 ** 1009 * (1 - 2 ** -53)])

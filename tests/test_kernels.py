@@ -74,3 +74,16 @@ def test_normal_form_is_the_plant_in_z():
 def test_refuses_what_it_cannot_differentiate(shape):
     with pytest.raises(ValueError, match="cannot differentiate"):
         jacobian(SEIR_SOURCE, shape)
+
+
+def test_one_clip_level():
+    # A Saturated law clips once: its expression's constants take the
+    # prefix L1_ and its bounds L0_, after the expression.
+    from seirvax.kernels import _law_args, _law_lines
+    shape = ("clip", ("expr", "g * S - t", ("g",)))
+    assert _law_lines(shape, "V", ("s0", "s1", "s2", "s3"), "t + h") == [
+        "V = L1_g * s0 - (t + h)",
+        "if V < L0_lo: V = L0_lo",
+        "elif V > L0_hi: V = L0_hi"]
+    assert _law_args(shape) == ["L1_g", "L0_lo", "L0_hi"]
+    assert _law_args(shape[1]) == ["L0_g"]

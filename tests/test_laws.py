@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -94,6 +95,37 @@ class TestEvaluate:
     def test_saturated_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             Saturated(ZeroVax(), 1.0, 0.0)
+
+    def test_saturated_refuses_a_clipped_inner_law(self):
+        # Two clips act as one to the intersection of their bounds; the
+        # kernels and the identity suite's kink windows read one clip.
+        inner = Saturated(ImmuneFeedback(0.0, 0.07), 0.3, 0.9)
+        with pytest.raises(ValueError, match="^Saturated refuses a clipped "
+                           "inner law: clip once, to the intersection of "
+                           "the bounds$"):
+            Saturated(inner, -5.0, 5.0)
+
+    # Each ran its whole grid before a NonFiniteStateError at t = 0.0.
+    @pytest.mark.parametrize("law, what", [
+        (ConstantVax(math.nan), "constant gain value = nan"),
+        (ImmuneFeedback(0.0, math.nan), "immune_feedback gain g1 = nan"),
+        (ImmuneFeedback(0.0, math.inf), "immune_feedback gain g1 = inf"),
+        (Saturated(ConstantVax(-math.inf)),
+         "saturated(constant) gain value = -inf"),
+    ], ids=["constant nan", "g1 nan", "g1 inf", "saturated -inf"])
+    def test_gate_refuses_non_finite_gains(self, p1, law, what):
+        with pytest.raises(GainConstraintError,
+                           match=rf"^law {re.escape(what)} is not finite$"):
+            law_program(law, p1)
+        with pytest.raises(PredictionError,
+                           match=rf"^law {re.escape(what)} is not finite$"):
+            predicted_limits(law, p1)
+
+    def test_gate_leaves_clip_bounds_infinite(self, p1):
+        # Clip bounds are not gains: an unbounded clip clips nothing.
+        law = Saturated(ImmuneFeedback(0.0, 0.03), -math.inf, math.inf)
+        assert compile_law(law, p1)(0.0, 0.0, 0.0, 1000.0, 0.0) == (
+            compile_law(law.inner, p1)(0.0, 0.0, 0.0, 1000.0, 0.0))
 
 
 class TestValidateGains:
@@ -223,6 +255,25 @@ class TestPredictedLimits:
         with pytest.raises(PredictionError, match=what) as info:
             predicted_limits(law, params)
         assert "\n" not in str(info.value)
+
+    def test_limits_outside_the_population_range_refused(self, p1):
+        # No catalogue law's gates let a limit leave [0, N]; a law whose
+        # prediction claims R -> 1.5 N reaches the clause.
+        from seirvax.laws import AsymptoticPrediction, ControlLaw
+
+        @dataclasses.dataclass(frozen=True)
+        class Overshoot(ControlLaw):
+            name = "overshoot"
+            v_expr = "0.0"
+
+            def _predict(self, params):
+                return AsymptoticPrediction(r_inf=1.5 * params.N,
+                                            decay_rate=params.mu)
+
+        with pytest.raises(PredictionError, match=r"^prediction refused, "
+                           r"failing clause: population limits within "
+                           r"\[0, N\]$"):
+            predicted_limits(Overshoot(), p1)
 
     def test_smallest_normal_mu_n_is_predicted(self):
         # The refusal starts one ulp below the smallest normal mu*N.
